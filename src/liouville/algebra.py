@@ -15,18 +15,18 @@ Numeric rank decisions use the shared threshold: singular values above
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .expr import (
-    BinOp, Const, DomainError, EvalPoint, Expr, Pow, dimension_of, evaluate,
-    parameters_of, sample_eval_points, simplify, to_string,
+    BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
+    compile_functions, differentiate, dimension_of, parameters_of,
+    sample_eval_points, simplify,
 )
-from .symplectic import SymplecticStructure, poisson_bracket
+from .symplectic import SymplecticStructure
 
 __all__ = [
     "AlgebraError", "ConvergenceError", "RegularityError", "SamplingError",
@@ -63,7 +63,10 @@ class InvariantSet:
     """Ordered named invariants sharing one symplectic structure.
 
     ``params`` holds fixed bindings for any named parameters appearing in
-    the member expressions; sampled probe points inherit them.
+    the member expressions; sampled probe points inherit them.  Member
+    values and gradients are evaluated by callables compiled once per
+    parameter binding (see :func:`compile_functions`), which match the
+    :func:`evaluate` tree-walk bit for bit.
     """
 
     structure: SymplecticStructure
@@ -91,8 +94,8 @@ class InvariantSet:
         unbound -= set(self.params)
         if unbound:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
-        self._bracket_cache: dict[tuple[int, int], Expr] = {}
         self._grad_cache: dict[int, tuple[Expr, ...]] = {}
+        self._compiled: dict[tuple, Callable] = {}
 
     @property
     def k(self) -> int:
@@ -103,37 +106,45 @@ class InvariantSet:
         merged.update(point.params)
         return EvalPoint(point.q, point.p, merged)
 
-    def bracket_expr(self, i: int, j: int) -> Expr:
-        """Cached simplified expression for {H_i, H_j} (0-based indices)."""
-        key = (i, j)
-        if key not in self._bracket_cache:
-            self._bracket_cache[key] = poisson_bracket(
-                self.exprs[i], self.exprs[j], self.structure)
-        return self._bracket_cache[key]
-
     def gradient_exprs(self, i: int) -> tuple[Expr, ...]:
         if i not in self._grad_cache:
-            from .expr import differentiate
             names = [f"q{j}" for j in range(1, self.structure.n + 1)] + \
                     [f"p{j}" for j in range(1, self.structure.n + 1)]
             self._grad_cache[i] = tuple(differentiate(self.exprs[i], s) for s in names)
         return self._grad_cache[i]
 
-    def member_values(self, point: EvalPoint) -> np.ndarray:
+    def _call_compiled(self, what: str, point: EvalPoint) -> tuple[float, ...]:
+        """Run the compiled members ("values") or the flattened member
+        gradients ("gradients") at a point, compiling them on first use for
+        the point's parameter binding."""
         u = self.bind(point)
-        return np.array([evaluate(e, u) for e in self.exprs])
+        n = self.structure.n
+        if u.n < n:
+            raise UnboundSymbolError(
+                f"a {u.n}-degree point cannot bind a {n}-degree phase space")
+        key = (what, tuple(sorted(u.params.items())))
+        fn = self._compiled.get(key)
+        if fn is None:
+            if what == "values":
+                exprs = self.exprs
+            else:
+                exprs = [g for i in range(self.k) for g in self.gradient_exprs(i)]
+            fn = self._compiled[key] = compile_functions(exprs, n, u.params)
+        return fn(u.q[:n] + u.p[:n])
+
+    def member_values(self, point: EvalPoint) -> np.ndarray:
+        return np.array(self._call_compiled("values", point))
 
     def jacobian_at(self, point: EvalPoint) -> np.ndarray:
-        u = self.bind(point)
-        rows = []
-        for i in range(self.k):
-            rows.append([evaluate(g, u) for g in self.gradient_exprs(i)])
-        return np.array(rows)
+        """(k, 2n) matrix of dH_i/dq_1..dq_n, dH_i/dp_1..dp_n."""
+        flat = self._call_compiled("gradients", point)
+        return np.array(flat).reshape(self.k, 2 * self.structure.n)
 
     def sample_points(self, count: int, seed: int,
                       need_brackets: bool = False) -> list[EvalPoint]:
-        """Seeded points where every member (and optionally every bracket)
-        evaluates; resamples domain failures up to a 10x oversampling cap."""
+        """Seeded points where every member (and optionally every member
+        gradient, hence the bracket matrix) evaluates; resamples domain
+        failures up to a 10x oversampling cap."""
         good: list[EvalPoint] = []
         drawn = 0
         batch_seed = seed
@@ -149,7 +160,7 @@ class InvariantSet:
                 try:
                     self.member_values(u)
                     if need_brackets:
-                        bracket_matrix_at(self, u)
+                        self.jacobian_at(u)
                 except DomainError:
                     continue
                 good.append(u)
@@ -269,15 +280,21 @@ def _numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
-    """M[i,j] = {H_i, H_j}(point); every entry evaluated independently."""
-    u = inv.bind(point)
-    k = inv.k
-    m = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            m[i, j] = evaluate(inv.bracket_expr(i, j), u)
+    """M[i,j] = {H_i, H_j}(point), from the member Jacobian at the point.
+
+    With J = [J_q | J_p] the (k, 2n) Jacobian, M = A - A^T for
+    A = (J_p diag(1/xi)) J_q^T, so the diagonal is exactly zero and M is
+    exactly antisymmetric.  Raises DomainError where a gradient entry leaves
+    the domain or an entry overflows.
+    """
+    jac = inv.jacobian_at(point)
+    n = inv.structure.n
+    inv_weights = 1.0 / np.array(inv.structure.weights)
+    a = (jac[:, n:] * inv_weights) @ jac[:, :n].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a - a.T
+    if not np.all(np.isfinite(m)):
+        raise DomainError("non-finite bracket matrix")
     return m
 
 
@@ -285,10 +302,11 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
                             allow_central: bool = False) -> StructureConstants:
     """Least-squares fit of the bracket table over seeded sample points.
 
-    Each pair {H_i, H_j} (i < j) is regressed on [1,] H_1..H_k; the constant
-    column is present only when ``allow_central`` is set.  The residual is
-    the worst relative misfit max |lhs - fit| / (1 + |lhs|) over pairs and
-    points.  Antisymmetry of the returned tables holds by construction.
+    Each pair {H_i, H_j} (i < j), read off the bracket matrices at the
+    points, is regressed on [1,] H_1..H_k; the constant column is present
+    only when ``allow_central`` is set.  The residual is the worst relative
+    misfit max |lhs - fit| / (1 + |lhs|) over pairs and points.
+    Antisymmetry of the returned tables holds by construction.
     """
     k = inv.k
     if k < 2:
@@ -297,6 +315,9 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
         raise ValueError("need more samples than regression columns")
     points = inv.sample_points(samples, seed, need_brackets=True)
     values = np.array([inv.member_values(u) for u in points])   # (m, k)
+    rows, cols = np.triu_indices(k, 1)
+    b = np.array([bracket_matrix_at(inv, u)[rows, cols]
+                  for u in points])                          # (m, pairs)
     if allow_central:
         design = np.hstack([np.ones((len(points), 1)), values])
     else:
@@ -304,25 +325,17 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     rank, _, _ = _numeric_rank(design)
     rank_deficient = rank < design.shape[1]
 
+    coef, *_ = np.linalg.lstsq(design, b, rcond=None)      # (columns, pairs)
+    misfit = design @ coef - b
+    residual = float(np.max(np.abs(misfit) / (1.0 + np.abs(b))))
     c = np.zeros((k, k, k))
     c0 = np.zeros((k, k))
-    residual = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            expr = inv.bracket_expr(i, j)
-            b = np.array([evaluate(expr, inv.bind(u)) for u in points])
-            coef, *_ = np.linalg.lstsq(design, b, rcond=None)
-            misfit = design @ coef - b
-            rel = np.max(np.abs(misfit) / (1.0 + np.abs(b)))
-            residual = max(residual, float(rel))
-            if allow_central:
-                c0[i, j] = coef[0]
-                c0[j, i] = -coef[0]
-                body = coef[1:]
-            else:
-                body = coef
-            c[:, i, j] = body
-            c[:, j, i] = -body
+    if allow_central:
+        c0[rows, cols] = coef[0]
+        c0[cols, rows] = -coef[0]
+        coef = coef[1:]
+    c[:, rows, cols] = coef
+    c[:, cols, rows] = -coef
     return StructureConstants(inv.names, c, c0, residual, allow_central,
                               rank_deficient)
 
@@ -368,17 +381,24 @@ def algebra_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
     """
     if len(probes) < 3:
         raise ValueError("need at least three probe points")
-    ranks = []
+    best, constant = _max_bracket_rank(inv, probes)
+    return inv.k - best, constant
+
+
+def _max_bracket_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
+                      ) -> tuple[int, bool]:
+    """(max numeric bracket-matrix rank, rank equal at every usable probe);
+    probes where a member gradient leaves the domain are skipped."""
+    ranks = set()
     for u in probes:
         try:
             m = bracket_matrix_at(inv, u)
         except DomainError:
             continue
-        rank, _, _ = _numeric_rank(m)
-        ranks.append(rank)
+        ranks.add(_numeric_rank(m)[0])
     if not ranks:
         raise SamplingError("every probe hit a domain error (singular locus)")
-    return inv.k - max(ranks), len(set(ranks)) == 1
+    return max(ranks), len(ranks) == 1
 
 
 def find_level_point(inv: InvariantSet, values: Sequence[float],
@@ -436,29 +456,15 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     return RegularElement(tuple(target), witness)
 
 
-def _generic_matrix_rank(inv: InvariantSet, probes: Sequence[EvalPoint] | None,
-                         seed: int) -> int:
-    if probes is None:
-        probes = inv.sample_points(5, seed, need_brackets=True)
-    best = 0
-    for u in probes:
-        try:
-            m = bracket_matrix_at(inv, u)
-        except DomainError:
-            continue
-        rank, _, _ = _numeric_rank(m)
-        best = max(best, rank)
-    return best
-
-
 def cartan_basis_at(inv: InvariantSet, element: RegularElement,
                     probes: Sequence[EvalPoint] | None = None,
                     seed: int = 0) -> CartanBasis:
     """Orthonormal kernel of the bracket matrix at the element's witness.
 
     The element is regular when the kernel dimension at the witness matches
-    the generic (minimal) kernel dimension seen over probe points; a larger
-    kernel means the witness sits on a singular stratum.
+    the generic (minimal) kernel dimension seen over probe points (five
+    seeded points when ``probes`` is None); a larger kernel means the
+    witness sits on a singular stratum.
     """
     if element.witness is None:
         raise RegularityError("regular element has no witness point")
@@ -471,7 +477,9 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     m = bracket_matrix_at(inv, witness)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
-    generic_rank = _generic_matrix_rank(inv, probes, seed)
+    if probes is None:
+        probes = inv.sample_points(5, seed, need_brackets=True)
+    generic_rank, _ = _max_bracket_rank(inv, probes)
     if rank != generic_rank:
         raise RegularityError(
             f"bracket-matrix rank {rank} at the witness differs from the "

@@ -3,6 +3,10 @@
 Every subcommand is a thin shell over the library modules; no numeric
 logic lives here.  Reports serialize with sorted keys so identical inputs
 and seed produce byte-identical output.
+
+Exit codes: 0 for a report, 1 only for a negative verdict under
+``--strict`` (or a failed ``verify-paper`` criterion), and 2 for any
+error, which is reported as a single ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -281,8 +285,9 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 
 
 def _run_verify(args) -> int:
+    # the criteria pin their own seeds and tuned bounds, so --seed has no
+    # effect here and the report carries no seed
     from .acceptance import run_all
-    seed = _resolve_seed(args.seed, None)
     outcomes = run_all()
     for item in outcomes:
         status = "PASS" if item.passed else "FAIL"
@@ -292,7 +297,6 @@ def _run_verify(args) -> int:
         report = {
             "command": "verify-paper",
             "version": __version__,
-            "seed": seed,
             "results": [{"index": item.index, "title": item.title,
                          "passed": item.passed, "details": item.details}
                         for item in outcomes],
@@ -302,19 +306,13 @@ def _run_verify(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "verify-paper":
-            return _run_verify(args)
-        system = load_system_file(args.file)
-        seed = _resolve_seed(args.seed, system.seed)
-        handler = _HANDLERS[args.command]
-        results, verdict, warnings = handler(system, args, seed)
-    except (SystemFileError, AlgebraError, ChartError, IntegrationError,
-            ExprError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _run(args) -> int:
+    if args.command == "verify-paper":
+        return _run_verify(args)
+    system = load_system_file(args.file)
+    seed = _resolve_seed(args.seed, system.seed)
+    handler = _HANDLERS[args.command]
+    results, verdict, warnings = handler(system, args, seed)
     report = {
         "command": args.command,
         "input": {"path": args.file, "sha256": _digest(args.file)},
@@ -326,6 +324,22 @@ def main(argv=None) -> int:
     }
     _emit_report(report, args.out)
     return 0 if (verdict or not args.strict) else 1
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (SystemFileError, AlgebraError, ChartError, IntegrationError,
+            ExprError, ValueError, OSError) as exc:
+        message = str(exc)
+    except Exception as exc:
+        # anything unforeseen (say a RecursionError on a very deep
+        # expression) is still an error: one line, never a traceback, and
+        # never exit 1, which is the --strict verdict code
+        message = f"{type(exc).__name__}: {exc}"
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

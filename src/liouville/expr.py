@@ -19,6 +19,7 @@ structurally.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -476,12 +477,14 @@ def _eval(e: Expr, u: EvalPoint) -> float:
             if x < 0.0:
                 raise DomainError("sqrt of a negative value")
             return math.sqrt(x)
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
         try:
+            if e.func == "sin":
+                return math.sin(x)
+            if e.func == "cos":
+                return math.cos(x)
             return math.exp(x)
+        except ValueError:
+            raise DomainError(f"{e.func} of a non-finite value") from None
         except OverflowError:
             raise DomainError("overflow in exp") from None
     raise TypeError(f"not an expression node: {e!r}")
@@ -601,6 +604,18 @@ def _rebuild_product(factors: list[Expr], const_acc: float) -> Expr:
     return BinOp("*", Const(const_acc), node)
 
 
+_NO_POINT = EvalPoint((), ())
+
+
+def _fold(e: Expr) -> Const | None:
+    """The constant value of a variable-free node, or None off the domain."""
+    try:
+        value = _eval(e, _NO_POINT)
+    except (ExprError, ValueError):
+        return None
+    return Const(value) if math.isfinite(value) else None
+
+
 def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities, and flattening of sums and products.
 
@@ -619,10 +634,9 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Call):
         arg = simplify(e.arg)
         if isinstance(arg, Const):
-            try:
-                return Const(evaluate(Call(e.func, arg), EvalPoint((), ())))
-            except ExprError:
-                pass
+            folded = _fold(Call(e.func, arg))
+            if folded is not None:
+                return folded
         return Call(e.func, arg)
     if isinstance(e, Pow):
         base = simplify(e.base)
@@ -631,10 +645,9 @@ def simplify(e: Expr) -> Expr:
         if e.exponent == 1.0:
             return base
         if isinstance(base, Const):
-            try:
-                return Const(evaluate(Pow(base, e.exponent), EvalPoint((), ())))
-            except ExprError:
-                pass
+            folded = _fold(Pow(base, e.exponent))
+            if folded is not None:
+                return folded
         return Pow(base, e.exponent)
     if isinstance(e, BinOp) and e.op in ("+", "-"):
         left = simplify(e.left)
@@ -805,32 +818,135 @@ def numerically_equivalent(a: Expr, b: Expr, samples: int = 40,
 
 
 # ---------------------------------------------------------------------------
-# compilation to plain Python callables (used by the flow integrators)
+# compilation to plain Python callables (flow fields, conserved quantities,
+# chart residuals, and the member values and gradients behind every bracket
+# matrix)
+
+_BINOP_TEMPLATES = {op: f"({{}}{op}{{}})" for op in "+-*/"}
+_CALL_TEMPLATES = {"ln": "_log({})", "sqrt": "_sqrt({})", "sin": "_sin({})",
+                   "cos": "_cos({})", "exp": "_exp({})"}
+# Longest chain of nested operations written into one statement.  Deeper
+# subtrees are split into temporaries, which keeps the generated source well
+# inside the parser's nesting limit (200 parentheses) and the compiler's
+# recursion limit, whatever the depth of the tree.
+_MAX_INLINE_DEPTH = 32
 
 
-def _emit(e: Expr, n: int, param_index: Mapping[str, int]) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        kind, idx = e.name[0], int(e.name[1:])
-        offset = idx - 1 if kind == "q" else n + idx - 1
-        return f"y[{offset}]"
-    if isinstance(e, Param):
+def _template(e: Expr, n: int, param_index: Mapping[str, int]
+              ) -> tuple[str, tuple[Expr, ...]]:
+    """Python source of one node with ``{}`` holes for its children.
+
+    Two nodes with the same template and structurally equal children are
+    the same subexpression.
+    """
+    cls = type(e)
+    if cls is BinOp:
+        return _BINOP_TEMPLATES[e.op], (e.left, e.right)
+    if cls is Var:
+        idx = int(e.name[1:])
+        if idx > n:
+            raise UnboundSymbolError(
+                f"variable {e.name} unbound in a {n}-degree state")
+        return f"y[{idx - 1 if e.name[0] == 'q' else n + idx - 1}]", ()
+    if cls is Const:
+        text = repr(e.value)
+        # a bare negative literal would rebind under ** ((-2.0)**2 != -2.0**2)
+        return (f"({text})" if text.startswith("-") else text), ()
+    if cls is Param:
         if e.name not in param_index:
             raise UnboundSymbolError(f"parameter {e.name!r} unbound at compile time")
-        return f"c[{param_index[e.name]}]"
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg, n, param_index)})"
-    if isinstance(e, Call):
-        fn = {"ln": "log", "sqrt": "sqrt", "sin": "sin", "cos": "cos", "exp": "exp"}[e.func]
-        return f"_{fn}({_emit(e.arg, n, param_index)})"
-    if isinstance(e, BinOp):
-        return f"({_emit(e.left, n, param_index)}{e.op}{_emit(e.right, n, param_index)})"
-    if isinstance(e, Pow):
+        return f"c[{param_index[e.name]}]", ()
+    if cls is Pow:
         if float(e.exponent).is_integer() and abs(e.exponent) <= 64:
-            return f"({_emit(e.base, n, param_index)}**{int(e.exponent)})"
-        return f"_pow({_emit(e.base, n, param_index)},{e.exponent!r})"
+            return f"({{}}**{int(e.exponent)})", (e.base,)
+        return f"_pow({{}},{e.exponent!r})", (e.base,)
+    if cls is Neg:
+        return "(-{})", (e.arg,)
+    if cls is Call:
+        return _CALL_TEMPLATES[e.func], (e.arg,)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _emit(exprs: Sequence[Expr], n: int,
+          param_index: Mapping[str, int]) -> tuple[list[str], list[str]]:
+    """Straight-line statements plus one result expression per input.
+
+    A subtree gets its own temporary when it occurs more than once (common
+    subexpressions are found by structure, not object identity) or when
+    inlining it would nest deeper than ``_MAX_INLINE_DEPTH``; every other
+    subtree is written inline into its parent.  Each temporary performs the
+    same floating-point operations, in the same order, as :func:`evaluate`.
+    The walk is iterative, so tree depth is not bounded by Python's
+    recursion limit.
+    """
+    # distinct subtrees in post-order: children always precede parents
+    slot_of_id: dict[int, int] = {}
+    slot_of_key: dict[tuple, int] = {}
+    templates: list[str] = []
+    kids: list[tuple[int, ...]] = []
+    roots: list[int] = []
+    for root in exprs:
+        stack: list[tuple] = [(root, None, ())]
+        while stack:
+            node, template, children = stack.pop()
+            if template is None:            # first visit
+                if id(node) in slot_of_id:
+                    continue
+                template, children = _template(node, n, param_index)
+                pending = [c for c in children if id(c) not in slot_of_id]
+                if pending:
+                    stack.append((node, template, children))
+                    stack.extend((c, None, ()) for c in reversed(pending))
+                    continue
+            child_slots = tuple([slot_of_id[id(c)] for c in children])
+            key = (template,) + child_slots
+            slot = slot_of_key.get(key)
+            if slot is None:
+                slot = slot_of_key[key] = len(templates)
+                templates.append(template)
+                kids.append(child_slots)
+            slot_of_id[id(node)] = slot
+        roots.append(slot_of_id[id(root)])
+
+    uses = [0] * len(templates)
+    for child_slots in kids:
+        for c in child_slots:
+            uses[c] += 1
+    for r in roots:
+        uses[r] += 1
+    code: list[str] = []
+    depth: list[int] = []
+    lines: list[str] = []
+    for slot, template in enumerate(templates):
+        child_slots = kids[slot]
+        if not child_slots:
+            code.append(template)
+            depth.append(0)
+            continue
+        text = template.format(*[code[c] for c in child_slots])
+        d = 1 + max(depth[c] for c in child_slots)
+        if uses[slot] > 1 or d >= _MAX_INLINE_DEPTH:
+            lines.append(f"t{slot} = {text}")
+            text, d = f"t{slot}", 0
+        code.append(text)
+        depth.append(d)
+    return lines, [code[r] for r in roots]
+
+
+_NAMESPACE = {
+    "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
+    "_cos": math.cos, "_exp": math.exp, "_pow": math.pow,
+    "inf": math.inf, "nan": math.nan,
+}
+
+
+@functools.lru_cache(maxsize=128)
+def _function_from_source(source: str):
+    # the source names parameters by position only, so one compiled function
+    # serves every binding of the same expressions (charts recompile often)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<liouville-expr>", "exec"), namespace)
+    return namespace["_compiled"]
 
 
 def compile_functions(exprs: Sequence[Expr], n: int,
@@ -839,19 +955,18 @@ def compile_functions(exprs: Sequence[Expr], n: int,
     """Compile expressions into one fast callable of the state vector.
 
     The state layout is ``y = (q1..qn, p1..pn)``; parameter values are baked
-    in at compile time.  Domain failures surface as :class:`DomainError`.
+    in at compile time.  The trees are compiled as given (not simplified),
+    so each output equals :func:`evaluate` of its expression bit for bit.
+    Domain failures surface as :class:`DomainError`.
     """
     params = dict(params or {})
     param_index = {name: i for i, name in enumerate(sorted(params))}
-    body = ",".join(_emit(simplify(e), n, param_index) for e in exprs)
-    source = f"def _compiled(y, c):\n    return ({body}{',' if len(exprs) == 1 else ''})\n"
-    namespace = {
-        "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
-        "_cos": math.cos, "_exp": math.exp, "_pow": math.pow,
-    }
-    exec(compile(source, "<liouville-expr>", "exec"), namespace)
-    compiled = namespace["_compiled"]
-    c = tuple(params[name] for name in sorted(params))
+    lines, outs = _emit(exprs, n, param_index)
+    body = "".join(f"    {line}\n" for line in lines)
+    result = ",".join(outs) + ("," if len(outs) == 1 else "")
+    compiled = _function_from_source(
+        f"def _compiled(y, c):\n{body}    return ({result})\n")
+    c = tuple(float(params[name]) for name in sorted(params))
     isfinite = math.isfinite
 
     def runner(y: Sequence[float]) -> tuple[float, ...]:

@@ -8,8 +8,8 @@ from liouville import (
     algebra_rank, bracket_matrix_at, bracket_value, cartan_basis_at,
     check_closure, dual_abelian_pointwise, evaluate, find_level_point,
     fit_structure_constants, functional_independence, get_system,
-    is_solvable, mishchenko_fomenko_check, poisson_bracket, probe_points,
-    search_polynomial_completion, simplify,
+    is_solvable, list_systems, mishchenko_fomenko_check, poisson_bracket,
+    probe_points, search_polynomial_completion, simplify,
 )
 from liouville.algebra import (
     AlgebraError, ConvergenceError, RegularityError, SamplingError,
@@ -511,3 +511,60 @@ def test_algebra_error_hierarchy():
     assert issubclass(ConvergenceError, AlgebraError)
     assert issubclass(RegularityError, AlgebraError)
     assert issubclass(SamplingError, AlgebraError)
+
+
+# ---------------------------------------------------------------------------
+# compiled member values and gradients against the symbolic oracles
+
+
+def _catalog_sets():
+    return [(name, get_system(name).invariants) for name in list_systems()]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_member_values_and_jacobian_bit_identical_to_evaluate():
+    """The compiled members and gradients of every catalog system give
+    exactly the evaluate() tree-walk, bit for bit."""
+    for name, inv in _catalog_sets():
+        for u in inv.sample_points(10, seed=41):
+            bound = inv.bind(u)
+            values = [evaluate(e, bound) for e in inv.exprs]
+            jac = [[evaluate(g, bound) for g in inv.gradient_exprs(i)]
+                   for i in range(inv.k)]
+            assert np.array_equal(_bits(inv.member_values(u)), _bits(values)), name
+            assert np.array_equal(_bits(inv.jacobian_at(u)), _bits(jac)), name
+
+
+def test_bracket_matrix_matches_symbolic_oracle():
+    """Gradient-built brackets agree with the symbolic bracket to rounding,
+    measured against the gradient norms that bound the rounding error."""
+    for name, inv in _catalog_sets():
+        pairs = [(i, j, poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure))
+                 for i in range(inv.k) for j in range(inv.k)]
+        for u in inv.sample_points(10, seed=42, need_brackets=True):
+            m = bracket_matrix_at(inv, u)
+            norms = np.linalg.norm(inv.jacobian_at(u), axis=1)
+            assert np.all(np.diag(m) == 0.0), name
+            assert np.array_equal(m, -m.T), name
+            for i, j, oracle in pairs:
+                want = evaluate(oracle, inv.bind(u))
+                scale = 1.0 + norms[i] * norms[j]
+                assert abs(m[i, j] - want) <= 1e-12 * scale, (name, i, j)
+
+
+def test_point_params_override_compiled_binding():
+    s = SymplecticStructure.canonical(1)
+    inv = InvariantSet(s, ("A", "B"), (parse("g*q1*p1", 1), parse("g*p1", 1)),
+                       params={"g": 2.0})
+    plain = EvalPoint((3.0,), (0.5,))
+    other = EvalPoint((3.0,), (0.5,), {"g": 5.0})
+    assert list(inv.member_values(plain)) == [3.0, 1.0]
+    assert list(inv.member_values(other)) == [7.5, 2.5]
+    assert inv.jacobian_at(other).tolist() == [[2.5, 15.0], [0.0, 5.0]]
+    # {g q p, g p} = -g^2 p at the point's own g
+    assert bracket_matrix_at(inv, other)[0, 1] == pytest.approx(-12.5)
+    assert bracket_matrix_at(inv, plain)[0, 1] == pytest.approx(-2.0)
+    assert list(inv.member_values(plain)) == [3.0, 1.0]

@@ -259,6 +259,49 @@ def test_compile_functions_matches_evaluate():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_compile_functions_deep_nested_product():
+    """A 250-deep right-nested product compiles (no parser nesting limit)
+    and keeps evaluate()'s association order bit for bit."""
+    e = const(1.0)
+    for i in range(250):
+        factor = const(1.0) + const(0.001 * (i % 7 + 1)) * (q(1) - p(1))
+        e = factor * e
+    fn = compile_functions([e], 1)
+    for u in sample_eval_points(1, 5, seed=3):
+        assert np.array_equal(_bits(fn(u.q + u.p)), _bits([evaluate(e, u)]))
+
+
+def test_compile_functions_long_sum_and_shared_subtrees():
+    terms = [const(0.5 + 0.01 * i) * (q(1) * p(2) + q(2)) ** 2 for i in range(300)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    fn = compile_functions([total, total, q(2)], 2)
+    u = EvalPoint((0.7, -1.1), (0.3, 1.9))
+    got = fn(u.q + u.p)
+    assert got[0] == got[1] == evaluate(total, u)
+    assert got[2] == -1.1
+
+
+def test_compile_functions_negative_constant_base():
+    # (-2)^2 must not be emitted as -2.0**2
+    fn = compile_functions([parse("(-2)^2 + 0*q1", 1), Pow(const(-0.0), 3.0)], 1)
+    assert fn([1.0, 1.0]) == (4.0, -0.0)
+
+
+def test_infinite_intermediate_is_a_domain_error_on_both_paths():
+    e = parse("sin(q1*q1*q1)", 1)
+    u = EvalPoint((1e200,), (0.0,))
+    with pytest.raises(DomainError):
+        evaluate(e, u)
+    with pytest.raises(DomainError):
+        compile_functions([e], 1)(u.q + u.p)
+
+
 def test_compile_functions_unbound_parameter():
     with pytest.raises(UnboundSymbolError):
         compile_functions([parse("g*q1", 1)], 1)

@@ -440,3 +440,69 @@ def test_verify_paper_prints_table(tmp_path):
     assert len(report["results"]) == 10
     assert all(item["passed"] for item in report["results"])
     assert all(item["details"] for item in report["results"])
+
+
+# ---------------------------------------------------------------------------
+# long expressions and the error contract
+
+
+def _long_sum_system(terms: int) -> str:
+    # p1^2/2 plus (terms - 1) equal slices of q1^2/2: an oscillator written
+    # as one long sum, for both the Hamiltonian and its invariant
+    c = 0.5 / (terms - 1)
+    text = "p1^2/2 + " + " + ".join([f"{c!r}*q1^2"] * (terms - 1))
+    return ("[system]\ndimension = 1\n"
+            f"hamiltonian = {text}\n"
+            f"[invariants]\nH = {text}\n")
+
+
+def test_simulate_long_sum_hamiltonian(tmp_path):
+    path = tmp_path / "long.sys"
+    path.write_text(_long_sum_system(250), encoding="utf-8")
+    code, out, err = run_cli(["simulate", str(path), "--t", "1",
+                              "--from", "1 | 0"])
+    assert code == 0, err
+    drift = json.loads(out)["results"]["drift"]["H"]
+    assert np.isfinite(drift) and drift <= 1e-8
+
+
+def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
+    path = tmp_path / "deep.sys"
+    path.write_text(_long_sum_system(3000), encoding="utf-8")
+    code, out, err = run_cli(["rank", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (np.linalg.LinAlgError("SVD did not converge\nin the solver"),
+     "error: SVD did not converge in the solver\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+])
+def test_unexpected_exception_exits_2(monkeypatch, exc, line):
+    from liouville import cli
+
+    def broken(system, args, seed):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "rank", broken)
+    code, out, err = run_cli(["rank", V3, "--strict"])
+    assert code == 2
+    assert out == ""
+    assert err == line
+
+
+def test_verify_paper_report_has_no_seed(tmp_path, monkeypatch):
+    from liouville import acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda: [
+        acceptance.CriterionResult(1, "stub", True, "ok")])
+    out_path = tmp_path / "verify.json"
+    code, stdout, _ = run_cli(["verify-paper", "--seed", "5",
+                               "--out", str(out_path)])
+    assert code == 0
+    assert stdout == "PASS criterion 1: stub\n"
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert "seed" not in report
