@@ -12,7 +12,7 @@ from .expr import (
     IndeterminateError, Neg, Param, ParseError, Pow, UnboundSymbolError, Var,
     compile_functions, differentiate, dimension_of, evaluate,
     numerically_equivalent, parameters_of, parse, sample_eval_points,
-    simplify, substitute_param, to_string,
+    simplify, substitute_param, to_string, variables_of,
 )
 from .symplectic import SymplecticStructure, VectorFieldExpr, bracket_value, \
     hamiltonian_vector_field, poisson_bracket

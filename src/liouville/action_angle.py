@@ -182,6 +182,18 @@ def _h_map(chart: SeparableChart, h: Sequence[float]) -> dict[str, float]:
     return {f"h_{i}": float(v) for i, v in enumerate(h, start=1)}
 
 
+def _shifted_levels(hv: Sequence[float], jdx: int
+                    ) -> tuple[float, list[float], list[float]]:
+    """(delta, hv with hv[jdx] + delta, hv with hv[jdx] - delta): the levels
+    of a central difference in h_{jdx+1}."""
+    delta = FD_SCALE * (1.0 + abs(hv[jdx]))
+    h_plus = list(hv)
+    h_plus[jdx] += delta
+    h_minus = list(hv)
+    h_minus[jdx] -= delta
+    return delta, h_plus, h_minus
+
+
 def _compile_degree(chart: SeparableChart, j: int, h: Sequence[float],
                     env: Mapping[str, float] | None = None
                     ) -> Callable[[float, float], tuple[float, float]]:
@@ -572,7 +584,7 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     times = []
     for jdx in range(n):
         h_name = f"h_{jdx + 1}"
-        delta = FD_SCALE * (1.0 + abs(hv[jdx]))
+        delta, h_plus, h_minus = _shifted_levels(hv, jdx)
         t_j = 0.0
         for s in range(1, n + 1):
             spec = specs[s - 1]
@@ -580,10 +592,6 @@ def time_map(chart: SeparableChart, h: Sequence[float],
                 continue
             if h_name not in parameters_of(chart.degrees[s - 1].residual):
                 continue
-            h_plus = list(hv)
-            h_plus[jdx] += delta
-            h_minus = list(hv)
-            h_minus[jdx] -= delta
             try:
                 upper = _primitive(chart, s, spec, h_plus)
             except _SideLost:
@@ -622,14 +630,22 @@ def _action_jacobian(chart: SeparableChart, hv: list[float]) -> np.ndarray:
         for jdx in range(n):
             if f"h_{jdx + 1}" not in names:
                 continue
-            delta = FD_SCALE * (1.0 + abs(hv[jdx]))
-            h_plus = list(hv)
-            h_plus[jdx] += delta
-            h_minus = list(hv)
-            h_minus[jdx] -= delta
+            delta, h_plus, h_minus = _shifted_levels(hv, jdx)
             a[i - 1, jdx] = (action_variable(chart, i, h_plus)
                              - action_variable(chart, i, h_minus)) / (2 * delta)
     return a
+
+
+def _inverse_action_jacobian(chart: SeparableChart, hv: list[float]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """(d gamma / d h, its inverse); refuses a condition number above
+    COND_LIMIT."""
+    a = _action_jacobian(chart, hv)
+    cond = float(np.linalg.cond(a))
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise ChartError(
+            f"action map not invertible: condition number {cond:.3g}")
+    return a, np.linalg.inv(a)
 
 
 def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
@@ -638,12 +654,7 @@ def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
     _h_map(chart, hv)
     if chart.h_dim != chart.n:
         raise ValueError("frequency_matrix needs one level symbol per degree")
-    a = _action_jacobian(chart, hv)
-    cond = float(np.linalg.cond(a))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise ChartError(
-            f"action map not invertible: condition number {cond:.3g}")
-    return np.linalg.inv(a)
+    return _inverse_action_jacobian(chart, hv)[1]
 
 
 def action_spectrum(chart: SeparableChart, h: Sequence[float]) -> ActionSpectrum:
@@ -654,12 +665,7 @@ def action_spectrum(chart: SeparableChart, h: Sequence[float]) -> ActionSpectrum
         raise ValueError("action_spectrum needs one level symbol per degree")
     gammas = tuple(action_variable(chart, j, hv)
                    for j in range(1, chart.n + 1))
-    a = _action_jacobian(chart, hv)
-    cond = float(np.linalg.cond(a))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise ChartError(
-            f"action map not invertible: condition number {cond:.3g}")
-    omega = np.linalg.inv(a)
+    a, omega = _inverse_action_jacobian(chart, hv)
     defect = float(np.max(np.abs(omega @ a - np.eye(chart.n))))
     if defect > 1e-4:
         raise ChartError(f"frequency consistency defect {defect:.3g}")
@@ -715,11 +721,7 @@ def _environments(chart: SeparableChart, hv: list[float],
 
 def _fd_branch(chart, i, lam, hv, jdx, env) -> float:
     deg = chart.degrees[i - 1]
-    delta = FD_SCALE * (1.0 + abs(hv[jdx - 1]))
-    h_plus = list(hv)
-    h_plus[jdx - 1] += delta
-    h_minus = list(hv)
-    h_minus[jdx - 1] -= delta
+    delta, h_plus, h_minus = _shifted_levels(hv, jdx - 1)
     w_plus = _solve_signed(_compile_degree(chart, i, h_plus, env), lam,
                            deg.branch_sign, _root_scale(lam, h_plus))
     w_minus = _solve_signed(_compile_degree(chart, i, h_minus, env), lam,

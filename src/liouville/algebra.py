@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
@@ -40,6 +39,8 @@ __all__ = [
 ]
 
 RANK_RCOND = 1e-8
+_LEVEL_TOL = 1e-10
+_LEVEL_MAX_ITER = 200
 
 
 class AlgebraError(Exception):
@@ -253,18 +254,25 @@ class DualAbelianFrame:
         return [build_combination(inv, row) for row in self.combinations]
 
 
+def _weighted_sum(coeffs: Sequence[float], terms: Sequence[Expr],
+                  drop: float) -> Expr | None:
+    """Left-nested sum of c * term over the terms with |c| > drop * max |c|."""
+    total: Expr | None = None
+    scale = max((abs(float(c)) for c in coeffs), default=0.0)
+    for c, e in zip(coeffs, terms):
+        c = float(c)
+        if scale > 0 and abs(c) <= drop * scale:
+            continue
+        term = BinOp("*", Const(c), e)
+        total = term if total is None else BinOp("+", total, term)
+    return total
+
+
 def build_combination(inv: InvariantSet, coeffs: Sequence[float]) -> Expr:
     """Expression for sum_i coeffs[i] * H_i, dropping negligible terms."""
     if len(coeffs) != inv.k:
         raise ValueError("coefficient count must match the member count")
-    total: Expr | None = None
-    scale = max((abs(float(c)) for c in coeffs), default=0.0)
-    for c, e in zip(coeffs, inv.exprs):
-        c = float(c)
-        if scale > 0 and abs(c) <= 1e-14 * scale:
-            continue
-        term = BinOp("*", Const(c), e)
-        total = term if total is None else BinOp("+", total, term)
+    total = _weighted_sum(coeffs, inv.exprs, 1e-14)
     return simplify(total) if total is not None else Const(0.0)
 
 
@@ -402,13 +410,12 @@ def _max_bracket_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
 
 
 def find_level_point(inv: InvariantSet, values: Sequence[float],
-                     guess: EvalPoint, tol: float = 1e-10,
-                     max_iter: int = 200) -> RegularElement:
+                     guess: EvalPoint) -> RegularElement:
     """Damped Gauss-Newton on sum_j (H_j(u) - h_j)^2 from the given guess.
 
     Convergence means the root-sum-square of the component misfits drops to
-    ``tol`` or below; the resulting point becomes the witness of the
-    returned :class:`RegularElement`.
+    1e-10 or below within 200 iterations; the resulting point becomes the
+    witness of the returned :class:`RegularElement`.
     """
     target = np.array([float(v) for v in values])
     if len(target) != inv.k:
@@ -426,8 +433,8 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     except DomainError as exc:
         raise ConvergenceError(f"guess point is outside the domain: {exc}") from None
     best = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if best <= tol:
+    for _ in range(_LEVEL_MAX_ITER):
+        if best <= _LEVEL_TOL:
             break
         pt = EvalPoint(tuple(state[:n]), tuple(state[n:]), u.params)
         jac = inv.jacobian_at(pt)
@@ -449,7 +456,7 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
             alpha *= 0.5
         if not improved:
             break
-    if best > tol:
+    if best > _LEVEL_TOL:
         raise ConvergenceError(
             f"no convergence to the level set; best residual {best:.3e}")
     witness = EvalPoint(tuple(state[:n]), tuple(state[n:]), u.params)
@@ -457,14 +464,13 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
 
 
 def cartan_basis_at(inv: InvariantSet, element: RegularElement,
-                    probes: Sequence[EvalPoint] | None = None,
                     seed: int = 0) -> CartanBasis:
     """Orthonormal kernel of the bracket matrix at the element's witness.
 
     The element is regular when the kernel dimension at the witness matches
-    the generic (minimal) kernel dimension seen over probe points (five
-    seeded points when ``probes`` is None); a larger kernel means the
-    witness sits on a singular stratum.
+    the generic (minimal) kernel dimension seen over five points sampled
+    with ``seed``; a larger kernel means the witness sits on a singular
+    stratum.
     """
     if element.witness is None:
         raise RegularityError("regular element has no witness point")
@@ -477,8 +483,7 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     m = bracket_matrix_at(inv, witness)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
-    if probes is None:
-        probes = inv.sample_points(5, seed, need_brackets=True)
+    probes = inv.sample_points(5, seed, need_brackets=True)
     generic_rank, _ = _max_bracket_rank(inv, probes)
     if rank != generic_rank:
         raise RegularityError(
@@ -531,18 +536,6 @@ def _monomial_indices(k: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _monomial_values(values: np.ndarray, monomials: Sequence[tuple[int, ...]]
-                     ) -> np.ndarray:
-    cols = []
-    for alpha in monomials:
-        col = np.ones(values.shape[0])
-        for i, a in enumerate(alpha):
-            if a:
-                col = col * values[:, i] ** a
-        cols.append(col)
-    return np.array(cols).T
-
-
 def _monomial_gradients(values: np.ndarray, monomials: Sequence[tuple[int, ...]]
                         ) -> np.ndarray:
     """d m_alpha / d H_i at each sample; shape (m, n_monomials, k)."""
@@ -574,25 +567,23 @@ def _monomial_expr(inv: InvariantSet, alpha: tuple[int, ...]) -> Expr:
 
 def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
                                  element: RegularElement, degree: int = 2,
-                                 seed: int = 0, samples: int | None = None
-                                 ) -> list[Expr]:
+                                 seed: int = 0) -> list[Expr]:
     """Polynomials in H_1..H_k that bracket-commute with every generator.
 
     Builds the ansatz space of monomials of total degree <= degree, imposes
     vanishing brackets with each generator (hence with every Cartan
     combination, and pairwise among solutions by the Leibniz chain rule) at
-    seeded sample points, and solves the homogeneous system.  Constants and
-    the span of Cartan combinations are excluded from the returned basis;
-    each survivor is re-verified to bracket-commute (with the Cartan
-    combinations and pairwise) to 1e-8 at fresh points.
+    max(40, 4 * monomials) seeded points, and solves the homogeneous
+    system.  Constants and the span of Cartan combinations are excluded
+    from the returned basis; each survivor is re-verified to bracket-commute
+    (with the Cartan combinations and pairwise) to 1e-8 at fresh points.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     k = inv.k
     monomials = _monomial_indices(k, degree)
     n_mono = len(monomials)
-    count = samples if samples is not None else max(40, 4 * n_mono)
-    points = inv.sample_points(count, seed, need_brackets=True)
+    points = inv.sample_points(max(40, 4 * n_mono), seed, need_brackets=True)
     values = np.array([inv.member_values(u) for u in points])
     grads = _monomial_gradients(values, monomials)       # (m, n_mono, k)
     brackets = np.array([bracket_matrix_at(inv, u) for u in points])
@@ -647,15 +638,10 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
                     float(np.max(np.abs(pairwise[:, c_idx, :]))) if pairwise.size else 0.0)
         if worst <= 1e-8:
             verified.append(candidates[c_idx])
+    mono_exprs = [_monomial_expr(inv, alpha) for alpha in monomials]
     out = []
     for vec in verified:
-        total: Expr | None = None
-        scale_v = float(np.max(np.abs(vec)))
-        for coeff, alpha in zip(vec, monomials):
-            if abs(coeff) <= 1e-12 * scale_v:
-                continue
-            term = BinOp("*", Const(float(coeff)), _monomial_expr(inv, alpha))
-            total = term if total is None else BinOp("+", total, term)
+        total = _weighted_sum(vec, mono_exprs, 1e-12)
         if total is not None:
             out.append(simplify(total))
     return out
@@ -689,6 +675,7 @@ def dual_abelian_pointwise(inv: InvariantSet, cartan: CartanBasis,
     complement = vt[:rank]                      # (2m, k) orthonormal rows
     w = complement @ m_full @ complement.T      # skew (2m, 2m)
     w = 0.5 * (w - w.T)
+    import scipy.linalg     # the only scipy use in this module; slow to import
     t, z = scipy.linalg.schur(w, output="real")
     w_scale = float(np.max(np.abs(w))) if w.size else 0.0
     vectors = []

@@ -313,9 +313,9 @@ def _fmt(v: float) -> str:
     return repr(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def export_system_file(system: SystemDefinition,
-                       probes: int = 3) -> str:
-    """Render a definition in the system-file format (see cli module)."""
+def export_system_file(system: SystemDefinition) -> str:
+    """Render a definition in the system-file format (see the sysfile
+    module), with three probe points."""
     s = system.structure
     lines = [
         "[system]",
@@ -349,11 +349,10 @@ def export_system_file(system: SystemDefinition,
                 lines.append(f"loop_{j} = {pts}")
             if deg.branch_sign != 1:
                 lines.append(f"branch_{j} = {deg.branch_sign}")
-    if probes > 0:
-        lines.append("")
-        lines.append("[probes]")
-        for pt in probe_points(system, probes):
-            qs = ", ".join(_fmt(v) for v in pt.q)
-            ps = ", ".join(_fmt(v) for v in pt.p)
-            lines.append(f"point = {qs} | {ps}")
+    lines.append("")
+    lines.append("[probes]")
+    for pt in probe_points(system, 3):
+        qs = ", ".join(_fmt(v) for v in pt.q)
+        ps = ", ".join(_fmt(v) for v in pt.p)
+        lines.append(f"point = {qs} | {ps}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -61,9 +62,12 @@ def _listify(arr) -> list:
 
 def _parse_values(text: str, what: str) -> list[float]:
     try:
-        return [float(s) for s in text.split(",")]
+        values = [float(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"bad {what}: {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"bad {what}: {text!r} (values must be finite)")
+    return values
 
 
 def _parse_point(text: str, n: int) -> EvalPoint:
@@ -75,12 +79,6 @@ def _parse_point(text: str, n: int) -> EvalPoint:
     if len(qs) != n or len(ps) != n:
         raise ValueError(f"point needs {n} q and {n} p values")
     return EvalPoint(tuple(qs), tuple(ps))
-
-
-def _level_values(args, system: SystemDefinition) -> list[float]:
-    if args.h is None:
-        raise ValueError("this command needs --h with comma-separated values")
-    return _parse_values(args.h, "--h")
 
 
 def _witness_element(system: SystemDefinition, values, seed: int):
@@ -126,7 +124,7 @@ def _cmd_rank(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_cartan(system: SystemDefinition, args, seed: int):
-    values = _level_values(args, system)
+    values = _parse_values(args.h, "--h")
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
     results = {
@@ -154,7 +152,7 @@ def _cmd_mf_check(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_complete(system: SystemDefinition, args, seed: int):
-    values = _level_values(args, system)
+    values = _parse_values(args.h, "--h")
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
     found = search_polynomial_completion(system.invariants, basis, element,
@@ -169,8 +167,8 @@ def _cmd_complete(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_simulate(system: SystemDefinition, args, seed: int):
-    if args.t <= 0:
-        raise ValueError("--t must be positive")
+    if not (math.isfinite(args.t) and args.t > 0):
+        raise ValueError("--t must be positive and finite")
     if args.start is not None:
         u0 = system.invariants.bind(_parse_point(args.start, system.n))
     else:
@@ -178,8 +176,7 @@ def _cmd_simulate(system: SystemDefinition, args, seed: int):
     config = IntegratorConfig(
         scheme=args.scheme, tolerance=args.tolerance, step=args.step,
         sample_dt=args.sample_dt, collision_threshold=args.collision)
-    traj = integrate(system.hamiltonian, system.structure, u0, args.t,
-                     config, name="H")
+    traj = integrate(system.hamiltonian, system.structure, u0, args.t, config)
     drift = conservation_report(traj, system.invariants)
     warnings = []
     if traj.error is not None:
@@ -203,8 +200,6 @@ def _cmd_simulate(system: SystemDefinition, args, seed: int):
 def _cmd_actions(system: SystemDefinition, args, seed: int):
     if system.chart is None:
         raise ValueError("the system file has no [chart] section")
-    if args.h is None:
-        raise ValueError("this command needs --h with comma-separated values")
     values = _parse_values(args.h, "--h")
     spectrum = action_spectrum(system.chart, values)
     results = {

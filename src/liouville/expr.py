@@ -33,7 +33,7 @@ __all__ = [
     "UnboundSymbolError", "IndeterminateError",
     "parse", "to_string", "differentiate", "evaluate", "simplify",
     "numerically_equivalent", "sample_eval_points", "dimension_of",
-    "parameters_of", "substitute_param", "compile_functions",
+    "parameters_of", "variables_of", "substitute_param", "compile_functions",
     "q", "p", "const", "param",
 ]
 
@@ -703,36 +703,15 @@ def simplify(e: Expr) -> Expr:
 # structure queries
 
 
-def dimension_of(*exprs: Expr) -> int:
-    """Smallest phase-space dimension that binds every variable used."""
-    best = 0
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
-            best = max(best, int(e.name[1:]))
-        elif isinstance(e, Neg):
-            stack.append(e.arg)
-        elif isinstance(e, Call):
-            stack.append(e.arg)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
-    return best
-
-
-def parameters_of(*exprs: Expr) -> set[str]:
+def _symbol_names(exprs: Sequence[Expr], kind: type) -> set[str]:
+    """Names of the ``kind`` nodes (Var or Param) anywhere in the trees."""
     names: set[str] = set()
     stack = list(exprs)
     while stack:
         e = stack.pop()
-        if isinstance(e, Param):
+        if isinstance(e, kind):
             names.add(e.name)
-        elif isinstance(e, Neg):
-            stack.append(e.arg)
-        elif isinstance(e, Call):
+        elif isinstance(e, (Neg, Call)):
             stack.append(e.arg)
         elif isinstance(e, Pow):
             stack.append(e.base)
@@ -740,6 +719,21 @@ def parameters_of(*exprs: Expr) -> set[str]:
             stack.append(e.left)
             stack.append(e.right)
     return names
+
+
+def variables_of(*exprs: Expr) -> set[str]:
+    """Phase-space variables (``q3``, ``p1``, ...) the expressions mention."""
+    return _symbol_names(exprs, Var)
+
+
+def dimension_of(*exprs: Expr) -> int:
+    """Smallest phase-space dimension that binds every variable used."""
+    return max((int(name[1:]) for name in variables_of(*exprs)), default=0)
+
+
+def parameters_of(*exprs: Expr) -> set[str]:
+    """Named parameters the expressions mention."""
+    return _symbol_names(exprs, Param)
 
 
 def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:

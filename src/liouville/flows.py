@@ -2,19 +2,20 @@
 
 Two schemes: an adaptive embedded Runge-Kutta 5(4) pair (default) and a
 fixed-step symmetric composition of order 4 for separable Hamiltonians
-H = T(p) + V(q).  Trajectories carry one row per accepted step, or one row
-per uniform sample when ``sample_dt`` is set.
+H = T(p) + V(q).  Trajectories carry one row per accepted step, or, for
+the adaptive scheme, one row per uniform sample when ``sample_dt`` is set.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
-from scipy.integrate import RK45
 
-from .expr import DomainError, EvalPoint, Expr, compile_functions, parameters_of
+from .expr import (
+    DomainError, EvalPoint, Expr, compile_functions, parameters_of,
+    variables_of,
+)
 from .symplectic import SymplecticStructure, hamiltonian_vector_field
 from .algebra import InvariantSet
 
@@ -39,9 +40,10 @@ class IntegratorConfig:
 
     ``scheme`` is "adaptive" (embedded 5(4) pair, local tolerance
     ``tolerance``) or "symmetric4" (fixed ``step``, separable H only).
-    ``sample_dt`` switches the trajectory to a uniform output grid.
-    ``collision_threshold`` aborts when the minimum pairwise squared
-    distance between the per-degree points (q_j, p_j) drops below it.
+    ``sample_dt`` switches an adaptive trajectory to a uniform output grid
+    of at most ``max_steps`` rows.  ``collision_threshold`` aborts when the
+    minimum pairwise squared distance between the per-degree points
+    (q_j, p_j) drops below it.  Every number must be finite.
     """
 
     scheme: str = "adaptive"
@@ -54,6 +56,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in ("adaptive", "symmetric4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name in ("tolerance", "step", "sample_dt", "collision_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.scheme == "adaptive" and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.scheme == "symmetric4" and (self.step is None or self.step <= 0):
@@ -70,7 +76,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    hamiltonian_name: str
     config: IntegratorConfig
     params: dict[str, float] = field(default_factory=dict)
     error: str | None = None
@@ -106,44 +111,55 @@ def _min_pair_distance_sq(y: np.ndarray, n: int) -> float:
     return best
 
 
-def _compile_field(h: Expr, structure: SymplecticStructure,
-                   params: Mapping[str, float]):
-    unbound = parameters_of(h) - set(params)
-    if unbound:
-        raise ValueError(f"Hamiltonian uses unbound parameters: {sorted(unbound)}")
-    fld = hamiltonian_vector_field(h, structure)
-    return compile_functions(fld.dq + fld.dp, structure.n, params)
-
-
 def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
-              t_final: float, config: IntegratorConfig = IntegratorConfig(),
-              name: str = "H") -> Trajectory:
-    """Integrate the flow of ``h`` from ``u0`` for time ``t_final`` (> 0).
+              t_final: float, config: IntegratorConfig = IntegratorConfig()
+              ) -> Trajectory:
+    """Integrate the flow of ``h`` from the finite point ``u0`` for the
+    finite time ``t_final`` (> 0).
 
+    The symmetric scheme refuses a field whose dq mentions a q or whose dp
+    mentions a p, and evaluates dq (drift) and dp (kick) separately.
     Domain errors, collisions, step underflow, and step-budget exhaustion
     truncate the trajectory and set ``error`` instead of raising.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError("t_final must be positive and finite")
+    if config.sample_dt is not None and \
+            t_final / config.sample_dt >= config.max_steps:
+        raise ValueError("the sample_dt grid has more than max_steps rows")
     if u0.n != structure.n:
         raise ValueError("initial point dimension mismatch")
-    rhs_core = _compile_field(h, structure, u0.params)
     y0 = u0.state()
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial point must be finite")
+    unbound = parameters_of(h) - set(u0.params)
+    if unbound:
+        raise ValueError(f"Hamiltonian uses unbound parameters: {sorted(unbound)}")
+    fld = hamiltonian_vector_field(h, structure)
+    if config.scheme == "adaptive":
+        parts, run = [fld.dq + fld.dp], _integrate_adaptive
+    elif any(v[0] == "q" for v in variables_of(*fld.dq)) or \
+            any(v[0] == "p" for v in variables_of(*fld.dp)):
+        raise ValueError("the symmetric fixed-step scheme needs a separable "
+                         "Hamiltonian H = T(p) + V(q)")
+    else:
+        parts, run = [fld.dq, fld.dp], _integrate_symmetric4
+    fields = [compile_functions(exprs, structure.n, u0.params)
+              for exprs in parts]
     try:
-        rhs_core(y0)
+        for fn in fields:
+            fn(y0)
     except DomainError as exc:
         raise IntegrationError(f"initial point outside the domain: {exc}") from None
-    if config.scheme == "adaptive":
-        traj = _integrate_adaptive(rhs_core, y0, t_final, structure.n, config)
-    else:
-        traj = _integrate_symmetric4(rhs_core, u0, y0, t_final,
-                                     structure.n, config)
-    traj.hamiltonian_name = name
+    traj = run(*fields, y0, t_final, structure.n, config)
     traj.params = dict(u0.params)
     return traj
 
 
 def _integrate_adaptive(rhs_core, y0, t_final, n, config) -> Trajectory:
+    # scipy costs most of the package's import time; only this scheme uses it
+    from scipy.integrate import RK45
+
     def rhs(t, y):
         return np.asarray(rhs_core(y), dtype=float)
 
@@ -180,36 +196,12 @@ def _integrate_adaptive(rhs_core, y0, t_final, n, config) -> Trajectory:
                 ts.append(next_sample)
                 ys.append(np.asarray(dense(next_sample), dtype=float))
                 next_sample += config.sample_dt
-    return Trajectory(np.array(ts), np.array(ys), "H", config,
+    return Trajectory(np.array(ts), np.array(ys), config,
                       error=error, accepted_steps=steps)
 
 
-def _check_separable(rhs_core, u0: EvalPoint, n: int) -> None:
-    # dq components may depend only on p, dp components only on q
-    rng = np.random.default_rng(7)
-    base = u0.state()
-    for _ in range(3):
-        probe = base + rng.uniform(-0.3, 0.3, size=2 * n)
-        alt_q = probe.copy()
-        alt_q[:n] = probe[:n] + rng.uniform(0.1, 0.5, size=n)
-        alt_p = probe.copy()
-        alt_p[n:] = probe[n:] + rng.uniform(0.1, 0.5, size=n)
-        try:
-            f0 = np.asarray(rhs_core(probe))
-            fq = np.asarray(rhs_core(alt_q))
-            fp = np.asarray(rhs_core(alt_p))
-        except DomainError:
-            continue
-        scale = 1.0 + np.max(np.abs(f0))
-        if np.max(np.abs(fq[:n] - f0[:n])) > 1e-9 * scale or \
-                np.max(np.abs(fp[n:] - f0[n:])) > 1e-9 * scale:
-            raise ValueError(
-                "the symmetric fixed-step scheme needs a separable "
-                "Hamiltonian H = T(p) + V(q)")
-
-
-def _integrate_symmetric4(rhs_core, u0, y0, t_final, n, config) -> Trajectory:
-    _check_separable(rhs_core, u0, n)
+def _integrate_symmetric4(dq_field, dp_field, y0, t_final, n,
+                          config) -> Trajectory:
     m = max(1, round(t_final / config.step))
     truncated_budget = m > config.max_steps
     dt = t_final / m
@@ -220,20 +212,12 @@ def _integrate_symmetric4(rhs_core, u0, y0, t_final, n, config) -> Trajectory:
     ys = [y.copy()]
     error = None
 
-    def kick(state, h_step):
-        f = rhs_core(state)
-        state[n:] += h_step * np.asarray(f[n:])
-
-    def drift(state, h_step):
-        f = rhs_core(state)
-        state[:n] += h_step * np.asarray(f[:n])
-
     for step_idx in range(m):
         try:
             for c in (_W1, _W0, _W1):
-                kick(y, 0.5 * c * dt)
-                drift(y, c * dt)
-                kick(y, 0.5 * c * dt)
+                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
+                y[:n] += c * dt * np.asarray(dq_field(y))
+                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
         except DomainError:
             error = "domain_error"
             break
@@ -248,7 +232,7 @@ def _integrate_symmetric4(rhs_core, u0, y0, t_final, n, config) -> Trajectory:
         ys.append(y.copy())
     if error is None and truncated_budget:
         error = "max_steps"
-    return Trajectory(np.array(ts), np.array(ys), "H", config,
+    return Trajectory(np.array(ts), np.array(ys), config,
                       error=error, accepted_steps=len(ts) - 1)
 
 

@@ -30,6 +30,7 @@ Errors carry the offending line number.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -90,9 +91,12 @@ def _split_sections(text: str) -> dict[str, list[_Entry]]:
 
 def _float(text: str, line: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SystemFileError(f"bad {what}: {text!r}", line) from None
+    if not math.isfinite(value):
+        raise SystemFileError(f"{what} must be finite, got {text!r}", line)
+    return value
 
 
 def _float_list(text: str, line: int, what: str) -> list[float]:

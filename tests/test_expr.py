@@ -1,5 +1,8 @@
 """Expression layer: parsing, differentiation, evaluation, simplification."""
+import hashlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +12,11 @@ from liouville import (
     Param, ParseError, Pow, UnboundSymbolError, Var, compile_functions,
     differentiate, dimension_of, evaluate, get_system,
     numerically_equivalent, parameters_of, parse, sample_eval_points,
-    simplify, substitute_param, to_string,
+    simplify, substitute_param, to_string, variables_of,
 )
-from liouville.expr import const, p, q
+from liouville.catalog import list_systems
+from liouville.expr import const, p, param, q
+from liouville.symplectic import hamiltonian_vector_field, poisson_bracket
 
 
 def test_parse_sum_of_products():
@@ -328,6 +333,20 @@ def test_dimension_of():
     assert dimension_of(q(2), p(4)) == 4
 
 
+def test_variables_of_agrees_with_printed_names_and_dimension_of():
+    e = parse("sin(q2*a) + p5^2/(b - q1) - exp(-p3)", 5)
+    assert variables_of(e) == {"q1", "q2", "p3", "p5"}
+    assert parameters_of(e) == {"a", "b"}
+    assert variables_of(const(1.0), param("a")) == set()
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        e = _random_expr(rng, n=3) * param("c")
+        printed = set(re.findall(r"\b[qp][0-9]+\b", to_string(e)))
+        assert variables_of(e) == printed
+        assert dimension_of(e) == max((int(v[1:]) for v in printed),
+                                      default=0)
+
+
 def test_sample_points_band_and_determinism():
     pts = sample_eval_points(3, 25, seed=11)
     again = sample_eval_points(3, 25, seed=11)
@@ -341,3 +360,47 @@ def test_eval_point_state():
     u = EvalPoint((1.0, 2.0), (3.0, 4.0))
     assert u.n == 2
     assert tuple(u.state()) == (1.0, 2.0, 3.0, 4.0)
+
+
+# sha256 of the printed and repr'd trees below.  Any drift in simplify
+# output, derivative shapes or catalog construction changes it; change the
+# constant only together with a deliberate change of trees.
+STRUCTURAL_DIGEST = "76a2829adea5a6d742aa3ecf5020748f8dc50a9040719ef276505bd3a20ebd0f"
+
+
+def _structural_digest() -> str:
+    digest = hashlib.sha256()
+
+    def add(e):
+        digest.update(f"{e!r}\0{to_string(e)}\n".encode())
+
+    for name in sorted(list_systems()):
+        system = get_system(name)
+        inv = system.invariants
+        add(system.hamiltonian)
+        for i, member in enumerate(inv.exprs):
+            add(member)
+            for g in inv.gradient_exprs(i):
+                add(g)
+        field = hamiltonian_vector_field(system.hamiltonian, system.structure)
+        for component in field.dq + field.dp:
+            add(component)
+        if system.n <= 5:
+            for a, b in itertools.combinations(inv.exprs, 2):
+                add(poisson_bracket(a, b, system.structure))
+        if system.chart is not None:
+            for deg in system.chart.degrees:
+                add(deg.residual)
+                add(differentiate(deg.residual, "w"))
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        e = _random_expr(rng)
+        add(e)
+        add(simplify(e))
+        for s in ("q1", "q2", "p1", "p2"):
+            add(differentiate(e, s))
+    return digest.hexdigest()
+
+
+def test_structural_digest_is_unchanged():
+    assert _structural_digest() == STRUCTURAL_DIGEST

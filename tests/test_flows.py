@@ -7,7 +7,7 @@ import pytest
 
 from liouville.algebra import build_combination, cartan_basis_at, find_level_point
 from liouville.catalog import get_system, probe_points
-from liouville.expr import EvalPoint, const, parse
+from liouville.expr import EvalPoint, compile_functions, const, parse
 from liouville.flows import (
     IntegrationError,
     IntegratorConfig,
@@ -18,7 +18,7 @@ from liouville.flows import (
     quasiperiodicity_probe,
     trajectory_to_csv,
 )
-from liouville.symplectic import SymplecticStructure
+from liouville.symplectic import SymplecticStructure, hamiltonian_vector_field
 
 S1 = SymplecticStructure.canonical(1)
 
@@ -196,6 +196,34 @@ def test_symmetric_scheme_rejects_nonseparable():
     with pytest.raises(ValueError, match="separable"):
         integrate(system.hamiltonian, system.structure, u0, 1.0,
                   IntegratorConfig(scheme="symmetric4", step=0.01))
+    # a coupling far below any sampling tolerance still couples q and p
+    weak = parse("p1^2/2 + q1^2/2 + 1e-12*q1*p1", 1)
+    with pytest.raises(ValueError, match="separable"):
+        integrate(weak, S1, EvalPoint((1.0,), (0.5,)), 1.0,
+                  IntegratorConfig(scheme="symmetric4", step=0.01))
+
+
+def test_symmetric_scheme_matches_full_field_reference():
+    # the drift and the kick evaluate the same trees as the whole field, so
+    # the composition must reproduce a run on the whole field bit for bit
+    system = get_system("uncoupled_oscillators")
+    n = system.n
+    u0 = EvalPoint((1.0, -0.5), (0.25, 0.75))
+    traj = integrate(system.hamiltonian, system.structure, u0, 0.5,
+                     IntegratorConfig(scheme="symmetric4", step=0.01))
+    fld = hamiltonian_vector_field(system.hamiltonian, system.structure)
+    full = compile_functions(fld.dq + fld.dp, n)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    dt = 0.5 / 50
+    y = u0.state()
+    for _ in range(50):
+        for c in (w1, w0, w1):
+            y[n:] += 0.5 * c * dt * np.asarray(full(y)[n:])
+            y[:n] += c * dt * np.asarray(full(y)[:n])
+            y[n:] += 0.5 * c * dt * np.asarray(full(y)[n:])
+    assert traj.error is None and len(traj.times) == 51
+    assert np.array_equal(traj.states[-1], y)
 
 
 @pytest.mark.parametrize("name,point", [
@@ -257,6 +285,14 @@ def test_integrate_input_validation():
     u0 = EvalPoint((1.0,), (0.0,))
     with pytest.raises(ValueError, match="positive"):
         integrate(osc.hamiltonian, S1, u0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(osc.hamiltonian, S1, u0, math.inf,
+                  IntegratorConfig(scheme="symmetric4", step=0.01))
+    with pytest.raises(ValueError, match="finite"):
+        integrate(osc.hamiltonian, S1, EvalPoint((math.nan,), (0.0,)), 1.0)
+    with pytest.raises(ValueError, match="max_steps"):
+        integrate(osc.hamiltonian, S1, u0, 1.0,
+                  IntegratorConfig(sample_dt=0.01, max_steps=10))
     with pytest.raises(ValueError, match="dimension"):
         integrate(osc.hamiltonian, SymplecticStructure.canonical(2), u0, 1.0)
     with pytest.raises(ValueError, match="unbound"):
@@ -303,13 +339,13 @@ def test_csv_header_orders_all_coordinates():
 def test_trajectory_validation():
     good_cfg = IntegratorConfig()
     with pytest.raises(ValueError, match="align"):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)), "H", good_cfg)
+        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)), good_cfg)
     with pytest.raises(ValueError, match="increase"):
-        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), "H", good_cfg)
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), good_cfg)
     bad = np.zeros((2, 2))
     bad[1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        Trajectory(np.array([0.0, 1.0]), bad, "H", good_cfg)
+        Trajectory(np.array([0.0, 1.0]), bad, good_cfg)
 
 
 def test_config_validation():
@@ -323,3 +359,11 @@ def test_config_validation():
         IntegratorConfig(max_steps=0)
     with pytest.raises(ValueError, match="sample_dt"):
         IntegratorConfig(sample_dt=-0.1)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        IntegratorConfig(tolerance=math.nan)
+    with pytest.raises(ValueError, match="step must be finite"):
+        IntegratorConfig(scheme="symmetric4", step=math.inf)
+    with pytest.raises(ValueError, match="sample_dt must be finite"):
+        IntegratorConfig(sample_dt=math.nan)
+    with pytest.raises(ValueError, match="collision_threshold must be finite"):
+        IntegratorConfig(collision_threshold=math.inf)

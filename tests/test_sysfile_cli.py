@@ -6,6 +6,9 @@ subprocesses.
 """
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from liouville.expr import EvalPoint, evaluate
 from liouville.sysfile import SystemFileError, load_system_file, loads_system
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 V3 = str(FIXTURES / "vortices3.sys")
 V4 = str(FIXTURES / "vortices4.sys")
 OSC = str(FIXTURES / "oscillator.sys")
@@ -413,6 +417,56 @@ def test_errors_exit_2_with_message(argv, fragment):
     assert err.startswith("error: ")
     assert fragment in err
     assert out == ""
+
+
+def _assert_one_error_line(code, out, err, fragment):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_infinite_weight_exits_2(tmp_path):
+    # 1/inf = 0 would silently zero every bracket through that degree
+    path = tmp_path / "inf.sys"
+    path.write_text(Path(V3).read_text(encoding="utf-8").replace(
+        "weights = 1, 1, -2", "weights = inf, 1, 1"), encoding="utf-8")
+    _assert_one_error_line(*run_cli(["rank", str(path)]),
+                           "line 4: weights must be finite")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["simulate", OSC, "--t", "1", "--sample-dt", "nan"],
+     "sample_dt must be finite"),
+    (["cartan", V3, "--h=nan,3.3,2.9175,0.634"], "values must be finite"),
+])
+def test_non_finite_flag_exits_2(argv, fragment):
+    _assert_one_error_line(*run_cli(argv), fragment)
+
+
+def _subprocess_env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path
+                                                   if path else ""))
+
+
+def test_infinite_final_time_exits_2():
+    # without the check an adaptive run to t = inf stops only at its step
+    # budget, minutes later; a subprocess bounds the wait
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville.cli", "simulate", OSC, "--t", "inf"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                           "--t must be positive and finite")
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, liouville; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_out_flag_writes_report_file(tmp_path):
