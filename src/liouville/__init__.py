@@ -14,7 +14,7 @@ from .expr import (
     numerically_equivalent, parameters_of, parse, sample_eval_points,
     simplify, substitute_param, to_string, variables_of,
 )
-from .symplectic import SymplecticStructure, VectorFieldExpr, bracket_value, \
+from .symplectic import SymplecticStructure, VectorFieldExpr, \
     hamiltonian_vector_field, poisson_bracket
 from .algebra import (
     CartanBasis, DualAbelianFrame, InvariantSet, MishchenkoFomenkoReport,
@@ -25,13 +25,12 @@ from .algebra import (
 )
 from .flows import (
     IntegrationError, IntegratorConfig, Trajectory, conservation_report,
-    flows_commute, integrate, quasiperiodicity_probe, trajectory_to_csv,
+    flows_commute, integrate, trajectory_to_csv,
 )
 from .action_angle import (
     ActionSpectrum, ChartDegree, SeparableChart, action_spectrum,
-    action_variable, fit_spectral_curve, frequency_matrix,
-    picard_fuchs_residual, solve_branch, spectral_table_to_csv, time_map,
-    turning_points,
+    action_variable, frequency_matrix, picard_fuchs_residual, solve_branch,
+    time_map, turning_points,
 )
 from .catalog import SystemDefinition, get_system, list_systems, probe_points, \
     export_system_file

@@ -25,9 +25,9 @@ from .expr import Call, EvalPoint, Param, const, differentiate, evaluate, p, \
     q, simplify
 from .symplectic import poisson_bracket
 from .algebra import (
-    InvariantSet, algebra_rank, cartan_basis_at, find_level_point,
-    fit_structure_constants, is_solvable, mishchenko_fomenko_check,
-    search_polynomial_completion,
+    RANK_RCOND, InvariantSet, algebra_rank, bracket_matrix_at,
+    cartan_basis_at, find_level_point, fit_structure_constants, is_solvable,
+    mishchenko_fomenko_check, search_polynomial_completion,
 )
 from .flows import IntegratorConfig, conservation_report, flows_commute, \
     integrate
@@ -39,8 +39,6 @@ from .catalog import export_system_file, get_system, probe_points
 from . import cli
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
-
-_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,10 @@ def criterion_2() -> CriterionResult:
     inv = system.invariants
     xi = system.parameter_values["xi"]
     probes = probe_points(system, 6, seed=5)
-    from .algebra import bracket_matrix_at
     matrix_ranks = set()
     for u in probes:
         s = np.linalg.svd(bracket_matrix_at(inv, u), compute_uv=False)
-        matrix_ranks.add(int(np.sum(s > _RCOND * s[0])))
+        matrix_ranks.add(int(np.sum(s > RANK_RCOND * s[0])))
     rank_g, constant = algebra_rank(inv, probes)
 
     u0 = probes[0]

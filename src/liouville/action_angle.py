@@ -1,4 +1,4 @@
-"""Action variables, time maps, and spectral fits for separable charts.
+"""Action variables, time maps, and frequencies for separable charts.
 
 A separable chart carries one residual expression per degree of freedom,
 R_j(lam, w) = 0, defining the branch function w_j(lam; h) implicitly.  The
@@ -35,10 +35,9 @@ from .algebra import ConvergenceError
 
 __all__ = [
     "ChartError", "NoRealRootError", "QuadratureError",
-    "ChartDegree", "SeparableChart", "ActionSpectrum", "SpectralTable",
+    "ChartDegree", "SeparableChart", "ActionSpectrum",
     "solve_branch", "turning_points", "action_variable", "time_map",
     "frequency_matrix", "action_spectrum", "picard_fuchs_residual",
-    "fit_spectral_curve", "spectral_table_to_csv",
 ]
 
 ROOT_TOL = 1e-10
@@ -155,19 +154,6 @@ class ActionSpectrum:
     gammas: tuple[float, ...]
     omega: np.ndarray
     h: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SpectralTable:
-    """Monic coefficients c_1..c_{n_j} of the w-polynomial, per lam sample."""
-
-    degree: int
-    lam: np.ndarray
-    coefficients: np.ndarray
-
-    @property
-    def n_j(self) -> int:
-        return self.coefficients.shape[1]
 
 
 def _degree(chart: SeparableChart, j: int) -> ChartDegree:
@@ -770,60 +756,3 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
             raise ChartError(f"insufficient probes for degree {i}")
     return worst
 
-
-# ---------------------------------------------------------------------------
-# spectral-curve fits
-
-
-def fit_spectral_curve(chart: SeparableChart, j: int, n_j: int,
-                       lam_samples: Sequence[float],
-                       h: Sequence[float]) -> SpectralTable:
-    """Monic degree-n_j polynomial coefficients in w, per lam sample.
-
-    n_j = 2 fits both branches, n_j = 1 the chart's own branch; the roots
-    of the fitted polynomial are verified against the solved branch values
-    to 1e-8 at every sample.
-    """
-    if n_j not in (1, 2):
-        raise ValueError("supported spectral degrees are 1 and 2")
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
-    deg = _degree(chart, j)
-    lam_arr = np.asarray([float(v) for v in lam_samples], dtype=float)
-    if lam_arr.size == 0:
-        raise ValueError("need at least one lam sample")
-    g = _compile_degree(chart, j, hv)
-    rows = []
-    for lam in lam_arr:
-        scale = _root_scale(lam, hv)
-        if n_j == 2:
-            try:
-                w_plus = _solve_signed(g, lam, 1, scale)
-                w_minus = _solve_signed(g, lam, -1, scale)
-            except NoRealRootError as exc:
-                raise NoRealRootError(
-                    f"fewer than 2 real roots at lam={lam:.6g}: {exc}") from None
-            c1 = -(w_plus + w_minus)
-            c2 = w_plus * w_minus
-            roots = sorted(np.roots([1.0, c1, c2]).real)
-            target = sorted([w_minus, w_plus])
-            tol = 1e-8 * (1.0 + max(abs(w_plus), abs(w_minus)))
-            if max(abs(r - t) for r, t in zip(roots, target)) > tol:
-                raise ChartError(
-                    f"fitted roots drifted from branch values at "
-                    f"lam={lam:.6g}")
-            rows.append((c1, c2))
-        else:
-            w0 = _solve_signed(g, lam, deg.branch_sign, scale)
-            rows.append((-w0,))
-    return SpectralTable(j, lam_arr, np.array(rows))
-
-
-def spectral_table_to_csv(table: SpectralTable) -> str:
-    """CSV text: lam column then c_1..c_{n_j}, 17 significant digits."""
-    header = ",".join(["lam"] + [f"c_{s}" for s in
-                                 range(1, table.n_j + 1)])
-    lines = [header]
-    for lam, row in zip(table.lam, table.coefficients):
-        lines.append(",".join(f"{v:.17g}" for v in [lam, *row]))
-    return "\n".join(lines) + "\n"

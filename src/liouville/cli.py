@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .expr import EvalPoint, ExprError, to_string
 from .algebra import (
-    AlgebraError, cartan_basis_at, algebra_rank, find_level_point,
-    fit_structure_constants, functional_independence, is_solvable,
-    mishchenko_fomenko_check, search_polynomial_completion,
+    AlgebraError, cartan_basis_at, algebra_rank, check_closure,
+    find_level_point, fit_structure_constants, functional_independence,
+    is_solvable, mishchenko_fomenko_check, search_polynomial_completion,
 )
 from .flows import (
     IntegrationError, IntegratorConfig, conservation_report, integrate,
@@ -95,7 +95,7 @@ def _cmd_analyze(system: SystemDefinition, args, seed: int):
     constants = fit_structure_constants(inv, samples=60, seed=seed,
                                         allow_central=True)
     probes = probe_points(system, max(inv.k, 6), seed)
-    closed = constants.residual <= 1e-6
+    closed = check_closure(constants)
     results = {
         "members": list(inv.names),
         "k": inv.k,

@@ -215,7 +215,10 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
-            tokens.append(_Token("number", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError("numeric literal overflows", i, text)
+            tokens.append(_Token("number", value, i))
             i = m.end()
             continue
         m = _IDENT_RE.match(text, i)

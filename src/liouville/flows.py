@@ -20,9 +20,8 @@ from .symplectic import SymplecticStructure, hamiltonian_vector_field
 from .algebra import InvariantSet
 
 __all__ = [
-    "IntegrationError", "IntegratorConfig", "Trajectory", "ProbeReport",
-    "integrate", "conservation_report", "flows_commute",
-    "quasiperiodicity_probe", "trajectory_to_csv",
+    "IntegrationError", "IntegratorConfig", "Trajectory",
+    "integrate", "conservation_report", "flows_commute", "trajectory_to_csv",
 ]
 
 # Suzuki-Yoshida triple-jump coefficients for the order-4 composition
@@ -41,7 +40,8 @@ class IntegratorConfig:
     ``scheme`` is "adaptive" (embedded 5(4) pair, local tolerance
     ``tolerance``) or "symmetric4" (fixed ``step``, separable H only).
     ``sample_dt`` switches an adaptive trajectory to a uniform output grid
-    of at most ``max_steps`` rows.  ``collision_threshold`` aborts when the
+    of at most ``max_steps`` rows; the fixed-step scheme has no interpolant
+    and rejects it.  ``collision_threshold`` aborts when the
     minimum pairwise squared distance between the per-degree points
     (q_j, p_j) drops below it.  Every number must be finite.
     """
@@ -68,6 +68,8 @@ class IntegratorConfig:
             raise ValueError("max_steps must be positive")
         if self.sample_dt is not None and self.sample_dt <= 0:
             raise ValueError("sample_dt must be positive")
+        if self.sample_dt is not None and self.scheme != "adaptive":
+            raise ValueError("sample_dt applies to the adaptive scheme only")
 
 
 @dataclass
@@ -76,7 +78,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    config: IntegratorConfig
     params: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     accepted_steps: int = 0
@@ -196,8 +197,8 @@ def _integrate_adaptive(rhs_core, y0, t_final, n, config) -> Trajectory:
                 ts.append(next_sample)
                 ys.append(np.asarray(dense(next_sample), dtype=float))
                 next_sample += config.sample_dt
-    return Trajectory(np.array(ts), np.array(ys), config,
-                      error=error, accepted_steps=steps)
+    return Trajectory(np.array(ts), np.array(ys), error=error,
+                      accepted_steps=steps)
 
 
 def _integrate_symmetric4(dq_field, dp_field, y0, t_final, n,
@@ -232,8 +233,8 @@ def _integrate_symmetric4(dq_field, dp_field, y0, t_final, n,
         ys.append(y.copy())
     if error is None and truncated_budget:
         error = "max_steps"
-    return Trajectory(np.array(ts), np.array(ys), config,
-                      error=error, accepted_steps=len(ts) - 1)
+    return Trajectory(np.array(ts), np.array(ys), error=error,
+                      accepted_steps=len(ts) - 1)
 
 
 def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]:
@@ -267,81 +268,6 @@ def flows_commute(a: Expr, b: Expr, structure: SymplecticStructure,
     ba = run(a, run(b, u0, tau), t)
     defect = float(np.linalg.norm(ab.state() - ba.state()))
     return defect <= tol, defect
-
-
-@dataclass
-class ProbeReport:
-    near_return_count: int
-    best_return_time: float | None
-    estimated_frequencies: list[float]
-    resolution: float
-    note: str = ("heuristic diagnostic: near-return counting and spectral "
-                 "peak picking, not a proof of quasi-periodicity")
-
-
-def _spectral_peaks(signal: np.ndarray, dt: float) -> list[tuple[float, float]]:
-    m = len(signal)
-    centered = signal - np.mean(signal)
-    if np.max(np.abs(centered)) < 1e-12 * (1.0 + np.max(np.abs(signal))):
-        return []
-    window = np.hanning(m)
-    amp = np.abs(np.fft.rfft(centered * window))
-    freqs = np.fft.rfftfreq(m, d=dt)
-    peaks = []
-    cutoff = 0.1 * np.max(amp[1:]) if len(amp) > 1 else 0.0
-    for k in range(1, len(amp) - 1):
-        if amp[k] >= amp[k - 1] and amp[k] > amp[k + 1] and amp[k] > cutoff:
-            # parabolic interpolation on log amplitude for sub-bin accuracy
-            la, lb, lc = (math.log(max(amp[k - 1], 1e-300)),
-                          math.log(max(amp[k], 1e-300)),
-                          math.log(max(amp[k + 1], 1e-300)))
-            denom = la - 2 * lb + lc
-            delta = 0.5 * (la - lc) / denom if denom != 0 else 0.0
-            delta = max(-0.5, min(0.5, delta))
-            f = (k + delta) * (freqs[1] - freqs[0])
-            peaks.append((2 * math.pi * f, float(amp[k])))
-    return peaks
-
-
-def quasiperiodicity_probe(traj: Trajectory, window: float,
-                           epsilon: float) -> ProbeReport:
-    """Count epsilon-returns to the initial state and estimate frequencies.
-
-    Needs a uniformly sampled trajectory (``sample_dt``).  Returns are
-    samples beyond the exclusion window whose distance to u(0) is at most
-    epsilon.  Frequencies come from Hann-windowed coordinate spectra with
-    parabolic peak interpolation; the documented resolution is 2*pi/T.
-    """
-    t = traj.times
-    if len(t) < 16:
-        raise ValueError("trajectory too short to probe")
-    total = float(t[-1] - t[0])
-    if total <= 2 * window:
-        raise ValueError("trajectory too short relative to the window")
-    steps = np.diff(t)
-    dt = float(np.median(steps))
-    if np.max(np.abs(steps - dt)) > 1e-6 * dt:
-        raise ValueError("probe needs a uniformly sampled trajectory "
-                         "(integrate with sample_dt)")
-    dist = np.linalg.norm(traj.states - traj.states[0], axis=1)
-    beyond = t >= window
-    returns = beyond & (dist <= epsilon)
-    count = int(np.sum(returns))
-    best_time = None
-    if count:
-        idx = np.argmin(np.where(returns, dist, np.inf))
-        best_time = float(t[idx])
-    resolution = 2 * math.pi / total
-    collected: list[tuple[float, float]] = []
-    for col in range(traj.states.shape[1]):
-        collected.extend(_spectral_peaks(traj.states[:, col], dt))
-    collected.sort(key=lambda pair: -pair[1])
-    merged: list[float] = []
-    for omega, _ in collected:
-        if all(abs(omega - kept) > resolution for kept in merged):
-            merged.append(omega)
-    merged.sort()
-    return ProbeReport(count, best_time, merged, resolution)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (
-    BinOp, Const, EvalPoint, Expr, Neg, differentiate, evaluate, simplify,
-)
+from .expr import BinOp, Const, Expr, Neg, differentiate, simplify
 
 __all__ = [
     "SymplecticStructure", "VectorFieldExpr",
-    "poisson_bracket", "hamiltonian_vector_field", "bracket_value",
+    "poisson_bracket", "hamiltonian_vector_field",
 ]
 
 
@@ -91,8 +89,3 @@ def hamiltonian_vector_field(h: Expr, structure: SymplecticStructure) -> VectorF
         dp.append(simplify(Neg(dh_dq)))
     return VectorFieldExpr(structure, tuple(dq), tuple(dp))
 
-
-def bracket_value(f: Expr, g: Expr, structure: SymplecticStructure,
-                  point: EvalPoint) -> float:
-    """{f, g} evaluated at one point; domain errors propagate."""
-    return evaluate(poisson_bracket(f, g, structure), point)

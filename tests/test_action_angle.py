@@ -1,5 +1,4 @@
-"""Branch solving, turning points, actions, time maps, and curve fits."""
-import io
+"""Branch solving, turning points, actions, time maps, and frequencies."""
 import math
 
 import numpy as np
@@ -13,11 +12,9 @@ from liouville.action_angle import (
     SeparableChart,
     action_spectrum,
     action_variable,
-    fit_spectral_curve,
     frequency_matrix,
     picard_fuchs_residual,
     solve_branch,
-    spectral_table_to_csv,
     time_map,
     turning_points,
 )
@@ -230,51 +227,6 @@ def test_picard_fuchs_probe_validation():
         picard_fuchs_residual(chart, [0.5, 0.8], [])
     with pytest.raises(ChartError, match="insufficient probes"):
         picard_fuchs_residual(chart, [0.5, 0.8], [7.9])
-
-
-def test_fit_spectral_curve_oscillator(osc):
-    grid = np.linspace(-0.9, 0.9, 7)
-    table = fit_spectral_curve(osc, 1, 2, grid, [0.5])
-    assert table.degree == 1
-    assert table.n_j == 2
-    assert np.max(np.abs(table.coefficients[:, 0])) <= 1e-9
-    assert np.max(np.abs(table.coefficients[:, 1] - (grid ** 2 - 1.0))) <= 1e-8
-
-
-def test_fit_spectral_curve_quartic(quartic):
-    grid = np.linspace(-1.0, 1.0, 5)
-    table = fit_spectral_curve(quartic, 1, 2, grid, [0.8])
-    expected = grid ** 4 / 2.0 - 1.6
-    assert np.max(np.abs(table.coefficients[:, 1] - expected)) <= 1e-8
-
-
-def test_fit_spectral_curve_single_point_and_linear(osc):
-    table = fit_spectral_curve(osc, 1, 2, [0.2], [0.5])
-    assert table.coefficients.shape == (1, 2)
-    linear = fit_spectral_curve(osc, 1, 1, [0.2], [0.5])
-    assert linear.coefficients[0, 0] == pytest.approx(
-        -solve_branch(osc, 1, 0.2, [0.5]), abs=1e-10)
-
-
-def test_fit_spectral_curve_validation(osc):
-    with pytest.raises(ValueError, match="degrees"):
-        fit_spectral_curve(osc, 1, 3, [0.0], [0.5])
-    with pytest.raises(ValueError, match="sample"):
-        fit_spectral_curve(osc, 1, 2, [], [0.5])
-    with pytest.raises(NoRealRootError, match="fewer than 2"):
-        fit_spectral_curve(osc, 1, 2, [1.1], [0.5])
-
-
-def test_spectral_table_csv_roundtrip(osc):
-    grid = np.linspace(-0.9, 0.9, 7)
-    table = fit_spectral_curve(osc, 1, 2, grid, [0.5])
-    text = spectral_table_to_csv(table)
-    lines = text.splitlines()
-    assert lines[0] == "lam,c_1,c_2"
-    assert len(lines) == 8
-    parsed = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
-    assert np.array_equal(parsed[:, 0], table.lam)
-    assert np.array_equal(parsed[:, 1:], table.coefficients)
 
 
 def test_action_period_duality_against_flow(quartic):

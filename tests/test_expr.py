@@ -46,6 +46,13 @@ def test_parse_syntax_error_carries_position():
     assert "column 6" in str(err.value)
 
 
+def test_parse_rejects_overflowing_literal():
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("q1 + 1e999*q1", 1)
+    assert err.value.position == 5
+    assert evaluate(parse("1e308*q1", 1), EvalPoint((1.0,), (0.0,))) == 1e308
+
+
 def test_parse_unknown_function():
     with pytest.raises(ParseError, match="unknown function"):
         parse("foo(q1)", 1)

@@ -1,4 +1,4 @@
-"""Flow integration, conservation reports, commutativity, return probes."""
+"""Flow integration, sample grids, conservation reports, commutativity."""
 import io
 import math
 
@@ -15,7 +15,6 @@ from liouville.flows import (
     conservation_report,
     flows_commute,
     integrate,
-    quasiperiodicity_probe,
     trajectory_to_csv,
 )
 from liouville.symplectic import SymplecticStructure, hamiltonian_vector_field
@@ -121,51 +120,18 @@ def test_cartan_pair_flows_commute(name, point):
     assert defect <= 1e-6
 
 
-def test_probe_counts_oscillator_returns():
+def test_adaptive_sample_grid():
+    u0 = EvalPoint((1.0,), (0.0,))
+    config = IntegratorConfig(sample_dt=0.5)
     osc = get_system("oscillator")
-    traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 100.0,
-                     IntegratorConfig(sample_dt=0.001))
-    report = quasiperiodicity_probe(traj, window=1.0, epsilon=1e-3)
-    assert report.near_return_count >= 15
-    assert report.resolution == pytest.approx(2.0 * math.pi / 100.0, rel=1e-3)
-    assert min(abs(f - 1.0) for f in report.estimated_frequencies) <= 0.01
-    # the best return sits on a full period
-    cycles = report.best_return_time / (2.0 * math.pi)
-    assert abs(cycles - round(cycles)) * 2.0 * math.pi <= 2e-3
-    assert "heuristic" in report.note
-
-
-def test_probe_resolves_two_frequencies():
-    root2 = math.sqrt(2.0)
-    system = get_system("uncoupled_oscillators", {"omegas": (1.0, root2)})
-    traj = integrate(system.hamiltonian, system.structure,
-                     EvalPoint((1.0, 1.0), (0.0, 0.0)), 200.0,
-                     IntegratorConfig(sample_dt=0.05))
-    report = quasiperiodicity_probe(traj, window=5.0, epsilon=0.05)
-    freqs = report.estimated_frequencies
-    assert len(freqs) >= 2
-    assert min(abs(f - 1.0) for f in freqs) <= report.resolution
-    assert min(abs(f - root2) for f in freqs) <= report.resolution
-
-
-def test_probe_constant_trajectory_returns_everywhere():
-    traj = integrate(const(0.0), S1, EvalPoint((0.3,), (-0.8,)), 10.0,
-                     IntegratorConfig(sample_dt=0.5))
-    report = quasiperiodicity_probe(traj, window=1.0, epsilon=1e-12)
-    assert report.near_return_count == int(np.sum(traj.times >= 1.0))
-    assert report.estimated_frequencies == []
-    assert report.best_return_time == pytest.approx(1.0)
-
-
-def test_probe_input_validation():
-    osc = get_system("oscillator")
-    adaptive = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 30.0)
-    with pytest.raises(ValueError, match="uniformly sampled"):
-        quasiperiodicity_probe(adaptive, 1.0, 1e-3)
-    short = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1.0,
-                      IntegratorConfig(sample_dt=0.5))
-    with pytest.raises(ValueError, match="too short"):
-        quasiperiodicity_probe(short, 0.1, 1e-3)
+    traj = integrate(osc.hamiltonian, S1, u0, 10.0, config)
+    assert traj.error is None
+    assert np.array_equal(traj.times, 0.5 * np.arange(21))
+    assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.times))) <= 1e-7
+    assert np.max(np.abs(traj.states[:, 1] + np.sin(traj.times))) <= 1e-7
+    still = integrate(const(0.0), S1, u0, 10.0, config)
+    assert np.array_equal(still.times, traj.times)
+    assert np.array_equal(still.states, np.tile(u0.state(), (21, 1)))
 
 
 def test_symmetric_scheme_is_order_four():
@@ -337,15 +303,14 @@ def test_csv_header_orders_all_coordinates():
 
 
 def test_trajectory_validation():
-    good_cfg = IntegratorConfig()
     with pytest.raises(ValueError, match="align"):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)), good_cfg)
+        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="increase"):
-        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), good_cfg)
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)))
     bad = np.zeros((2, 2))
     bad[1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        Trajectory(np.array([0.0, 1.0]), bad, good_cfg)
+        Trajectory(np.array([0.0, 1.0]), bad)
 
 
 def test_config_validation():
@@ -359,6 +324,8 @@ def test_config_validation():
         IntegratorConfig(max_steps=0)
     with pytest.raises(ValueError, match="sample_dt"):
         IntegratorConfig(sample_dt=-0.1)
+    with pytest.raises(ValueError, match="adaptive scheme only"):
+        IntegratorConfig(scheme="symmetric4", step=0.01, sample_dt=0.5)
     with pytest.raises(ValueError, match="tolerance must be finite"):
         IntegratorConfig(tolerance=math.nan)
     with pytest.raises(ValueError, match="step must be finite"):

@@ -1,4 +1,4 @@
-"""Weighted Poisson brackets, Hamiltonian vector fields, bracket values.
+"""Weighted Poisson brackets and Hamiltonian vector fields.
 
 Convention under test: {F,G} = sum_j xi_j^(-1) (dF/dp_j dG/dq_j - dF/dq_j dG/dp_j),
 so the fundamental brackets are {q_i, p_j} = -delta_ij / xi_i.
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from liouville import (
-    Const, EvalPoint, SymplecticStructure, VectorFieldExpr, bracket_value,
-    evaluate, get_system, hamiltonian_vector_field, numerically_equivalent,
-    poisson_bracket, sample_eval_points, simplify,
+    Const, SymplecticStructure, VectorFieldExpr, evaluate, get_system,
+    hamiltonian_vector_field, numerically_equivalent, poisson_bracket,
+    sample_eval_points, simplify,
 )
 from liouville.expr import BinOp, const, p, q
 
@@ -70,7 +70,7 @@ def test_bracket_value_p1_moment():
     p1e, _, moment = inv.exprs[:3]
     p2e = inv.exprs[1]
     for u in inv.sample_points(10, seed=2, need_brackets=True):
-        got = bracket_value(p1e, moment, system.structure, u)
+        got = evaluate(poisson_bracket(p1e, moment, system.structure), u)
         assert got == pytest.approx(-evaluate(p2e, u), abs=1e-10)
 
 
@@ -78,7 +78,7 @@ def test_bracket_value_self_zero():
     s = SymplecticStructure.canonical(2)
     f = simplify(q(1) * p(2) + q(2) ** 2)
     for u in sample_eval_points(2, 5, seed=4):
-        assert bracket_value(f, f, s, u) == 0.0
+        assert evaluate(poisson_bracket(f, f, s), u) == 0.0
 
 
 def test_central_field_h_commutes_with_angular_momenta():
@@ -87,7 +87,8 @@ def test_central_field_h_commutes_with_angular_momenta():
     h = inv.exprs[0]
     for u in inv.sample_points(20, seed=6, need_brackets=True):
         for j in (1, 2, 3):
-            assert abs(bracket_value(h, inv.exprs[j], system.structure, u)) < 1e-10
+            br = poisson_bracket(h, inv.exprs[j], system.structure)
+            assert abs(evaluate(br, u)) < 1e-10
 
 
 def _random_poly(rng, n):

@@ -435,6 +435,25 @@ def test_infinite_weight_exits_2(tmp_path):
                            "line 4: weights must be finite")
 
 
+def test_overflowing_literal_exits_2_with_line_and_column(tmp_path):
+    # an infinite constant would only surface later as a sampling failure
+    path = tmp_path / "overflow.sys"
+    path.write_text(MINIMAL.replace("hamiltonian = (p1^2+q1^2)/2",
+                                    "hamiltonian = p1^2/2 + 1e999*q1^2"),
+                    encoding="utf-8")
+    _assert_one_error_line(*run_cli(["rank", str(path)]),
+                           "line 3: bad expression: numeric literal "
+                           "overflows (column 10)")
+
+
+def test_sample_dt_under_symmetric4_exits_2():
+    # the fixed-step loop has no interpolant to honour the grid
+    _assert_one_error_line(*run_cli(
+        ["simulate", OSC, "--t", "1", "--scheme", "symmetric4", "--step",
+         "0.01", "--sample-dt", "0.5"]),
+        "sample_dt applies to the adaptive scheme only")
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["simulate", OSC, "--t", "1", "--sample-dt", "nan"],
      "sample_dt must be finite"),
