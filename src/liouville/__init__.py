@@ -8,20 +8,19 @@ quadrature machinery: commuting flows, separable-branch actions, time maps,
 and frequency matrices.
 """
 from .expr import (
-    BinOp, Call, Const, DomainError, EvalPoint, Expr, ExprError,
-    IndeterminateError, Neg, Param, ParseError, Pow, UnboundSymbolError, Var,
-    compile_functions, differentiate, dimension_of, evaluate,
-    numerically_equivalent, parameters_of, parse, sample_eval_points,
-    simplify, substitute_param, to_string, variables_of,
+    BinOp, Call, Const, DomainError, EvalPoint, Expr, ExprError, Neg, Param,
+    ParseError, Pow, UnboundSymbolError, Var, compile_functions,
+    differentiate, dimension_of, evaluate, parameters_of, parse,
+    sample_eval_points, simplify, substitute_param, to_string, variables_of,
 )
 from .symplectic import SymplecticStructure, VectorFieldExpr, \
     hamiltonian_vector_field, poisson_bracket
 from .algebra import (
-    CartanBasis, DualAbelianFrame, InvariantSet, MishchenkoFomenkoReport,
-    RegularElement, StructureConstants, algebra_rank, bracket_matrix_at,
-    cartan_basis_at, check_closure, dual_abelian_pointwise,
-    find_level_point, fit_structure_constants, functional_independence,
-    is_solvable, mishchenko_fomenko_check, search_polynomial_completion,
+    CartanBasis, InvariantSet, MishchenkoFomenkoReport, RegularElement,
+    StructureConstants, algebra_rank, bracket_matrix_at, cartan_basis_at,
+    check_closure, find_level_point, fit_structure_constants,
+    functional_independence, is_solvable, mishchenko_fomenko_check,
+    search_polynomial_completion,
 )
 from .flows import (
     IntegrationError, IntegratorConfig, Trajectory, conservation_report,

@@ -4,10 +4,8 @@ Given an ordered set of invariants H_1..H_k on a weighted phase space, this
 module fits structure constants {H_i, H_j} = c0_ij + sum_s c^s_ij H_s from
 seeded samples, decides closure and solvability, measures the algebra rank
 r = k - rank ||{H_i,H_j}(u)||, extracts Cartan (kernel) directions at a
-regular level, checks the dimension condition k + r = 2n, searches for
-polynomial completions that commute with every generator, and builds the
-pointwise dual abelian frame from the skew eigen-structure of the complement
-bracket matrix.
+regular level, checks the dimension condition k + r = 2n, and searches for
+polynomial completions that commute with every generator.
 
 Numeric rank decisions use the shared threshold: singular values above
 1e-8 times the largest one count toward the rank.
@@ -30,12 +28,11 @@ from .symplectic import SymplecticStructure
 __all__ = [
     "AlgebraError", "ConvergenceError", "RegularityError", "SamplingError",
     "InvariantSet", "StructureConstants", "RegularElement", "CartanBasis",
-    "MishchenkoFomenkoReport", "DualAbelianFrame",
+    "MishchenkoFomenkoReport",
     "bracket_matrix_at", "fit_structure_constants", "check_closure",
     "is_solvable", "algebra_rank", "cartan_basis_at",
     "mishchenko_fomenko_check", "functional_independence", "find_level_point",
-    "search_polynomial_completion", "dual_abelian_pointwise",
-    "build_combination",
+    "search_polynomial_completion", "build_combination",
 ]
 
 RANK_RCOND = 1e-8
@@ -213,9 +210,7 @@ class StructureConstants:
 class CartanBasis:
     """Orthonormal coefficient vectors spanning the bracket-matrix kernel."""
 
-    names: tuple[str, ...]
     vectors: np.ndarray     # shape (dim, k), orthonormal rows
-    element: RegularElement
 
     @property
     def dimension(self) -> int:
@@ -231,27 +226,6 @@ class MishchenkoFomenkoReport:
     rank_g: int
     dim_m: int
     holds: bool
-
-
-@dataclass
-class DualAbelianFrame:
-    """Pointwise commuting combinations over the Cartan complement.
-
-    ``vectors`` are coefficient rows over the complement basis; the matching
-    rows of ``combinations`` express the same functions over the original
-    members.  All pairwise bracket values at the witness are below
-    ``max_cross_bracket``.
-    """
-
-    names: tuple[str, ...]
-    complement: np.ndarray      # (2m, k) orthonormal rows
-    vectors: np.ndarray         # (m, 2m) rows over the complement
-    combinations: np.ndarray    # (m, k) rows over the members
-    element: RegularElement
-    max_cross_bracket: float
-
-    def combination_exprs(self, inv: InvariantSet) -> list[Expr]:
-        return [build_combination(inv, row) for row in self.combinations]
 
 
 def _weighted_sum(coeffs: Sequence[float], terms: Sequence[Expr],
@@ -489,7 +463,7 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
         raise RegularityError(
             f"bracket-matrix rank {rank} at the witness differs from the "
             f"generic rank {generic_rank}; the element is not regular")
-    return CartanBasis(inv.names, kernel, element)
+    return CartanBasis(kernel)
 
 
 def mishchenko_fomenko_check(inv: InvariantSet, probes: Sequence[EvalPoint]
@@ -646,52 +620,3 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
             out.append(simplify(total))
     return out
 
-
-# ---------------------------------------------------------------------------
-# pointwise dual abelian frame
-
-
-def dual_abelian_pointwise(inv: InvariantSet, cartan: CartanBasis,
-                           element: RegularElement) -> DualAbelianFrame:
-    """n - r combinations over the Cartan complement, commuting at the witness.
-
-    The complement bracket matrix W is skew; its real Schur form splits it
-    into 2x2 rotation blocks, and taking one Schur vector per block yields a
-    maximal set of mutually W-orthogonal directions.
-    """
-    if element.witness is None:
-        raise RegularityError("regular element has no witness point")
-    witness = inv.bind(element.witness)
-    m_full = bracket_matrix_at(inv, witness)
-    rank, _, vt = _numeric_rank(m_full)
-    k = inv.k
-    n = inv.structure.n
-    r = k - rank
-    m_count = n - r
-    if rank != 2 * m_count:
-        raise RegularityError(
-            f"bracket-matrix rank {rank} at the witness is inconsistent with "
-            f"the dimension condition (expected {2 * m_count})")
-    complement = vt[:rank]                      # (2m, k) orthonormal rows
-    w = complement @ m_full @ complement.T      # skew (2m, 2m)
-    w = 0.5 * (w - w.T)
-    import scipy.linalg     # the only scipy use in this module; slow to import
-    t, z = scipy.linalg.schur(w, output="real")
-    w_scale = float(np.max(np.abs(w))) if w.size else 0.0
-    vectors = []
-    i = 0
-    while i < rank:
-        if i + 1 < rank and abs(t[i + 1, i]) > RANK_RCOND * max(w_scale, 1e-300):
-            vectors.append(z[:, i])
-            i += 2
-        else:
-            i += 1
-    if len(vectors) != m_count:
-        raise RegularityError(
-            "degenerate complement bracket matrix at the witness")
-    vec_rows = np.array(vectors)                        # (m, 2m)
-    combos = vec_rows @ complement                      # (m, k)
-    cross = combos @ m_full @ combos.T
-    max_cross = float(np.max(np.abs(cross))) if cross.size else 0.0
-    return DualAbelianFrame(inv.names, complement, vec_rows, combos, element,
-                            max_cross)

@@ -46,7 +46,6 @@ class SystemDefinition:
     chart: SeparableChart | None = None
     non_invariant: frozenset = frozenset()
     suggested_probes: tuple = ()
-    description: str = ""
 
     @property
     def n(self) -> int:
@@ -97,8 +96,7 @@ def _build_oscillator(params: Mapping | None) -> SystemDefinition:
     inv = InvariantSet(s, ("H",), (h,))
     return SystemDefinition(
         "oscillator", s, h, inv, {"omega": omega},
-        chart=_oscillator_chart((omega,)),
-        description="harmonic oscillator H = (p^2 + omega^2 q^2)/2")
+        chart=_oscillator_chart((omega,)))
 
 
 def _build_uncoupled(params: Mapping | None) -> SystemDefinition:
@@ -117,8 +115,7 @@ def _build_uncoupled(params: Mapping | None) -> SystemDefinition:
     inv = InvariantSet(s, names, tuple(members))
     return SystemDefinition(
         "uncoupled_oscillators", s, h, inv, {"omegas": omegas},
-        chart=_oscillator_chart(omegas),
-        description="independent oscillators; per-mode energies H1..Hn")
+        chart=_oscillator_chart(omegas))
 
 
 def _build_quartic(params: Mapping | None) -> SystemDefinition:
@@ -130,8 +127,7 @@ def _build_quartic(params: Mapping | None) -> SystemDefinition:
     chart = SeparableChart((ChartDegree(residual, bracket=(-8.0, 8.0)),),
                            h_dim=1)
     return SystemDefinition(
-        "quartic_oscillator", s, h, inv, {}, chart=chart,
-        description="anharmonic control H = p^2/2 + q^4/4")
+        "quartic_oscillator", s, h, inv, {}, chart=chart)
 
 
 def _vortex_members(xi: Sequence[float]) -> tuple[Expr, Expr, Expr, Expr]:
@@ -171,8 +167,7 @@ def _build_vortices(params: Mapping | None, name: str = "vortices",
     p1, p2, moment, h = _vortex_members(xi)
     inv = InvariantSet(s, ("P1", "P2", "P", "H"), (p1, p2, moment, h))
     return SystemDefinition(
-        name, s, h, inv, {"n": n, "xi": xi},
-        description=f"{n} point vortices on the plane, vorticities {xi}")
+        name, s, h, inv, {"n": n, "xi": xi})
 
 
 def _build_vortices3(params: Mapping | None) -> SystemDefinition:
@@ -203,9 +198,7 @@ def _build_central_field(params: Mapping | None) -> SystemDefinition:
     p3 = simplify(p(1) * q(2) - p(2) * q(1))
     inv = InvariantSet(s, ("H", "P1", "P2", "P3"), (h, p1, p2, p3))
     return SystemDefinition(
-        "central_field", s, h, inv, {"potential": pot_text},
-        description="point in R^3 under a central potential; angular "
-                    "momenta P1,P2,P3")
+        "central_field", s, h, inv, {"potential": pot_text})
 
 
 def _build_three_particles(params: Mapping | None) -> SystemDefinition:
@@ -229,9 +222,7 @@ def _build_three_particles(params: Mapping | None) -> SystemDefinition:
     h3 = simplify(_sum([p(j) for j in (1, 2, 3)]))
     inv = InvariantSet(s, ("H1", "H2", "H3"), (h1, h2, h3))
     return SystemDefinition(
-        "three_particles", s, h1, inv, {"g": g, "masses": masses},
-        description="three particles on a line with pairwise g/r^2 "
-                    "potential; H1 energy, H2 dilation, H3 momentum")
+        "three_particles", s, h1, inv, {"g": g, "masses": masses})
 
 
 def _build_drift_control(params: Mapping | None) -> SystemDefinition:
@@ -241,9 +232,7 @@ def _build_drift_control(params: Mapping | None) -> SystemDefinition:
     inv = InvariantSet(s, ("H", "F"), (h, q(1)))
     return SystemDefinition(
         "drift_control", s, h, inv, {},
-        non_invariant=frozenset({"F"}),
-        description="oscillator with the coordinate q1 as a deliberately "
-                    "non-conserved member")
+        non_invariant=frozenset({"F"}))
 
 
 _BUILDERS: dict[str, tuple[Callable, str, dict]] = {

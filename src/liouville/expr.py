@@ -23,16 +23,16 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "Const", "Var", "Param", "Neg", "Call", "BinOp", "Pow", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError",
-    "UnboundSymbolError", "IndeterminateError",
+    "UnboundSymbolError",
     "parse", "to_string", "differentiate", "evaluate", "simplify",
-    "numerically_equivalent", "sample_eval_points", "dimension_of",
+    "sample_eval_points", "dimension_of",
     "parameters_of", "variables_of", "substitute_param", "compile_functions",
     "q", "p", "const", "param",
 ]
@@ -49,9 +49,8 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
-    def __init__(self, message: str, position: int, text: str = ""):
+    def __init__(self, message: str, position: int):
         self.position = position
-        self.text = text
         super().__init__(f"{message} (column {position + 1})")
 
 
@@ -61,10 +60,6 @@ class DomainError(ExprError):
 
 class UnboundSymbolError(ExprError):
     """A variable or parameter had no binding at evaluation time."""
-
-
-class IndeterminateError(ExprError):
-    """Every sampled point hit a domain error; no verdict possible."""
 
 
 class _Node:
@@ -217,7 +212,7 @@ def _tokenize(text: str) -> list[_Token]:
         if m:
             value = float(m.group())
             if not math.isfinite(value):
-                raise ParseError("numeric literal overflows", i, text)
+                raise ParseError("numeric literal overflows", i)
             tokens.append(_Token("number", value, i))
             i = m.end()
             continue
@@ -230,14 +225,13 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i, text)
+        raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, dimension: int):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dimension = dimension
@@ -253,14 +247,14 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.pos, self.text)
+            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
         return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.kind!r}", tok.pos, self.text)
+            raise ParseError(f"unexpected trailing {tok.kind!r}", tok.pos)
         return e
 
     def expr(self) -> Expr:
@@ -309,7 +303,7 @@ class _Parser:
             num = self.expect("number")
             self.expect(")")
             return sign * float(num.value)
-        raise ParseError("exponent must be a numeric literal", tok.pos, self.text)
+        raise ParseError("exponent must be a numeric literal", tok.pos)
 
     def base(self) -> Expr:
         tok = self.peek()
@@ -327,7 +321,7 @@ class _Parser:
             if name in FUNCTIONS:
                 if self.peek().kind != "(":
                     raise ParseError(f"reserved function name {name!r} needs an argument list",
-                                     tok.pos, self.text)
+                                     tok.pos)
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
@@ -338,12 +332,12 @@ class _Parser:
                 if index > self.dimension:
                     raise ParseError(
                         f"variable {name!r} out of range for dimension {self.dimension}",
-                        tok.pos, self.text)
+                        tok.pos)
                 return Var(name)
             if self.peek().kind == "(":
-                raise ParseError(f"unknown function {name!r}", tok.pos, self.text)
+                raise ParseError(f"unknown function {name!r}", tok.pos)
             return Param(name)
-        raise ParseError(f"expected a value, found {tok.kind!r}", tok.pos, self.text)
+        raise ParseError(f"expected a value, found {tok.kind!r}", tok.pos)
 
 
 def parse(text: str, dimension: int) -> Expr:
@@ -455,14 +449,7 @@ def _eval(e: Expr, u: EvalPoint) -> float:
     if isinstance(e, Pow):
         base = _eval(e.base, u)
         c = e.exponent
-        if float(c).is_integer():
-            if base == 0.0 and c < 0:
-                raise DomainError("zero raised to a negative power")
-            try:
-                return math.pow(base, c)
-            except OverflowError:
-                raise DomainError("overflow in power") from None
-        if base < 0:
+        if base < 0 and not float(c).is_integer():
             raise DomainError("negative base with a non-integer exponent")
         if base == 0.0 and c < 0:
             raise DomainError("zero raised to a negative power")
@@ -759,59 +746,26 @@ def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# sampling and numeric comparison
+# sampling
 
 
 def sample_eval_points(n: int, count: int, seed: int,
-                       param_names: Iterable[str] = (),
                        params: Mapping[str, float] | None = None) -> list[EvalPoint]:
     """Seeded sample points, each coordinate uniform on [-2,-0.5] U [0.5,2].
 
     The two-sided band keeps samples away from coordinate hyperplanes, where
-    logarithms and rational potentials are typically singular.  Names in
-    ``param_names`` are sampled from the same distribution; ``params`` gives
-    fixed bindings merged on top.
+    logarithms and rational potentials are typically singular.  Every point
+    carries a copy of ``params`` as its parameter bindings.
     """
     rng = np.random.default_rng(seed)
-    names = sorted(set(param_names))
     points = []
     for _ in range(count):
-        vals = rng.uniform(0.5, 2.0, size=2 * n + len(names))
-        signs = rng.integers(0, 2, size=2 * n + len(names)) * 2 - 1
+        vals = rng.uniform(0.5, 2.0, size=2 * n)
+        signs = rng.integers(0, 2, size=2 * n) * 2 - 1
         vals = vals * signs
-        bound = dict(zip(names, vals[2 * n:]))
-        if params:
-            bound.update(params)
-        points.append(EvalPoint(tuple(vals[:n]), tuple(vals[n:2 * n]), bound))
+        points.append(EvalPoint(tuple(vals[:n]), tuple(vals[n:]),
+                                dict(params or {})))
     return points
-
-
-def numerically_equivalent(a: Expr, b: Expr, samples: int = 40,
-                           tol: float = 1e-9, seed: int = 0,
-                           params: Mapping[str, float] | None = None) -> bool:
-    """True iff |a - b| <= tol * (1 + |a|) at every usable sampled point.
-
-    Points where either side raises a domain error are skipped; if every
-    sample is skipped an :class:`IndeterminateError` is raised.
-    """
-    n = max(dimension_of(a), dimension_of(b), 1)
-    free = parameters_of(a) | parameters_of(b)
-    if params:
-        free -= set(params)
-    points = sample_eval_points(n, samples, seed, param_names=free, params=params)
-    used = 0
-    for u in points:
-        try:
-            va = evaluate(a, u)
-            vb = evaluate(b, u)
-        except DomainError:
-            continue
-        used += 1
-        if abs(va - vb) > tol * (1.0 + abs(va)):
-            return False
-    if used == 0:
-        raise IndeterminateError("every sampled point hit a domain error")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,7 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         name=name, structure=structure, hamiltonian=hamiltonian,
         invariants=invariants, parameter_values=dict(params), seed=seed,
         chart=chart, non_invariant=non_invariant,
-        suggested_probes=tuple(probes),
-        description=f"loaded system {name!r}")
+        suggested_probes=tuple(probes))
 
 
 def load_system_file(path: str) -> SystemDefinition:

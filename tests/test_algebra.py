@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, EvalPoint, InvariantSet, Neg, Param, Pow,
-    RegularElement, StructureConstants, SymplecticStructure, Var,
-    algebra_rank, bracket_matrix_at, cartan_basis_at,
-    check_closure, dual_abelian_pointwise, evaluate, find_level_point,
-    fit_structure_constants, functional_independence, get_system,
+    BinOp, Const, EvalPoint, InvariantSet, Pow, RegularElement,
+    StructureConstants, SymplecticStructure, algebra_rank,
+    bracket_matrix_at, cartan_basis_at, check_closure, evaluate,
+    find_level_point, fit_structure_constants, functional_independence,
+    get_system,
     is_solvable, list_systems, mishchenko_fomenko_check, poisson_bracket,
     probe_points, search_polynomial_completion, simplify,
 )
@@ -418,62 +418,6 @@ def test_lie_cartan_dimension_consistency():
         m = bracket_matrix_at(inv, element.witness)
         cross = basis.vectors @ m @ basis.vectors.T
         assert np.max(np.abs(cross)) <= 1e-8
-
-
-def test_dual_abelian_single_direction():
-    for name, seed in (("vortices3", 29), ("central_field", 30)):
-        system = get_system(name)
-        inv = system.invariants
-        u = probe_points(system, 1, seed=seed)[0]
-        element = find_level_point(inv, inv.member_values(u), u)
-        frame = dual_abelian_pointwise(inv, cartan_basis_at(inv, element,
-                                                            seed=seed),
-                                       element)
-        assert frame.vectors.shape[0] == 1
-        assert frame.max_cross_bracket <= 1e-8
-
-
-def _shift_indices(e, offset):
-    if isinstance(e, Var):
-        kind, idx = e.name[0], int(e.name[1:])
-        return Var(f"{kind}{idx + offset}")
-    if isinstance(e, (Const, Param)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(_shift_indices(e.arg, offset))
-    if isinstance(e, Call):
-        return Call(e.func, _shift_indices(e.arg, offset))
-    if isinstance(e, Pow):
-        return Pow(_shift_indices(e.base, offset), e.exponent)
-    return BinOp(e.op, _shift_indices(e.left, offset),
-                 _shift_indices(e.right, offset))
-
-
-def test_dual_abelian_product_system():
-    # two independent vortex triples: n = 6, k = 8, rank G = 4, so two
-    # commuting directions over the complement
-    base = get_system("vortices3")
-    xi = base.structure.weights
-    s = SymplecticStructure(6, xi + xi)
-    names = tuple(f"{nm}a" for nm in base.invariants.names) + \
-        tuple(f"{nm}b" for nm in base.invariants.names)
-    exprs = tuple(base.invariants.exprs) + \
-        tuple(_shift_indices(e, 3) for e in base.invariants.exprs)
-    inv = InvariantSet(s, names, exprs)
-    u = inv.sample_points(1, seed=31, need_brackets=True)[0]
-    element = find_level_point(inv, inv.member_values(u), u)
-    basis = cartan_basis_at(inv, element, seed=31)
-    assert basis.dimension == 4
-    frame = dual_abelian_pointwise(inv, basis, element)
-    assert frame.vectors.shape[0] == 2
-    assert frame.max_cross_bracket <= 1e-8
-    # brute force: all pairwise bracket values of the combinations
-    combos = frame.combination_exprs(inv)
-    witness = inv.bind(element.witness)
-    for i in range(len(combos)):
-        for j in range(len(combos)):
-            br = poisson_bracket(combos[i], combos[j], s)
-            assert abs(evaluate(br, witness)) <= 1e-8
 
 
 def test_invariant_set_validation():

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, DomainError, EvalPoint, IndeterminateError, Neg,
-    Param, ParseError, Pow, UnboundSymbolError, Var, compile_functions,
-    differentiate, dimension_of, evaluate, get_system,
-    numerically_equivalent, parameters_of, parse, sample_eval_points,
+    BinOp, Call, Const, DomainError, EvalPoint, Neg, ParseError, Pow,
+    UnboundSymbolError, Var, compile_functions, differentiate, dimension_of,
+    evaluate, get_system, parameters_of, parse, sample_eval_points,
     simplify, substitute_param, to_string, variables_of,
 )
 from liouville.catalog import list_systems
 from liouville.expr import const, p, param, q
 from liouville.symplectic import hamiltonian_vector_field, poisson_bracket
+from oracles import numerically_equivalent
 
 
 def test_parse_sum_of_products():
@@ -165,7 +165,7 @@ def test_numeric_equivalence_dilation_momentum_bracket():
 
 def test_numeric_equivalence_indeterminate():
     bad = parse("ln(-1 - q1^2)", 1)
-    with pytest.raises(IndeterminateError):
+    with pytest.raises(ValueError, match="every sampled point"):
         numerically_equivalent(bad, bad)
 
 

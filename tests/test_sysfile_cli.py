@@ -480,12 +480,29 @@ def test_infinite_final_time_exits_2():
 
 
 def test_import_leaves_scipy_unloaded():
+    # only the adaptive integrator loads scipy: neither the import nor any
+    # other subcommand does
+    _, harg = _vortex_level_arg()
+    runs = [["analyze", V3], ["rank", V3], ["mf-check", V3],
+            ["cartan", V3, harg], ["complete", V3, harg],
+            ["actions", OSC, "--h", "0.5"],
+            ["simulate", OSC, "--t", "1", "--scheme", "symmetric4",
+             "--step", "0.01"]]
+    script = (
+        "import contextlib, io, sys, liouville\n"
+        "print('scipy' in sys.modules)\n"
+        "from liouville.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    if code != 0:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+        "print('scipy' in sys.modules)\n")
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, liouville; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_out_flag_writes_report_file(tmp_path):
