@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
@@ -491,32 +492,47 @@ def differentiate(e: Expr, symbol: str) -> Expr:
     symbol name is treated as a parameter and differentiated the same way.
     Constants and unrelated symbols have derivative zero.
     """
-    return simplify(_diff(e, symbol))
+    return simplify(_diff(e, symbol)[0])
 
 
-def _diff(e: Expr, s: str) -> Expr:
+def _diff(e: Expr, s: str) -> tuple[Expr, bool]:
+    """(unsimplified derivative of ``e``, whether ``e`` mentions ``s``).
+
+    A subtree that does not mention ``s`` differentiates straight to
+    ``Const(0.0)``, the constant its full derivative tree simplifies to, so
+    the work is linear in the tree.  Neg is the exception: a symbol-free
+    ``Neg`` keeps its wrapper, because its full derivative simplifies to
+    ``Const(-0.0)``.
+    """
     if isinstance(e, Const):
-        return Const(0.0)
+        return Const(0.0), False
     if isinstance(e, (Var, Param)):
-        return Const(1.0) if e.name == s else Const(0.0)
+        return (Const(1.0), True) if e.name == s else (Const(0.0), False)
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, s))
+        inner, mentions = _diff(e.arg, s)
+        return Neg(inner), mentions
     if isinstance(e, BinOp):
-        da, db = _diff(e.left, s), _diff(e.right, s)
+        (da, in_left), (db, in_right) = _diff(e.left, s), _diff(e.right, s)
+        if not (in_left or in_right):
+            return Const(0.0), False
         if e.op == "+":
-            return BinOp("+", da, db)
+            return BinOp("+", da, db), True
         if e.op == "-":
-            return BinOp("-", da, db)
+            return BinOp("-", da, db), True
         if e.op == "*":
-            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db))
+            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db)), True
         num = BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db))
-        return BinOp("/", num, Pow(e.right, 2.0))
+        return BinOp("/", num, Pow(e.right, 2.0)), True
     if isinstance(e, Pow):
-        inner = _diff(e.base, s)
+        inner, mentions = _diff(e.base, s)
+        if not mentions:
+            return Const(0.0), False
         scaled = BinOp("*", Const(e.exponent), Pow(e.base, e.exponent - 1.0))
-        return BinOp("*", scaled, inner)
+        return BinOp("*", scaled, inner), True
     if isinstance(e, Call):
-        inner = _diff(e.arg, s)
+        inner, mentions = _diff(e.arg, s)
+        if not mentions:
+            return Const(0.0), False
         if e.func == "ln":
             outer = BinOp("/", Const(1.0), e.arg)
         elif e.func == "sqrt":
@@ -527,7 +543,7 @@ def _diff(e: Expr, s: str) -> Expr:
             outer = Neg(Call("sin", e.arg))
         else:
             outer = Call("exp", e.arg)
-        return BinOp("*", outer, inner)
+        return BinOp("*", outer, inner), True
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -640,27 +656,35 @@ def simplify(e: Expr) -> Expr:
                 return folded
         return Pow(base, e.exponent)
     if isinstance(e, BinOp) and e.op in ("+", "-"):
-        left = simplify(e.left)
-        right = simplify(e.right)
+        # One pass down the left spine.  The bottom-left operand and every
+        # right child are simplified on their own and flattened in leaf
+        # order, which is the term list the nested recursion would rebuild
+        # and re-flatten at each level.
+        spine: list[tuple[int, Expr]] = []
+        node = e
+        while isinstance(node, BinOp) and node.op in ("+", "-"):
+            spine.append((1 if node.op == "+" else -1, node.right))
+            node = node.left
         raw: list[tuple[int, Expr]] = []
-        _add_terms(BinOp(e.op, left, right), 1, raw)
+        _add_terms(simplify(node), 1, raw)
+        for sign, right in reversed(spine):
+            _add_terms(simplify(right), sign, raw)
         const_acc = 0.0
-        terms: list[tuple[int, Expr]] = []
+        terms: list[tuple[int, Expr] | None] = []
+        # exact +t / -t pairs cancel (structural equality): each term takes
+        # out the earliest live term of opposite sign
+        live: dict[tuple[int, Expr], deque[int]] = {}
         for sign, t in raw:
             if isinstance(t, Const):
                 const_acc += sign * t.value
+                continue
+            opposite = live.get((-sign, t))
+            if opposite:
+                terms[opposite.popleft()] = None
             else:
+                live.setdefault((sign, t), deque()).append(len(terms))
                 terms.append((sign, t))
-        # cancel exact +t / -t pairs (structural equality)
-        cancelled: list[tuple[int, Expr]] = []
-        for sign, t in terms:
-            for k, (s2, t2) in enumerate(cancelled):
-                if s2 == -sign and t2 == t:
-                    del cancelled[k]
-                    break
-            else:
-                cancelled.append((sign, t))
-        return _rebuild_sum(cancelled, const_acc)
+        return _rebuild_sum([st for st in terms if st is not None], const_acc)
     if isinstance(e, BinOp) and e.op == "*":
         left = simplify(e.left)
         right = simplify(e.right)
