@@ -269,7 +269,10 @@ def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
     exactly antisymmetric.  Raises DomainError where a gradient entry leaves
     the domain or an entry overflows.
     """
-    jac = inv.jacobian_at(point)
+    return _bracket_from_jacobian(inv, inv.jacobian_at(point))
+
+
+def _bracket_from_jacobian(inv: InvariantSet, jac: np.ndarray) -> np.ndarray:
     n = inv.structure.n
     inv_weights = 1.0 / np.array(inv.structure.weights)
     a = (jac[:, n:] * inv_weights) @ jac[:, :n].T
@@ -282,24 +285,37 @@ def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
 
 def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
                             allow_central: bool = False) -> StructureConstants:
-    """Least-squares fit of the bracket table over seeded sample points.
+    """Weighted least-squares fit of the bracket table over seeded samples.
 
     Each pair {H_i, H_j} (i < j), read off the bracket matrices at the
-    points, is regressed on [1,] H_1..H_k; the constant column is present
-    only when ``allow_central`` is set.  The residual is the worst relative
-    misfit max |lhs - fit| / (1 + |lhs|) over pairs and points.
+    points, is regressed on [1,] H_1..H_k by its own least-squares solve;
+    the constant column is present only when ``allow_central`` is set.  A
+    bracket value carries rounding error in proportion to
+    |grad H_i| |grad H_j|, so each point's row of the pair is weighted by
+    1 / (1 + |grad H_i| |grad H_j|): a sample near a singularity, where the
+    members and their gradients are huge, cannot swamp the others.  The
+    residual is the worst misfit on that scale,
+    max |lhs - fit| / (1 + |lhs| + |grad H_i| |grad H_j|) over pairs and
+    points.  A single member has the zero table and residual 0.
     Antisymmetry of the returned tables holds by construction.
     """
     k = inv.k
-    if k < 2:
-        raise ValueError("need at least two members to fit structure constants")
     if samples < k + 2:
         raise ValueError("need more samples than regression columns")
+    c = np.zeros((k, k, k))
+    c0 = np.zeros((k, k))
+    if k == 1:
+        return StructureConstants(inv.names, c, c0, 0.0, allow_central)
     points = inv.sample_points(samples, seed, need_brackets=True)
     values = np.array([inv.member_values(u) for u in points])   # (m, k)
     rows, cols = np.triu_indices(k, 1)
-    b = np.array([bracket_matrix_at(inv, u)[rows, cols]
-                  for u in points])                          # (m, pairs)
+    b = np.empty((len(points), len(rows)))                      # (m, pairs)
+    scale = np.empty_like(b)
+    for m, u in enumerate(points):
+        jac = inv.jacobian_at(u)
+        b[m] = _bracket_from_jacobian(inv, jac)[rows, cols]
+        norms = np.linalg.norm(jac, axis=1)
+        scale[m] = 1.0 + norms[rows] * norms[cols]
     if allow_central:
         design = np.hstack([np.ones((len(points), 1)), values])
     else:
@@ -307,11 +323,13 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     rank, _, _ = _numeric_rank(design)
     rank_deficient = rank < design.shape[1]
 
-    coef, *_ = np.linalg.lstsq(design, b, rcond=None)      # (columns, pairs)
+    coef = np.empty((design.shape[1], len(rows)))           # (columns, pairs)
+    for pair in range(len(rows)):
+        w = 1.0 / scale[:, pair]
+        coef[:, pair] = np.linalg.lstsq(design * w[:, None], b[:, pair] * w,
+                                        rcond=None)[0]
     misfit = design @ coef - b
-    residual = float(np.max(np.abs(misfit) / (1.0 + np.abs(b))))
-    c = np.zeros((k, k, k))
-    c0 = np.zeros((k, k))
+    residual = float(np.max(np.abs(misfit) / (scale + np.abs(b))))
     if allow_central:
         c0[rows, cols] = coef[0]
         c0[cols, rows] = -coef[0]

@@ -1,4 +1,6 @@
 """Lie-algebra decisions: closure, solvability, rank, Cartan data, completions."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from liouville.algebra import (
     build_combination,
 )
 from liouville.expr import const, p, parse, q
+from liouville.sysfile import loads_system
 
 
 def _rank(matrix, rcond=1e-8):
@@ -97,13 +100,90 @@ def test_fit_central_field():
     assert sc.c[1, 2, 3] == pytest.approx(1.0, abs=1e-8)   # {P2,P3} = P1
 
 
+# exact tables {H_i,H_j} = c0_ij + sum_s c^s_ij H_s as (H_i, H_j, H_s, c^s_ij)
+# rows, with an empty H_s for a central term; pairs not listed commute
+EXACT_TABLES = [
+    ("vortices3", None, [("P1", "P", "P2", -1.0), ("P2", "P", "P1", 1.0)]),
+    ("vortices3", {"xi": (1.0, 1.0, 1.0)},
+     [("P1", "P2", "", -3.0), ("P1", "P", "P2", -1.0), ("P2", "P", "P1", 1.0)]),
+    ("central_field", None, [("P1", "P2", "P3", 1.0), ("P1", "P3", "P2", -1.0),
+                             ("P2", "P3", "P1", 1.0)]),
+    ("three_particles", None, [("H1", "H2", "H1", 2.0), ("H2", "H3", "H3", -1.0)]),
+]
+
+
+def _exact_arrays(names, rows):
+    k = len(names)
+    c, c0 = np.zeros((k, k, k)), np.zeros((k, k))
+    for a, b, member, value in rows:
+        i, j = names.index(a), names.index(b)
+        table = c[names.index(member)] if member else c0
+        table[i, j], table[j, i] = value, -value
+    return c, c0
+
+
+@pytest.mark.parametrize("name, params, rows", EXACT_TABLES)
+def test_fitted_tables_match_exact_brackets(name, params, rows):
+    inv = get_system(name, params).invariants
+    c, c0 = _exact_arrays(list(inv.names), rows)
+    # the hand-written table is the symbolic bracket, away from the fit
+    points = inv.sample_points(5, seed=31)
+    for i, j in itertools.combinations(range(inv.k), 2):
+        bracket = poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure)
+        for u in points:
+            want = c0[i, j] + c[:, i, j] @ inv.member_values(u)
+            assert evaluate(bracket, inv.bind(u)) == pytest.approx(
+                want, rel=1e-9, abs=1e-9)
+    for seed in (0, 1, 2):
+        sc = fit_structure_constants(inv, samples=60, seed=seed,
+                                     allow_central=True)
+        assert np.max(np.abs(sc.c - c)) <= 1e-12
+        assert np.max(np.abs(sc.c0 - c0)) <= 1e-12
+
+
+# three particles whose seeded samples include one with two particles close
+# together (H1 near 1e9); unweighted, that sample swamped the fit
+NEAR_COLLISION = """\
+[system]
+name = three_particles
+dimension = 3
+weights = 1.0, 1.0, 1.0
+seed = 1587334780
+hamiltonian = p1^2/3.5374602529399954+p2^2/2.326184980361263+p3^2/1.482766821154076+1.1894301049540836/(q1-q2)^2+1.1894301049540836/(q1-q3)^2+1.1894301049540836/(q2-q3)^2
+
+[invariants]
+H1 = p1^2/3.5374602529399954+p2^2/2.326184980361263+p3^2/1.482766821154076+1.1894301049540836/(q1-q2)^2+1.1894301049540836/(q1-q3)^2+1.1894301049540836/(q2-q3)^2
+H2 = q1*p1+q2*p2+q3*p3
+H3 = p1+p2+p3
+"""
+
+
+def test_fit_is_not_swamped_by_a_near_collision_sample():
+    system = loads_system(NEAR_COLLISION)
+    inv = system.invariants
+    points = inv.sample_points(60, system.seed, need_brackets=True)
+    assert max(inv.member_values(u)[0] for u in points) > 1e8
+    sc = fit_structure_constants(inv, samples=60, seed=system.seed,
+                                 allow_central=True)
+    assert sc.residual <= 1e-6 and sc.jacobi_defect() <= 1e-6
+    c, c0 = _exact_arrays(list(inv.names), EXACT_TABLES[-1][2])
+    assert np.max(np.abs(sc.c - c)) <= 1e-9     # {H1,H2} = 2 H1, {H2,H3} = -H3
+    assert np.max(np.abs(sc.c0 - c0)) <= 1e-9   # and {H1,H3} = 0
+
+
 def test_fit_rejects_small_inputs():
-    system = get_system("oscillator")
-    with pytest.raises(ValueError):
-        fit_structure_constants(system.invariants)
     pair = get_system("uncoupled_oscillators").invariants
     with pytest.raises(ValueError):
         fit_structure_constants(pair, samples=3)
+
+
+def test_fit_single_member_is_the_zero_table():
+    sc = fit_structure_constants(get_system("oscillator").invariants,
+                                 allow_central=True)
+    assert sc.k == 1 and sc.residual == 0.0 and not sc.rank_deficient
+    assert sc.c.shape == (1, 1, 1) and sc.c0.shape == (1, 1)
+    assert not sc.c.any() and not sc.c0.any()
+    assert check_closure(sc) and is_solvable(sc) and sc.jacobi_defect() == 0.0
 
 
 def test_fit_flags_dependent_members():

@@ -24,7 +24,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "10d8142cd8c2f2635813f362ff1779ed5f814cf713978d42b623ef6c9c3e28f9"
+OUTPUT_DIGEST = "06dd72aec3d078139c7eb7a620974b59574e5476bb1197aeaaee41dd420d1f54"
 
 
 def _level_arg(path: str) -> str:

@@ -314,6 +314,33 @@ def test_mf_check_verdicts_and_exit_codes():
     assert code == 0
 
 
+def test_analyze_one_member_is_closed():
+    # {H,H} = 0 identically: the table of a single member is zero
+    report = report_of(["analyze", OSC])
+    assert report["verdict"] is True
+    results = report["results"]
+    assert results["k"] == 1 and results["members"] == ["H"]
+    assert results["residual"] == 0.0 and results["closed"] is True
+    assert results["structure_constants"] == [[[0.0]]]
+    assert results["central_terms"] == [[0.0]]
+    assert results["jacobi_defect"] == 0.0 and results["solvable"] is True
+
+
+def test_analyze_and_mf_check_sixteen_vortices(tmp_path):
+    path = tmp_path / "vortices16.sys"
+    path.write_text(export_system_file(get_system("vortices", {"n": 16})),
+                    encoding="utf-8")
+    results = report_of(["analyze", str(path)])["results"]
+    assert results["k"] == 4 and results["closed"] is True
+    assert results["residual"] < 1e-9 and results["jacobi_defect"] < 1e-9
+    assert results["solvable"] is True and results["independent"] is True
+    report = report_of(["mf-check", str(path)])
+    assert report["results"] == {
+        "dim_g": 4, "rank_g": 2, "dim_m": 32, "holds": False}
+    code, out, _ = run_cli(["mf-check", str(path), "--strict"])
+    assert code == 1 and json.loads(out)["verdict"] is False
+
+
 def _vortex_level_arg():
     system = load_system_file(V3)
     u = system.invariants.bind(EvalPoint((1.5, -1.2, 0.25), (0.9, 1.4, -0.5)))
