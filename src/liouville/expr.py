@@ -502,7 +502,9 @@ def _diff(e: Expr, s: str) -> tuple[Expr, bool]:
     ``Const(0.0)``, the constant its full derivative tree simplifies to, so
     the work is linear in the tree.  Neg is the exception: a symbol-free
     ``Neg`` keeps its wrapper, because its full derivative simplifies to
-    ``Const(-0.0)``.
+    ``Const(-0.0)``.  The trees match the full derivative's while every
+    folded constant is finite: a symbol-free subtree that folds to inf
+    (``1e200*1e200``) gave nan through inf*0 and now gives 0.
     """
     if isinstance(e, Const):
         return Const(0.0), False
