@@ -294,9 +294,12 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     |grad H_i| |grad H_j|, so each point's row of the pair is weighted by
     1 / (1 + |grad H_i| |grad H_j|): a sample near a singularity, where the
     members and their gradients are huge, cannot swamp the others.  The
-    residual is the worst misfit on that scale,
-    max |lhs - fit| / (1 + |lhs| + |grad H_i| |grad H_j|) over pairs and
-    points.  A single member has the zero table and residual 0.
+    residual is the worst relative misfit beyond one rounding unit on that
+    scale, max (|lhs - fit| - eps |grad H_i| |grad H_j|)+ / (1 + |lhs|)
+    over pairs and points.  Only that unit is forgiven (a vanishing bracket
+    read as 1e-2 from gradients of size 1e7 is rounding), so a large
+    gradient never hides a misfit above it.  A single member has the zero
+    table and residual 0.
     Antisymmetry of the returned tables holds by construction.
     """
     k = inv.k
@@ -310,12 +313,12 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     values = np.array([inv.member_values(u) for u in points])   # (m, k)
     rows, cols = np.triu_indices(k, 1)
     b = np.empty((len(points), len(rows)))                      # (m, pairs)
-    scale = np.empty_like(b)
+    grad_product = np.empty_like(b)
     for m, u in enumerate(points):
         jac = inv.jacobian_at(u)
         b[m] = _bracket_from_jacobian(inv, jac)[rows, cols]
         norms = np.linalg.norm(jac, axis=1)
-        scale[m] = 1.0 + norms[rows] * norms[cols]
+        grad_product[m] = norms[rows] * norms[cols]
     if allow_central:
         design = np.hstack([np.ones((len(points), 1)), values])
     else:
@@ -325,11 +328,11 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
 
     coef = np.empty((design.shape[1], len(rows)))           # (columns, pairs)
     for pair in range(len(rows)):
-        w = 1.0 / scale[:, pair]
+        w = 1.0 / (1.0 + grad_product[:, pair])
         coef[:, pair] = np.linalg.lstsq(design * w[:, None], b[:, pair] * w,
                                         rcond=None)[0]
-    misfit = design @ coef - b
-    residual = float(np.max(np.abs(misfit) / (scale + np.abs(b))))
+    excess = np.abs(design @ coef - b) - np.finfo(float).eps * grad_product
+    residual = float(np.max(np.maximum(excess, 0.0) / (1.0 + np.abs(b))))
     if allow_central:
         c0[rows, cols] = coef[0]
         c0[cols, rows] = -coef[0]

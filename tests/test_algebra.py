@@ -171,6 +171,17 @@ def test_fit_is_not_swamped_by_a_near_collision_sample():
     assert np.max(np.abs(sc.c0 - c0)) <= 1e-9   # and {H1,H3} = 0
 
 
+def test_large_gradients_do_not_hide_a_misfit():
+    # {H1, H2} = -2 q1 is not in span{1, H1, H2}; the 1000 p2 shared by both
+    # members makes |grad H1| |grad H2| ~ 1e6 without touching the bracket
+    s = SymplecticStructure.canonical(2)
+    inv = InvariantSet(s, ("H1", "H2"), (parse("1000*p2 + p1", 2),
+                                         parse("1000*p2 + q1^2", 2)))
+    sc = fit_structure_constants(inv, samples=60, seed=0, allow_central=True)
+    assert sc.residual > 1e-2
+    assert not check_closure(sc)
+
+
 def test_fit_rejects_small_inputs():
     pair = get_system("uncoupled_oscillators").invariants
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "06dd72aec3d078139c7eb7a620974b59574e5476bb1197aeaaee41dd420d1f54"
+OUTPUT_DIGEST = "e46dd2a10e91007fc37f19c41c0bf93ede9397f57763239cbf9656950b6bc666"
 
 
 def _level_arg(path: str) -> str:
