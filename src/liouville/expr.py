@@ -504,7 +504,8 @@ def _diff(e: Expr, s: str) -> tuple[Expr, bool]:
     ``Neg`` keeps its wrapper, because its full derivative simplifies to
     ``Const(-0.0)``.  The trees match the full derivative's while every
     folded constant is finite: a symbol-free subtree that folds to inf
-    (``1e200*1e200``) gave nan through inf*0 and now gives 0.
+    (``1e200*1e200``) differentiates to 0 here, where the full tree meets
+    inf*0 and reads nan.
     """
     if isinstance(e, Const):
         return Const(0.0), False
