@@ -257,22 +257,33 @@ def test_print_parse_roundtrip_fixed_forms():
         assert parse(to_string(e), 2) == e
 
 
-def test_compile_functions_matches_evaluate():
-    rng = np.random.default_rng(407)
-    exprs = [_random_expr(rng) for _ in range(6)]
-    fn = compile_functions(exprs, 2)
-    for u in sample_eval_points(2, 10, seed=9):
-        y = list(u.q) + list(u.p)
-        try:
-            want = [evaluate(e, u) for e in exprs]
-        except DomainError:
-            continue
-        got = fn(y)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_compile_functions_matches_evaluate():
+    """Each expression, compiled alone, equals evaluate() bit for bit and
+    raises DomainError at exactly the points where evaluate() does."""
+    rng = np.random.default_rng(407)
+    exprs = [_random_expr(rng) for _ in range(6)]
+    # non-integer exponents and |exponent| > 64 go through math.pow, not **
+    exprs += [parse(text, 2) for text in (
+        "q1^0.5 + p2^(-1.5)", "(q2^2+1)^100", "p1^2.5*q1^(-3)")]
+    points = sample_eval_points(2, 40, seed=9)
+    outcomes = set()
+    for e in exprs:
+        fn = compile_functions([e], 2)
+        for u in points:
+            try:
+                want = evaluate(e, u)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn(u.q + u.p)
+                outcomes.add("domain")
+                continue
+            assert np.array_equal(_bits(fn(u.q + u.p)), _bits([want]))
+            outcomes.add("finite")
+    assert outcomes == {"domain", "finite"}
 
 
 def test_compile_functions_deep_nested_product():
