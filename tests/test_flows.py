@@ -218,6 +218,14 @@ def test_collision_truncates_with_flag():
                           IntegratorConfig(collision_threshold=100.0))
     assert immediate.error == "collision"
     assert len(immediate.times) == 1
+    # two uncoupled oscillators at frequencies 1 and 2 under the fixed step
+    h = parse("(p1^2+q1^2)/2 + (p2^2+4*q2^2)/2", 2)
+    fixed = integrate(h, SymplecticStructure.canonical(2),
+                      EvalPoint((1.0, 0.0), (0.0, 0.5)), 10.0,
+                      IntegratorConfig(scheme="symmetric4", step=0.01,
+                                       collision_threshold=0.3))
+    assert fixed.error == "collision"
+    assert fixed.times[-1] == pytest.approx(1.31)
 
 
 def test_domain_blowup_truncates_with_flag():
@@ -228,6 +236,14 @@ def test_domain_blowup_truncates_with_flag():
     assert traj.times[-1] < 10.0
     assert np.all(np.isfinite(traj.states))
     assert np.all(np.diff(traj.times) > 0)
+    # the kick -1/(2 sqrt(q1)) leaves its domain as q1 crosses zero
+    h = parse("p1^2/2 + sqrt(q1)", 1)
+    for config in (IntegratorConfig(),
+                   IntegratorConfig(scheme="symmetric4", step=0.01)):
+        traj = integrate(h, S1, EvalPoint((0.1,), (-1.0,)), 10.0, config)
+        assert traj.error == "domain_error", config.scheme
+        assert np.all(np.isfinite(traj.states))
+    assert traj.times[-1] == pytest.approx(0.08)
 
 
 def test_max_steps_truncates_with_flag():
@@ -237,6 +253,12 @@ def test_max_steps_truncates_with_flag():
     assert traj.error == "max_steps"
     assert traj.accepted_steps == 5
     assert len(traj.times) == 6
+    fixed = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1.0,
+                      IntegratorConfig(scheme="symmetric4", step=0.01,
+                                       max_steps=5))
+    assert fixed.error == "max_steps"
+    assert fixed.accepted_steps == 5
+    assert len(fixed.times) == 6
 
 
 def test_initial_point_outside_domain_raises():

@@ -389,6 +389,21 @@ def test_actions_oscillator():
     assert results["omega"][0][0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_actions_on_a_coupled_chart_exits_2(tmp_path):
+    path = tmp_path / "coupled.sys"
+    path.write_text(
+        "[system]\ndimension = 2\n"
+        "hamiltonian = (p1^2+q1^2)/2 + (p2^2+q2^2)/2\n"
+        "[invariants]\nH1 = (p1^2+q1^2)/2\nH2 = (p2^2+q2^2)/2\n"
+        "[chart]\nh_dim = 2\n"
+        "residual_1 = w^2+lam^2-2*h_1+w_2\nbracket_1 = -8, 8\n"
+        "residual_2 = w^2+lam^2-2*h_2\nbracket_2 = -8, 8\n",
+        encoding="utf-8")
+    code, out, err = run_cli(["actions", str(path), "--h", "0.5,0.8"])
+    _assert_one_error_line(code, out, err, "w_2")
+    assert "another degree's state" in err
+
+
 def test_simulate_writes_csv(tmp_path):
     csv_path = tmp_path / "traj.csv"
     report = report_of(["simulate", V3, "--t", "5", "--csv", str(csv_path)])
