@@ -20,6 +20,7 @@ vanishes and the boundary motion contributes nothing.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -96,6 +97,13 @@ class ChartDegree:
             object.__setattr__(self, "loop", pts)
         if "w" not in parameters_of(self.residual):
             raise ValueError("residual must involve the symbol w")
+
+    @functools.cached_property
+    def _pair(self) -> tuple[Expr, Expr]:
+        """(R, dR/dw) over the compiled state (q1, p1) = (lam, w)."""
+        return tuple(
+            substitute_param(substitute_param(e, "lam", q(1)), "w", p(1))
+            for e in (self.residual, differentiate(self.residual, "w")))
 
 
 @dataclass(frozen=True)
@@ -182,29 +190,18 @@ def _shifted_levels(hv: Sequence[float], jdx: int
 
 def _compile_degree(chart: SeparableChart, j: int, h: Sequence[float],
                     env: Mapping[str, float] | None = None
-                    ) -> Callable[[float, float], tuple[float, float]]:
-    """Compile (R, dR/dw) of degree j as a function of (lam, w)."""
-    deg = _degree(chart, j)
+                    ) -> Callable[[tuple[float, float]], tuple[float, float]]:
+    """Compile (R, dR/dw) of degree j as a function of the pair (lam, w)."""
     params = dict(chart.params)
     params.update(_h_map(chart, h))
     if env:
         params.update(env)
-    pair = []
-    for e in (deg.residual, differentiate(deg.residual, "w")):
-        e = substitute_param(e, "lam", q(1))
-        e = substitute_param(e, "w", p(1))
-        pair.append(e)
     try:
-        fn = compile_functions(pair, 1, params)
+        return compile_functions(_degree(chart, j)._pair, 1, params)
     except UnboundSymbolError as exc:
         raise ChartError(
             f"degree {j} references another degree's state ({exc}); "
             "supply environment values") from None
-
-    def g(lam: float, w: float) -> tuple[float, float]:
-        return fn((lam, w))
-
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _solve_root(g, lam: float, lo: float, hi: float,
     best_w = w
     best_abs = math.inf
     for _ in range(120):
-        gv, dg = g(lam, w)
+        gv, dg = g((lam, w))
         if abs(gv) < best_abs:
             best_abs, best_w = abs(gv), w
         if gv == 0.0:
@@ -237,7 +234,7 @@ def _solve_root(g, lam: float, lo: float, hi: float,
             w = w_new
             break
         w = w_new
-    gv, _ = g(lam, w)
+    gv, _ = g((lam, w))
     if abs(gv) < best_abs:
         best_abs, best_w = abs(gv), w
     if best_abs > ROOT_TOL:
@@ -276,7 +273,7 @@ def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
     the minimizer is accepted as the (double) root; this is what makes
     turning points usable as integration endpoints in floating point.
     """
-    g0, _ = g(lam, 0.0)
+    g0, _ = g((lam, 0.0))
     if g0 == 0.0:
         return 0.0
     prev_w, prev_g = 0.0, g0
@@ -285,7 +282,7 @@ def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
     for _ in range(64):
         w = sign * w_mag
         try:
-            gv, _ = g(lam, w)
+            gv, _ = g((lam, w))
         except DomainError:
             break
         if (gv > 0.0) != (prev_g > 0.0):
@@ -304,11 +301,11 @@ def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
             f"branch unbounded at lam={lam:.6g} (no sign change in w)")
     hi = sign * w_mag
     a, b = (0.0, hi) if sign > 0 else (hi, 0.0)
-    w_min, g_min = _golden_min(lambda w: g(lam, w)[0], a, b)
+    w_min, g_min = _golden_min(lambda w: g((lam, w))[0], a, b)
     if g_min < 0.0:
         lo2, hi2 = (a, w_min) if sign > 0 else (w_min, b)
-        glo2 = g(lam, lo2)[0]
-        ghi2 = g(lam, hi2)[0]
+        glo2 = g((lam, lo2))[0]
+        ghi2 = g((lam, hi2))[0]
         if (glo2 > 0.0) != (ghi2 > 0.0):
             return _solve_root(g, lam, lo2, hi2, glo2, ghi2)
     if abs(g_min) <= ROOT_TOL:
@@ -337,7 +334,7 @@ def solve_branch(chart: SeparableChart, j: int, lam: float,
 def _existence(g, lam: float) -> float:
     # sign indicator of real-root existence for even libration residuals:
     # R(lam, 0) <= 0 exactly when the pair +-|w| exists
-    return g(lam, 0.0)[0]
+    return g((lam, 0.0))[0]
 
 
 def turning_points(chart: SeparableChart, j: int,
@@ -352,8 +349,12 @@ def turning_points(chart: SeparableChart, j: int,
     deg = _degree(chart, j)
     if deg.bracket is None:
         raise ChartError("turning points need a bracket cycle")
+    return _turning_points(_compile_degree(chart, j, h), deg)
+
+
+def _turning_points(g, deg: ChartDegree) -> tuple[float, float]:
+    """turning_points of ``deg`` with its residual pair already compiled."""
     a, b = deg.bracket
-    g = _compile_degree(chart, j, h)
     grid = np.linspace(a, b, 129)
     vals = np.array([_existence(g, x) for x in grid])
     neg = np.nonzero(vals < 0.0)[0]
@@ -465,10 +466,10 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
         for (l0, w0), (l1, w1) in zip(pts, pts[1:]):
             area += 0.5 * (w0 + w1) * (l1 - l0)
         return abs(area) / (2.0 * math.pi)
-    lam_minus, lam_plus = turning_points(chart, j, hv)
+    g = _compile_degree(chart, j, hv)
+    lam_minus, lam_plus = _turning_points(g, deg)
     if lam_minus == lam_plus:
         return 0.0
-    g = _compile_degree(chart, j, hv)
     scale = _root_scale(max(abs(lam_minus), abs(lam_plus)), hv)
     value = _branch_integral(g, lam_minus, lam_plus, 1, True,
                              GAMMA_STEP_TOL, 1e-12, scale)
@@ -525,7 +526,7 @@ def _primitive(chart, s, spec, h_side) -> float:
     lam_minus = lam_plus = None
     if any(kind == "tp" for kind, _ in spec):
         try:
-            lam_minus, lam_plus = turning_points(chart, s, h_side)
+            lam_minus, lam_plus = _turning_points(g, deg)
         except ChartError:
             raise _SideLost() from None
         if lam_minus == lam_plus:
@@ -678,13 +679,13 @@ def _environments(chart: SeparableChart, hv: list[float],
             for k in sorted({0, m // 3, (2 * m) // 3}):
                 states.append(deg.loop[k])
         else:
-            lam_minus, lam_plus = turning_points(chart, s, hv)
+            g = _compile_degree(chart, s, hv)
+            lam_minus, lam_plus = _turning_points(g, deg)
             if lam_minus == lam_plus:
                 raise ChartError(
                     f"degenerate cycle in degree {s} cannot be varied")
             mid = 0.5 * (lam_minus + lam_plus)
             hw = 0.5 * (lam_plus - lam_minus)
-            g = _compile_degree(chart, s, hv)
             for f in fractions:
                 lam_s = mid + f * hw
                 w_s = _solve_signed(g, lam_s, deg.branch_sign,

@@ -914,49 +914,53 @@ def _emit(exprs: Sequence[Expr], n: int,
 _NAMESPACE = {
     "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
     "_cos": math.cos, "_exp": math.exp, "_pow": math.pow,
+    "_isfinite": math.isfinite, "_DomainError": DomainError,
     "inf": math.inf, "nan": math.nan,
 }
 
 
+# the generated function: float coercion, body, domain and finiteness checks
+_SOURCE = """\
+def _bind(c):
+    def _compiled(y):
+        try:
+            y = tuple(map(float, y))
+{body}            out = ({result})
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _DomainError(str(exc)) from None
+        for v in out:
+            if not _isfinite(v):
+                raise _DomainError("non-finite value in compiled evaluation")
+        return out
+    return _compiled
+"""
+
+
 @functools.lru_cache(maxsize=128)
-def _function_from_source(source: str):
-    # the source names parameters by position only, so one compiled function
-    # serves every binding of the same expressions (charts recompile often)
+def _binder_from_source(source: str):
+    # the source names parameters by position only, so one compiled binder
+    # serves every binding of the same expressions (charts compile per level)
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<liouville-expr>", "exec"), namespace)
-    return namespace["_compiled"]
+    return namespace["_bind"]
 
 
 def compile_functions(exprs: Sequence[Expr], n: int,
                       params: Mapping[str, float] | None = None
                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """Compile expressions into one fast callable of the state vector.
+    """Compile expressions into one generated function of the state vector.
 
-    The state layout is ``y = (q1..qn, p1..pn)``; parameter values are baked
-    in at compile time.  The trees are compiled as given (not simplified),
-    so each output equals :func:`evaluate` of its expression bit for bit.
-    Domain failures surface as :class:`DomainError`.
+    The state layout is ``y = (q1..qn, p1..pn)``; parameter values are bound
+    at compile time.  The trees are compiled as given (not simplified), so
+    each output equals :func:`evaluate` of its expression bit for bit.  The
+    generated code converts ``y`` to Python floats (numpy scalars would turn
+    a zero division into a warning plus inf), and raises
+    :class:`DomainError` on a domain failure or a non-finite output.
     """
     params = dict(params or {})
     param_index = {name: i for i, name in enumerate(sorted(params))}
     lines, outs = _emit(exprs, n, param_index)
-    body = "".join(f"    {line}\n" for line in lines)
+    body = "".join(f"            {line}\n" for line in lines)
     result = ",".join(outs) + ("," if len(outs) == 1 else "")
-    compiled = _function_from_source(
-        f"def _compiled(y, c):\n{body}    return ({result})\n")
-    c = tuple(float(params[name]) for name in sorted(params))
-    isfinite = math.isfinite
-
-    def runner(y: Sequence[float]) -> tuple[float, ...]:
-        # numpy scalars turn zero division into a warning plus inf; plain
-        # floats raise, which keeps the DomainError path uniform and quiet
-        try:
-            out = compiled(tuple(map(float, y)), c)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc)) from None
-        for v in out:
-            if not isfinite(v):
-                raise DomainError("non-finite value in compiled evaluation")
-        return out
-
-    return runner
+    bind = _binder_from_source(_SOURCE.format(body=body, result=result))
+    return bind(tuple(float(params[name]) for name in sorted(params)))

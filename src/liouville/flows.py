@@ -161,10 +161,8 @@ def _integrate_adaptive(rhs_core, y0, t_final, n, config) -> Trajectory:
     # scipy costs most of the package's import time; only this scheme uses it
     from scipy.integrate import RK45
 
-    def rhs(t, y):
-        return np.asarray(rhs_core(y), dtype=float)
-
-    solver = RK45(rhs, 0.0, y0, t_bound=t_final,
+    # RK45 turns each returned tuple into a float array itself
+    solver = RK45(lambda t, y: rhs_core(y), 0.0, y0, t_bound=t_final,
                   rtol=config.tolerance, atol=config.tolerance)
     ts = [0.0]
     ys = [np.array(y0, dtype=float)]
