@@ -186,7 +186,6 @@ class StructureConstants:
     c: np.ndarray           # shape (k, k, k), indexed [s, i, j]
     c0: np.ndarray          # shape (k, k)
     residual: float
-    central_allowed: bool
     rank_deficient: bool = False
 
     @property
@@ -250,14 +249,16 @@ def build_combination(inv: InvariantSet, coeffs: Sequence[float]) -> Expr:
     return simplify(total) if total is not None else Const(0.0)
 
 
-def _numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(rank, singular values, right singular vectors as rows)."""
+def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
+                  ) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rank, singular values, right singular vectors as rows); the rank
+    counts the singular values above rcond times the largest."""
     if matrix.size == 0:
         return 0, np.zeros(0), np.zeros((0, matrix.shape[1] if matrix.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return 0, s, vt
-    rank = int(np.sum(s > RANK_RCOND * s[0]))
+    rank = int(np.sum(s > rcond * s[0]))
     return rank, s, vt
 
 
@@ -308,7 +309,7 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     c = np.zeros((k, k, k))
     c0 = np.zeros((k, k))
     if k == 1:
-        return StructureConstants(inv.names, c, c0, 0.0, allow_central)
+        return StructureConstants(inv.names, c, c0, 0.0)
     points = inv.sample_points(samples, seed, need_brackets=True)
     values = np.array([inv.member_values(u) for u in points])   # (m, k)
     rows, cols = np.triu_indices(k, 1)
@@ -339,14 +340,11 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
         coef = coef[1:]
     c[:, rows, cols] = coef
     c[:, cols, rows] = -coef
-    return StructureConstants(inv.names, c, c0, residual, allow_central,
-                              rank_deficient)
+    return StructureConstants(inv.names, c, c0, residual, rank_deficient)
 
 
 def check_closure(constants: StructureConstants, tol: float = 1e-6) -> bool:
-    """True iff the fit residual is below tol and any central terms are legal."""
-    if not constants.central_allowed and float(np.max(np.abs(constants.c0))) > 0.0:
-        return False
+    """True iff the fit residual is below tol."""
     return constants.residual <= tol
 
 
@@ -367,12 +365,10 @@ def is_solvable(constants: StructureConstants, tol: float = 1e-6) -> bool:
         brackets = brackets[norms > 1e-14]
         if brackets.shape[0] == 0:
             return True
-        _, s, vt = np.linalg.svd(brackets, full_matrices=False)
-        dim = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        new_basis = vt[:dim]
+        dim, _, vt = _numeric_rank(brackets, tol)
         if dim >= basis.shape[0]:
             return False
-        basis = new_basis
+        basis = vt[:dim]
     return False
 
 
@@ -612,8 +608,7 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     kernel = kernel[keep]
     if kernel.shape[0] == 0:
         return []
-    _, s, vt = np.linalg.svd(kernel, full_matrices=False)
-    dim = int(np.sum(s > RANK_RCOND * s[0])) if s[0] > 0 else 0
+    dim, _, vt = _numeric_rank(kernel)
     candidates = vt[:dim]
 
     # numeric verification at fresh points: candidates must commute with the

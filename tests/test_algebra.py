@@ -220,7 +220,7 @@ def test_closure_verdicts():
 def test_closure_singleton():
     # {H,H} = 0 identically, so a one-member table closes with residual 0
     sc = StructureConstants(("H",), np.zeros((1, 1, 1)), np.zeros((1, 1)),
-                            residual=0.0, central_allowed=False)
+                            residual=0.0)
     assert check_closure(sc)
 
 
