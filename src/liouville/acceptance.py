@@ -1,7 +1,7 @@
 """End-to-end acceptance checks shared by the test suite and the CLI.
 
 Each criterion function runs one scenario against pinned tolerances and
-returns a :class:`CriterionResult`; ``run_all`` executes the ten in order.
+returns its checks; ``run_criterion`` titles them from ``CRITERIA``.
 tests/test_acceptance.py parametrizes over the criteria, and the
 ``verify-paper`` CLI subcommand prints the same results as a table.
 
@@ -25,7 +25,7 @@ from .expr import Call, EvalPoint, Param, const, differentiate, evaluate, p, \
     q, simplify
 from .symplectic import poisson_bracket
 from .algebra import (
-    RANK_RCOND, InvariantSet, algebra_rank, bracket_matrix_at,
+    InvariantSet, _numeric_rank, algebra_rank, bracket_matrix_at,
     cartan_basis_at, find_level_point, fit_structure_constants, is_solvable,
     mishchenko_fomenko_check, search_polynomial_completion,
 )
@@ -87,7 +87,7 @@ def _max_table_defect(inv: InvariantSet, expected: dict, points) -> float:
     return worst
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> _Checks:
     """Three-vortex bracket table against the closed-form right-hand sides."""
     system = get_system("vortices3")
     inv = system.invariants
@@ -106,10 +106,10 @@ def criterion_1() -> CriterionResult:
     c = _Checks()
     c.bound("max bracket-table defect at 20 points",
             _max_table_defect(inv, expected, pts), 1e-9)
-    return c.result(1, "vortex bracket table")
+    return c
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> _Checks:
     """Bracket-matrix rank, algebra rank, and the Cartan kernel directions."""
     system = get_system("vortices3")
     inv = system.invariants
@@ -117,8 +117,7 @@ def criterion_2() -> CriterionResult:
     probes = probe_points(system, 6, seed=5)
     matrix_ranks = set()
     for u in probes:
-        s = np.linalg.svd(bracket_matrix_at(inv, u), compute_uv=False)
-        matrix_ranks.add(int(np.sum(s > RANK_RCOND * s[0])))
+        matrix_ranks.add(_numeric_rank(bracket_matrix_at(inv, u))[0])
     rank_g, constant = algebra_rank(inv, probes)
 
     u0 = probes[0]
@@ -139,10 +138,10 @@ def criterion_2() -> CriterionResult:
     c.true("rank constant across probes", constant)
     c.equal("Cartan dimension", basis.dimension, 2)
     c.bound("kernel-direction residual", resid, 1e-8)
-    return c.result(2, "vortex rank and Cartan directions")
+    return c
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> _Checks:
     """Dimension condition dim G + rank G = dim M across vortex counts."""
     c = _Checks()
     for n in (2, 3, 4, 5):
@@ -156,10 +155,10 @@ def criterion_3() -> CriterionResult:
     rep = mishchenko_fomenko_check(cf.invariants, probe_points(cf, 6, seed=3))
     c.true(f"central field: {rep.dim_g}+{rep.rank_g} vs {rep.dim_m}, holds",
            rep.holds and rep.dim_g == 4 and rep.rank_g == 2)
-    return c.result(3, "dimension-condition scan")
+    return c
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> _Checks:
     """Degree-2 completion over the momenta and the abelian triple."""
     system = get_system("vortices3")
     inv = system.invariants
@@ -195,10 +194,10 @@ def criterion_4() -> CriterionResult:
                     worst = max(worst, abs(evaluate(br, inv.bind(u))))
         c.equal("abelian set size", len(triple), 3)
         c.bound("pairwise bracket of {H, P, Q} at 20 points", worst, 1e-8)
-    return c.result(4, "degree-2 completion and abelian triple")
+    return c
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> _Checks:
     """Solvability verdicts for the particle chain and the rotation block."""
     tp = get_system("three_particles")
     ctp = fit_structure_constants(tp.invariants, samples=60, seed=13)
@@ -212,10 +211,10 @@ def criterion_5() -> CriterionResult:
     c.true("three-particle algebra solvable", is_solvable(ctp))
     c.bound("rotation-block closure residual", cso.residual, 1e-8)
     c.true("rotation block not solvable", not is_solvable(cso))
-    return c.result(5, "solvability verdicts")
+    return c
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> _Checks:
     """Central-field bracket table: rotation relations plus conservation."""
     system = get_system("central_field")
     inv = system.invariants
@@ -233,10 +232,10 @@ def criterion_6() -> CriterionResult:
     c = _Checks()
     c.bound("max bracket-table defect at 20 points",
             _max_table_defect(inv, expected, pts), 1e-9)
-    return c.result(6, "central-field bracket table")
+    return c
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> _Checks:
     """Invariant drift along the flow, plus flow commutativity both ways."""
     c = _Checks()
     config = IntegratorConfig(tolerance=1e-9)
@@ -267,10 +266,10 @@ def criterion_7() -> CriterionResult:
     _, defect = flows_commute(tp.invariants.exprs[0], tp.invariants.exprs[1],
                               tp.structure, u_t, 0.5, 0.5, tol=1e-6)
     c.floor("energy/dilation commutation defect", defect, 1e-2)
-    return c.result(7, "flow drift and commutativity")
+    return c
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> _Checks:
     """Action values, the frequency matrix, and the half-cycle time map."""
     c = _Checks()
     osc = get_system("oscillator")
@@ -293,10 +292,10 @@ def criterion_8() -> CriterionResult:
     a, b = turning_points(osc.chart, 1, [0.7])
     t_half = time_map(osc.chart, [0.7], [(a, b)])[0]
     c.bound("oscillator |half-cycle time - pi|", abs(t_half - np.pi), 1e-6)
-    return c.result(8, "actions, frequencies, half-cycle time")
+    return c
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> _Checks:
     """Branch derivatives must not react to other degrees' states."""
     c = _Checks()
     un = get_system("uncoupled_oscillators")
@@ -324,7 +323,7 @@ def criterion_9() -> CriterionResult:
                      bracket=(-8.0, 8.0))), h_dim=2)
     c.floor("coupled chart residual",
             picard_fuchs_residual(coupled, [0.5, 0.5], [0.0, 0.3]), 1e-2)
-    return c.result(9, "branch-derivative locality")
+    return c
 
 
 def _random_case(rng: np.random.Generator):
@@ -395,7 +394,7 @@ def _random_poly(rng: np.random.Generator):
     return simplify(total)
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> _Checks:
     """Derivative hygiene, Jacobi, integrator order, report determinism."""
     c = _Checks()
     rng = np.random.default_rng(2024)
@@ -446,10 +445,10 @@ def criterion_10() -> CriterionResult:
             c.equal("analyze exit code", code, 0)
     c.true("byte-identical reports under a fixed seed",
            outputs[0] == outputs[1] and len(outputs[0]) > 0)
-    return c.result(10, "numerical hygiene")
+    return c
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[[], _Checks]], ...] = (
     (1, "vortex bracket table", criterion_1),
     (2, "vortex rank and Cartan directions", criterion_2),
     (3, "dimension-condition scan", criterion_3),
@@ -468,7 +467,7 @@ def run_criterion(index: int) -> CriterionResult:
     for idx, title, fn in CRITERIA:
         if idx == index:
             try:
-                return fn()
+                return fn().result(idx, title)
             except Exception as exc:
                 return CriterionResult(idx, title, False,
                                        f"raised {type(exc).__name__}: {exc}")
