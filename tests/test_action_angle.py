@@ -136,13 +136,13 @@ def test_time_map_matches_arcsin(osc):
     assert abs(t - math.asin(lam)) <= 1e-6
 
 
-@pytest.mark.parametrize("h", [0.5, 5e-7])
-def test_time_map_half_cycle_is_half_period(osc, h):
+def test_time_map_half_cycle_is_half_period(osc):
     # at h = 5e-7 the lower shifted level is negative and has no cycle, so
     # the time comes from the one-sided difference
-    a, b = turning_points(osc, 1, [h])
-    t = time_map(osc, [h], [(a, b)])[0]
-    assert abs(t - math.pi) <= 1e-6
+    for h in (0.5, 5e-7):
+        a, b = turning_points(osc, 1, [h])
+        t = time_map(osc, [h], [(a, b)])[0]
+        assert abs(t - math.pi) <= 1e-6, h
 
 
 def test_time_map_empty_interval(osc):
