@@ -919,7 +919,6 @@ _NAMESPACE = {
 }
 
 
-# the generated function: float coercion, body, domain and finiteness checks
 _SOURCE = """\
 def _bind(c):
     def _compiled(y):

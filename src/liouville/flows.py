@@ -157,12 +157,12 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     return traj
 
 
-def _integrate_adaptive(rhs_core, y0, t_final, n, config) -> Trajectory:
+def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
     # scipy costs most of the package's import time; only this scheme uses it
     from scipy.integrate import RK45
 
     # RK45 turns each returned tuple into a float array itself
-    solver = RK45(lambda t, y: rhs_core(y), 0.0, y0, t_bound=t_final,
+    solver = RK45(lambda t, y: rhs(y), 0.0, y0, t_bound=t_final,
                   rtol=config.tolerance, atol=config.tolerance)
     ts = [0.0]
     ys = [np.array(y0, dtype=float)]
