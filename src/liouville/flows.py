@@ -4,6 +4,13 @@ Two schemes: an adaptive embedded Runge-Kutta 5(4) pair (default) and a
 fixed-step symmetric composition of order 4 for separable Hamiltonians
 H = T(p) + V(q).  Trajectories carry one row per accepted step, or, for
 the adaptive scheme, one row per uniform sample when ``sample_dt`` is set.
+
+The fixed-step scheme runs one generated straight-line function per step:
+the kick, drift, kick of each of the three sub-steps over Python floats,
+with the same floating-point operations in the same order as evaluating
+the compiled drift and kick and updating a state array, followed by H at
+the step's end, so a step that leaves H's domain truncates the run even
+where the drift and the kick are still defined.
 """
 from __future__ import annotations
 
@@ -13,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    DomainError, EvalPoint, Expr, compile_functions, parameters_of,
-    variables_of,
+    DomainError, EvalPoint, Expr, _binder_from_source, _emit,
+    compile_functions, parameters_of, variables_of,
 )
 from .symplectic import SymplecticStructure, hamiltonian_vector_field
 from .algebra import InvariantSet
@@ -120,7 +127,8 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
 
     The symmetric scheme refuses a field whose dq mentions a q or whose dp
     mentions a p, and evaluates dq (drift) and dp (kick) separately.
-    Domain errors, collisions, step underflow, and step-budget exhaustion
+    Domain errors (of the field, or for the symmetric scheme of H at the end
+    of a step), collisions, step underflow, and step-budget exhaustion
     truncate the trajectory and set ``error`` instead of raising.
     """
     if not (math.isfinite(t_final) and t_final > 0):
@@ -137,22 +145,21 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     if unbound:
         raise ValueError(f"Hamiltonian uses unbound parameters: {sorted(unbound)}")
     fld = hamiltonian_vector_field(h, structure)
-    if config.scheme == "adaptive":
-        parts, run = [fld.dq + fld.dp], _integrate_adaptive
-    elif any(v[0] == "q" for v in variables_of(*fld.dq)) or \
-            any(v[0] == "p" for v in variables_of(*fld.dp)):
+    symmetric = config.scheme == "symmetric4"
+    if symmetric and (any(v[0] == "q" for v in variables_of(*fld.dq)) or
+                      any(v[0] == "p" for v in variables_of(*fld.dp))):
         raise ValueError("the symmetric fixed-step scheme needs a separable "
                          "Hamiltonian H = T(p) + V(q)")
-    else:
-        parts, run = [fld.dq, fld.dp], _integrate_symmetric4
-    fields = [compile_functions(exprs, structure.n, u0.params)
-              for exprs in parts]
+    rhs = compile_functions(fld.dq + fld.dp, structure.n, u0.params)
     try:
-        for fn in fields:
-            fn(y0)
+        rhs(y0)
     except DomainError as exc:
         raise IntegrationError(f"initial point outside the domain: {exc}") from None
-    traj = run(*fields, y0, t_final, structure.n, config)
+    if symmetric:
+        traj = _integrate_symmetric4(h, fld, u0.params, y0, t_final,
+                                     structure.n, config)
+    else:
+        traj = _integrate_adaptive(rhs, y0, t_final, structure.n, config)
     traj.params = dict(u0.params)
     return traj
 
@@ -199,36 +206,72 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
                       accepted_steps=steps)
 
 
-def _integrate_symmetric4(dq_field, dp_field, y0, t_final, n,
+# The coefficients h1, d1, h0, d0 are bound per run, not written into the
+# source, so one cached source serves every step size.
+_STEP_SOURCE = """\
+def _bind(c, h1, d1, h0, d0):
+    def _step(y):
+        y = list(y)
+        try:
+{body}            e = {energy}
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _DomainError(str(exc)) from None
+        if not _isfinite(e):
+            raise _DomainError("non-finite Hamiltonian after a step")
+        for v in y:
+            if not _isfinite(v):
+                raise _DomainError("non-finite state after a step")
+        return tuple(y)
+    return _step
+"""
+
+
+def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
+    param_index = {name: i for i, name in enumerate(sorted(params))}
+    kick = _emit(fld.dp, n, param_index)
+    drift = _emit(fld.dq, n, param_index)
+    energy_lines, (energy,) = _emit([h], n, param_index)
+    lines = []
+    for half, full in (("h1", "d1"), ("h0", "d0"), ("h1", "d1")):
+        for k, (body, outs), offset in ((half, kick, n), (full, drift, 0),
+                                        (half, kick, n)):
+            lines += body
+            lines += [f"y[{offset + i}] = y[{offset + i}] + {k}*({out})"
+                      for i, out in enumerate(outs)]
+    lines += energy_lines
+    bind = _binder_from_source(_STEP_SOURCE.format(
+        body="".join(f"            {line}\n" for line in lines),
+        energy=energy))
+    # grouped as (0.5*c)*dt and c*dt, like the reference loop in tests/oracles.py
+    return bind(tuple(float(params[name]) for name in sorted(params)),
+                0.5 * _W1 * dt, _W1 * dt, 0.5 * _W0 * dt, _W0 * dt)
+
+
+def _integrate_symmetric4(h, fld, params, y0, t_final, n,
                           config) -> Trajectory:
     m = max(1, round(t_final / config.step))
     truncated_budget = m > config.max_steps
     dt = t_final / m
     if truncated_budget:
         m = config.max_steps
-    y = np.array(y0, dtype=float)
+    step = _compile_step(h, fld, n, params, dt)
+    y = tuple(map(float, y0))
     ts = [0.0]
-    ys = [y.copy()]
+    ys = [y]
     error = None
 
     for step_idx in range(m):
         try:
-            for c in (_W1, _W0, _W1):
-                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
-                y[:n] += c * dt * np.asarray(dq_field(y))
-                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
+            y = step(y)
         except DomainError:
             error = "domain_error"
             break
-        if not np.all(np.isfinite(y)):
-            error = "domain_error"
-            break
         if config.collision_threshold is not None and \
-                _min_pair_distance_sq(y, n) < config.collision_threshold:
+                _min_pair_distance_sq(np.array(y), n) < config.collision_threshold:
             error = "collision"
             break
         ts.append((step_idx + 1) * dt)
-        ys.append(y.copy())
+        ys.append(y)
     if error is None and truncated_budget:
         error = "max_steps"
     return Trajectory(np.array(ts), np.array(ys), error=error,
@@ -240,7 +283,7 @@ def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]
     params = dict(inv.params)
     params.update(traj.params)
     fn = compile_functions(inv.exprs, inv.structure.n, params)
-    values = np.array([fn(row) for row in traj.states])
+    values = np.array([fn(row) for row in traj.states.tolist()])
     ref = values[0]
     drift = np.max(np.abs(values - ref), axis=0) / (1.0 + np.abs(ref))
     return {name: float(d) for name, d in zip(inv.names, drift)}

@@ -1,11 +1,15 @@
 """Numeric oracles shared by the test modules."""
+import numpy as np
+
 from liouville import (
     BinOp, Call, Const, DomainError, Neg, Param, Pow, Var, dimension_of,
     evaluate, sample_eval_points,
 )
 from liouville.expr import (
     _add_terms, _fold, _mul_factors, _rebuild_product, _rebuild_sum,
+    compile_functions,
 )
+from liouville.symplectic import hamiltonian_vector_field
 
 
 def numerically_equivalent(a, b) -> bool:
@@ -136,3 +140,40 @@ def full_derivative(e, s):
         "exp": lambda a: Call("exp", a),
     }[e.func](e.arg)
     return BinOp("*", outer, full_derivative(e.arg, s))
+
+
+# ---------------------------------------------------------------------------
+# the fixed-step triple jump as a numpy loop over separately compiled drift
+# and kick, which flows.py's generated step must reproduce bit for bit
+
+
+def symmetric4_reference(h, structure, u0, t_final, step):
+    """States of every step and the truncation reason (None or
+    "domain_error") of the order-4 composition of ``h`` from ``u0``.
+
+    Uses the step count and step size of ``integrate``; stops before the
+    first step whose drift or kick raises :class:`DomainError` or whose
+    state is not finite.
+    """
+    n = structure.n
+    fld = hamiltonian_vector_field(h, structure)
+    dq_field = compile_functions(fld.dq, n, u0.params)
+    dp_field = compile_functions(fld.dp, n, u0.params)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    m = max(1, round(t_final / step))
+    dt = t_final / m
+    y = u0.state()
+    ys = [y.copy()]
+    for _ in range(m):
+        try:
+            for c in (w1, w0, w1):
+                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
+                y[:n] += c * dt * np.asarray(dq_field(y))
+                y[n:] += 0.5 * c * dt * np.asarray(dp_field(y))
+        except DomainError:
+            return np.array(ys), "domain_error"
+        if not np.all(np.isfinite(y)):
+            return np.array(ys), "domain_error"
+        ys.append(y.copy())
+    return np.array(ys), None

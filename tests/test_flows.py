@@ -7,7 +7,9 @@ import pytest
 
 from liouville.algebra import build_combination, cartan_basis_at, find_level_point
 from liouville.catalog import get_system, probe_points
-from liouville.expr import EvalPoint, compile_functions, const, parse
+from liouville.expr import (
+    EvalPoint, _binder_from_source, compile_functions, const, parse,
+)
 from liouville.flows import (
     IntegrationError,
     IntegratorConfig,
@@ -18,6 +20,7 @@ from liouville.flows import (
     trajectory_to_csv,
 )
 from liouville.symplectic import SymplecticStructure, hamiltonian_vector_field
+from oracles import symmetric4_reference
 
 S1 = SymplecticStructure.canonical(1)
 
@@ -190,6 +193,41 @@ def test_symmetric_scheme_matches_full_field_reference():
             y[n:] += 0.5 * c * dt * np.asarray(full(y)[n:])
     assert traj.error is None and len(traj.times) == 51
     assert np.array_equal(traj.states[-1], y)
+
+
+@pytest.mark.parametrize("text,u0,t_final", [
+    ("p1^2/2 + q1^2/2 + b*q1^4", EvalPoint((1.0,), (0.5,), {"b": 0.37}), 5.0),
+    ("p1^2/2 - cos(q1)", EvalPoint((2.0,), (0.0,)), 5.0),
+    # the three kick components share the two exponentials as temporaries
+    ("(p1^2+p2^2+p3^2)/2 + exp(q1-q2) + exp(q2-q3)",
+     EvalPoint((0.5, -0.2, 0.1), (0.3, 0.1, -0.4)), 3.0),
+    # q2 turns negative, and the kick's q2^1.5 fails in _pow at row 56
+    ("sqrt(1+p1^2) + p2^4/4 + ln(2+sin(q1)) + q2^2.5",
+     EvalPoint((0.3, 0.9), (1.2, -0.7)), 7.3),
+])
+def test_symmetric_scheme_matches_numpy_reference(text, u0, t_final):
+    h = parse(text, u0.n)
+    structure = SymplecticStructure.canonical(u0.n)
+    traj = integrate(h, structure, u0, t_final,
+                     IntegratorConfig(scheme="symmetric4", step=0.01))
+    states, error = symmetric4_reference(h, structure, u0, t_final, 0.01)
+    assert traj.error == error
+    assert np.array_equal(traj.states, states)
+    if error is not None:
+        assert len(states) == 56
+
+
+def test_symmetric_step_source_is_shared_across_step_sizes():
+    # the step coefficients are bound per run, not written into the source,
+    # so a second step size compiles nothing new
+    h = parse("p1^2/2 + q1^2/2 + b*q1^4", 1)
+    u0 = EvalPoint((1.0,), (0.5,), {"b": 0.37})
+    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.01))
+    before = _binder_from_source.cache_info()
+    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.03))
+    after = _binder_from_source.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 @pytest.mark.parametrize("name,point", [

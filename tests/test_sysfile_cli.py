@@ -434,6 +434,39 @@ def test_simulate_flags_change_the_run():
     assert np.max(np.abs(state - expected)) <= 1e-4
 
 
+LOG_SYSTEM = (
+    "[system]\n"
+    "dimension = 1\n"
+    "hamiltonian = p1^2/2 + ln(q1)\n"
+    "[invariants]\n"
+    "H = p1^2/2 + ln(q1)\n"
+)
+# the drift p1 and the kick -1/q1 are both defined past q1 = 0; H is not
+LOG_RUN = ["--scheme", "symmetric4", "--step", "0.01", "--t", "10",
+           "--from", "1 | -1"]
+
+
+def test_simulate_symmetric_truncates_where_h_leaves_its_domain(tmp_path):
+    path = tmp_path / "log.sys"
+    path.write_text(LOG_SYSTEM, encoding="utf-8")
+    report = report_of(["simulate", str(path), *LOG_RUN])
+    results = report["results"]
+    assert report["verdict"] is False
+    assert report["warnings"] == ["trajectory truncated: domain_error"]
+    assert results["error"] == "domain_error"
+    assert results["samples"] == 66
+    assert results["t_final"] == pytest.approx(0.65)
+    assert results["final_state"][0] > 0.0
+
+
+def test_simulate_symmetric_domain_truncation_fails_strict(tmp_path):
+    path = tmp_path / "log.sys"
+    path.write_text(LOG_SYSTEM, encoding="utf-8")
+    code, out, err = run_cli(["simulate", str(path), *LOG_RUN, "--strict"])
+    assert code == 1, err
+    assert json.loads(out)["results"]["error"] == "domain_error"
+
+
 def test_seed_resolution_order(monkeypatch):
     """Flag beats environment beats file seed."""
     assert report_of(["rank", V3])["seed"] == 42
