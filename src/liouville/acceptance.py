@@ -102,7 +102,7 @@ def criterion_1() -> _Checks:
         ("P1", "H"): zero,
         ("P2", "H"): zero,
     }
-    pts = inv.sample_points(20, 11, need_brackets=True)
+    pts = inv.sample_points(20, 11)
     c = _Checks()
     c.bound("max bracket-table defect at 20 points",
             _max_table_defect(inv, expected, pts), 1e-9)
@@ -185,7 +185,7 @@ def criterion_4() -> _Checks:
         c.bound("span membership residual", rel, 1e-8)
 
         triple = [inv.exprs[3], inv.exprs[2], family[0]]
-        bpts = inv.sample_points(20, 21, need_brackets=True)
+        bpts = inv.sample_points(20, 21)
         worst = 0.0
         for i in range(3):
             for j in range(i + 1, 3):
@@ -258,13 +258,13 @@ def criterion_7() -> _Checks:
                                tuple(v3.invariants.member_values(u_v)), u_v)
     basis = cartan_basis_at(v3.invariants, element, seed=5)
     f1, f2 = basis.combination_exprs(v3.invariants)
-    _, defect = flows_commute(f1, f2, v3.structure, u_v, 5.0, 5.0, tol=1e-6)
+    _, defect = flows_commute(f1, f2, v3.structure, u_v, 5.0, 5.0)
     c.bound("Cartan-pair commutation defect (t=tau=5)", defect, 1e-6)
 
     tp = get_system("three_particles")
     u_t = tp.invariants.bind(EvalPoint((-1.1, 0.2, 1.4), (0.3, -0.2, 0.5)))
     _, defect = flows_commute(tp.invariants.exprs[0], tp.invariants.exprs[1],
-                              tp.structure, u_t, 0.5, 0.5, tol=1e-6)
+                              tp.structure, u_t, 0.5, 0.5)
     c.floor("energy/dilation commutation defect", defect, 1e-2)
     return c
 

@@ -8,8 +8,7 @@ degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
 :func:`picard_fuchs_residual` exists to detect exactly this.
 
 Cycles are restricted to two-branch libration topology (w symmetric up to
-sign between two turning points); rotation-type cycles are supported only
-through explicitly parametrized loops, and only for the action integral.
+sign between two turning points).
 
 Time maps are evaluated as central differences, in h, of the branch
 primitive integral(w dlam).  Differencing the primitive instead of the
@@ -67,34 +66,24 @@ class QuadratureError(ChartError):
 
 @dataclass(frozen=True)
 class ChartDegree:
-    """One degree of freedom: residual R(lam, w) plus its cycle description.
+    """One degree of freedom: residual R(lam, w) and the interval
+    ``bracket`` in which its turning points are searched.
 
-    Exactly one of ``bracket`` (turning-point search interval) and ``loop``
-    (closed parametrized cycle as (lam, w) samples) must be given.  The
-    branch selector picks the root sign; libration residuals are symmetric
-    in w, so a pointwise sign is a complete selector.
+    The branch selector picks the root sign; libration residuals are
+    symmetric in w, so a pointwise sign is a complete selector.
     """
 
     residual: Expr
-    bracket: tuple[float, float] | None = None
-    loop: tuple[tuple[float, float], ...] | None = None
+    bracket: tuple[float, float]
     branch_sign: int = 1
 
     def __post_init__(self):
-        if (self.bracket is None) == (self.loop is None):
-            raise ValueError("give exactly one of bracket and loop")
         if self.branch_sign not in (1, -1):
             raise ValueError("branch_sign must be +1 or -1")
-        if self.bracket is not None:
-            a, b = self.bracket
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise ValueError("bracket must be a finite increasing pair")
-            object.__setattr__(self, "bracket", (float(a), float(b)))
-        else:
-            pts = tuple((float(x), float(y)) for x, y in self.loop)
-            if len(pts) < 3:
-                raise ValueError("loop needs at least 3 sample points")
-            object.__setattr__(self, "loop", pts)
+        a, b = self.bracket
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError("bracket must be a finite increasing pair")
+        object.__setattr__(self, "bracket", (float(a), float(b)))
         if "w" not in parameters_of(self.residual):
             raise ValueError("residual must involve the symbol w")
 
@@ -346,10 +335,7 @@ def turning_points(chart: SeparableChart, j: int,
     outside of the sign change, where solve_branch lands on the tangency
     root, so |w(lam+-)| is at the floating-point floor.
     """
-    deg = _degree(chart, j)
-    if deg.bracket is None:
-        raise ChartError("turning points need a bracket cycle")
-    return _turning_points(_compile_degree(chart, j, h), deg)
+    return _turning_points(_compile_degree(chart, j, h), _degree(chart, j))
 
 
 def _turning_points(g, deg: ChartDegree) -> tuple[float, float]:
@@ -450,22 +436,12 @@ def _branch_integral(g, a: float, b: float, sign: int, take_abs: bool,
 
 
 def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
-    """Action gamma_j = (1/2pi) loop integral of w dlam at the level h.
-
-    Bracket cycles use (1/pi) * integral of |w| between the turning points;
-    loop cycles use trapezoid quadrature on the supplied samples.
+    """Action gamma_j = (1/2pi) * integral of w dlam around the cycle at
+    the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
     hv = [float(v) for v in h]
     _h_map(chart, hv)
     deg = _degree(chart, j)
-    if deg.loop is not None:
-        pts = list(deg.loop)
-        if pts[-1] != pts[0]:
-            pts.append(pts[0])
-        area = 0.0
-        for (l0, w0), (l1, w1) in zip(pts, pts[1:]):
-            area += 0.5 * (w0 + w1) * (l1 - l0)
-        return abs(area) / (2.0 * math.pi)
     g = _compile_degree(chart, j, hv)
     lam_minus, lam_plus = _turning_points(g, deg)
     if lam_minus == lam_plus:
@@ -494,9 +470,6 @@ def _classify_intervals(chart, hv, mu):
         if a == b:
             specs.append(None)
             continue
-        deg = _degree(chart, s)
-        if deg.loop is not None:
-            raise ChartError("time_map supports bracket cycles only")
         lam_minus, lam_plus = turning_points(chart, s, hv)
         if lam_minus == lam_plus:
             raise QuadratureError(
@@ -667,42 +640,24 @@ def _environments(chart: SeparableChart, hv: list[float],
                   needed: Sequence[int]) -> list[dict[str, float]]:
     """States of the foreign degrees, varied across three spread fractions."""
     fractions = (-0.45, 0.1, 0.55)
-    state_sets: dict[int, list[tuple[float, float]]] = {}
+    envs: list[dict[str, float]] = [{} for _ in fractions]
     for s in needed:
         if chart.foreign_symbols(s):
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
         deg = chart.degrees[s - 1]
-        states = []
-        if deg.loop is not None:
-            m = len(deg.loop)
-            for k in sorted({0, m // 3, (2 * m) // 3}):
-                states.append(deg.loop[k])
-        else:
-            g = _compile_degree(chart, s, hv)
-            lam_minus, lam_plus = _turning_points(g, deg)
-            if lam_minus == lam_plus:
-                raise ChartError(
-                    f"degenerate cycle in degree {s} cannot be varied")
-            mid = 0.5 * (lam_minus + lam_plus)
-            hw = 0.5 * (lam_plus - lam_minus)
-            for f in fractions:
-                lam_s = mid + f * hw
-                w_s = _solve_signed(g, lam_s, deg.branch_sign,
-                                    _root_scale(lam_s, hv))
-                states.append((lam_s, w_s))
-        state_sets[s] = states
-    count = min(len(v) for v in state_sets.values())
-    if count < 2:
-        raise ChartError("insufficient probes to vary foreign degrees")
-    envs = []
-    for e in range(count):
-        env: dict[str, float] = {}
-        for s, states in state_sets.items():
-            lam_s, w_s = states[e]
+        g = _compile_degree(chart, s, hv)
+        lam_minus, lam_plus = _turning_points(g, deg)
+        if lam_minus == lam_plus:
+            raise ChartError(
+                f"degenerate cycle in degree {s} cannot be varied")
+        mid = 0.5 * (lam_minus + lam_plus)
+        hw = 0.5 * (lam_plus - lam_minus)
+        for env, f in zip(envs, fractions):
+            lam_s = mid + f * hw
             env[f"lam_{s}"] = lam_s
-            env[f"w_{s}"] = w_s
-        envs.append(env)
+            env[f"w_{s}"] = _solve_signed(g, lam_s, deg.branch_sign,
+                                          _root_scale(lam_s, hv))
     return envs
 
 

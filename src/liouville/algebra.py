@@ -13,6 +13,7 @@ Numeric rank decisions use the shared threshold: singular values above
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 RANK_RCOND = 1e-8
+CLOSURE_TOL = 1e-6
+SOLVABLE_RCOND = 1e-6
+MAX_COMPLETION_MONOMIALS = 200
 _LEVEL_TOL = 1e-10
 _LEVEL_MAX_ITER = 200
 
@@ -138,11 +142,10 @@ class InvariantSet:
         flat = self._call_compiled("gradients", point)
         return np.array(flat).reshape(self.k, 2 * self.structure.n)
 
-    def sample_points(self, count: int, seed: int,
-                      need_brackets: bool = False) -> list[EvalPoint]:
-        """Seeded points where every member (and optionally every member
-        gradient, hence the bracket matrix) evaluates; resamples domain
-        failures up to a 10x oversampling cap."""
+    def sample_points(self, count: int, seed: int) -> list[EvalPoint]:
+        """Seeded points where every member and every member gradient (hence
+        the bracket matrix) evaluates; resamples domain failures up to a
+        10x oversampling cap."""
         good: list[EvalPoint] = []
         drawn = 0
         batch_seed = seed
@@ -157,8 +160,7 @@ class InvariantSet:
                 drawn += 1
                 try:
                     self.member_values(u)
-                    if need_brackets:
-                        self.jacobian_at(u)
+                    self.jacobian_at(u)
                 except DomainError:
                     continue
                 good.append(u)
@@ -310,7 +312,7 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     c0 = np.zeros((k, k))
     if k == 1:
         return StructureConstants(inv.names, c, c0, 0.0)
-    points = inv.sample_points(samples, seed, need_brackets=True)
+    points = inv.sample_points(samples, seed)
     values = np.array([inv.member_values(u) for u in points])   # (m, k)
     rows, cols = np.triu_indices(k, 1)
     b = np.empty((len(points), len(rows)))                      # (m, pairs)
@@ -343,16 +345,17 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     return StructureConstants(inv.names, c, c0, residual, rank_deficient)
 
 
-def check_closure(constants: StructureConstants, tol: float = 1e-6) -> bool:
-    """True iff the fit residual is below tol."""
-    return constants.residual <= tol
+def check_closure(constants: StructureConstants) -> bool:
+    """True iff the fit residual is below CLOSURE_TOL."""
+    return constants.residual <= CLOSURE_TOL
 
 
-def is_solvable(constants: StructureConstants, tol: float = 1e-6) -> bool:
+def is_solvable(constants: StructureConstants) -> bool:
     """Derived series of the abstract algebra (central terms ignored).
 
     Solvable iff repeatedly replacing the algebra by the span of its
-    brackets terminates in the zero subspace.
+    brackets terminates in the zero subspace; the span's rank counts
+    singular values above SOLVABLE_RCOND times the largest.
     """
     c = constants.c
     k = constants.k
@@ -365,7 +368,7 @@ def is_solvable(constants: StructureConstants, tol: float = 1e-6) -> bool:
         brackets = brackets[norms > 1e-14]
         if brackets.shape[0] == 0:
             return True
-        dim, _, vt = _numeric_rank(brackets, tol)
+        dim, _, vt = _numeric_rank(brackets, SOLVABLE_RCOND)
         if dim >= basis.shape[0]:
             return False
         basis = vt[:dim]
@@ -474,7 +477,7 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     m = bracket_matrix_at(inv, witness)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
-    probes = inv.sample_points(5, seed, need_brackets=True)
+    probes = inv.sample_points(5, seed)
     generic_rank, _ = _max_bracket_rank(inv, probes)
     if rank != generic_rank:
         raise RegularityError(
@@ -568,13 +571,19 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     system.  Constants and the span of Cartan combinations are excluded
     from the returned basis; each survivor is re-verified to bracket-commute
     (with the Cartan combinations and pairwise) to 1e-8 at fresh points.
+    More than MAX_COMPLETION_MONOMIALS monomials raise ValueError: the
+    dense SVD of the system grows with the square of its row count.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     k = inv.k
+    n_mono = math.comb(k + degree, degree) - 1
+    if n_mono > MAX_COMPLETION_MONOMIALS:
+        raise ValueError(
+            f"degree {degree} in {k} members gives {n_mono} monomials; "
+            f"the completion ansatz allows at most {MAX_COMPLETION_MONOMIALS}")
     monomials = _monomial_indices(k, degree)
-    n_mono = len(monomials)
-    points = inv.sample_points(max(40, 4 * n_mono), seed, need_brackets=True)
+    points = inv.sample_points(max(40, 4 * n_mono), seed)
     values = np.array([inv.member_values(u) for u in points])
     grads = _monomial_gradients(values, monomials)       # (m, n_mono, k)
     brackets = np.array([bracket_matrix_at(inv, u) for u in points])
@@ -613,7 +622,7 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
 
     # numeric verification at fresh points: candidates must commute with the
     # Cartan combinations and pairwise among themselves
-    check_points = inv.sample_points(20, seed + 1, need_brackets=True)
+    check_points = inv.sample_points(20, seed + 1)
     vals = np.array([inv.member_values(u) for u in check_points])
     grad_chk = _monomial_gradients(vals, monomials)
     brk_chk = np.array([bracket_matrix_at(inv, u) for u in check_points])

@@ -292,9 +292,7 @@ def probe_points(system: SystemDefinition, count: int = 5,
               for pt in system.suggested_probes[:count]]
     missing = count - len(points)
     if missing > 0:
-        points.extend(
-            system.invariants.sample_points(missing, seed,
-                                            need_brackets=True))
+        points.extend(system.invariants.sample_points(missing, seed))
     return points
 
 
@@ -330,12 +328,8 @@ def export_system_file(system: SystemDefinition) -> str:
             lines.append(f"param.{key} = {_fmt(chart.params[key])}")
         for j, deg in enumerate(chart.degrees, start=1):
             lines.append(f"residual_{j} = {to_string(deg.residual)}")
-            if deg.bracket is not None:
-                a, b = deg.bracket
-                lines.append(f"bracket_{j} = {_fmt(a)}, {_fmt(b)}")
-            else:
-                pts = "; ".join(f"{_fmt(l)}, {_fmt(w)}" for l, w in deg.loop)
-                lines.append(f"loop_{j} = {pts}")
+            a, b = deg.bracket
+            lines.append(f"bracket_{j} = {_fmt(a)}, {_fmt(b)}")
             if deg.branch_sign != 1:
                 lines.append(f"branch_{j} = {deg.branch_sign}")
     lines.append("")

@@ -34,6 +34,7 @@ __all__ = [
 # Suzuki-Yoshida triple-jump coefficients for the order-4 composition
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+COMMUTE_TOL = 1e-6
 
 
 class IntegrationError(Exception):
@@ -129,7 +130,8 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     mentions a p, and evaluates dq (drift) and dp (kick) separately.
     Domain errors (of the field, or for the symmetric scheme of H at the end
     of a step), collisions, step underflow, and step-budget exhaustion
-    truncate the trajectory and set ``error`` instead of raising.
+    truncate the trajectory and set ``error`` instead of raising; a start
+    where the field or H is undefined raises :class:`IntegrationError`.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
@@ -153,6 +155,7 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     rhs = compile_functions(fld.dq + fld.dp, structure.n, u0.params)
     try:
         rhs(y0)
+        compile_functions([h], structure.n, u0.params)(y0)
     except DomainError as exc:
         raise IntegrationError(f"initial point outside the domain: {exc}") from None
     if symmetric:
@@ -290,14 +293,13 @@ def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]
 
 
 def flows_commute(a: Expr, b: Expr, structure: SymplecticStructure,
-                  u0: EvalPoint, t: float, tau: float,
-                  tol: float = 1e-6) -> tuple[bool, float]:
+                  u0: EvalPoint, t: float, tau: float) -> tuple[bool, float]:
     """Compare flowing (a for t, then b for tau) against the reverse order.
 
-    Both legs run the adaptive scheme at local tolerance tol/100; returns
-    (endpoints agree within tol, euclidean defect).
+    Both legs run the adaptive scheme at local tolerance COMMUTE_TOL/100;
+    returns (endpoints agree within COMMUTE_TOL, euclidean defect).
     """
-    config = IntegratorConfig(scheme="adaptive", tolerance=tol / 100.0)
+    config = IntegratorConfig(scheme="adaptive", tolerance=COMMUTE_TOL / 100.0)
 
     def run(h_expr, start, duration):
         traj = integrate(h_expr, structure, start, duration, config)
@@ -308,7 +310,7 @@ def flows_commute(a: Expr, b: Expr, structure: SymplecticStructure,
     ab = run(b, run(a, u0, t), tau)
     ba = run(a, run(b, u0, tau), t)
     defect = float(np.linalg.norm(ab.state() - ba.state()))
-    return defect <= tol, defect
+    return defect <= COMMUTE_TOL, defect
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

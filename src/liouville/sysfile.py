@@ -20,7 +20,7 @@ The format has four sections.  Keys and values are separated by the first
     h_dim = 1
     param.omega = 1             # optional chart parameters
     residual_1 = w^2 + lam^2 - 2*h_1
-    bracket_1 = -8, 8           # or: loop_1 = l, w; l, w; ...
+    bracket_1 = -8, 8           # turning-point search interval
     branch_1 = -1               # optional, default +1
 
     [probes]                    # optional
@@ -136,14 +136,13 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
     params = {}
     residuals: dict[int, _Entry] = {}
     brackets: dict[int, _Entry] = {}
-    loops: dict[int, _Entry] = {}
     branches: dict[int, _Entry] = {}
     for key, e in table.items():
         if key.startswith("param."):
             params[key[6:]] = _float(e.value, e.line, "chart parameter")
             continue
         for prefix, store in (("residual_", residuals), ("bracket_", brackets),
-                              ("loop_", loops), ("branch_", branches)):
+                              ("branch_", branches)):
             if key.startswith(prefix):
                 try:
                     j = int(key[len(prefix):])
@@ -163,22 +162,13 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
             raise SystemFileError(f"chart is missing residual_{j}")
         e = residuals[j]
         residual = _parse_expr(e.value, 0, e.line)
-        bracket = loop = None
+        bracket = None
         if j in brackets:
             vals = _float_list(brackets[j].value, brackets[j].line, "bracket")
             if len(vals) != 2:
                 raise SystemFileError("bracket needs two values",
                                       brackets[j].line)
             bracket = (vals[0], vals[1])
-        if j in loops:
-            pts = []
-            for chunk in loops[j].value.split(";"):
-                pair = _float_list(chunk, loops[j].line, "loop point")
-                if len(pair) != 2:
-                    raise SystemFileError("loop points are lam, w pairs",
-                                          loops[j].line)
-                pts.append((pair[0], pair[1]))
-            loop = tuple(pts)
         sign = 1
         if j in branches:
             text = branches[j].value
@@ -186,12 +176,14 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
                 raise SystemFileError(f"branch must be 1 or -1, got {text!r}",
                                       branches[j].line)
             sign = int(text)
+        if bracket is None:
+            raise SystemFileError(f"chart is missing bracket_{j}", e.line)
         try:
-            degrees.append(ChartDegree(residual, bracket=bracket, loop=loop,
+            degrees.append(ChartDegree(residual, bracket=bracket,
                                        branch_sign=sign))
         except ValueError as exc:
             raise SystemFileError(f"degree {j}: {exc}", e.line) from None
-    extra = set(brackets) | set(loops) | set(branches)
+    extra = set(brackets) | set(branches)
     extra -= set(range(1, n + 1))
     if extra:
         raise SystemFileError(

@@ -98,9 +98,6 @@ def test_turning_points_degenerate_level(osc):
 def test_turning_points_failures(osc):
     with pytest.raises(NoRealRootError, match="no sign change"):
         turning_points(osc, 1, [-0.5])
-    loop_chart = _loop_chart()
-    with pytest.raises(ChartError, match="bracket"):
-        turning_points(loop_chart, 1, [0.845])
 
 
 def test_action_variable_oscillator(osc):
@@ -114,20 +111,6 @@ def test_action_variable_uncoupled_mode(uncoupled):
 
 def test_action_variable_zero_level(osc):
     assert action_variable(osc, 1, [0.0]) == 0.0
-
-
-def _loop_chart(radius: float = 1.3, samples: int = 512) -> SeparableChart:
-    theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)[:-1]
-    loop = tuple((radius * math.cos(t), radius * math.sin(t)) for t in theta)
-    deg = ChartDegree(simplify(W ** 2 + LAM ** 2 - 2 * H1), loop=loop)
-    return SeparableChart((deg,), h_dim=1)
-
-
-def test_action_variable_loop_cycle():
-    # circle of radius r encloses area pi r^2, so gamma = r^2 / 2
-    chart = _loop_chart()
-    gamma = action_variable(chart, 1, [0.845])
-    assert gamma == pytest.approx(1.3 ** 2 / 2.0, rel=1e-4)
 
 
 def test_time_map_matches_arcsin(osc):
@@ -266,17 +249,12 @@ def test_action_grows_with_level(osc):
 
 def test_chart_degree_validation():
     residual = simplify(W ** 2 + LAM ** 2 - 2 * H1)
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="bracket"):
         ChartDegree(residual)
-    with pytest.raises(ValueError, match="exactly one"):
-        ChartDegree(residual, bracket=(-1.0, 1.0),
-                    loop=((0.0, 1.0), (1.0, 0.0), (0.0, -1.0)))
     with pytest.raises(ValueError, match="branch_sign"):
         ChartDegree(residual, bracket=(-1.0, 1.0), branch_sign=2)
     with pytest.raises(ValueError, match="increasing"):
         ChartDegree(residual, bracket=(1.0, 1.0))
-    with pytest.raises(ValueError, match="loop"):
-        ChartDegree(residual, loop=((0.0, 1.0), (1.0, 0.0)))
     with pytest.raises(ValueError, match="symbol w"):
         ChartDegree(simplify(LAM ** 2 - H1), bracket=(-1.0, 1.0))
 

@@ -161,7 +161,7 @@ H3 = p1+p2+p3
 def test_fit_is_not_swamped_by_a_near_collision_sample():
     system = loads_system(NEAR_COLLISION)
     inv = system.invariants
-    points = inv.sample_points(60, system.seed, need_brackets=True)
+    points = inv.sample_points(60, system.seed)
     assert max(inv.member_values(u)[0] for u in points) > 1e8
     sc = fit_structure_constants(inv, samples=60, seed=system.seed,
                                  allow_central=True)
@@ -208,13 +208,13 @@ def test_fit_flags_dependent_members():
 def test_closure_verdicts():
     system = get_system("vortices3")
     sc = fit_structure_constants(system.invariants, samples=60, seed=1)
-    assert check_closure(sc, tol=1e-6)
+    assert check_closure(sc)
 
     s = SymplecticStructure.canonical(1)
     inv = InvariantSet(s, ("A", "B"), (simplify(q(1) ** 2),
                                        simplify(p(1) ** 3)))
     bad = fit_structure_constants(inv, samples=40, seed=5)
-    assert not check_closure(bad, tol=1e-6)      # {A,B} = -6 q1 p1^2
+    assert not check_closure(bad)      # {A,B} = -6 q1 p1^2
 
 
 def test_closure_singleton():
@@ -447,7 +447,7 @@ def test_completion_recovers_so3_casimir():
     cas_vals = [evaluate(casimir, inv.bind(pt)) for pt in pts]
     assert _in_span(cas_vals, fam_vals)
     # every returned candidate commutes with every generator
-    checks = inv.sample_points(10, seed=23, need_brackets=True)
+    checks = inv.sample_points(10, seed=23)
     for f in family:
         for gen in inv.exprs:
             br = poisson_bracket(f, gen, inv.structure)
@@ -478,7 +478,7 @@ def test_completion_plus_cartan_is_involutive_family():
                                           degree=2, seed=24)
     funcs = basis.combination_exprs(inv) + family
     assert len(funcs) == system.structure.n
-    pts = inv.sample_points(20, seed=25, need_brackets=True)
+    pts = inv.sample_points(20, seed=25)
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):
             br = poisson_bracket(funcs[i], funcs[j], inv.structure)
@@ -579,7 +579,7 @@ def test_bracket_matrix_matches_symbolic_oracle():
     for name, inv in _catalog_sets():
         pairs = [(i, j, poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure))
                  for i in range(inv.k) for j in range(inv.k)]
-        for u in inv.sample_points(10, seed=42, need_brackets=True):
+        for u in inv.sample_points(10, seed=42):
             m = bracket_matrix_at(inv, u)
             norms = np.linalg.norm(inv.jacobian_at(u), axis=1)
             assert np.all(np.diag(m) == 0.0), name

@@ -69,7 +69,7 @@ def test_bracket_value_p1_moment():
     inv = system.invariants
     p1e, _, moment = inv.exprs[:3]
     p2e = inv.exprs[1]
-    for u in inv.sample_points(10, seed=2, need_brackets=True):
+    for u in inv.sample_points(10, seed=2):
         got = evaluate(poisson_bracket(p1e, moment, system.structure), u)
         assert got == pytest.approx(-evaluate(p2e, u), abs=1e-10)
 
@@ -85,7 +85,7 @@ def test_central_field_h_commutes_with_angular_momenta():
     system = get_system("central_field")
     inv = system.invariants
     h = inv.exprs[0]
-    for u in inv.sample_points(20, seed=6, need_brackets=True):
+    for u in inv.sample_points(20, seed=6):
         for j in (1, 2, 3):
             br = poisson_bracket(h, inv.exprs[j], system.structure)
             assert abs(evaluate(br, u)) < 1e-10

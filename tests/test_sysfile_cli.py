@@ -186,13 +186,13 @@ def test_parameters_bind_expressions_and_probes():
     assert evaluate(system.hamiltonian, u) == pytest.approx(6.25)
 
 
-def test_chart_section_with_loop_branch_and_params():
+def test_chart_section_with_bracket_branch_and_params():
     text = MINIMAL + (
         "[chart]\n"
         "h_dim = 1\n"
         "param.omega = 2\n"
         "residual_1 = w^2+omega*lam^2-2*h_1\n"
-        "loop_1 = 0,1; 1,0; 0,-1; -1,0\n"
+        "bracket_1 = -4, 4.5\n"
         "branch_1 = -1\n"
     )
     chart = loads_system(text).chart
@@ -200,8 +200,7 @@ def test_chart_section_with_loop_branch_and_params():
     assert chart.params == {"omega": 2.0}
     degree = chart.degrees[0]
     assert degree.branch_sign == -1
-    assert degree.bracket is None
-    assert degree.loop == ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))
+    assert degree.bracket == (-4.0, 4.5)
 
 
 @pytest.mark.parametrize("chart_text, message, line", [
@@ -217,8 +216,10 @@ def test_chart_section_with_loop_branch_and_params():
      "bracket_1 = -8,8\nbracket_3 = -8,8\n", "missing residual_2", None),
     ("h_dim = 1\nwhatever = 3\nresidual_1 = w^2-2*h_1\nbracket_1 = -8,8\n",
      "unknown chart key 'whatever'", 8),
-    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nloop_1 = 0,1; 2\n",
-     "loop points are lam, w pairs", 9),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbranch_1 = -1\n",
+     "chart is missing bracket_1", 8),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nloop_1 = 0,1; 1,0; 0,-1\n",
+     "unknown chart key 'loop_1'", 9),
 ])
 def test_chart_errors(chart_text, message, line):
     with pytest.raises(SystemFileError, match=message) as info:
@@ -381,6 +382,17 @@ def test_complete_subcommand():
                for text in results["invariants"])
 
 
+@pytest.mark.parametrize("degree, monomials", [
+    (6, 209), (30, 46375), (2000, 670005837500)])
+def test_complete_refuses_an_oversized_ansatz(degree, monomials):
+    # the dense SVD of the ansatz system grows with the square of its rows;
+    # the count is checked before any monomial is enumerated
+    _, harg = _vortex_level_arg()
+    _assert_one_error_line(*run_cli(
+        ["complete", V3, harg, "--degree", str(degree)]),
+        f"gives {monomials} monomials")
+
+
 def test_actions_oscillator():
     report = report_of(["actions", OSC, "--h", "0.5"])
     results = report["results"]
@@ -465,6 +477,17 @@ def test_simulate_symmetric_domain_truncation_fails_strict(tmp_path):
     code, out, err = run_cli(["simulate", str(path), *LOG_RUN, "--strict"])
     assert code == 1, err
     assert json.loads(out)["results"]["error"] == "domain_error"
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "symmetric4"])
+def test_simulate_start_outside_h_domain_exits_2(tmp_path, scheme):
+    # the field is defined at q1 = -1, H = p1^2/2 + ln(q1) is not
+    path = tmp_path / "log.sys"
+    path.write_text(LOG_SYSTEM, encoding="utf-8")
+    _assert_one_error_line(*run_cli(
+        ["simulate", str(path), "--scheme", scheme, "--step", "0.01",
+         "--from", "-1 | 0.5", "--t", "1"]),
+        "initial point outside the domain: math domain error")
 
 
 def test_seed_resolution_order(monkeypatch):
