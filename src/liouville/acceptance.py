@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Call, EvalPoint, Param, const, differentiate, evaluate, p, \
-    q, simplify
+from .expr import Call, EvalPoint, Param, compile_functions, const, \
+    differentiate, p, q, simplify
 from .symplectic import poisson_bracket
 from .algebra import (
     InvariantSet, _numeric_rank, algebra_rank, bracket_matrix_at,
@@ -74,16 +75,23 @@ class _Checks:
         return CriterionResult(index, title, passed, details)
 
 
+def _values(exprs, points) -> np.ndarray:
+    """Values of ``exprs`` (columns) at ``points`` (rows), compiled once for
+    the dimension and parameter binding that the points share."""
+    fn = compile_functions(exprs, points[0].n, points[0].params)
+    return np.array([fn(u.q + u.p) for u in points])
+
+
 def _max_table_defect(inv: InvariantSet, expected: dict, points) -> float:
     """Worst |{H_a,H_b}(u) - expected(u)| over the table and the points,
     with the bracket built symbolically as an independent oracle."""
+    bound = [inv.bind(u) for u in points]
     worst = 0.0
     for (a, b), rhs in expected.items():
         i, j = inv.names.index(a), inv.names.index(b)
         lhs = poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure)
-        for u in points:
-            bound = inv.bind(u)
-            worst = max(worst, abs(evaluate(lhs, bound) - evaluate(rhs, bound)))
+        values = _values([lhs, rhs], bound)
+        worst = max(worst, float(np.max(np.abs(values[:, 0] - values[:, 1]))))
     return worst
 
 
@@ -175,23 +183,19 @@ def criterion_4() -> _Checks:
     if family:
         p1e, p2e, pe = sub.exprs
         target = simplify(const(float(sum(xi))) * pe - p1e * p1e - p2e * p2e)
-        pts = sub.sample_points(30, 17)
-        tv = np.array([evaluate(target, sub.bind(u)) for u in pts])
-        fm = np.array([[evaluate(f, sub.bind(u)) for f in family]
-                       for u in pts])
+        pts = [sub.bind(u) for u in sub.sample_points(30, 17)]
+        tv = _values([target], pts)[:, 0]
+        fm = _values(family, pts)
         coef, *_ = np.linalg.lstsq(fm, tv, rcond=None)
         rel = float(np.max(np.abs(fm @ coef - tv))
                     / max(1.0, float(np.max(np.abs(tv)))))
         c.bound("span membership residual", rel, 1e-8)
 
         triple = [inv.exprs[3], inv.exprs[2], family[0]]
-        bpts = inv.sample_points(20, 21)
-        worst = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                br = poisson_bracket(triple[i], triple[j], system.structure)
-                for u in bpts:
-                    worst = max(worst, abs(evaluate(br, inv.bind(u))))
+        brackets = [poisson_bracket(f, g, system.structure)
+                    for f, g in itertools.combinations(triple, 2)]
+        bpts = [inv.bind(u) for u in inv.sample_points(20, 21)]
+        worst = float(np.max(np.abs(_values(brackets, bpts))))
         c.equal("abelian set size", len(triple), 3)
         c.bound("pairwise bracket of {H, P, Q} at 20 points", worst, 1e-8)
     return c
@@ -365,7 +369,8 @@ def _fd_defect(rng: np.random.Generator) -> float:
     coords = rng.uniform(0.5, 1.5, size=4) * (rng.integers(0, 2, size=4) * 2 - 1)
     names = ("q1", "q2", "p1", "p2")
     s = names[int(rng.integers(0, 4))]
-    sym = evaluate(differentiate(e, s), EvalPoint(coords[:2], coords[2:]))
+    fn = compile_functions([differentiate(e, s), e], 2)
+    sym = fn(coords)[0]
 
     idx = names.index(s)
     delta = 1e-6 * (1.0 + abs(coords[idx]))
@@ -373,7 +378,7 @@ def _fd_defect(rng: np.random.Generator) -> float:
     for sign in (1.0, -1.0):
         c = coords.copy()
         c[idx] += sign * delta
-        shifted.append(evaluate(e, EvalPoint(c[:2], c[2:])))
+        shifted.append(fn(c)[1])
     fd = (shifted[0] - shifted[1]) / (2.0 * delta)
     return abs(sym - fd) / (1.0 + abs(sym))
 
@@ -412,8 +417,9 @@ def criterion_10() -> _Checks:
         first = poisson_bracket(f, poisson_bracket(g, h, s), s)
         total = first + poisson_bracket(g, poisson_bracket(h, f, s), s)
         total = total + poisson_bracket(h, poisson_bracket(f, g, s), s)
-        worst = max(worst, max(abs(evaluate(total, u)) for u in pts))
-        scale = max(scale, max(abs(evaluate(first, u)) for u in pts))
+        values = np.abs(_values([total, first], pts))
+        worst = max(worst, float(np.max(values[:, 0])))
+        scale = max(scale, float(np.max(values[:, 1])))
     c.bound("pointwise Jacobi defect over 5 random triples", worst, 1e-9)
     c.floor("largest triple-bracket magnitude (nonvacuous)", scale, 1e-1)
     tp = get_system("three_particles")

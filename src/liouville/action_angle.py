@@ -390,13 +390,9 @@ def _bisect_sign(g, outside: float, inside: float) -> float:
 # quadrature on one branch
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _branch_integral(g, a: float, b: float, sign: int, take_abs: bool,

@@ -68,7 +68,7 @@ class InvariantSet:
     the member expressions; sampled probe points inherit them.  Member
     values and gradients are evaluated by callables compiled once per
     parameter binding (see :func:`compile_functions`), which match the
-    :func:`evaluate` tree-walk bit for bit.
+    tree walk ``reference_evaluate`` in tests/oracles.py bit for bit.
     """
 
     structure: SymplecticStructure

@@ -38,7 +38,18 @@ __all__ = [
     "q", "p", "const", "param",
 ]
 
-FUNCTIONS = ("ln", "sqrt", "sin", "cos", "exp")
+_MATH = {"ln": math.log, "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos,
+         "exp": math.exp}
+FUNCTIONS = tuple(_MATH)
+
+
+def _pow(x: float, c: float) -> float:
+    """``math.pow`` over the reals: a negative base has no real non-integer
+    power, yet ``math.pow`` returns 0 for (-inf)^-0.5 and (-0.5)^inf."""
+    if x < 0 and not float(c).is_integer():
+        raise ValueError("negative base with a non-integer exponent")
+    return math.pow(x, c)
+
 
 _VAR_RE = re.compile(r"^([qp])([1-9][0-9]*)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -412,73 +423,12 @@ def to_string(e: Expr) -> str:
 
 
 def evaluate(e: Expr, point: EvalPoint) -> float:
-    """Evaluate ``e`` at ``point``; raises DomainError outside the real domain."""
-    value = _eval(e, point)
-    if not math.isfinite(value):
-        raise DomainError(f"evaluation produced a non-finite value for {to_string(e)!r}")
-    return value
+    """Evaluate ``e`` at ``point``; raises DomainError outside the real domain.
 
-
-def _eval(e: Expr, u: EvalPoint) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        kind, idx = e.name[0], int(e.name[1:])
-        values = u.q if kind == "q" else u.p
-        if idx > len(values):
-            raise UnboundSymbolError(f"variable {e.name} unbound at a {len(values)}-degree point")
-        return values[idx - 1]
-    if isinstance(e, Param):
-        try:
-            return float(u.params[e.name])
-        except KeyError:
-            raise UnboundSymbolError(f"parameter {e.name!r} unbound") from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, u)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, u)
-        b = _eval(e.right, u)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-    if isinstance(e, Pow):
-        base = _eval(e.base, u)
-        c = e.exponent
-        if base < 0 and not float(c).is_integer():
-            raise DomainError("negative base with a non-integer exponent")
-        if base == 0.0 and c < 0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            return math.pow(base, c)
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if isinstance(e, Call):
-        x = _eval(e.arg, u)
-        if e.func == "ln":
-            if x <= 0.0:
-                raise DomainError("ln of a non-positive value")
-            return math.log(x)
-        if e.func == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of a negative value")
-            return math.sqrt(x)
-        try:
-            if e.func == "sin":
-                return math.sin(x)
-            if e.func == "cos":
-                return math.cos(x)
-            return math.exp(x)
-        except ValueError:
-            raise DomainError(f"{e.func} of a non-finite value") from None
-        except OverflowError:
-            raise DomainError("overflow in exp") from None
-    raise TypeError(f"not an expression node: {e!r}")
+    Each call compiles ``e`` (see :func:`compile_functions`), so a loop over
+    points should compile once and call the compiled function instead.
+    """
+    return compile_functions([e], point.n, point.params)(point.q + point.p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +563,11 @@ def _rebuild_product(factors: list[Expr], const_acc: float) -> Expr:
     return BinOp("*", Const(const_acc), node)
 
 
-_NO_POINT = EvalPoint((), ())
-
-
-def _fold(e: Expr) -> Const | None:
-    """The constant value of a variable-free node, or None off the domain."""
+def _fold(fn: Callable[..., float], *args: float) -> Const | None:
+    """``Const(fn(*args))``, or None where ``fn`` leaves the real domain."""
     try:
-        value = _eval(e, _NO_POINT)
-    except (ExprError, ValueError):
+        value = fn(*args)
+    except (ValueError, OverflowError):
         return None
     return Const(value) if math.isfinite(value) else None
 
@@ -643,7 +590,7 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Call):
         arg = simplify(e.arg)
         if isinstance(arg, Const):
-            folded = _fold(Call(e.func, arg))
+            folded = _fold(_MATH[e.func], arg.value)
             if folded is not None:
                 return folded
         return Call(e.func, arg)
@@ -654,7 +601,7 @@ def simplify(e: Expr) -> Expr:
         if e.exponent == 1.0:
             return base
         if isinstance(base, Const):
-            folded = _fold(Pow(base, e.exponent))
+            folded = _fold(_pow, base.value, e.exponent)
             if folded is not None:
                 return folded
         return Pow(base, e.exponent)
@@ -801,8 +748,6 @@ def sample_eval_points(n: int, count: int, seed: int,
 # matrix)
 
 _BINOP_TEMPLATES = {op: f"({{}}{op}{{}})" for op in "+-*/"}
-_CALL_TEMPLATES = {"ln": "_log({})", "sqrt": "_sqrt({})", "sin": "_sin({})",
-                   "cos": "_cos({})", "exp": "_exp({})"}
 # Longest chain of nested operations written into one statement.  Deeper
 # subtrees are split into temporaries, which keeps the generated source well
 # inside the parser's nesting limit (200 parentheses) and the compiler's
@@ -840,8 +785,8 @@ def _template(e: Expr, n: int, param_index: Mapping[str, int]
         return f"_pow({{}},{e.exponent!r})", (e.base,)
     if cls is Neg:
         return "(-{})", (e.arg,)
-    if cls is Call:
-        return _CALL_TEMPLATES[e.func], (e.arg,)
+    if cls is Call and e.func in _MATH:
+        return f"_{e.func}({{}})", (e.arg,)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -853,7 +798,8 @@ def _emit(exprs: Sequence[Expr], n: int,
     subexpressions are found by structure, not object identity) or when
     inlining it would nest deeper than ``_MAX_INLINE_DEPTH``; every other
     subtree is written inline into its parent.  Each temporary performs the
-    same floating-point operations, in the same order, as :func:`evaluate`.
+    same floating-point operations, in the same order, as the tree walk
+    ``reference_evaluate`` in tests/oracles.py.
     The walk is iterative, so tree depth is not bounded by Python's
     recursion limit.
     """
@@ -912,8 +858,7 @@ def _emit(exprs: Sequence[Expr], n: int,
 
 
 _NAMESPACE = {
-    "_log": math.log, "_sqrt": math.sqrt, "_sin": math.sin,
-    "_cos": math.cos, "_exp": math.exp, "_pow": math.pow,
+    **{f"_{name}": fn for name, fn in _MATH.items()}, "_pow": _pow,
     "_isfinite": math.isfinite, "_DomainError": DomainError,
     "inf": math.inf, "nan": math.nan,
 }
@@ -951,7 +896,8 @@ def compile_functions(exprs: Sequence[Expr], n: int,
 
     The state layout is ``y = (q1..qn, p1..pn)``; parameter values are bound
     at compile time.  The trees are compiled as given (not simplified), so
-    each output equals :func:`evaluate` of its expression bit for bit.  The
+    each output equals the tree walk ``reference_evaluate`` (in
+    tests/oracles.py) of its expression bit for bit.  The
     generated code converts ``y`` to Python floats (numpy scalars would turn
     a zero division into a warning plus inf), and raises
     :class:`DomainError` on a domain failure or a non-finite output.

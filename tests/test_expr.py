@@ -16,7 +16,7 @@ from liouville import (
 from liouville.catalog import list_systems
 from liouville.expr import const, p, param, q
 from liouville.symplectic import hamiltonian_vector_field, poisson_bracket
-from oracles import numerically_equivalent
+from oracles import numerically_equivalent, reference_evaluate
 
 
 def test_parse_sum_of_products():
@@ -123,6 +123,11 @@ def test_evaluate_power_domain():
         evaluate(parse("q1^(-1)", 1), u)
     with pytest.raises(DomainError):
         evaluate(parse("p1^0.5", 1), u)
+
+
+def test_evaluate_refuses_an_unknown_function():
+    with pytest.raises(TypeError, match="func='tan'"):
+        evaluate(Call("tan", q(1)), EvalPoint((0.5,), (0.0,)))
 
 
 def test_evaluate_unbound_parameter():
@@ -262,11 +267,11 @@ def _bits(values):
 
 
 def test_compile_functions_matches_evaluate():
-    """Each expression, compiled alone, equals evaluate() bit for bit and
-    raises DomainError at exactly the points where evaluate() does."""
+    """Each expression, compiled alone, equals reference_evaluate() bit for
+    bit and raises DomainError at exactly the points where it does."""
     rng = np.random.default_rng(407)
     exprs = [_random_expr(rng) for _ in range(6)]
-    # non-integer exponents and |exponent| > 64 go through math.pow, not **
+    # non-integer exponents and |exponent| > 64 go through _pow, not **
     exprs += [parse(text, 2) for text in (
         "q1^0.5 + p2^(-1.5)", "(q2^2+1)^100", "p1^2.5*q1^(-3)")]
     points = sample_eval_points(2, 40, seed=9)
@@ -275,7 +280,7 @@ def test_compile_functions_matches_evaluate():
         fn = compile_functions([e], 2)
         for u in points:
             try:
-                want = evaluate(e, u)
+                want = reference_evaluate(e, u)
             except DomainError:
                 with pytest.raises(DomainError):
                     fn(u.q + u.p)
@@ -288,14 +293,30 @@ def test_compile_functions_matches_evaluate():
 
 def test_compile_functions_deep_nested_product():
     """A 250-deep right-nested product compiles (no parser nesting limit)
-    and keeps evaluate()'s association order bit for bit."""
+    and keeps reference_evaluate()'s association order bit for bit."""
     e = const(1.0)
     for i in range(250):
         factor = const(1.0) + const(0.001 * (i % 7 + 1)) * (q(1) - p(1))
         e = factor * e
     fn = compile_functions([e], 1)
     for u in sample_eval_points(1, 5, seed=3):
-        assert np.array_equal(_bits(fn(u.q + u.p)), _bits([evaluate(e, u)]))
+        assert np.array_equal(_bits(fn(u.q + u.p)),
+                              _bits([reference_evaluate(e, u)]))
+
+
+def test_evaluate_long_left_nested_sum():
+    """A 3000-term left-nested sum evaluates, deeper than the recursion
+    limit, to the left-to-right sum of its terms bit for bit."""
+    coefs = [0.001 * (i % 13 + 1) for i in range(3000)]
+    e = const(coefs[0]) * q(1)
+    for c in coefs[1:]:
+        e = BinOp("+", e, const(c) * q(1))
+    x = 0.7
+    want = coefs[0] * x
+    for c in coefs[1:]:
+        want = want + c * x
+    got = evaluate(e, EvalPoint((x,), (0.0,)))
+    assert np.array_equal(_bits([got]), _bits([want]))
 
 
 def test_compile_functions_long_sum_and_shared_subtrees():
@@ -306,7 +327,7 @@ def test_compile_functions_long_sum_and_shared_subtrees():
     fn = compile_functions([total, total, q(2)], 2)
     u = EvalPoint((0.7, -1.1), (0.3, 1.9))
     got = fn(u.q + u.p)
-    assert got[0] == got[1] == evaluate(total, u)
+    assert got[0] == got[1] == reference_evaluate(total, u)
     assert got[2] == -1.1
 
 
@@ -317,12 +338,14 @@ def test_compile_functions_negative_constant_base():
 
 
 def test_infinite_intermediate_is_a_domain_error_on_both_paths():
-    e = parse("sin(q1*q1*q1)", 1)
     u = EvalPoint((1e200,), (0.0,))
-    with pytest.raises(DomainError):
-        evaluate(e, u)
-    with pytest.raises(DomainError):
-        compile_functions([e], 1)(u.q + u.p)
+    # math.pow takes (-inf)^-0.5 to 0; the tree walk refuses the negative base
+    for text in ("sin(q1*q1*q1)", "(-q1*q1*q1)^(-0.5)"):
+        e = parse(text, 1)
+        with pytest.raises(DomainError):
+            reference_evaluate(e, u)
+        with pytest.raises(DomainError):
+            compile_functions([e], 1)(u.q + u.p)
 
 
 def test_compile_functions_unbound_parameter():

@@ -9,6 +9,7 @@ come from seeded generators, so every run checks the same cases.
 import math
 
 import numpy as np
+import pytest
 
 from liouville import (
     BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, parse, simplify,
@@ -83,6 +84,24 @@ def _trees():
 def test_simplify_matches_nested_sum_recursion():
     for e in _trees():
         assert repr(simplify(e)) == repr(nested_simplify(e)), e
+
+
+# constant calls and powers at the edges of the real domain: zeros of either
+# sign, overflow, infinite arguments and powers of negative bases; the last
+# two are where math.pow returns a value and the tree walk raises
+FOLD_EDGES = (
+    Call("ln", Const(0.0)), Call("ln", Const(-0.0)), Call("sqrt", Const(-0.0)),
+    Call("exp", Const(1000.0)), Pow(Const(-8.0), 1.0 / 3.0),
+    Pow(Const(0.0), -1.0), Pow(Const(-0.0), -3.0), Pow(Const(10.0), 400.0),
+    Pow(Const(-2.0), 3.0), Call("sin", Const(math.inf)),
+    Pow(Const(-math.inf), -1.0), Call("cos", Const(2.0)),
+    parse("(-1e200*1e200)^(-0.5)", 0), Pow(Const(-0.5), math.inf),
+)
+
+
+@pytest.mark.parametrize("e", FOLD_EDGES, ids=repr)
+def test_constant_folding_at_domain_edges_matches_tree_walk(e):
+    assert repr(simplify(e)) == repr(nested_simplify(e))
 
 
 def test_differentiate_matches_full_derivative_tree():
