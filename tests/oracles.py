@@ -268,3 +268,40 @@ def symmetric4_reference(h, structure, u0, t_final, step):
             return np.array(ys), "domain_error"
         ys.append(y.copy())
     return np.array(ys), None
+
+
+def rk45_reference(h, structure, u0, t_final, tolerance, sample_dt=None):
+    """Times, states, accepted-step count and truncation reason of
+    ``scipy.integrate.RK45`` on the flow of ``h`` from ``u0``, with
+    rtol = atol = ``tolerance``: one row per accepted step, or per point of
+    the ``sample_dt`` grid from the solver's dense output.  Stops on
+    :class:`DomainError` and on step underflow like ``integrate``.
+    """
+    from scipy.integrate import RK45
+
+    fld = hamiltonian_vector_field(h, structure)
+    rhs = compile_functions(fld.dq + fld.dp, structure.n, u0.params)
+    solver = RK45(lambda t, y: rhs(y), 0.0, u0.state(), t_bound=t_final,
+                  rtol=tolerance, atol=tolerance)
+    ts = [0.0]
+    ys = [u0.state()]
+    steps = 0
+    next_sample = sample_dt
+    while solver.status == "running":
+        try:
+            message = solver.step()
+        except DomainError:
+            return np.array(ts), np.array(ys), steps, "domain_error"
+        if solver.status == "failed":
+            return np.array(ts), np.array(ys), steps, f"step_underflow: {message}"
+        steps += 1
+        if sample_dt is None:
+            ts.append(solver.t)
+            ys.append(solver.y.copy())
+        else:
+            dense = solver.dense_output()
+            while next_sample <= solver.t * (1 + 1e-15):
+                ts.append(next_sample)
+                ys.append(dense(next_sample))
+                next_sample += sample_dt
+    return np.array(ts), np.array(ys), steps, None

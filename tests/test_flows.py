@@ -20,7 +20,7 @@ from liouville.flows import (
     trajectory_to_csv,
 )
 from liouville.symplectic import SymplecticStructure, hamiltonian_vector_field
-from oracles import symmetric4_reference
+from oracles import rk45_reference, symmetric4_reference
 
 S1 = SymplecticStructure.canonical(1)
 
@@ -135,6 +135,53 @@ def test_adaptive_sample_grid():
     still = integrate(const(0.0), S1, u0, 10.0, config)
     assert np.array_equal(still.times, traj.times)
     assert np.array_equal(still.states, np.tile(u0.state(), (21, 1)))
+
+
+@pytest.mark.parametrize("name,point,t_final,sample_dt", [
+    ("vortices3", None, 50.0, None),
+    ("central_field", EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8)), 50.0,
+     None),
+    ("oscillator", EvalPoint((1.0,), (0.0,)), 10.0, 0.5),
+])
+def test_adaptive_scheme_matches_scipy_rk45(name, point, t_final, sample_dt):
+    pytest.importorskip("scipy")
+    system = get_system(name)
+    u0 = probe_points(system, 1)[0] if point is None \
+        else system.invariants.bind(point)
+    config = IntegratorConfig(sample_dt=sample_dt)
+    traj = integrate(system.hamiltonian, system.structure, u0, t_final, config)
+    times, states, steps, error = rk45_reference(
+        system.hamiltonian, system.structure, u0, t_final, config.tolerance,
+        sample_dt)
+    assert traj.error is None and error is None
+    assert traj.accepted_steps == steps
+    assert traj.times.shape == times.shape and traj.times[-1] == t_final
+    # a small error estimate is a difference of nearly equal stage sums, so
+    # summing in another order moves each step size by up to ~1e-7 relative;
+    # each row is compared after moving it along the field by that offset
+    fld = hamiltonian_vector_field(system.hamiltonian, system.structure)
+    rhs = compile_functions(fld.dq + fld.dp, system.n, u0.params)
+    offset = times - traj.times
+    assert np.max(np.abs(offset)) <= 1e-6
+    moved = traj.states + np.array([rhs(row) for row in traj.states]) \
+        * offset[:, None]
+    assert np.all(np.abs(moved - states) <= 1e-12 * (1 + np.abs(states)))
+
+
+def test_adaptive_scheme_follows_the_oscillator_at_order_five():
+    osc = get_system("oscillator")
+    steps = []
+    for tolerance in (1e-9, 1e-12):
+        traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 20.0,
+                         IntegratorConfig(tolerance=tolerance))
+        assert traj.error is None and traj.times[-1] == 20.0
+        assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.times))) \
+            <= 10 * tolerance
+        assert np.max(np.abs(traj.states[:, 1] + np.sin(traj.times))) \
+            <= 10 * tolerance
+        steps.append(traj.accepted_steps)
+    # the step size scales as tolerance^(1/5): 1000^(1/5) = 3.98
+    assert 3.5 <= steps[1] / steps[0] <= 4.5
 
 
 def test_symmetric_scheme_is_order_four():
@@ -269,8 +316,11 @@ def test_collision_truncates_with_flag():
 def test_domain_blowup_truncates_with_flag():
     h = parse("p1^2/2 + ln(q1)", 1)
     traj = integrate(h, S1, EvalPoint((1.0,), (-1.0,)), 10.0)
-    assert traj.error is not None
-    assert traj.error.startswith(("domain_error", "step_underflow"))
+    # the field -1/q1 grows without bound as q1 reaches 0, which H's domain
+    # excludes, so the step size shrinks below the spacing of the times
+    assert traj.error == ("step_underflow: Required step size is less than "
+                          "spacing between numbers.")
+    assert traj.accepted_steps == 218
     assert traj.times[-1] < 10.0
     assert np.all(np.isfinite(traj.states))
     assert np.all(np.diff(traj.times) > 0)

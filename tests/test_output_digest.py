@@ -24,7 +24,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "e46dd2a10e91007fc37f19c41c0bf93ede9397f57763239cbf9656950b6bc666"
+OUTPUT_DIGEST = "3c4500b54b164602cd64bc0a7f93944e20cb09cdb3901a5ab68eadb1b8252be9"
 
 
 def _level_arg(path: str) -> str:

@@ -578,14 +578,16 @@ def test_infinite_final_time_exits_2():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the adaptive integrator loads scipy: neither the import nor any
-    # other subcommand does
+    # neither the import nor any subcommand, adaptive flows included, loads
+    # scipy
     _, harg = _vortex_level_arg()
     runs = [["analyze", V3], ["rank", V3], ["mf-check", V3],
             ["cartan", V3, harg], ["complete", V3, harg],
             ["actions", OSC, "--h", "0.5"],
             ["simulate", OSC, "--t", "1", "--scheme", "symmetric4",
-             "--step", "0.01"]]
+             "--step", "0.01"],
+            ["simulate", V3, "--t", "2"],
+            ["simulate", OSC, "--t", "10", "--sample-dt", "0.5"]]
     script = (
         "import contextlib, io, sys, liouville\n"
         "print('scipy' in sys.modules)\n"
