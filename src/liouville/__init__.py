@@ -10,7 +10,7 @@ and frequency matrices.
 from .expr import (
     BinOp, Call, Const, DomainError, EvalPoint, Expr, ExprError, Neg, Param,
     ParseError, Pow, UnboundSymbolError, Var, compile_functions,
-    differentiate, dimension_of, evaluate, parameters_of, parse,
+    differentiate, dimension_of, evaluate, gradient, parameters_of, parse,
     sample_eval_points, simplify, substitute_param, to_string, variables_of,
 )
 from .symplectic import SymplecticStructure, VectorFieldExpr, \

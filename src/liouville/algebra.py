@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
-    compile_functions, differentiate, dimension_of, parameters_of,
+    compile_functions, dimension_of, gradient, parameters_of,
     sample_eval_points, simplify,
 )
 from .symplectic import SymplecticStructure
@@ -110,9 +110,7 @@ class InvariantSet:
 
     def gradient_exprs(self, i: int) -> tuple[Expr, ...]:
         if i not in self._grad_cache:
-            names = [f"q{j}" for j in range(1, self.structure.n + 1)] + \
-                    [f"p{j}" for j in range(1, self.structure.n + 1)]
-            self._grad_cache[i] = tuple(differentiate(self.exprs[i], s) for s in names)
+            self._grad_cache[i] = gradient(self.exprs[i], self.structure.coordinates)
         return self._grad_cache[i]
 
     def _call_compiled(self, what: str, point: EvalPoint) -> tuple[float, ...]:
@@ -146,7 +144,16 @@ class InvariantSet:
         """Seeded points where every member and every member gradient (hence
         the bracket matrix) evaluates; resamples domain failures up to a
         10x oversampling cap."""
+        return self._screened_samples(count, seed)[0]
+
+    def _screened_samples(self, count: int, seed: int
+                          ) -> tuple[list[EvalPoint], np.ndarray, np.ndarray]:
+        """:meth:`sample_points` with the member values (count, k) and
+        Jacobians (count, k, 2n) that screened the points, so that no
+        caller evaluates a sampled point twice."""
         good: list[EvalPoint] = []
+        values: list[np.ndarray] = []
+        jacobians: list[np.ndarray] = []
         drawn = 0
         batch_seed = seed
         while len(good) < count:
@@ -159,14 +166,16 @@ class InvariantSet:
             for u in batch:
                 drawn += 1
                 try:
-                    self.member_values(u)
-                    self.jacobian_at(u)
+                    value = self.member_values(u)
+                    jacobian = self.jacobian_at(u)
                 except DomainError:
                     continue
                 good.append(u)
+                values.append(value)
+                jacobians.append(jacobian)
                 if len(good) == count:
                     break
-        return good
+        return good, np.array(values), np.array(jacobians)
 
 
 @dataclass(frozen=True)
@@ -312,13 +321,11 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     c0 = np.zeros((k, k))
     if k == 1:
         return StructureConstants(inv.names, c, c0, 0.0)
-    points = inv.sample_points(samples, seed)
-    values = np.array([inv.member_values(u) for u in points])   # (m, k)
+    points, values, jacobians = inv._screened_samples(samples, seed)
     rows, cols = np.triu_indices(k, 1)
     b = np.empty((len(points), len(rows)))                      # (m, pairs)
     grad_product = np.empty_like(b)
-    for m, u in enumerate(points):
-        jac = inv.jacobian_at(u)
+    for m, jac in enumerate(jacobians):
         b[m] = _bracket_from_jacobian(inv, jac)[rows, cols]
         norms = np.linalg.norm(jac, axis=1)
         grad_product[m] = norms[rows] * norms[cols]
@@ -383,18 +390,30 @@ def algebra_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
     """
     if len(probes) < 3:
         raise ValueError("need at least three probe points")
-    best, constant = _max_bracket_rank(inv, probes)
+    best, constant = _max_bracket_rank(inv, _jacobians_in_domain(inv, probes))
     return inv.k - best, constant
 
 
-def _max_bracket_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
-                      ) -> tuple[int, bool]:
-    """(max numeric bracket-matrix rank, rank equal at every usable probe);
-    probes where a member gradient leaves the domain are skipped."""
-    ranks = set()
+def _jacobians_in_domain(inv: InvariantSet, probes: Sequence[EvalPoint]
+                         ) -> Iterator[np.ndarray]:
+    """Member Jacobians at the probes, skipping probes where a member
+    gradient leaves the domain."""
     for u in probes:
         try:
-            m = bracket_matrix_at(inv, u)
+            yield inv.jacobian_at(u)
+        except DomainError:
+            continue
+
+
+def _max_bracket_rank(inv: InvariantSet, jacobians: Iterable[np.ndarray]
+                      ) -> tuple[int, bool]:
+    """(max numeric bracket-matrix rank, rank equal at every usable point)
+    over the bracket matrices of the member Jacobians; a point whose
+    bracket matrix overflows is skipped."""
+    ranks = set()
+    for jac in jacobians:
+        try:
+            m = _bracket_from_jacobian(inv, jac)
         except DomainError:
             continue
         ranks.add(_numeric_rank(m)[0])
@@ -477,8 +496,8 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     m = bracket_matrix_at(inv, witness)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
-    probes = inv.sample_points(5, seed)
-    generic_rank, _ = _max_bracket_rank(inv, probes)
+    _, _, jacobians = inv._screened_samples(5, seed)
+    generic_rank, _ = _max_bracket_rank(inv, jacobians)
     if rank != generic_rank:
         raise RegularityError(
             f"bracket-matrix rank {rank} at the witness differs from the "
@@ -500,11 +519,7 @@ def functional_independence(inv: InvariantSet, probes: Sequence[EvalPoint]
     if len(probes) < inv.k:
         raise ValueError("need at least k probe points")
     usable = 0
-    for u in probes:
-        try:
-            jac = inv.jacobian_at(u)
-        except DomainError:
-            continue
+    for jac in _jacobians_in_domain(inv, probes):
         usable += 1
         rank, _, _ = _numeric_rank(jac)
         if rank < inv.k:
@@ -583,10 +598,9 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
             f"degree {degree} in {k} members gives {n_mono} monomials; "
             f"the completion ansatz allows at most {MAX_COMPLETION_MONOMIALS}")
     monomials = _monomial_indices(k, degree)
-    points = inv.sample_points(max(40, 4 * n_mono), seed)
-    values = np.array([inv.member_values(u) for u in points])
+    _, values, jacobians = inv._screened_samples(max(40, 4 * n_mono), seed)
     grads = _monomial_gradients(values, monomials)       # (m, n_mono, k)
-    brackets = np.array([bracket_matrix_at(inv, u) for u in points])
+    brackets = np.array([_bracket_from_jacobian(inv, jac) for jac in jacobians])
 
     # {m_alpha, H_j}(u) = sum_i dm_alpha/dH_i(u) * {H_i, H_j}(u)  (chain rule)
     rows = np.einsum("mai,mij->mja", grads, brackets).reshape(-1, n_mono)
@@ -622,13 +636,12 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
 
     # numeric verification at fresh points: candidates must commute with the
     # Cartan combinations and pairwise among themselves
-    check_points = inv.sample_points(20, seed + 1)
-    vals = np.array([inv.member_values(u) for u in check_points])
+    _, vals, jac_chk = inv._screened_samples(20, seed + 1)
     grad_chk = _monomial_gradients(vals, monomials)
-    brk_chk = np.array([bracket_matrix_at(inv, u) for u in check_points])
+    brk_chk = np.array([_bracket_from_jacobian(inv, jac) for jac in jac_chk])
     # gradient of a candidate in member space at each point: (m, cand, k)
     cand_grad = np.einsum("ca,mai->mci", candidates, grad_chk)
-    cartan_grad = np.broadcast_to(cartan.vectors, (len(check_points),) + cartan.vectors.shape)
+    cartan_grad = np.broadcast_to(cartan.vectors, (len(vals),) + cartan.vectors.shape)
     cross = np.einsum("mci,mij,mdj->mcd", cand_grad, brk_chk, cartan_grad)
     pairwise = np.einsum("mci,mij,mdj->mcd", cand_grad, brk_chk, cand_grad)
     verified = []

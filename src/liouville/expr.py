@@ -32,7 +32,7 @@ __all__ = [
     "Const", "Var", "Param", "Neg", "Call", "BinOp", "Pow", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError",
     "UnboundSymbolError",
-    "parse", "to_string", "differentiate", "evaluate", "simplify",
+    "parse", "to_string", "differentiate", "gradient", "evaluate", "simplify",
     "sample_eval_points", "dimension_of",
     "parameters_of", "variables_of", "substitute_param", "compile_functions",
     "q", "p", "const", "param",
@@ -112,6 +112,24 @@ class _Node:
     def __str__(self):
         return to_string(self)
 
+    def __getstate__(self):
+        # a cached hash holds only in the process that computed it
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def _cached_hash(node) -> int:
+    """The hash dataclass generates (of the field tuple), kept in the
+    instance after the first call.  It stays out of the fields, so ``repr``
+    and ``==`` are the generated ones, and a subtree shared by many trees is
+    hashed once rather than once per enclosing dict lookup."""
+    h = node.__dict__.get("_hash")
+    if h is None:
+        h = node.__dict__["_hash"] = hash(
+            tuple([getattr(node, name) for name in node.__dataclass_fields__]))
+    return h
+
 
 @dataclass(frozen=True)
 class Const(_Node):
@@ -131,12 +149,14 @@ class Param(_Node):
 @dataclass(frozen=True)
 class Neg(_Node):
     arg: "Expr"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Call(_Node):
     func: str  # one of FUNCTIONS
     arg: "Expr"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -144,12 +164,14 @@ class BinOp(_Node):
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Pow(_Node):
     base: "Expr"
     exponent: float
+    __hash__ = _cached_hash
 
 
 Expr = Union[Const, Var, Param, Neg, Call, BinOp, Pow]
@@ -442,62 +464,106 @@ def differentiate(e: Expr, symbol: str) -> Expr:
     symbol name is treated as a parameter and differentiated the same way.
     Constants and unrelated symbols have derivative zero.
     """
-    return simplify(_diff(e, symbol)[0])
+    return gradient(e, (symbol,))[0]
 
 
-def _diff(e: Expr, s: str) -> tuple[Expr, bool]:
-    """(unsimplified derivative of ``e``, whether ``e`` mentions ``s``).
+def gradient(e: Expr, symbols: Sequence[str]) -> tuple[Expr, ...]:
+    """Simplified partial derivatives of ``e``, one per named symbol.
 
-    A subtree that does not mention ``s`` differentiates straight to
-    ``Const(0.0)``, the constant its full derivative tree simplifies to, so
-    the work is linear in the tree.  Neg is the exception: a symbol-free
-    ``Neg`` keeps its wrapper, because its full derivative simplifies to
-    ``Const(-0.0)``.  The trees match the full derivative's while every
-    folded constant is finite: a symbol-free subtree that folds to inf
-    (``1e200*1e200``) differentiates to 0 here, where the full tree meets
-    inf*0 and reads nan.
+    The partials are built in one pass over ``e``: which symbols each
+    subtree mentions is found once, and one simplification memo serves
+    every symbol, so a subtree of ``e`` that recurs in every partial (the
+    ``g`` of ``d(f*g) = df*g + f*dg``) is simplified once.
     """
-    if isinstance(e, Const):
-        return Const(0.0), False
-    if isinstance(e, (Var, Param)):
-        return (Const(1.0), True) if e.name == s else (Const(0.0), False)
-    if isinstance(e, Neg):
-        inner, mentions = _diff(e.arg, s)
-        return Neg(inner), mentions
-    if isinstance(e, BinOp):
-        (da, in_left), (db, in_right) = _diff(e.left, s), _diff(e.right, s)
-        if not (in_left or in_right):
-            return Const(0.0), False
-        if e.op == "+":
-            return BinOp("+", da, db), True
-        if e.op == "-":
-            return BinOp("-", da, db), True
-        if e.op == "*":
-            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db)), True
-        num = BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db))
-        return BinOp("/", num, Pow(e.right, 2.0)), True
-    if isinstance(e, Pow):
-        inner, mentions = _diff(e.base, s)
-        if not mentions:
-            return Const(0.0), False
-        scaled = BinOp("*", Const(e.exponent), Pow(e.base, e.exponent - 1.0))
-        return BinOp("*", scaled, inner), True
-    if isinstance(e, Call):
-        inner, mentions = _diff(e.arg, s)
-        if not mentions:
-            return Const(0.0), False
-        if e.func == "ln":
-            outer = BinOp("/", Const(1.0), e.arg)
-        elif e.func == "sqrt":
-            outer = BinOp("/", Const(0.5), Call("sqrt", e.arg))
-        elif e.func == "sin":
-            outer = Call("cos", e.arg)
-        elif e.func == "cos":
-            outer = Neg(Call("sin", e.arg))
-        else:
-            outer = Call("exp", e.arg)
-        return BinOp("*", outer, inner), True
+    bits = {s: 1 << i for i, s in enumerate(dict.fromkeys(symbols))}
+    masks = _symbol_masks(e, bits)
+    memo: dict[int, tuple[Expr, Expr]] = {}
+    return tuple(_simplify(_diff(e, bits[s], masks), memo) for s in symbols)
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    cls = type(e)
+    if cls is BinOp:
+        return (e.left, e.right)
+    if cls is Neg or cls is Call:
+        return (e.arg,)
+    if cls is Pow:
+        return (e.base,)
+    if cls is Const or cls is Var or cls is Param:
+        return ()
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _symbol_masks(e: Expr, bits: Mapping[str, int]) -> dict[int, int]:
+    """Node id -> OR of ``bits`` over the symbols under that node.
+
+    The walk is iterative and visits each distinct node once, so tree depth
+    is not bounded by Python's recursion limit.
+    """
+    masks: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in masks:
+            stack.pop()
+            continue
+        kids = _children(node)
+        pending = [c for c in kids if id(c) not in masks]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        mask = bits.get(node.name, 0) if type(node) in (Var, Param) else 0
+        for c in kids:
+            mask |= masks[id(c)]
+        masks[id(node)] = mask
+    return masks
+
+
+def _diff(e: Expr, bit: int, masks: Mapping[int, int]) -> Expr:
+    """Unsimplified derivative of ``e`` by the symbol whose bit is ``bit``.
+
+    A subtree that does not mention the symbol differentiates straight to
+    ``Const(0.0)``, the constant its full derivative tree simplifies to, so
+    the work is linear in the part of the tree that mentions it.  Neg is
+    the exception: a symbol-free ``Neg`` keeps its wrapper, because its
+    full derivative simplifies to ``Const(-0.0)``.  The trees match the
+    full derivative's while every folded constant is finite: a symbol-free
+    subtree that folds to inf (``1e200*1e200``) differentiates to 0 here,
+    where the full tree meets inf*0 and reads nan.
+    """
+    cls = type(e)
+    if cls is Neg:
+        return Neg(_diff(e.arg, bit, masks))
+    if not masks[id(e)] & bit:
+        return Const(0.0)
+    if cls is Var or cls is Param:
+        return Const(1.0)
+    if cls is BinOp:
+        da, db = _diff(e.left, bit, masks), _diff(e.right, bit, masks)
+        if e.op == "+":
+            return BinOp("+", da, db)
+        if e.op == "-":
+            return BinOp("-", da, db)
+        if e.op == "*":
+            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db))
+        num = BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db))
+        return BinOp("/", num, Pow(e.right, 2.0))
+    if cls is Pow:
+        scaled = BinOp("*", Const(e.exponent), Pow(e.base, e.exponent - 1.0))
+        return BinOp("*", scaled, _diff(e.base, bit, masks))
+    # a Call; _symbol_masks has refused every other node type
+    if e.func == "ln":
+        outer = BinOp("/", Const(1.0), e.arg)
+    elif e.func == "sqrt":
+        outer = BinOp("/", Const(0.5), Call("sqrt", e.arg))
+    elif e.func == "sin":
+        outer = Call("cos", e.arg)
+    elif e.func == "cos":
+        outer = Neg(Call("sin", e.arg))
+    else:
+        outer = Call("exp", e.arg)
+    return BinOp("*", outer, _diff(e.arg, bit, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -578,34 +644,45 @@ def simplify(e: Expr) -> Expr:
     The result evaluates identically to the input on every point where both
     are defined; this is deliberately not a full canonicalization.
     """
-    if isinstance(e, (Const, Var, Param)):
+    return _simplify(e, {})
+
+
+def _simplify(e: Expr, memo: dict[int, tuple[Expr, Expr]]) -> Expr:
+    """:func:`simplify` with a memo from node id to (node, result).
+
+    A node met again (a shared subtree, or the same subtree of one
+    expression in each of its partials) returns its first result.  The memo
+    holds each key node, so no id in it can be reused by a new node.
+    """
+    cls = type(e)
+    if cls is Const or cls is Var or cls is Param:
         return e
-    if isinstance(e, Neg):
-        arg = simplify(e.arg)
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if cls is Neg:
+        arg = _simplify(e.arg, memo)
         if isinstance(arg, Const):
-            return Const(-arg.value)
-        if isinstance(arg, Neg):
-            return arg.arg
-        return Neg(arg)
-    if isinstance(e, Call):
-        arg = simplify(e.arg)
-        if isinstance(arg, Const):
-            folded = _fold(_MATH[e.func], arg.value)
-            if folded is not None:
-                return folded
-        return Call(e.func, arg)
-    if isinstance(e, Pow):
-        base = simplify(e.base)
+            out = Const(-arg.value)
+        elif isinstance(arg, Neg):
+            out = arg.arg
+        else:
+            out = Neg(arg)
+    elif cls is Call:
+        arg = _simplify(e.arg, memo)
+        folded = _fold(_MATH[e.func], arg.value) if isinstance(arg, Const) else None
+        out = Call(e.func, arg) if folded is None else folded
+    elif cls is Pow:
+        base = _simplify(e.base, memo)
         if e.exponent == 0.0:
-            return Const(1.0)
-        if e.exponent == 1.0:
-            return base
-        if isinstance(base, Const):
-            folded = _fold(_pow, base.value, e.exponent)
-            if folded is not None:
-                return folded
-        return Pow(base, e.exponent)
-    if isinstance(e, BinOp) and e.op in ("+", "-"):
+            out = Const(1.0)
+        elif e.exponent == 1.0:
+            out = base
+        else:
+            folded = _fold(_pow, base.value, e.exponent) \
+                if isinstance(base, Const) else None
+            out = Pow(base, e.exponent) if folded is None else folded
+    elif cls is BinOp and e.op in ("+", "-"):
         # One pass down the left spine.  The bottom-left operand and every
         # right child are simplified on their own and flattened in leaf
         # order, which is the term list the nested recursion would rebuild
@@ -616,9 +693,9 @@ def simplify(e: Expr) -> Expr:
             spine.append((1 if node.op == "+" else -1, node.right))
             node = node.left
         raw: list[tuple[int, Expr]] = []
-        _add_terms(simplify(node), 1, raw)
+        _add_terms(_simplify(node, memo), 1, raw)
         for sign, right in reversed(spine):
-            _add_terms(simplify(right), sign, raw)
+            _add_terms(_simplify(right, memo), sign, raw)
         const_acc = 0.0
         terms: list[tuple[int, Expr] | None] = []
         # exact +t / -t pairs cancel (structural equality): each term takes
@@ -634,12 +711,11 @@ def simplify(e: Expr) -> Expr:
             else:
                 live.setdefault((sign, t), deque()).append(len(terms))
                 terms.append((sign, t))
-        return _rebuild_sum([st for st in terms if st is not None], const_acc)
-    if isinstance(e, BinOp) and e.op == "*":
-        left = simplify(e.left)
-        right = simplify(e.right)
+        out = _rebuild_sum([st for st in terms if st is not None], const_acc)
+    elif cls is BinOp and e.op == "*":
         factors: list[Expr] = []
-        sign = _mul_factors(BinOp("*", left, right), factors)
+        sign = _mul_factors(BinOp("*", _simplify(e.left, memo),
+                                  _simplify(e.right, memo)), factors)
         const_acc = float(sign)
         kept: list[Expr] = []
         for f in factors:
@@ -647,20 +723,22 @@ def simplify(e: Expr) -> Expr:
                 const_acc *= f.value
             else:
                 kept.append(f)
-        if const_acc == 0.0:
-            return Const(0.0)
-        return _rebuild_product(kept, const_acc)
-    if isinstance(e, BinOp) and e.op == "/":
-        num = simplify(e.left)
-        den = simplify(e.right)
+        out = Const(0.0) if const_acc == 0.0 else _rebuild_product(kept, const_acc)
+    elif cls is BinOp and e.op == "/":
+        num = _simplify(e.left, memo)
+        den = _simplify(e.right, memo)
         if _is_zero(num):
-            return Const(0.0)
-        if _is_one(den):
-            return num
-        if isinstance(num, Const) and isinstance(den, Const) and den.value != 0.0:
-            return Const(num.value / den.value)
-        return BinOp("/", num, den)
-    raise TypeError(f"not an expression node: {e!r}")
+            out = Const(0.0)
+        elif _is_one(den):
+            out = num
+        elif isinstance(num, Const) and isinstance(den, Const) and den.value != 0.0:
+            out = Const(num.value / den.value)
+        else:
+            out = BinOp("/", num, den)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = (e, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +753,8 @@ def _symbol_names(exprs: Sequence[Expr], kind: type) -> set[str]:
         e = stack.pop()
         if isinstance(e, kind):
             names.add(e.name)
-        elif isinstance(e, (Neg, Call)):
-            stack.append(e.arg)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
+        else:
+            stack.extend(_children(e))
     return names
 
 

@@ -207,7 +207,12 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
     tol = config.tolerance
     y = list(map(float, y0))
     f = rhs(y)
-    h_abs = _initial_step(rhs, y, f, t_final, tol)
+    try:
+        h_abs = _initial_step(rhs, y, f, t_final, tol)
+    except DomainError:
+        # the step-size probe left the domain: no step from the start is
+        # known to stay inside it
+        return Trajectory(np.array([0.0]), np.array([y]), error="domain_error")
     t = 0.0
     ts = [t]
     ys = [y]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import BinOp, Const, Expr, Neg, differentiate, simplify
+from .expr import BinOp, Const, Expr, Neg, gradient, simplify
 
 __all__ = [
     "SymplecticStructure", "VectorFieldExpr",
@@ -40,6 +40,12 @@ class SymplecticStructure:
     def canonical(cls, n: int) -> "SymplecticStructure":
         return cls(n, (1.0,) * n)
 
+    @property
+    def coordinates(self) -> tuple[str, ...]:
+        """Symbol names in state order: q1..qn, p1..pn."""
+        return tuple(f"q{j}" for j in range(1, self.n + 1)) + \
+            tuple(f"p{j}" for j in range(1, self.n + 1))
+
 
 @dataclass(frozen=True)
 class VectorFieldExpr:
@@ -56,16 +62,15 @@ class VectorFieldExpr:
 
 def poisson_bracket(f: Expr, g: Expr, structure: SymplecticStructure) -> Expr:
     """Simplified expression for {f, g} under the structure's weights."""
+    n = structure.n
+    df = gradient(f, structure.coordinates)
+    dg = gradient(g, structure.coordinates)
     total: Expr | None = None
-    for j in range(1, structure.n + 1):
-        df_dp = differentiate(f, f"p{j}")
-        dg_dq = differentiate(g, f"q{j}")
-        df_dq = differentiate(f, f"q{j}")
-        dg_dp = differentiate(g, f"p{j}")
+    for w, df_dq, df_dp, dg_dq, dg_dp in zip(structure.weights, df[:n], df[n:],
+                                             dg[:n], dg[n:]):
         term = simplify(BinOp("-", BinOp("*", df_dp, dg_dq), BinOp("*", df_dq, dg_dp)))
         if term == Const(0.0):
             continue
-        w = structure.weights[j - 1]
         if w != 1.0:
             term = BinOp("*", Const(1.0 / w), term)
         total = term if total is None else BinOp("+", total, term)
@@ -76,12 +81,11 @@ def poisson_bracket(f: Expr, g: Expr, structure: SymplecticStructure) -> Expr:
 
 def hamiltonian_vector_field(h: Expr, structure: SymplecticStructure) -> VectorFieldExpr:
     """Flow field of h: dq_j = (1/xi_j) dh/dp_j, dp_j = -(1/xi_j) dh/dq_j."""
+    n = structure.n
+    dh = gradient(h, structure.coordinates)
     dq = []
     dp = []
-    for j in range(1, structure.n + 1):
-        w = structure.weights[j - 1]
-        dh_dp = differentiate(h, f"p{j}")
-        dh_dq = differentiate(h, f"q{j}")
+    for w, dh_dq, dh_dp in zip(structure.weights, dh[:n], dh[n:]):
         if w != 1.0:
             dh_dp = BinOp("*", Const(1.0 / w), dh_dp)
             dh_dq = BinOp("*", Const(1.0 / w), dh_dq)

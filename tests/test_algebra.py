@@ -604,3 +604,39 @@ def test_point_params_override_compiled_binding():
     assert bracket_matrix_at(inv, other)[0, 1] == pytest.approx(-12.5)
     assert bracket_matrix_at(inv, plain)[0, 1] == pytest.approx(-2.0)
     assert list(inv.member_values(plain)) == [3.0, 1.0]
+
+
+def _count_compiled_calls(monkeypatch):
+    calls = {"values": 0, "gradients": 0}
+    original = InvariantSet._call_compiled
+
+    def counting(self, what, point):
+        calls[what] += 1
+        return original(self, what, point)
+
+    monkeypatch.setattr(InvariantSet, "_call_compiled", counting)
+    return calls
+
+
+def test_fit_evaluates_each_screened_point_once(monkeypatch):
+    # the values and Jacobians that screen the sampled points are the ones
+    # the fit uses; vortices3 rejects none of the 60 points
+    inv = get_system("vortices3").invariants
+    calls = _count_compiled_calls(monkeypatch)
+    fit_structure_constants(inv, samples=60)
+    assert calls == {"values": 60, "gradients": 60}
+
+
+def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
+    system = get_system("vortices3")
+    inv = system.invariants
+    u = probe_points(system, 1)[0]
+    element = find_level_point(inv, inv.member_values(u), u)
+    calls = _count_compiled_calls(monkeypatch)
+    cartan = cartan_basis_at(inv, element)
+    # the witness once, then 5 sampled points
+    assert calls == {"values": 6, "gradients": 6}
+    calls.update(values=0, gradients=0)
+    search_polynomial_completion(inv, cartan, element)
+    # 4 * 14 ansatz points and 20 check points
+    assert calls == {"values": 76, "gradients": 76}

@@ -1,4 +1,4 @@
-"""simplify and differentiate against the reference trees in oracles.py.
+"""simplify, differentiate and gradient against the reference trees.
 
 The library walks a sum's left spine once and cancels through a dict, and it
 differentiates a subtree without the symbol straight to zero.  Both must
@@ -6,16 +6,20 @@ give exactly the trees of the nested recursion and the full derivative, so
 the comparison is on ``repr``, which also tells 0.0 from -0.0.  The trees
 come from seeded generators, so every run checks the same cases.
 """
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, parse, simplify,
+    BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, gradient, parse,
+    simplify, to_string,
 )
 from liouville.expr import FUNCTIONS
 from oracles import full_derivative, nested_simplify
+from test_expr import _random_expr
 
 # small constants and exponents keep every folded constant finite at depth 4
 CONSTS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0)
@@ -126,3 +130,86 @@ def test_symbol_free_overflowing_subtree_differentiates_to_zero():
     e = parse("1e200*1e200*q2", 2)
     assert repr(nested_simplify(full_derivative(e, "p1"))) == "Const(value=nan)"
     assert repr(differentiate(e, "p1")) == "Const(value=0.0)"
+
+
+GRADIENT_SYMBOLS = ("q1", "q2", "p1", "p2")
+# -0.0, symbol-free Neg wrappers (one and two deep) and subtrees that fold
+# to inf, alone and next to the symbols
+GRADIENT_EDGES = (
+    parse("1e200*1e200*q2", 2), parse("q1*(1e200*1e200)+p2", 2),
+    Neg(Var("q1")), BinOp("*", Neg(Var("q1")), Var("q2")),
+    Neg(Neg(BinOp("*", Var("p1"), Const(-0.0)))),
+    BinOp("-", Neg(Neg(Var("q1"))), Neg(Const(-0.0))),
+    BinOp("/", Const(-0.0), Neg(Var("p2"))),
+    Call("exp", BinOp("*", Neg(Param("a")), Var("q1"))),
+)
+
+
+def _digest_trees():
+    """The 200 seeded random trees that STRUCTURAL_DIGEST hashes."""
+    rng = np.random.default_rng(2718)
+    return [_random_expr(rng) for _ in range(200)]
+
+
+def _printed(e):
+    try:
+        return to_string(e)
+    except ValueError:      # a non-finite constant has no printed form
+        return None
+
+
+@pytest.mark.parametrize("trees", [_digest_trees, _trees,
+                                   lambda: list(GRADIENT_EDGES)],
+                         ids=["digest", "generators", "edges"])
+def test_gradient_matches_per_symbol_differentiate(trees):
+    for e in trees():
+        got = gradient(e, GRADIENT_SYMBOLS)
+        want = [differentiate(e, s) for s in GRADIENT_SYMBOLS]
+        assert [repr(g) for g in got] == [repr(w) for w in want], e
+        assert [_printed(g) for g in got] == [_printed(w) for w in want], e
+        # the memo shared across symbols does not depend on their order
+        backwards = gradient(e, GRADIENT_SYMBOLS[::-1])
+        assert [repr(g) for g in backwards[::-1]] == [repr(w) for w in want], e
+
+
+def test_gradient_edges_match_full_derivative_tree():
+    for e in GRADIENT_EDGES[2:]:      # the first two fold to inf
+        for s, got in zip(GRADIENT_SYMBOLS, gradient(e, GRADIENT_SYMBOLS)):
+            assert repr(got) == repr(nested_simplify(full_derivative(e, s))), (e, s)
+
+
+def test_cached_hash_is_structural():
+    text = "ln((q1-q2)^2+(p1-p2)^2)*exp(-q1)/(2+sin(p1))"
+    a, b = parse(text, 2), parse(text, 2)
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    # the hash dataclass generates: of the field tuple
+    assert hash(a) == hash((a.op, a.left, a.right))
+    assert hash(Neg(a)) == hash(Neg(b)) == hash((a,))
+    assert len({a, b, Neg(a), Neg(b)}) == 2
+
+
+def test_cached_hash_keeps_equality_of_signed_zeros_and_nan():
+    assert Const(0.0) == Const(-0.0)
+    assert Neg(Const(0.0)) == Neg(Const(-0.0))
+    assert hash(Neg(Const(0.0))) == hash(Neg(Const(-0.0)))
+    nan_a, nan_b = Const(float("nan")), Const(float("nan"))
+    assert nan_a != nan_b and nan_a == nan_a
+    left, right = BinOp("+", nan_a, Var("q1")), BinOp("+", nan_b, Var("q1"))
+    hash(left), hash(right)
+    assert left != right and left == BinOp("+", nan_a, Var("q1"))
+    assert left in {left} and right not in {left}
+
+
+def test_cached_hash_stays_out_of_fields_repr_and_pickle():
+    e = parse("-(q1+p1)^3", 1)
+    before = repr(e)
+    hash(e)
+    assert repr(e) == before == \
+        "Neg(arg=Pow(base=BinOp(op='+', left=Var(name='q1'), " \
+        "right=Var(name='p1')), exponent=3.0))"
+    assert [f.name for f in dataclasses.fields(e)] == ["arg"]
+    assert dataclasses.astuple(e.arg.base) == ("+", ("q1",), ("p1",))
+    # a hash cached in one process does not travel to another
+    again = pickle.loads(pickle.dumps(e))
+    assert "_hash" not in again.__dict__ and again == e

@@ -334,6 +334,17 @@ def test_domain_blowup_truncates_with_flag():
     assert traj.times[-1] == pytest.approx(0.08)
 
 
+def test_adaptive_step_probe_outside_domain_truncates_with_flag():
+    # the field is defined at q1 = 1e-12, but the probe state of the
+    # initial step-size estimate already has q1 < 0, where sqrt is not
+    h = parse("p1^2/2 + sqrt(q1)", 1)
+    traj = integrate(h, S1, EvalPoint((1e-12,), (-1.0,)), 1.0)
+    assert traj.error == "domain_error"
+    assert traj.accepted_steps == 0
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.tolist() == [[1e-12, -1.0]]
+
+
 def test_max_steps_truncates_with_flag():
     osc = get_system("oscillator")
     traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 100.0,

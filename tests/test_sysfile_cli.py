@@ -327,19 +327,42 @@ def test_analyze_one_member_is_closed():
     assert results["jacobi_defect"] == 0.0 and results["solvable"] is True
 
 
-def test_analyze_and_mf_check_sixteen_vortices(tmp_path):
-    path = tmp_path / "vortices16.sys"
-    path.write_text(export_system_file(get_system("vortices", {"n": 16})),
+def _vortex_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"vortices{n}.sys"
+    path.write_text(export_system_file(get_system("vortices", {"n": n})),
                     encoding="utf-8")
-    results = report_of(["analyze", str(path)])["results"]
+    return str(path)
+
+
+def _assert_vortex_verdicts(path: str, n: int) -> None:
+    results = report_of(["analyze", path])["results"]
     assert results["k"] == 4 and results["closed"] is True
     assert results["residual"] < 1e-9 and results["jacobi_defect"] < 1e-9
     assert results["solvable"] is True and results["independent"] is True
-    report = report_of(["mf-check", str(path)])
+    report = report_of(["mf-check", path])
     assert report["results"] == {
-        "dim_g": 4, "rank_g": 2, "dim_m": 32, "holds": False}
-    code, out, _ = run_cli(["mf-check", str(path), "--strict"])
+        "dim_g": 4, "rank_g": 2, "dim_m": 2 * n, "holds": False}
+    code, out, _ = run_cli(["mf-check", path, "--strict"])
     assert code == 1 and json.loads(out)["verdict"] is False
+
+
+def test_analyze_and_mf_check_sixteen_vortices(tmp_path):
+    _assert_vortex_verdicts(_vortex_file(tmp_path, 16), 16)
+
+
+def test_analyze_and_mf_check_twenty_four_vortices(tmp_path):
+    _assert_vortex_verdicts(_vortex_file(tmp_path, 24), 24)
+
+
+def test_simulate_twenty_four_vortices(tmp_path):
+    report = report_of(["simulate", _vortex_file(tmp_path, 24), "--t", "0.1"])
+    results = report["results"]
+    assert report["verdict"] is True and results["error"] is None
+    assert results["t_final"] == pytest.approx(0.1)
+    assert len(results["final_state"]) == 48
+    # P1, P2, P and H are invariants of the flow
+    assert set(results["drift"]) == {"P1", "P2", "P", "H"}
+    assert all(v <= 1e-7 for v in results["drift"].values())
 
 
 def _vortex_level_arg():
@@ -475,6 +498,33 @@ def test_simulate_symmetric_domain_truncation_fails_strict(tmp_path):
     path = tmp_path / "log.sys"
     path.write_text(LOG_SYSTEM, encoding="utf-8")
     code, out, err = run_cli(["simulate", str(path), *LOG_RUN, "--strict"])
+    assert code == 1, err
+    assert json.loads(out)["results"]["error"] == "domain_error"
+
+
+SQRT_SYSTEM = (
+    "[system]\n"
+    "dimension = 1\n"
+    "hamiltonian = p1^2/2 + sqrt(q1)\n"
+    "[invariants]\n"
+    "H = p1^2/2 + sqrt(q1)\n"
+)
+# H and the field are defined at the start; the adaptive scheme's first
+# step-size probe is not
+SQRT_RUN = ["--t", "1", "--from", "1e-12 | -1"]
+
+
+def test_simulate_adaptive_truncates_where_the_step_probe_leaves_the_domain(tmp_path):
+    path = tmp_path / "sqrt.sys"
+    path.write_text(SQRT_SYSTEM, encoding="utf-8")
+    report = report_of(["simulate", str(path), *SQRT_RUN])
+    results = report["results"]
+    assert report["verdict"] is False
+    assert report["warnings"] == ["trajectory truncated: domain_error"]
+    assert results["error"] == "domain_error"
+    assert results["accepted_steps"] == 0 and results["samples"] == 1
+    assert results["final_state"] == [1e-12, -1.0]
+    code, out, err = run_cli(["simulate", str(path), *SQRT_RUN, "--strict"])
     assert code == 1, err
     assert json.loads(out)["results"]["error"] == "domain_error"
 
