@@ -232,8 +232,8 @@ def _solve_root(g, lam: float, lo: float, hi: float,
     return best_w
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = 160) -> tuple[float, float]:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float
+                ) -> tuple[float, float]:
     """Golden-section minimum of a scalar function on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -241,7 +241,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     d = a + inv_phi * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(iters):
+    for _ in range(160):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -395,9 +395,9 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _branch_integral(g, a: float, b: float, sign: int, take_abs: bool,
+def _branch_integral(g, a: float, b: float, sign: int,
                      stop_abs: float, stop_rel: float, scale: float) -> float:
-    """integral of w(lam) (or |w|) over [a, b] by Gauss-Legendre doubling.
+    """integral of w(lam) over [a, b] by Gauss-Legendre doubling.
 
     The substitution lam = mid + halfwidth*sin(theta) turns the
     inverse-square-root behaviour of dlam near a turning point into an
@@ -421,8 +421,7 @@ def _branch_integral(g, a: float, b: float, sign: int, take_abs: bool,
             except NoRealRootError as exc:
                 raise QuadratureError(
                     f"lost the real branch inside the interval: {exc}") from None
-            f = abs(w) if take_abs else w
-            total += gw * f * hw * 0.5 * math.pi * math.cos(theta)
+            total += gw * w * hw * 0.5 * math.pi * math.cos(theta)
         if prev is not None and \
                 abs(total - prev) <= max(stop_abs, stop_rel * (1.0 + abs(total))):
             return total
@@ -443,7 +442,8 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     if lam_minus == lam_plus:
         return 0.0
     scale = _root_scale(max(abs(lam_minus), abs(lam_plus)), hv)
-    value = _branch_integral(g, lam_minus, lam_plus, 1, True,
+    # on the + branch every root is >= +0.0, so w is |w|
+    value = _branch_integral(g, lam_minus, lam_plus, 1,
                              GAMMA_STEP_TOL, 1e-12, scale)
     return value / math.pi
 
@@ -514,7 +514,7 @@ def _primitive(chart, s, spec, h_side) -> float:
                     "endpoint") from None
             ends.append(v)
     scale = _root_scale(max(abs(ends[0]), abs(ends[1])), h_side)
-    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, False,
+    return _branch_integral(g, ends[0], ends[1], deg.branch_sign,
                             1e-14, TIME_REL_TOL, scale)
 
 

@@ -264,13 +264,8 @@ def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
                   ) -> tuple[int, np.ndarray, np.ndarray]:
     """(rank, singular values, right singular vectors as rows); the rank
     counts the singular values above rcond times the largest."""
-    if matrix.size == 0:
-        return 0, np.zeros(0), np.zeros((0, matrix.shape[1] if matrix.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s, vt
-    rank = int(np.sum(s > rcond * s[0]))
-    return rank, s, vt
+    return int(np.sum(s > rcond * s[0])), s, vt
 
 
 def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    Call, EvalPoint, Expr, Param, ParseError, const, p, parse,
+    Call, EvalPoint, Expr, Param, ParseError, _fmt_number, const, p, parse,
     parameters_of, q, simplify, substitute_param, to_string,
 )
 from .symplectic import SymplecticStructure
@@ -296,10 +296,6 @@ def probe_points(system: SystemDefinition, count: int = 5,
     return points
 
 
-def _fmt(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 def export_system_file(system: SystemDefinition) -> str:
     """Render a definition in the system-file format (see the sysfile
     module), with three probe points."""
@@ -308,7 +304,7 @@ def export_system_file(system: SystemDefinition) -> str:
         "[system]",
         f"name = {system.name}",
         f"dimension = {s.n}",
-        f"weights = {', '.join(_fmt(w) for w in s.weights)}",
+        f"weights = {', '.join(_fmt_number(w) for w in s.weights)}",
         f"seed = {system.seed}",
     ]
     if system.non_invariant:
@@ -325,17 +321,17 @@ def export_system_file(system: SystemDefinition) -> str:
         lines.append("[chart]")
         lines.append(f"h_dim = {chart.h_dim}")
         for key in sorted(chart.params):
-            lines.append(f"param.{key} = {_fmt(chart.params[key])}")
+            lines.append(f"param.{key} = {_fmt_number(chart.params[key])}")
         for j, deg in enumerate(chart.degrees, start=1):
             lines.append(f"residual_{j} = {to_string(deg.residual)}")
             a, b = deg.bracket
-            lines.append(f"bracket_{j} = {_fmt(a)}, {_fmt(b)}")
+            lines.append(f"bracket_{j} = {_fmt_number(a)}, {_fmt_number(b)}")
             if deg.branch_sign != 1:
                 lines.append(f"branch_{j} = {deg.branch_sign}")
     lines.append("")
     lines.append("[probes]")
     for pt in probe_points(system, 3):
-        qs = ", ".join(_fmt(v) for v in pt.q)
-        ps = ", ".join(_fmt(v) for v in pt.p)
+        qs = ", ".join(_fmt_number(v) for v in pt.q)
+        ps = ", ".join(_fmt_number(v) for v in pt.p)
         lines.append(f"point = {qs} | {ps}")
     return "\n".join(lines) + "\n"

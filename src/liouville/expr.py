@@ -494,27 +494,32 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _symbol_masks(e: Expr, bits: Mapping[str, int]) -> dict[int, int]:
-    """Node id -> OR of ``bits`` over the symbols under that node.
-
-    The walk is iterative and visits each distinct node once, so tree depth
-    is not bounded by Python's recursion limit.
+def _postorder(roots: Sequence[Expr]) -> list[Expr]:
+    """Each distinct node (by id) under ``roots`` once, children before
+    parents and left to right.  The walk is iterative, so tree depth is not
+    bounded by Python's recursion limit; a 1-tuple ``(node,)`` on the stack
+    marks the exit from a node whose children were pushed.
     """
-    masks: dict[int, int] = {}
-    stack = [e]
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
     while stack:
-        node = stack[-1]
-        if id(node) in masks:
-            stack.pop()
-            continue
-        kids = _children(node)
-        pending = [c for c in kids if id(c) not in masks]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+        node = stack.pop()
+        if type(node) is tuple:
+            order.append(node[0])
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node,))
+            stack.extend(reversed(_children(node)))
+    return order
+
+
+def _symbol_masks(e: Expr, bits: Mapping[str, int]) -> dict[int, int]:
+    """Node id -> OR of ``bits`` over the symbols under that node."""
+    masks: dict[int, int] = {}
+    for node in _postorder((e,)):
         mask = bits.get(node.name, 0) if type(node) in (Var, Param) else 0
-        for c in kids:
+        for c in _children(node):
             mask |= masks[id(c)]
         masks[id(node)] = mask
     return masks
@@ -539,12 +544,18 @@ def _diff(e: Expr, bit: int, masks: Mapping[int, int]) -> Expr:
         return Const(0.0)
     if cls is Var or cls is Param:
         return Const(1.0)
+    if cls is BinOp and e.op in ("+", "-"):
+        # one loop down the left spine, so a sum's length costs no frames
+        spine: list[BinOp] = []
+        while type(e) is BinOp and e.op in ("+", "-") and masks[id(e)] & bit:
+            spine.append(e)
+            e = e.left
+        out = _diff(e, bit, masks)
+        for node in reversed(spine):
+            out = BinOp(node.op, out, _diff(node.right, bit, masks))
+        return out
     if cls is BinOp:
         da, db = _diff(e.left, bit, masks), _diff(e.right, bit, masks)
-        if e.op == "+":
-            return BinOp("+", da, db)
-        if e.op == "-":
-            return BinOp("-", da, db)
         if e.op == "*":
             return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db))
         num = BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db))
@@ -747,15 +758,7 @@ def _simplify(e: Expr, memo: dict[int, tuple[Expr, Expr]]) -> Expr:
 
 def _symbol_names(exprs: Sequence[Expr], kind: type) -> set[str]:
     """Names of the ``kind`` nodes (Var or Param) anywhere in the trees."""
-    names: set[str] = set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, kind):
-            names.add(e.name)
-        else:
-            stack.extend(_children(e))
-    return names
+    return {e.name for e in _postorder(exprs) if isinstance(e, kind)}
 
 
 def variables_of(*exprs: Expr) -> set[str]:
@@ -873,37 +876,23 @@ def _emit(exprs: Sequence[Expr], n: int,
     subtree is written inline into its parent.  Each temporary performs the
     same floating-point operations, in the same order, as the tree walk
     ``reference_evaluate`` in tests/oracles.py.
-    The walk is iterative, so tree depth is not bounded by Python's
-    recursion limit.
     """
     # distinct subtrees in post-order: children always precede parents
     slot_of_id: dict[int, int] = {}
     slot_of_key: dict[tuple, int] = {}
     templates: list[str] = []
     kids: list[tuple[int, ...]] = []
-    roots: list[int] = []
-    for root in exprs:
-        stack: list[tuple] = [(root, None, ())]
-        while stack:
-            node, template, children = stack.pop()
-            if template is None:            # first visit
-                if id(node) in slot_of_id:
-                    continue
-                template, children = _template(node, n, param_index)
-                pending = [c for c in children if id(c) not in slot_of_id]
-                if pending:
-                    stack.append((node, template, children))
-                    stack.extend((c, None, ()) for c in reversed(pending))
-                    continue
-            child_slots = tuple([slot_of_id[id(c)] for c in children])
-            key = (template,) + child_slots
-            slot = slot_of_key.get(key)
-            if slot is None:
-                slot = slot_of_key[key] = len(templates)
-                templates.append(template)
-                kids.append(child_slots)
-            slot_of_id[id(node)] = slot
-        roots.append(slot_of_id[id(root)])
+    for node in _postorder(exprs):
+        template, children = _template(node, n, param_index)
+        child_slots = tuple([slot_of_id[id(c)] for c in children])
+        key = (template,) + child_slots
+        slot = slot_of_key.get(key)
+        if slot is None:
+            slot = slot_of_key[key] = len(templates)
+            templates.append(template)
+            kids.append(child_slots)
+        slot_of_id[id(node)] = slot
+    roots = [slot_of_id[id(root)] for root in exprs]
 
     uses = [0] * len(templates)
     for child_slots in kids:

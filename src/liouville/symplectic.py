@@ -86,10 +86,11 @@ def hamiltonian_vector_field(h: Expr, structure: SymplecticStructure) -> VectorF
     dq = []
     dp = []
     for w, dh_dq, dh_dp in zip(structure.weights, dh[:n], dh[n:]):
+        # gradient's partials are simplified already; only a new node is not
         if w != 1.0:
-            dh_dp = BinOp("*", Const(1.0 / w), dh_dp)
+            dh_dp = simplify(BinOp("*", Const(1.0 / w), dh_dp))
             dh_dq = BinOp("*", Const(1.0 / w), dh_dq)
-        dq.append(simplify(dh_dp))
+        dq.append(dh_dp)
         dp.append(simplify(Neg(dh_dq)))
     return VectorFieldExpr(structure, tuple(dq), tuple(dp))
 

@@ -256,6 +256,13 @@ def test_algebra_rank_vortices():
         assert _rank(bracket_matrix_at(system.invariants, u)) == 2
 
 
+def test_algebra_rank_vortices_45():
+    # H sums 990 log terms: too long a sum for one Python frame per term
+    system = get_system("vortices", {"n": 45})
+    r, constant = algebra_rank(system.invariants, probe_points(system, 6))
+    assert (r, constant) == (2, True)
+
+
 def test_algebra_rank_central_field():
     system = get_system("central_field")
     r, constant = algebra_rank(system.invariants, probe_points(system, 6))

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, gradient, parse,
-    simplify, to_string,
+    BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, dimension_of,
+    gradient, parameters_of, parse, simplify, to_string, variables_of,
 )
-from liouville.expr import FUNCTIONS
+from liouville.expr import FUNCTIONS, _children, _postorder
 from oracles import full_derivative, nested_simplify
 from test_expr import _random_expr
 
@@ -108,8 +108,27 @@ def test_constant_folding_at_domain_edges_matches_tree_walk(e):
     assert repr(simplify(e)) == repr(nested_simplify(e))
 
 
+def _long_mixed_sum(rng, terms):
+    """A left-nested sum of ``terms`` random depth-2 trees, constants and
+    negated trees, under both signs."""
+    node = _random_tree(rng, 2)
+    for _ in range(terms - 1):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            operand = Const(_pick(rng, CONSTS))
+        elif kind == 1:
+            operand = Neg(_random_tree(rng, 2))
+        else:
+            operand = _random_tree(rng, 2)
+        node = BinOp(_pick(rng, "+-"), node, operand)
+    return node
+
+
 def test_differentiate_matches_full_derivative_tree():
-    for e in _trees():
+    # the long sum stays under the recursion limit of the reference trees;
+    # the library walks its spine in a loop
+    long_sum = _long_mixed_sum(np.random.default_rng(400), 400)
+    for e in _trees() + [long_sum]:
         for s in ("q1", "p1", "a"):
             want = nested_simplify(full_derivative(e, s))
             assert repr(differentiate(e, s)) == repr(want), (e, s)
@@ -167,6 +186,8 @@ def test_gradient_matches_per_symbol_differentiate(trees):
         want = [differentiate(e, s) for s in GRADIENT_SYMBOLS]
         assert [repr(g) for g in got] == [repr(w) for w in want], e
         assert [_printed(g) for g in got] == [_printed(w) for w in want], e
+        # a partial is simplified already: simplify leaves it as it is
+        assert [repr(simplify(g)) for g in got] == [repr(g) for g in got], e
         # the memo shared across symbols does not depend on their order
         backwards = gradient(e, GRADIENT_SYMBOLS[::-1])
         assert [repr(g) for g in backwards[::-1]] == [repr(w) for w in want], e
@@ -213,3 +234,56 @@ def test_cached_hash_stays_out_of_fields_repr_and_pickle():
     # a hash cached in one process does not travel to another
     again = pickle.loads(pickle.dumps(e))
     assert "_hash" not in again.__dict__ and again == e
+
+
+# ---------------------------------------------------------------------------
+# the shared post-order walk
+
+
+def _recursive_postorder(roots):
+    seen, order = set(), []
+
+    def visit(e):
+        if id(e) not in seen:
+            seen.add(id(e))
+            for c in _children(e):
+                visit(c)
+            order.append(e)
+
+    for root in roots:
+        visit(root)
+    return order
+
+
+def test_postorder_lists_each_node_once_children_first_left_to_right():
+    shared = BinOp("*", Var("q1"), Param("a"))
+    twin = BinOp("*", Var("q1"), Param("a"))       # equal, but another node
+    neg = Neg(BinOp("-", shared, twin))
+    tree = BinOp("+", shared, neg)
+    q2 = Var("q2")
+    want = [shared.left, shared.right, shared, twin.left, twin.right, twin,
+            neg.arg, neg, tree, q2]
+    assert [id(e) for e in _postorder([tree, shared, q2])] == \
+        [id(e) for e in want]
+
+
+def test_postorder_matches_recursive_walk_on_shared_trees():
+    # gradients share subtrees (the g of d(f*g) = df*g + f*dg), and the
+    # order is the slot order _emit numbers its temporaries in
+    for e in _trees()[:80]:
+        roots = (e,) + gradient(e, GRADIENT_SYMBOLS)
+        assert [id(n) for n in _postorder(roots)] == \
+            [id(n) for n in _recursive_postorder(roots)], e
+
+
+def test_postorder_walks_a_chain_deeper_than_the_recursion_limit():
+    bottom = BinOp("*", Var("q3"), Param("k"))
+    e = bottom
+    for _ in range(100_000):
+        e = Neg(e)
+    order = _postorder([e])
+    assert len(order) == 100_003
+    assert order[2] is bottom and order[-1] is e
+    assert variables_of(e) == {"q3"}
+    assert parameters_of(e) == {"k"}
+    assert dimension_of(e) == 3

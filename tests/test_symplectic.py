@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from liouville import (
-    Const, SymplecticStructure, VectorFieldExpr, evaluate, get_system,
-    hamiltonian_vector_field, poisson_bracket, sample_eval_points, simplify,
+    Const, Neg, SymplecticStructure, VectorFieldExpr, evaluate, get_system,
+    gradient, hamiltonian_vector_field, list_systems, poisson_bracket,
+    sample_eval_points, simplify,
 )
 from liouville.expr import BinOp, const, p, q
 from oracles import numerically_equivalent
@@ -55,6 +56,24 @@ def test_weighted_moment_field_is_rotation():
     for j in range(3):
         assert numerically_equivalent(field.dq[j], p(j + 1))
         assert numerically_equivalent(field.dp[j], simplify(-q(j + 1)))
+
+
+@pytest.mark.parametrize("name", list_systems())
+def test_vector_field_components_are_the_simplified_partials(name):
+    # a unit weight leaves dq_j as gradient returned it, unsimplified again
+    s = get_system(name)
+    n = s.structure.n
+    dh = gradient(s.hamiltonian, s.structure.coordinates)
+    field = hamiltonian_vector_field(s.hamiltonian, s.structure)
+    for j, w in enumerate(s.structure.weights):
+        dh_dq, dh_dp = dh[j], dh[n + j]
+        if w == 1.0:
+            assert repr(field.dq[j]) == repr(dh_dp)
+        else:
+            dh_dq = BinOp("*", Const(1.0 / w), dh_dq)
+            dh_dp = BinOp("*", Const(1.0 / w), dh_dp)
+        assert repr(field.dq[j]) == repr(simplify(dh_dp))
+        assert repr(field.dp[j]) == repr(simplify(Neg(dh_dq)))
 
 
 def test_constant_hamiltonian_gives_zero_field():

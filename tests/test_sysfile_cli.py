@@ -706,10 +706,27 @@ def test_simulate_long_sum_hamiltonian(tmp_path):
     assert np.isfinite(drift) and drift <= 1e-8
 
 
-def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
+def test_very_deep_sum_is_ranked_analysed_and_simulated(tmp_path):
+    # a 3000-term sum is deeper than the recursion limit; differentiation
+    # and simplification walk a sum's spine in a loop
     path = tmp_path / "deep.sys"
     path.write_text(_long_sum_system(3000), encoding="utf-8")
-    code, out, err = run_cli(["rank", str(path)])
+    path = str(path)
+    rank = report_of(["rank", path])["results"]
+    assert (rank["rank"], rank["constant_rank"]) == (1, True)
+    assert report_of(["mf-check", path])["results"]["holds"] is True
+    analysis = report_of(["analyze", path])["results"]
+    assert analysis["closed"] is True and analysis["independent"] is True
+    report = report_of(["simulate", path, "--t", "1", "--from", "1 | 0"])
+    drift = report["results"]["drift"]["H"]
+    assert np.isfinite(drift) and drift <= 1e-8
+
+
+def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
+    # cartan prints its combinations, and printing still recurses per level
+    path = tmp_path / "deep.sys"
+    path.write_text(_long_sum_system(3000), encoding="utf-8")
+    code, out, err = run_cli(["cartan", str(path), "--h", "0.5"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
