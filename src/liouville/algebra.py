@@ -66,9 +66,10 @@ class InvariantSet:
 
     ``params`` holds fixed bindings for any named parameters appearing in
     the member expressions; sampled probe points inherit them.  Member
-    values and gradients are evaluated by callables compiled once per
-    parameter binding (see :func:`compile_functions`), which match the
-    tree walk ``reference_evaluate`` in tests/oracles.py bit for bit.
+    values and gradients come from one function compiled per parameter
+    binding (see :func:`compile_functions`), so each point costs one call;
+    its outputs match the tree walk ``reference_evaluate`` in
+    tests/oracles.py bit for bit.
     """
 
     structure: SymplecticStructure
@@ -113,32 +114,30 @@ class InvariantSet:
             self._grad_cache[i] = gradient(self.exprs[i], self.structure.coordinates)
         return self._grad_cache[i]
 
-    def _call_compiled(self, what: str, point: EvalPoint) -> tuple[float, ...]:
-        """Run the compiled members ("values") or the flattened member
-        gradients ("gradients") at a point, compiling them on first use for
-        the point's parameter binding."""
+    def _evaluate(self, point: EvalPoint) -> tuple[np.ndarray, np.ndarray]:
+        """(member values (k,), Jacobian (k, 2n)) at a point, from one call of
+        the function compiled on first use for the point's parameter
+        binding: the k members followed by their k * 2n gradient partials."""
         u = self.bind(point)
         n = self.structure.n
         if u.n < n:
             raise UnboundSymbolError(
                 f"a {u.n}-degree point cannot bind a {n}-degree phase space")
-        key = (what, tuple(sorted(u.params.items())))
+        key = tuple(sorted(u.params.items()))
         fn = self._compiled.get(key)
         if fn is None:
-            if what == "values":
-                exprs = self.exprs
-            else:
-                exprs = [g for i in range(self.k) for g in self.gradient_exprs(i)]
+            exprs = self.exprs + tuple(
+                g for i in range(self.k) for g in self.gradient_exprs(i))
             fn = self._compiled[key] = compile_functions(exprs, n, u.params)
-        return fn(u.q[:n] + u.p[:n])
+        out = np.array(fn(u.q[:n] + u.p[:n]))
+        return out[:self.k], out[self.k:].reshape(self.k, 2 * n)
 
     def member_values(self, point: EvalPoint) -> np.ndarray:
-        return np.array(self._call_compiled("values", point))
+        return self._evaluate(point)[0]
 
     def jacobian_at(self, point: EvalPoint) -> np.ndarray:
         """(k, 2n) matrix of dH_i/dq_1..dq_n, dH_i/dp_1..dp_n."""
-        flat = self._call_compiled("gradients", point)
-        return np.array(flat).reshape(self.k, 2 * self.structure.n)
+        return self._evaluate(point)[1]
 
     def sample_points(self, count: int, seed: int) -> list[EvalPoint]:
         """Seeded points where every member and every member gradient (hence
@@ -166,8 +165,7 @@ class InvariantSet:
             for u in batch:
                 drawn += 1
                 try:
-                    value = self.member_values(u)
-                    jacobian = self.jacobian_at(u)
+                    value, jacobian = self._evaluate(u)
                 except DomainError:
                     continue
                 good.append(u)
@@ -423,7 +421,9 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
 
     Convergence means the root-sum-square of the component misfits drops to
     1e-10 or below within 200 iterations; the resulting point becomes the
-    witness of the returned :class:`RegularElement`.
+    witness of the returned :class:`RegularElement`.  A trial point where a
+    member or a member gradient leaves the domain is rejected, so the
+    witness always has a defined bracket matrix.
     """
     target = np.array([float(v) for v in values])
     if len(target) != inv.k:
@@ -432,33 +432,31 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     state = np.array(u.q + u.p, dtype=float)
     n = inv.structure.n
 
-    def residual_at(y: np.ndarray) -> np.ndarray:
-        pt = EvalPoint(tuple(y[:n]), tuple(y[n:]), u.params)
-        return inv.member_values(pt) - target
+    def residual_at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, jac = inv._evaluate(EvalPoint(tuple(y[:n]), tuple(y[n:]), u.params))
+        return values - target, jac
 
     try:
-        r = residual_at(state)
+        r, jac = residual_at(state)
     except DomainError as exc:
         raise ConvergenceError(f"guess point is outside the domain: {exc}") from None
     best = float(np.linalg.norm(r))
     for _ in range(_LEVEL_MAX_ITER):
         if best <= _LEVEL_TOL:
             break
-        pt = EvalPoint(tuple(state[:n]), tuple(state[n:]), u.params)
-        jac = inv.jacobian_at(pt)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         improved = False
         while alpha >= 1e-6:
             trial = state + alpha * step
             try:
-                r_trial = residual_at(trial)
+                r_trial, jac_trial = residual_at(trial)
             except DomainError:
                 alpha *= 0.5
                 continue
             norm_trial = float(np.linalg.norm(r_trial))
             if norm_trial < best:
-                state, r, best = trial, r_trial, norm_trial
+                state, r, jac, best = trial, r_trial, jac_trial, norm_trial
                 improved = True
                 break
             alpha *= 0.5
@@ -482,13 +480,12 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     """
     if element.witness is None:
         raise RegularityError("regular element has no witness point")
-    witness = inv.bind(element.witness)
-    level = inv.member_values(witness)
+    level, jac = inv._evaluate(element.witness)
     err = float(np.max(np.abs(level - np.array(element.values))))
     if err > 1e-8:
         raise RegularityError(
             f"witness misses the level values by {err:.3e}")
-    m = bracket_matrix_at(inv, witness)
+    m = _bracket_from_jacobian(inv, jac)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
     _, _, jacobians = inv._screened_samples(5, seed)

@@ -590,16 +590,17 @@ def _is_one(e: Expr) -> bool:
 
 
 def _add_terms(e: Expr, sign: int, out: list[tuple[int, Expr]]):
-    if isinstance(e, BinOp) and e.op == "+":
-        _add_terms(e.left, sign, out)
-        _add_terms(e.right, sign, out)
-    elif isinstance(e, BinOp) and e.op == "-":
-        _add_terms(e.left, sign, out)
-        _add_terms(e.right, -sign, out)
-    elif isinstance(e, Neg):
-        _add_terms(e.arg, -sign, out)
-    else:
-        out.append((sign, e))
+    # an explicit stack, with the right operand pushed first so that the
+    # terms pop in leaf order; a sum of any depth costs no Python frames
+    stack = [(sign, e)]
+    while stack:
+        sign, e = stack.pop()
+        if isinstance(e, BinOp) and e.op in ("+", "-"):
+            stack += [(sign if e.op == "+" else -sign, e.right), (sign, e.left)]
+        elif isinstance(e, Neg):
+            stack.append((-sign, e.arg))
+        else:
+            out.append((sign, e))
 
 
 def _mul_factors(e: Expr, out: list[Expr]) -> int:
@@ -777,22 +778,21 @@ def parameters_of(*exprs: Expr) -> set[str]:
 
 
 def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of parameter ``name`` by ``replacement``."""
-    if isinstance(e, Param):
-        return replacement if e.name == name else e
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute_param(e.arg, name, replacement))
-    if isinstance(e, Call):
-        return Call(e.func, substitute_param(e.arg, name, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute_param(e.base, name, replacement), e.exponent)
-    if isinstance(e, BinOp):
-        return BinOp(e.op,
-                     substitute_param(e.left, name, replacement),
-                     substitute_param(e.right, name, replacement))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Replace every occurrence of parameter ``name`` by ``replacement``.
+
+    Each distinct node is rebuilt once, from its fields with every child
+    replaced by that child's result, in post-order, so the depth of ``e`` is
+    not bounded by the recursion limit.
+    """
+    out: dict[int, Expr] = {}
+    for node in _postorder((e,)):
+        if type(node) is Param and node.name == name:
+            out[id(node)] = replacement
+        else:
+            fields = [getattr(node, f) for f in node.__dataclass_fields__]
+            out[id(node)] = type(node)(*[
+                out[id(v)] if isinstance(v, _Node) else v for v in fields])
+    return out[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +820,8 @@ def sample_eval_points(n: int, count: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # compilation to plain Python callables (flow fields, conserved quantities,
-# chart residuals, and the member values and gradients behind every bracket
-# matrix)
+# chart residuals, and one function per invariant set that returns its
+# member values followed by their gradients, behind every bracket matrix)
 
 _BINOP_TEMPLATES = {op: f"({{}}{op}{{}})" for op in "+-*/"}
 # Longest chain of nested operations written into one statement.  Deeper

@@ -19,7 +19,7 @@ from liouville.action_angle import (
     turning_points,
 )
 from liouville.catalog import get_system
-from liouville.expr import EvalPoint, Param, const, simplify
+from liouville.expr import EvalPoint, Param, const, parse, simplify
 from liouville.flows import IntegratorConfig, integrate
 
 W = Param("w")
@@ -293,3 +293,11 @@ def test_chart_params_bind_fixed_symbols():
 def test_error_hierarchy():
     assert issubclass(NoRealRootError, ChartError)
     assert issubclass(QuadratureError, ChartError)
+
+
+def test_action_of_a_long_chart_residual():
+    # 2000 terms of lam^2/2000: the oscillator chart, whose action is h_1
+    terms = " + ".join(["0.0005*lam^2"] * 2000)
+    residual = parse(f"w^2 + {terms} - 2*h_1", 0)
+    chart = SeparableChart((ChartDegree(residual, (-8.0, 8.0)),), h_dim=1)
+    assert action_spectrum(chart, [0.7]).gammas[0] == pytest.approx(0.7, abs=1e-12)

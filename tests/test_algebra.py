@@ -613,25 +613,26 @@ def test_point_params_override_compiled_binding():
     assert list(inv.member_values(plain)) == [3.0, 1.0]
 
 
-def _count_compiled_calls(monkeypatch):
-    calls = {"values": 0, "gradients": 0}
-    original = InvariantSet._call_compiled
+def _count_evaluations(monkeypatch):
+    """The states (q + p) of the InvariantSet._evaluate calls, in order."""
+    points = []
+    original = InvariantSet._evaluate
 
-    def counting(self, what, point):
-        calls[what] += 1
-        return original(self, what, point)
+    def counting(self, point):
+        points.append(point.q + point.p)
+        return original(self, point)
 
-    monkeypatch.setattr(InvariantSet, "_call_compiled", counting)
-    return calls
+    monkeypatch.setattr(InvariantSet, "_evaluate", counting)
+    return points
 
 
 def test_fit_evaluates_each_screened_point_once(monkeypatch):
     # the values and Jacobians that screen the sampled points are the ones
     # the fit uses; vortices3 rejects none of the 60 points
     inv = get_system("vortices3").invariants
-    calls = _count_compiled_calls(monkeypatch)
+    points = _count_evaluations(monkeypatch)
     fit_structure_constants(inv, samples=60)
-    assert calls == {"values": 60, "gradients": 60}
+    assert len(points) == 60
 
 
 def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
@@ -639,11 +640,43 @@ def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
     inv = system.invariants
     u = probe_points(system, 1)[0]
     element = find_level_point(inv, inv.member_values(u), u)
-    calls = _count_compiled_calls(monkeypatch)
+    points = _count_evaluations(monkeypatch)
     cartan = cartan_basis_at(inv, element)
     # the witness once, then 5 sampled points
-    assert calls == {"values": 6, "gradients": 6}
-    calls.update(values=0, gradients=0)
+    assert len(points) == 6
+    points.clear()
     search_polynomial_completion(inv, cartan, element)
     # 4 * 14 ansatz points and 20 check points
-    assert calls == {"values": 76, "gradients": 76}
+    assert len(points) == 76
+
+
+def test_level_solve_evaluates_each_trial_once(monkeypatch):
+    # a trial's one evaluation gives its residual and, once accepted, the
+    # Jacobian of the next step: no point is evaluated twice
+    s = SymplecticStructure.canonical(1)
+    points = _count_evaluations(monkeypatch)
+    linear = InvariantSet(s, ("F",), (parse("q1 + p1", 1),))
+    find_level_point(linear, (3.0,), EvalPoint((0.0,), (0.0,)))
+    assert len(points) == 2 and points[1] == pytest.approx((1.5, 1.5))
+    system = get_system("vortices3")
+    u = probe_points(system, 1, seed=10)[0]
+    guess = EvalPoint(tuple(v + 0.05 for v in u.q), tuple(v - 0.05 for v in u.p))
+    for inv, target, start in [
+            (InvariantSet(s, ("F",), (parse("sqrt(q1)", 1),)), (0.0,),
+             EvalPoint((1.0,), (0.0,))),
+            (system.invariants, system.invariants.member_values(u), guess)]:
+        points.clear()
+        find_level_point(inv, target, start)
+        assert len(points) > 2 and len(set(points)) == len(points)
+
+
+def test_level_solve_rejects_trials_where_a_gradient_leaves_the_domain():
+    # sqrt(q1) = 0 holds at q1 = 0, where the gradient 0.5/sqrt(q1) divides
+    # by zero; the witness stays inside the domain, so it has a bracket matrix
+    s = SymplecticStructure.canonical(1)
+    inv = InvariantSet(s, ("F",), (parse("sqrt(q1)", 1),))
+    element = find_level_point(inv, (0.0,), EvalPoint((1.0,), (0.0,)))
+    assert element.witness.q[0] > 0.0
+    assert abs(inv.member_values(element.witness)[0]) <= 1e-10
+    assert np.all(np.isfinite(inv.jacobian_at(element.witness)))
+    assert cartan_basis_at(inv, element).dimension == 1

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, Neg, Param, Pow, Var, differentiate, dimension_of,
-    gradient, parameters_of, parse, simplify, to_string, variables_of,
+    BinOp, Call, Const, Neg, Param, Pow, Var, compile_functions,
+    differentiate, dimension_of, gradient, parameters_of, parse, simplify,
+    substitute_param, to_string, variables_of,
 )
 from liouville.expr import FUNCTIONS, _children, _postorder
 from oracles import full_derivative, nested_simplify
@@ -287,3 +288,37 @@ def test_postorder_walks_a_chain_deeper_than_the_recursion_limit():
     assert variables_of(e) == {"q3"}
     assert parameters_of(e) == {"k"}
     assert dimension_of(e) == 3
+    out = substitute_param(e, "k", Var("q1"))
+    assert variables_of(out) == {"q1", "q3"} and parameters_of(out) == set()
+    for _ in range(100_000):
+        out = out.arg
+    assert out == BinOp("*", Var("q3"), Var("q1"))
+
+
+@pytest.mark.parametrize("sign, want", [("+", 3000.0), ("-", -3000.0)])
+def test_gradient_of_a_long_parenthesized_sum(sign, want):
+    # the simplified inner sum is flattened into the outer sum's terms
+    e = parse(f"p1^2/2 {sign} (" + " + ".join(["0.5*q1^2"] * 3000) + ")", 1)
+    (dq1,) = gradient(e, ("q1",))
+    assert compile_functions([dq1], 1)((1.0, 0.0)) == (want,)
+
+
+def _recursive_substitute(e, name, replacement):
+    if isinstance(e, Param) and e.name == name:
+        return replacement
+    if not _children(e):
+        return e
+    kids = [_recursive_substitute(c, name, replacement) for c in _children(e)]
+    if isinstance(e, BinOp):
+        return BinOp(e.op, *kids)
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    return Neg(kids[0]) if isinstance(e, Neg) else Call(e.func, kids[0])
+
+
+def test_substitute_param_matches_recursive_rebuild():
+    replacement = parse("q2*p1 - 1", 2)
+    for e in _trees():
+        for root in (e,) + gradient(e, GRADIENT_SYMBOLS):
+            assert repr(substitute_param(root, "a", replacement)) == \
+                repr(_recursive_substitute(root, "a", replacement)), root
