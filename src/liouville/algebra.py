@@ -69,7 +69,10 @@ class InvariantSet:
     values and gradients come from one function compiled per parameter
     binding (see :func:`compile_functions`), so each point costs one call;
     its outputs match the tree walk ``reference_evaluate`` in
-    tests/oracles.py bit for bit.
+    tests/oracles.py bit for bit.  Screened sample batches are memoised per
+    (seed, parameter binding), so the structure-constant fit, the probes,
+    the Cartan regularity check and the completion search evaluate each
+    sampled point once per set.
     """
 
     structure: SymplecticStructure
@@ -99,6 +102,7 @@ class InvariantSet:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
         self._grad_cache: dict[int, tuple[Expr, ...]] = {}
         self._compiled: dict[tuple, Callable] = {}
+        self._batches: dict[tuple, list[tuple]] = {}
 
     @property
     def k(self) -> int:
@@ -142,14 +146,23 @@ class InvariantSet:
     def sample_points(self, count: int, seed: int) -> list[EvalPoint]:
         """Seeded points where every member and every member gradient (hence
         the bracket matrix) evaluates; resamples domain failures up to a
-        10x oversampling cap."""
+        10x oversampling cap.  The screened batches are memoised (see
+        :meth:`_screened_samples`), so the returned points are shared with
+        every other request for the same seed."""
         return self._screened_samples(count, seed)[0]
 
     def _screened_samples(self, count: int, seed: int
                           ) -> tuple[list[EvalPoint], np.ndarray, np.ndarray]:
         """:meth:`sample_points` with the member values (count, k) and
-        Jacobians (count, k, 2n) that screened the points, so that no
-        caller evaluates a sampled point twice."""
+        Jacobians (count, k, 2n) that screened the points.
+
+        The i-th batch is drawn with ``seed + i`` and has ``count`` points,
+        the first ``count`` of the points that seed draws (a batch's first
+        points do not depend on its size).  Each batch is read through a memo
+        keyed by its seed and the parameter binding, which evaluates a point
+        when the screening first reaches it: the fit, the probes, the Cartan
+        check and the completion evaluate each sampled point once per set.
+        """
         good: list[EvalPoint] = []
         values: list[np.ndarray] = []
         jacobians: list[np.ndarray] = []
@@ -159,21 +172,38 @@ class InvariantSet:
             if drawn >= 10 * count:
                 raise SamplingError(
                     f"could not find {count} sample points clear of domain errors")
-            batch = sample_eval_points(self.structure.n, count, batch_seed,
-                                       params=self.params)
-            batch_seed += 1
-            for u in batch:
+            for u, value, jacobian in self._screened_batch(batch_seed, count):
                 drawn += 1
-                try:
-                    value, jacobian = self._evaluate(u)
-                except DomainError:
+                if value is None:
                     continue
                 good.append(u)
                 values.append(value)
                 jacobians.append(jacobian)
                 if len(good) == count:
                     break
+            batch_seed += 1
         return good, np.array(values), np.array(jacobians)
+
+    def _screened_batch(self, seed: int, count: int
+                        ) -> Iterator[tuple[EvalPoint, np.ndarray | None,
+                                            np.ndarray | None]]:
+        """The first ``count`` memo entries (point, values, Jacobian) of the
+        batch drawn with ``seed``; values and Jacobian are None where the
+        point leaves the domain.  An entry is evaluated when first reached."""
+        binding = tuple(sorted(self.params.items()))
+        entries = self._batches.setdefault((seed, binding), [])
+        batch = None
+        for i in range(count):
+            if i == len(entries):
+                if batch is None:
+                    batch = sample_eval_points(self.structure.n, count, seed,
+                                               params=self.params)
+                try:
+                    value, jacobian = self._evaluate(batch[i])
+                except DomainError:
+                    value = jacobian = None
+                entries.append((batch[i], value, jacobian))
+            yield entries[i]
 
 
 @dataclass(frozen=True)
@@ -261,8 +291,17 @@ def build_combination(inv: InvariantSet, coeffs: Sequence[float]) -> Expr:
 def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
                   ) -> tuple[int, np.ndarray, np.ndarray]:
     """(rank, singular values, right singular vectors as rows); the rank
-    counts the singular values above rcond times the largest."""
-    u, s, vt = np.linalg.svd(matrix, full_matrices=True)
+    counts the singular values above rcond times the largest.
+
+    A square or tall matrix gets the reduced SVD, whose ``s`` and ``vt``
+    equal the full one's bit for bit without building the (rows, rows) U of
+    a tall completion system.  A wide matrix keeps the full SVD: its reduced
+    ``vt`` rows can differ from the full ones in the last bit, and the
+    completion search reads the leading rows of its wide exclusion and
+    candidate spans.
+    """
+    rows, cols = matrix.shape
+    _, s, vt = np.linalg.svd(matrix, full_matrices=rows < cols)
     return int(np.sum(s > rcond * s[0])), s, vt
 
 

@@ -7,6 +7,7 @@ from liouville import (
     BinOp, Call, Const, DomainError, EvalPoint, ExprError, Neg, Param, Pow,
     UnboundSymbolError, Var, dimension_of, sample_eval_points, to_string,
 )
+from liouville.algebra import SamplingError
 from liouville.expr import (
     _add_terms, _mul_factors, _rebuild_product, _rebuild_sum,
     compile_functions,
@@ -122,6 +123,42 @@ def numerically_equivalent(a, b) -> bool:
     if used == 0:
         raise ValueError("every sampled point hit a domain error")
     return True
+
+
+# ---------------------------------------------------------------------------
+# the screening loop that draws and evaluates every batch afresh, which the
+# memoised InvariantSet._screened_samples must match bit for bit
+
+
+def reference_screened_samples(inv, count, seed):
+    """(points, values (count, k), Jacobians (count, k, 2n)) of ``count``
+    seeded points where every member and member gradient evaluates; batch i
+    has ``count`` points drawn with ``seed + i``, and SamplingError is raised
+    once 10 * count points were drawn."""
+    good = []
+    values = []
+    jacobians = []
+    drawn = 0
+    batch_seed = seed
+    while len(good) < count:
+        if drawn >= 10 * count:
+            raise SamplingError(
+                f"could not find {count} sample points clear of domain errors")
+        batch = sample_eval_points(inv.structure.n, count, batch_seed,
+                                   params=inv.params)
+        batch_seed += 1
+        for u in batch:
+            drawn += 1
+            try:
+                value, jacobian = inv._evaluate(u)
+            except DomainError:
+                continue
+            good.append(u)
+            values.append(value)
+            jacobians.append(jacobian)
+            if len(good) == count:
+                break
+    return good, np.array(values), np.array(jacobians)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from liouville.algebra import (
     AlgebraError, ConvergenceError, RegularityError, SamplingError,
     build_combination,
 )
-from liouville.expr import const, p, parse, q
+from liouville import algebra
+from liouville.expr import const, p, parse, q, sample_eval_points
 from liouville.sysfile import loads_system
-from oracles import reference_evaluate
+from oracles import reference_evaluate, reference_screened_samples
 
 
 def _rank(matrix, rcond=1e-8):
@@ -636,18 +637,161 @@ def test_fit_evaluates_each_screened_point_once(monkeypatch):
 
 
 def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
+    # the Cartan check's 5 points and the completion's 4 * 14 = 56 are
+    # prefixes of the seed-0 batch memoised on the set, so after a 60-point
+    # fit at seed 0 only the witness and the 20 seed-1 check points are new
     system = get_system("vortices3")
-    inv = system.invariants
     u = probe_points(system, 1)[0]
-    element = find_level_point(inv, inv.member_values(u), u)
     points = _count_evaluations(monkeypatch)
-    cartan = cartan_basis_at(inv, element)
-    # the witness once, then 5 sampled points
-    assert len(points) == 6
-    points.clear()
-    search_polynomial_completion(inv, cartan, element)
-    # 4 * 14 ansatz points and 20 check points
-    assert len(points) == 76
+    for fitted, cartan_count, completion_count in [(False, 6, 51 + 20),
+                                                   (True, 1, 20)]:
+        inv = get_system("vortices3").invariants
+        element = find_level_point(inv, inv.member_values(u), u)
+        points.clear()
+        if fitted:
+            fit_structure_constants(inv, 60, seed=0)
+            assert len(points) == 60
+        before = len(points)
+        cartan = cartan_basis_at(inv, element)
+        assert len(points) - before == cartan_count
+        before = len(points)
+        search_polynomial_completion(inv, cartan, element)
+        assert len(points) - before == completion_count
+        assert len(set(points)) == len(points)
+
+
+def _states(points):
+    return [u.q + u.p for u in points]
+
+
+def _sqrt_set():
+    # sqrt(q1) leaves the domain wherever the band draws q1 < 0: about half
+    # of the points
+    s = SymplecticStructure.canonical(1)
+    return InvariantSet(s, ("F",), (parse("sqrt(q1) + p1^2", 1),))
+
+
+def _sparse_set():
+    # about one band point in eight has q1, q2, q3 > 0
+    s = SymplecticStructure.canonical(3)
+    return InvariantSet(s, ("F", "G"),
+                        (parse("sqrt(q1) + sqrt(q2) + sqrt(q3)", 3),
+                         parse("p1^2 + g*p2", 3)), params={"g": 0.5})
+
+
+def _screen_like_reference(make, requests):
+    """Runs the (count, seed) requests in order on one fresh set through
+    the memo and on another through the reference loop; returns the memo's
+    results, None where the reference raised SamplingError."""
+    memo, ref = make(), make()
+    results = []
+    for count, seed in requests:
+        try:
+            want = reference_screened_samples(ref, count, seed)
+        except SamplingError as exc:
+            with pytest.raises(SamplingError, match=str(exc)):
+                memo._screened_samples(count, seed)
+            results.append(None)
+            continue
+        got = memo._screened_samples(count, seed)
+        assert _states(got[0]) == _states(want[0])
+        assert [u.params for u in got[0]] == [u.params for u in want[0]]
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+        assert np.array_equal(_bits(got[2]), _bits(want[2]))
+        results.append(got)
+    return results
+
+
+@pytest.mark.parametrize("make", [lambda: get_system("vortices3").invariants,
+                                  lambda: get_system("central_field").invariants,
+                                  _sqrt_set, _sparse_set],
+                         ids=["vortices3", "central_field", "sqrt", "sparse"])
+@pytest.mark.parametrize("requests", [
+    [(5, 0), (60, 0), (56, 0), (20, 1)],
+    [(60, 0), (5, 0), (20, 1), (56, 0)],
+    [(20, 1), (1, 0), (56, 0), (60, 0), (5, 0)],
+])
+def test_memoised_screening_matches_reference_loop(make, requests):
+    _screen_like_reference(make, requests)
+
+
+def test_memoised_screening_refills_from_later_seeds():
+    # half the seed-0 batch of 5 leaves the domain, so the request reads the
+    # seed-1 batch too, as the reference loop does
+    got = _screen_like_reference(_sqrt_set, [(5, 0), (2, 1), (8, 0)])
+    for (points, _, _), count in [(got[0], 5), (got[2], 8)]:
+        first_batch = _states(sample_eval_points(1, count, 0))
+        assert not set(_states(points)) <= set(first_batch)
+
+
+def test_memoised_screening_raises_sampling_error_with_the_reference():
+    # seeds 1184..1194 all draw a first point with q1 < 0, so a 1-point
+    # request at 1184 or 1185 gives up after 10 draws; the 3-point request
+    # fills longer batches of the same seeds first
+    assert _screen_like_reference(_sqrt_set, [(3, 1184), (1, 1184), (1, 1185),
+                                              (2, 1184), (1, 1186)])[1] is None
+    for counts in [range(1, 9), range(8, 0, -1)]:
+        results = _screen_like_reference(_sparse_set, [(c, 80) for c in counts])
+        outcomes = {c: r is None for c, r in zip(counts, results)}
+        assert outcomes[2] and not outcomes[1]
+
+
+@pytest.mark.parametrize("make, count, seed", [
+    (lambda: get_system("vortices3").invariants, 60, 0),
+    (_sqrt_set, 5, 0), (_sqrt_set, 56, 3), (_sparse_set, 6, 80),
+    (_sparse_set, 7, 80)], ids=["vortices3", "sqrt-5", "sqrt-56", "sparse-6",
+                                "sparse-7-raises"])
+def test_cold_screening_evaluates_the_reference_states_only(monkeypatch, make,
+                                                            count, seed):
+    # no look-ahead: a cold request evaluates exactly the points the
+    # reference loop evaluates, in its order, also when both give up
+    points = _count_evaluations(monkeypatch)
+    outcomes = []
+    for screen in (lambda inv: reference_screened_samples(inv, count, seed),
+                   lambda inv: inv._screened_samples(count, seed)):
+        points.clear()
+        try:
+            screen(make())
+            outcomes.append((True, list(points)))
+        except SamplingError:
+            outcomes.append((False, list(points)))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][1]) >= count
+
+
+def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
+    # every matrix ranked by a catalog analysis: the structure fit's design
+    # and the completion systems (tall), bracket matrices (square), member
+    # Jacobians and completion spans (wide)
+    matrices = []
+    original = algebra._numeric_rank
+
+    def recording(matrix, rcond=algebra.RANK_RCOND):
+        matrices.append(np.array(matrix))
+        return original(matrix, rcond)
+
+    monkeypatch.setattr(algebra, "_numeric_rank", recording)
+    for name in list_systems():
+        system = get_system(name)
+        inv = system.invariants
+        is_solvable(fit_structure_constants(inv, 60, system.seed,
+                                            allow_central=True))
+        probes = probe_points(system, 6)
+        algebra_rank(inv, probes)
+        functional_independence(inv, probes)
+        element = find_level_point(inv, inv.member_values(probes[0]), probes[0])
+        cartan = cartan_basis_at(inv, element, system.seed)
+        search_polynomial_completion(inv, cartan, element, 2, system.seed)
+    shapes = {"tall": 0, "square": 0, "wide": 0}
+    for m in matrices:
+        rows, cols = m.shape
+        shapes["tall" if rows > cols else "square" if rows == cols else "wide"] += 1
+        _, s_full, vt_full = np.linalg.svd(m, full_matrices=True)
+        rank, s, vt = original(m)
+        assert rank == _rank(m)
+        assert np.array_equal(_bits(s), _bits(s_full))
+        assert np.array_equal(_bits(vt), _bits(vt_full))
+    assert min(shapes.values()) > 10, shapes
 
 
 def test_level_solve_evaluates_each_trial_once(monkeypatch):
