@@ -77,20 +77,19 @@ class _Checks:
 
 def _values(exprs, points) -> np.ndarray:
     """Values of ``exprs`` (columns) at ``points`` (rows), compiled once for
-    the dimension and parameter binding that the points share."""
-    fn = compile_functions(exprs, points[0].n, points[0].params)
+    the dimension that the points share."""
+    fn = compile_functions(exprs, points[0].n)
     return np.array([fn(u.q + u.p) for u in points])
 
 
 def _max_table_defect(inv: InvariantSet, expected: dict, points) -> float:
     """Worst |{H_a,H_b}(u) - expected(u)| over the table and the points,
     with the bracket built symbolically as an independent oracle."""
-    bound = [inv.bind(u) for u in points]
     worst = 0.0
     for (a, b), rhs in expected.items():
         i, j = inv.names.index(a), inv.names.index(b)
         lhs = poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure)
-        values = _values([lhs, rhs], bound)
+        values = _values([lhs, rhs], points)
         worst = max(worst, float(np.max(np.abs(values[:, 0] - values[:, 1]))))
     return worst
 
@@ -183,7 +182,7 @@ def criterion_4() -> _Checks:
     if family:
         p1e, p2e, pe = sub.exprs
         target = simplify(const(float(sum(xi))) * pe - p1e * p1e - p2e * p2e)
-        pts = [sub.bind(u) for u in sub.sample_points(30, 17)]
+        pts = sub.sample_points(30, 17)
         tv = _values([target], pts)[:, 0]
         fm = _values(family, pts)
         coef, *_ = np.linalg.lstsq(fm, tv, rcond=None)
@@ -194,7 +193,7 @@ def criterion_4() -> _Checks:
         triple = [inv.exprs[3], inv.exprs[2], family[0]]
         brackets = [poisson_bracket(f, g, system.structure)
                     for f, g in itertools.combinations(triple, 2)]
-        bpts = [inv.bind(u) for u in inv.sample_points(20, 21)]
+        bpts = inv.sample_points(20, 21)
         worst = float(np.max(np.abs(_values(brackets, bpts))))
         c.equal("abelian set size", len(triple), 3)
         c.bound("pairwise bracket of {H, P, Q} at 20 points", worst, 1e-8)
@@ -245,14 +244,14 @@ def criterion_7() -> _Checks:
     config = IntegratorConfig(tolerance=1e-9)
 
     v3 = get_system("vortices3")
-    u_v = v3.invariants.bind(EvalPoint((1.5, -1.2, 0.25), (0.9, 1.4, -0.5)))
+    u_v = EvalPoint((1.5, -1.2, 0.25), (0.9, 1.4, -0.5))
     traj = integrate(v3.hamiltonian, v3.structure, u_v, 50.0, config)
     c.equal("vortex trajectory error flag", traj.error, None)
     c.bound("vortex invariant drift over T=50",
             max(conservation_report(traj, v3.invariants).values()), 1e-6)
 
     cf = get_system("central_field")
-    u_c = cf.invariants.bind(EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8)))
+    u_c = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
     traj = integrate(cf.hamiltonian, cf.structure, u_c, 50.0, config)
     c.equal("central-field trajectory error flag", traj.error, None)
     c.bound("central-field invariant drift over T=50",
@@ -266,7 +265,7 @@ def criterion_7() -> _Checks:
     c.bound("Cartan-pair commutation defect (t=tau=5)", defect, 1e-6)
 
     tp = get_system("three_particles")
-    u_t = tp.invariants.bind(EvalPoint((-1.1, 0.2, 1.4), (0.3, -0.2, 0.5)))
+    u_t = EvalPoint((-1.1, 0.2, 1.4), (0.3, -0.2, 0.5))
     _, defect = flows_commute(tp.invariants.exprs[0], tp.invariants.exprs[1],
                               tp.structure, u_t, 0.5, 0.5)
     c.floor("energy/dilation commutation defect", defect, 1e-2)

@@ -90,9 +90,9 @@ class ChartDegree:
     @functools.cached_property
     def _pair(self) -> tuple[Expr, Expr]:
         """(R, dR/dw) over the compiled state (q1, p1) = (lam, w)."""
-        return tuple(
-            substitute_param(substitute_param(e, "lam", q(1)), "w", p(1))
-            for e in (self.residual, differentiate(self.residual, "w")))
+        r = substitute_param(substitute_param(self.residual, "lam", q(1)),
+                             "w", p(1))
+        return r, differentiate(r, "p1")
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,14 @@ class SamplingError(AlgebraError):
 class InvariantSet:
     """Ordered named invariants sharing one symplectic structure.
 
-    ``params`` holds fixed bindings for any named parameters appearing in
-    the member expressions; sampled probe points inherit them.  Member
-    values and gradients come from one function compiled per parameter
-    binding (see :func:`compile_functions`), so each point costs one call;
-    its outputs match the tree walk ``reference_evaluate`` in
+    ``params`` binds the named parameters of the member expressions; the
+    set copies it at construction and owns it, and points carry coordinates
+    only.  Member values and gradients come from one function compiled on
+    first use (see :func:`compile_functions`), so each point costs one
+    call; its outputs match the tree walk ``reference_evaluate`` in
     tests/oracles.py bit for bit.  Screened sample batches are memoised per
-    (seed, parameter binding), so the structure-constant fit, the probes,
-    the Cartan regularity check and the completion search evaluate each
-    sampled point once per set.
+    seed, so the structure-constant fit, the probes, the Cartan regularity
+    check and the completion search evaluate each sampled point once per set.
     """
 
     structure: SymplecticStructure
@@ -83,6 +82,7 @@ class InvariantSet:
     def __post_init__(self):
         self.names = tuple(self.names)
         self.exprs = tuple(self.exprs)
+        self.params = dict(self.params)
         if len(self.names) != len(self.exprs):
             raise ValueError("names and expressions must pair up")
         if len(self.names) != len(set(self.names)):
@@ -101,17 +101,12 @@ class InvariantSet:
         if unbound:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
         self._grad_cache: dict[int, tuple[Expr, ...]] = {}
-        self._compiled: dict[tuple, Callable] = {}
-        self._batches: dict[tuple, list[tuple]] = {}
+        self._compiled: Callable | None = None
+        self._batches: dict[int, list[tuple]] = {}
 
     @property
     def k(self) -> int:
         return len(self.names)
-
-    def bind(self, point: EvalPoint) -> EvalPoint:
-        merged = dict(self.params)
-        merged.update(point.params)
-        return EvalPoint(point.q, point.p, merged)
 
     def gradient_exprs(self, i: int) -> tuple[Expr, ...]:
         if i not in self._grad_cache:
@@ -120,20 +115,17 @@ class InvariantSet:
 
     def _evaluate(self, point: EvalPoint) -> tuple[np.ndarray, np.ndarray]:
         """(member values (k,), Jacobian (k, 2n)) at a point, from one call of
-        the function compiled on first use for the point's parameter
-        binding: the k members followed by their k * 2n gradient partials."""
-        u = self.bind(point)
+        the function compiled on first use: the k members followed by their
+        k * 2n gradient partials."""
         n = self.structure.n
-        if u.n < n:
+        if point.n < n:
             raise UnboundSymbolError(
-                f"a {u.n}-degree point cannot bind a {n}-degree phase space")
-        key = tuple(sorted(u.params.items()))
-        fn = self._compiled.get(key)
-        if fn is None:
+                f"a {point.n}-degree point cannot bind a {n}-degree phase space")
+        if self._compiled is None:
             exprs = self.exprs + tuple(
                 g for i in range(self.k) for g in self.gradient_exprs(i))
-            fn = self._compiled[key] = compile_functions(exprs, n, u.params)
-        out = np.array(fn(u.q[:n] + u.p[:n]))
+            self._compiled = compile_functions(exprs, n, self.params)
+        out = np.array(self._compiled(point.q[:n] + point.p[:n]))
         return out[:self.k], out[self.k:].reshape(self.k, 2 * n)
 
     def member_values(self, point: EvalPoint) -> np.ndarray:
@@ -159,9 +151,9 @@ class InvariantSet:
         The i-th batch is drawn with ``seed + i`` and has ``count`` points,
         the first ``count`` of the points that seed draws (a batch's first
         points do not depend on its size).  Each batch is read through a memo
-        keyed by its seed and the parameter binding, which evaluates a point
-        when the screening first reaches it: the fit, the probes, the Cartan
-        check and the completion evaluate each sampled point once per set.
+        keyed by its seed, which evaluates a point when the screening first
+        reaches it: the fit, the probes, the Cartan check and the completion
+        evaluate each sampled point once per set.
         """
         good: list[EvalPoint] = []
         values: list[np.ndarray] = []
@@ -190,14 +182,12 @@ class InvariantSet:
         """The first ``count`` memo entries (point, values, Jacobian) of the
         batch drawn with ``seed``; values and Jacobian are None where the
         point leaves the domain.  An entry is evaluated when first reached."""
-        binding = tuple(sorted(self.params.items()))
-        entries = self._batches.setdefault((seed, binding), [])
+        entries = self._batches.setdefault(seed, [])
         batch = None
         for i in range(count):
             if i == len(entries):
                 if batch is None:
-                    batch = sample_eval_points(self.structure.n, count, seed,
-                                               params=self.params)
+                    batch = sample_eval_points(self.structure.n, count, seed)
                 try:
                     value, jacobian = self._evaluate(batch[i])
                 except DomainError:
@@ -467,12 +457,11 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     target = np.array([float(v) for v in values])
     if len(target) != inv.k:
         raise ValueError("need one target value per member")
-    u = inv.bind(guess)
-    state = np.array(u.q + u.p, dtype=float)
+    state = guess.state()
     n = inv.structure.n
 
     def residual_at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, jac = inv._evaluate(EvalPoint(tuple(y[:n]), tuple(y[n:]), u.params))
+        values, jac = inv._evaluate(EvalPoint(tuple(y[:n]), tuple(y[n:])))
         return values - target, jac
 
     try:
@@ -504,7 +493,7 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     if best > _LEVEL_TOL:
         raise ConvergenceError(
             f"no convergence to the level set; best residual {best:.3e}")
-    witness = EvalPoint(tuple(state[:n]), tuple(state[n:]), u.params)
+    witness = EvalPoint(tuple(state[:n]), tuple(state[n:]))
     return RegularElement(tuple(target), witness)
 
 

@@ -288,8 +288,7 @@ def probe_points(system: SystemDefinition, count: int = 5,
     """
     if seed is None:
         seed = system.seed
-    points = [system.invariants.bind(pt)
-              for pt in system.suggested_probes[:count]]
+    points = list(system.suggested_probes[:count])
     missing = count - len(points)
     if missing > 0:
         points.extend(system.invariants.sample_points(missing, seed))

@@ -170,13 +170,14 @@ def _cmd_simulate(system: SystemDefinition, args, seed: int):
     if not (math.isfinite(args.t) and args.t > 0):
         raise ValueError("--t must be positive and finite")
     if args.start is not None:
-        u0 = system.invariants.bind(_parse_point(args.start, system.n))
+        u0 = _parse_point(args.start, system.n)
     else:
         u0 = probe_points(system, 1, seed)[0]
     config = IntegratorConfig(
         scheme=args.scheme, tolerance=args.tolerance, step=args.step,
         sample_dt=args.sample_dt, collision_threshold=args.collision)
-    traj = integrate(system.hamiltonian, system.structure, u0, args.t, config)
+    traj = integrate(system.hamiltonian, system.structure, u0, args.t, config,
+                     system.invariants.params)
     drift = conservation_report(traj, system.invariants)
     warnings = []
     if traj.error is not None:

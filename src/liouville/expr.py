@@ -23,7 +23,7 @@ import functools
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -201,11 +201,10 @@ def param(name: str) -> Param:
 
 @dataclass
 class EvalPoint:
-    """A fully or partially bound phase-space point with parameter bindings."""
+    """A phase-space point (q, p); parameters are bound at compile time."""
 
     q: tuple[float, ...]
     p: tuple[float, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.q = tuple(float(v) for v in self.q)
@@ -445,12 +444,13 @@ def to_string(e: Expr) -> str:
 
 
 def evaluate(e: Expr, point: EvalPoint) -> float:
-    """Evaluate ``e`` at ``point``; raises DomainError outside the real domain.
+    """Evaluate the parameter-free ``e`` at ``point``; raises DomainError
+    outside the real domain.
 
     Each call compiles ``e`` (see :func:`compile_functions`), so a loop over
     points should compile once and call the compiled function instead.
     """
-    return compile_functions([e], point.n, point.params)(point.q + point.p)[0]
+    return compile_functions([e], point.n)(point.q + point.p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +799,11 @@ def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:
 # sampling
 
 
-def sample_eval_points(n: int, count: int, seed: int,
-                       params: Mapping[str, float] | None = None) -> list[EvalPoint]:
+def sample_eval_points(n: int, count: int, seed: int) -> list[EvalPoint]:
     """Seeded sample points, each coordinate uniform on [-2,-0.5] U [0.5,2].
 
     The two-sided band keeps samples away from coordinate hyperplanes, where
-    logarithms and rational potentials are typically singular.  Every point
-    carries a copy of ``params`` as its parameter bindings.
+    logarithms and rational potentials are typically singular.
     """
     rng = np.random.default_rng(seed)
     points = []
@@ -813,8 +811,7 @@ def sample_eval_points(n: int, count: int, seed: int,
         vals = rng.uniform(0.5, 2.0, size=2 * n)
         signs = rng.integers(0, 2, size=2 * n) * 2 - 1
         vals = vals * signs
-        points.append(EvalPoint(tuple(vals[:n]), tuple(vals[n:]),
-                                dict(params or {})))
+        points.append(EvalPoint(tuple(vals[:n]), tuple(vals[n:])))
     return points
 
 

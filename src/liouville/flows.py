@@ -24,7 +24,7 @@ where the drift and the kick are still defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     accepted_steps: int = 0
 
@@ -144,7 +143,7 @@ class Trajectory:
     def final_point(self) -> EvalPoint:
         y = self.states[-1]
         n = self.n
-        return EvalPoint(tuple(y[:n]), tuple(y[n:]), self.params)
+        return EvalPoint(tuple(y[:n]), tuple(y[n:]))
 
 
 def _min_pair_distance_sq(y, n: int) -> float:
@@ -157,10 +156,11 @@ def _min_pair_distance_sq(y, n: int) -> float:
 
 
 def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
-              t_final: float, config: IntegratorConfig = IntegratorConfig()
-              ) -> Trajectory:
+              t_final: float, config: IntegratorConfig = IntegratorConfig(),
+              params: dict[str, float] | None = None) -> Trajectory:
     """Integrate the flow of ``h`` from the finite point ``u0`` for the
-    finite time ``t_final`` (> 0).
+    finite time ``t_final`` (> 0); ``params`` binds the named parameters
+    of ``h``.
 
     The symmetric scheme refuses a field whose dq mentions a q or whose dp
     mentions a p, and evaluates dq (drift) and dp (kick) separately.
@@ -179,7 +179,8 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     y0 = u0.state()
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial point must be finite")
-    unbound = parameters_of(h) - set(u0.params)
+    params = dict(params or {})
+    unbound = parameters_of(h) - set(params)
     if unbound:
         raise ValueError(f"Hamiltonian uses unbound parameters: {sorted(unbound)}")
     fld = hamiltonian_vector_field(h, structure)
@@ -188,19 +189,16 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
                       any(v[0] == "p" for v in variables_of(*fld.dp))):
         raise ValueError("the symmetric fixed-step scheme needs a separable "
                          "Hamiltonian H = T(p) + V(q)")
-    rhs = compile_functions(fld.dq + fld.dp, structure.n, u0.params)
+    rhs = compile_functions(fld.dq + fld.dp, structure.n, params)
     try:
         rhs(y0)
-        compile_functions([h], structure.n, u0.params)(y0)
+        compile_functions([h], structure.n, params)(y0)
     except DomainError as exc:
         raise IntegrationError(f"initial point outside the domain: {exc}") from None
     if symmetric:
-        traj = _integrate_symmetric4(h, fld, u0.params, y0, t_final,
+        return _integrate_symmetric4(h, fld, params, y0, t_final,
                                      structure.n, config)
-    else:
-        traj = _integrate_adaptive(rhs, y0, t_final, structure.n, config)
-    traj.params = dict(u0.params)
-    return traj
+    return _integrate_adaptive(rhs, y0, t_final, structure.n, config)
 
 
 def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
@@ -417,9 +415,7 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
 
 def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]:
     """Max relative drift |F(u(t)) - F(u(0))| / (1 + |F(u(0))|) per member."""
-    params = dict(inv.params)
-    params.update(traj.params)
-    fn = compile_functions(inv.exprs, inv.structure.n, params)
+    fn = compile_functions(inv.exprs, inv.structure.n, inv.params)
     values = np.array([fn(row) for row in traj.states.tolist()])
     ref = values[0]
     drift = np.max(np.abs(values - ref), axis=0) / (1.0 + np.abs(ref))

@@ -261,7 +261,7 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         non_invariant = frozenset(flagged)
     try:
         invariants = InvariantSet(structure, tuple(names), tuple(exprs),
-                                  params=dict(params))
+                                  params=params)
     except ValueError as exc:
         raise SystemFileError(str(exc)) from None
     chart = None
@@ -281,7 +281,7 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         if len(qs) != n or len(ps) != n:
             raise SystemFileError(
                 f"probe point needs {n} q and {n} p values", entry.line)
-        probes.append(EvalPoint(tuple(qs), tuple(ps), dict(params)))
+        probes.append(EvalPoint(tuple(qs), tuple(ps)))
     return SystemDefinition(
         name=name, structure=structure, hamiltonian=hamiltonian,
         invariants=invariants, parameter_values=dict(params), seed=seed,

@@ -20,15 +20,16 @@ from liouville.symplectic import hamiltonian_vector_field
 # domain failures included
 
 
-def reference_evaluate(e, point):
-    """Evaluate ``e`` at ``point``; raises DomainError outside the real domain."""
-    value = _eval(e, point)
+def reference_evaluate(e, point, params=None):
+    """Evaluate ``e`` at ``point`` with ``params`` binding its named
+    parameters; raises DomainError outside the real domain."""
+    value = _eval(e, point, params or {})
     if not math.isfinite(value):
         raise DomainError(f"evaluation produced a non-finite value for {to_string(e)!r}")
     return value
 
 
-def _eval(e, u):
+def _eval(e, u, params):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -39,14 +40,14 @@ def _eval(e, u):
         return values[idx - 1]
     if isinstance(e, Param):
         try:
-            return float(u.params[e.name])
+            return float(params[e.name])
         except KeyError:
             raise UnboundSymbolError(f"parameter {e.name!r} unbound") from None
     if isinstance(e, Neg):
-        return -_eval(e.arg, u)
+        return -_eval(e.arg, u, params)
     if isinstance(e, BinOp):
-        a = _eval(e.left, u)
-        b = _eval(e.right, u)
+        a = _eval(e.left, u, params)
+        b = _eval(e.right, u, params)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -57,7 +58,7 @@ def _eval(e, u):
             raise DomainError("division by zero")
         return a / b
     if isinstance(e, Pow):
-        base = _eval(e.base, u)
+        base = _eval(e.base, u, params)
         c = e.exponent
         if base < 0 and not float(c).is_integer():
             raise DomainError("negative base with a non-integer exponent")
@@ -68,7 +69,7 @@ def _eval(e, u):
         except OverflowError:
             raise DomainError("overflow in power") from None
     if isinstance(e, Call):
-        x = _eval(e.arg, u)
+        x = _eval(e.arg, u, params)
         if e.func == "ln":
             if x <= 0.0:
                 raise DomainError("ln of a non-positive value")
@@ -96,7 +97,7 @@ _NO_POINT = EvalPoint((), ())
 def _fold(e):
     """The constant value of a variable-free node, or None off the domain."""
     try:
-        value = _eval(e, _NO_POINT)
+        value = _eval(e, _NO_POINT, {})
     except (ExprError, ValueError):
         return None
     return Const(value) if math.isfinite(value) else None
@@ -144,8 +145,7 @@ def reference_screened_samples(inv, count, seed):
         if drawn >= 10 * count:
             raise SamplingError(
                 f"could not find {count} sample points clear of domain errors")
-        batch = sample_eval_points(inv.structure.n, count, batch_seed,
-                                   params=inv.params)
+        batch = sample_eval_points(inv.structure.n, count, batch_seed)
         batch_seed += 1
         for u in batch:
             drawn += 1
@@ -275,9 +275,10 @@ def full_derivative(e, s):
 # and kick, which flows.py's generated step must reproduce bit for bit
 
 
-def symmetric4_reference(h, structure, u0, t_final, step):
+def symmetric4_reference(h, structure, u0, t_final, step, params=None):
     """States of every step and the truncation reason (None or
-    "domain_error") of the order-4 composition of ``h`` from ``u0``.
+    "domain_error") of the order-4 composition of ``h`` from ``u0``, with
+    ``params`` binding the named parameters of ``h``.
 
     Uses the step count and step size of ``integrate``; stops before the
     first step whose drift or kick raises :class:`DomainError` or whose
@@ -285,8 +286,8 @@ def symmetric4_reference(h, structure, u0, t_final, step):
     """
     n = structure.n
     fld = hamiltonian_vector_field(h, structure)
-    dq_field = compile_functions(fld.dq, n, u0.params)
-    dp_field = compile_functions(fld.dp, n, u0.params)
+    dq_field = compile_functions(fld.dq, n, params)
+    dp_field = compile_functions(fld.dp, n, params)
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
     m = max(1, round(t_final / step))
@@ -317,7 +318,7 @@ def rk45_reference(h, structure, u0, t_final, tolerance, sample_dt=None):
     from scipy.integrate import RK45
 
     fld = hamiltonian_vector_field(h, structure)
-    rhs = compile_functions(fld.dq + fld.dp, structure.n, u0.params)
+    rhs = compile_functions(fld.dq + fld.dp, structure.n)
     solver = RK45(lambda t, y: rhs(y), 0.0, u0.state(), t_bound=t_final,
                   rtol=tolerance, atol=tolerance)
     ts = [0.0]

@@ -18,9 +18,13 @@ from liouville.action_angle import (
     time_map,
     turning_points,
 )
-from liouville.catalog import get_system
-from liouville.expr import EvalPoint, Param, const, parse, simplify
+from liouville.catalog import get_system, list_systems
+from liouville.expr import (
+    EvalPoint, Param, const, differentiate, p, parameters_of, parse, q,
+    simplify, substitute_param, to_string,
+)
 from liouville.flows import IntegratorConfig, integrate
+from test_expr_trees import _random_tree
 
 W = Param("w")
 LAM = Param("lam")
@@ -293,6 +297,26 @@ def test_chart_params_bind_fixed_symbols():
 def test_error_hierarchy():
     assert issubclass(NoRealRootError, ChartError)
     assert issubclass(QuadratureError, ChartError)
+
+
+def test_chart_pair_matches_substituting_the_derivative_in_w():
+    # differentiating R(q1, p1) in p1 gives the tree that substituting both R
+    # and dR/dw gives
+    def substituted(e):
+        return substitute_param(substitute_param(e, "lam", q(1)), "w", p(1))
+
+    rng = np.random.default_rng(27)
+    trees = []
+    while len(trees) < 2000:
+        r = _random_tree(rng, 4, (LAM, W, H1, Param("w_2")))
+        if "w" in parameters_of(r):
+            trees.append(r)
+    charts = [get_system(name).chart for name in list_systems()]
+    for r in [deg.residual for chart in charts if chart is not None
+              for deg in chart.degrees] + trees:
+        pair = ChartDegree(r, (-1.0, 1.0))._pair
+        want = (substituted(r), substituted(differentiate(r, "w")))
+        assert repr(pair) == repr(want), to_string(r)
 
 
 def test_action_of_a_long_chart_residual():

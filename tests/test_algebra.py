@@ -18,7 +18,7 @@ from liouville.algebra import (
     build_combination,
 )
 from liouville import algebra
-from liouville.expr import const, p, parse, q, sample_eval_points
+from liouville.expr import compile_functions, p, parse, q, sample_eval_points
 from liouville.sysfile import loads_system
 from oracles import reference_evaluate, reference_screened_samples
 
@@ -134,7 +134,7 @@ def test_fitted_tables_match_exact_brackets(name, params, rows):
         bracket = poisson_bracket(inv.exprs[i], inv.exprs[j], inv.structure)
         for u in points:
             want = c0[i, j] + c[:, i, j] @ inv.member_values(u)
-            assert evaluate(bracket, inv.bind(u)) == pytest.approx(
+            assert evaluate(bracket, u) == pytest.approx(
                 want, rel=1e-9, abs=1e-9)
     for seed in (0, 1, 2):
         sc = fit_structure_constants(inv, samples=60, seed=seed,
@@ -434,8 +434,8 @@ def test_completion_recovers_vortex_quadratic():
                                        Pow(inv.exprs[0], 2.0)),
                             Pow(inv.exprs[1], 2.0)))
     pts = sub.sample_points(30, seed=20)
-    fam_vals = [[evaluate(f, sub.bind(pt)) for pt in pts] for f in family]
-    tgt_vals = [evaluate(target, sub.bind(pt)) for pt in pts]
+    fam_vals = [[evaluate(f, pt) for pt in pts] for f in family]
+    tgt_vals = [evaluate(target, pt) for pt in pts]
     assert _in_span(tgt_vals, fam_vals)
 
 
@@ -452,8 +452,8 @@ def test_completion_recovers_so3_casimir():
                                         Pow(inv.exprs[2], 2.0)),
                              Pow(inv.exprs[3], 2.0)))
     pts = inv.sample_points(30, seed=22)
-    fam_vals = [[evaluate(f, inv.bind(pt)) for pt in pts] for f in family]
-    cas_vals = [evaluate(casimir, inv.bind(pt)) for pt in pts]
+    fam_vals = [[evaluate(f, pt) for pt in pts] for f in family]
+    cas_vals = [evaluate(casimir, pt) for pt in pts]
     assert _in_span(cas_vals, fam_vals)
     # every returned candidate commutes with every generator
     checks = inv.sample_points(10, seed=23)
@@ -461,7 +461,7 @@ def test_completion_recovers_so3_casimir():
         for gen in inv.exprs:
             br = poisson_bracket(f, gen, inv.structure)
             for pt in checks:
-                assert abs(evaluate(br, inv.bind(pt))) <= 1e-8
+                assert abs(evaluate(br, pt)) <= 1e-8
 
 
 def test_completion_abelian_degree1_empty():
@@ -492,7 +492,7 @@ def test_completion_plus_cartan_is_involutive_family():
         for j in range(i + 1, len(funcs)):
             br = poisson_bracket(funcs[i], funcs[j], inv.structure)
             for pt in pts:
-                assert abs(evaluate(br, inv.bind(pt))) <= 1e-8
+                assert abs(evaluate(br, pt)) <= 1e-8
 
 
 def test_fitted_constants_satisfy_jacobi():
@@ -546,7 +546,7 @@ def test_build_combination():
     e = build_combination(inv, (1.0, 0.0, -2.0, 0.0))
     u = inv.sample_points(1, seed=33)[0]
     vals = inv.member_values(u)
-    assert evaluate(e, inv.bind(u)) == pytest.approx(vals[0] - 2 * vals[2])
+    assert evaluate(e, u) == pytest.approx(vals[0] - 2 * vals[2])
     with pytest.raises(ValueError):
         build_combination(inv, (1.0, 2.0))
 
@@ -574,9 +574,9 @@ def test_member_values_and_jacobian_bit_identical_to_evaluate():
     exactly the reference_evaluate() tree walk, bit for bit."""
     for name, inv in _catalog_sets():
         for u in inv.sample_points(10, seed=41):
-            bound = inv.bind(u)
-            values = [reference_evaluate(e, bound) for e in inv.exprs]
-            jac = [[reference_evaluate(g, bound) for g in inv.gradient_exprs(i)]
+            values = [reference_evaluate(e, u, inv.params) for e in inv.exprs]
+            jac = [[reference_evaluate(g, u, inv.params)
+                    for g in inv.gradient_exprs(i)]
                    for i in range(inv.k)]
             assert np.array_equal(_bits(inv.member_values(u)), _bits(values)), name
             assert np.array_equal(_bits(inv.jacobian_at(u)), _bits(jac)), name
@@ -594,24 +594,9 @@ def test_bracket_matrix_matches_symbolic_oracle():
             assert np.all(np.diag(m) == 0.0), name
             assert np.array_equal(m, -m.T), name
             for i, j, oracle in pairs:
-                want = reference_evaluate(oracle, inv.bind(u))
+                want = reference_evaluate(oracle, u, inv.params)
                 scale = 1.0 + norms[i] * norms[j]
                 assert abs(m[i, j] - want) <= 1e-12 * scale, (name, i, j)
-
-
-def test_point_params_override_compiled_binding():
-    s = SymplecticStructure.canonical(1)
-    inv = InvariantSet(s, ("A", "B"), (parse("g*q1*p1", 1), parse("g*p1", 1)),
-                       params={"g": 2.0})
-    plain = EvalPoint((3.0,), (0.5,))
-    other = EvalPoint((3.0,), (0.5,), {"g": 5.0})
-    assert list(inv.member_values(plain)) == [3.0, 1.0]
-    assert list(inv.member_values(other)) == [7.5, 2.5]
-    assert inv.jacobian_at(other).tolist() == [[2.5, 15.0], [0.0, 5.0]]
-    # {g q p, g p} = -g^2 p at the point's own g
-    assert bracket_matrix_at(inv, other)[0, 1] == pytest.approx(-12.5)
-    assert bracket_matrix_at(inv, plain)[0, 1] == pytest.approx(-2.0)
-    assert list(inv.member_values(plain)) == [3.0, 1.0]
 
 
 def _count_evaluations(monkeypatch):
@@ -695,7 +680,6 @@ def _screen_like_reference(make, requests):
             continue
         got = memo._screened_samples(count, seed)
         assert _states(got[0]) == _states(want[0])
-        assert [u.params for u in got[0]] == [u.params for u in want[0]]
         assert np.array_equal(_bits(got[1]), _bits(want[1]))
         assert np.array_equal(_bits(got[2]), _bits(want[2]))
         results.append(got)
@@ -757,6 +741,39 @@ def test_cold_screening_evaluates_the_reference_states_only(monkeypatch, make,
             outcomes.append((False, list(points)))
     assert outcomes[0] == outcomes[1]
     assert len(outcomes[0][1]) >= count
+
+
+@pytest.mark.parametrize("used_first", [False, True])
+def test_invariant_set_owns_its_parameter_binding(used_first):
+    # the set copies params at construction, so editing the caller's dict,
+    # before or after first use, changes no value, Jacobian or batch; g also
+    # decides which band points sqrt(q1 - g) screens out
+    s = SymplecticStructure.canonical(1)
+    names, exprs = ("A", "B"), (parse("g*q1*p1", 1),
+                                parse("sqrt(q1 - g) + g*p1^2", 1))
+    want = InvariantSet(s, names, exprs, params={"g": 0.6})
+    binding = {"g": 0.6}
+    inv = InvariantSet(s, names, exprs, params=binding)
+    u = EvalPoint((3.0,), (0.5,))
+    if used_first:
+        inv.member_values(u)
+        inv.sample_points(4, seed=3)
+    binding["g"] = -5.0
+    assert inv.params == {"g": 0.6}
+    assert inv.member_values(u)[0] == 0.6 * 3.0 * 0.5
+    assert inv.jacobian_at(u)[0].tolist() == [0.6 * 0.5, 0.6 * 3.0]
+    assert np.array_equal(_bits(inv.member_values(u)),
+                          _bits(want.member_values(u)))
+    assert np.array_equal(_bits(inv.jacobian_at(u)), _bits(want.jacobian_at(u)))
+    bracket = compile_functions([poisson_bracket(*exprs, s)], 1, {"g": 0.6})
+    assert bracket_matrix_at(inv, u)[0, 1] == pytest.approx(
+        bracket((3.0, 0.5))[0], rel=1e-12)
+    got, ref = inv._screened_samples(8, 3), want._screened_samples(8, 3)
+    assert _states(got[0]) == _states(ref[0])
+    assert np.array_equal(_bits(got[1]), _bits(ref[1]))
+    assert np.array_equal(_bits(got[2]), _bits(ref[2]))
+    moved = InvariantSet(s, names, exprs, params=binding)
+    assert _states(moved.sample_points(8, 3)) != _states(ref[0])
 
 
 def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):

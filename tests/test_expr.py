@@ -30,8 +30,10 @@ def test_parse_sum_of_products():
 def test_parse_with_parameter():
     e = parse("p1^2/2 + p2^2/2 + g/((q1-q2)^2)", 2)
     assert parameters_of(e) == {"g"}
-    u = EvalPoint((1.0, 3.0), (2.0, 4.0), {"g": 8.0})
-    assert evaluate(e, u) == pytest.approx(2.0 + 8.0 + 8.0 / 4.0)
+    fn = compile_functions([e], 2, {"g": 8.0})
+    assert fn((1.0, 3.0, 2.0, 4.0))[0] == pytest.approx(2.0 + 8.0 + 8.0 / 4.0)
+    with pytest.raises(UnboundSymbolError, match="'g'"):
+        evaluate(e, EvalPoint((1.0, 3.0), (2.0, 4.0)))
 
 
 def test_parse_index_out_of_range():

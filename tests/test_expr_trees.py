@@ -32,25 +32,27 @@ def _pick(rng, options):
     return options[rng.integers(0, len(options))]
 
 
-def _leaf(rng):
+def _leaf(rng, symbols):
     if rng.integers(0, 2):
         return Const(_pick(rng, CONSTS))
-    return _pick(rng, SYMBOLS)
+    return _pick(rng, symbols)
 
 
-def _random_tree(rng, depth):
+def _random_tree(rng, depth, symbols=SYMBOLS):
     """Any node kind at every level, a leaf at depth 0 or one time in six."""
     roll = rng.integers(0, 6) if depth else 0
     if roll == 0:
-        return _leaf(rng)
+        return _leaf(rng, symbols)
     if roll == 1:
-        return Neg(_random_tree(rng, depth - 1))
+        return Neg(_random_tree(rng, depth - 1, symbols))
     if roll == 2:
-        return Pow(_random_tree(rng, depth - 1), _pick(rng, EXPONENTS))
+        return Pow(_random_tree(rng, depth - 1, symbols),
+                   _pick(rng, EXPONENTS))
     if roll == 3:
-        return Call(_pick(rng, FUNCTIONS), _random_tree(rng, depth - 1))
-    return BinOp(_pick(rng, "+-*/"), _random_tree(rng, depth - 1),
-                 _random_tree(rng, depth - 1))
+        return Call(_pick(rng, FUNCTIONS),
+                    _random_tree(rng, depth - 1, symbols))
+    return BinOp(_pick(rng, "+-*/"), _random_tree(rng, depth - 1, symbols),
+                 _random_tree(rng, depth - 1, symbols))
 
 
 def _random_sum(rng):

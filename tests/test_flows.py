@@ -63,7 +63,7 @@ def test_conservation_report_vortices():
 
 def test_conservation_report_central_field():
     system = get_system("central_field")
-    u0 = system.invariants.bind(EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8)))
+    u0 = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
     traj = integrate(system.hamiltonian, system.structure, u0, 50.0,
                      IntegratorConfig(tolerance=1e-9))
     assert max(conservation_report(traj, system.invariants).values()) <= 1e-6
@@ -80,7 +80,7 @@ def test_conservation_report_flags_deliberate_drift():
 
 def test_flows_commute_central_field_pair():
     system = get_system("central_field")
-    u0 = system.invariants.bind(EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8)))
+    u0 = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
     combo = build_combination(system.invariants, (0.0, 0.4, -0.3, 0.8))
     ok, defect = flows_commute(system.hamiltonian, combo, system.structure,
                                u0, 1.0, 1.3)
@@ -91,7 +91,7 @@ def test_flows_commute_central_field_pair():
 def test_flows_commute_counterexample():
     """Energy and dilation close on each other, so their flows interleave."""
     system = get_system("three_particles")
-    u0 = system.invariants.bind(EvalPoint((-2.0, 0.5, 3.0), (0.3, -0.2, 0.1)))
+    u0 = EvalPoint((-2.0, 0.5, 3.0), (0.3, -0.2, 0.1))
     ok, defect = flows_commute(system.invariants.exprs[0],
                                system.invariants.exprs[1],
                                system.structure, u0, 0.5, 0.5)
@@ -114,11 +114,10 @@ def test_flow_commutes_with_itself():
 def test_cartan_pair_flows_commute(name, point):
     system = get_system(name)
     inv = system.invariants
-    u0 = inv.bind(point)
-    element = find_level_point(inv, tuple(inv.member_values(u0)), u0)
+    element = find_level_point(inv, tuple(inv.member_values(point)), point)
     basis = cartan_basis_at(inv, element, seed=5)
     f1, f2 = basis.combination_exprs(inv)
-    ok, defect = flows_commute(f1, f2, system.structure, u0, 5.0, 5.0)
+    ok, defect = flows_commute(f1, f2, system.structure, point, 5.0, 5.0)
     assert ok, defect
     assert defect <= 1e-6
 
@@ -146,8 +145,7 @@ def test_adaptive_sample_grid():
 def test_adaptive_scheme_matches_scipy_rk45(name, point, t_final, sample_dt):
     pytest.importorskip("scipy")
     system = get_system(name)
-    u0 = probe_points(system, 1)[0] if point is None \
-        else system.invariants.bind(point)
+    u0 = probe_points(system, 1)[0] if point is None else point
     config = IntegratorConfig(sample_dt=sample_dt)
     traj = integrate(system.hamiltonian, system.structure, u0, t_final, config)
     times, states, steps, error = rk45_reference(
@@ -160,7 +158,7 @@ def test_adaptive_scheme_matches_scipy_rk45(name, point, t_final, sample_dt):
     # summing in another order moves each step size by up to ~1e-7 relative;
     # each row is compared after moving it along the field by that offset
     fld = hamiltonian_vector_field(system.hamiltonian, system.structure)
-    rhs = compile_functions(fld.dq + fld.dp, system.n, u0.params)
+    rhs = compile_functions(fld.dq + fld.dp, system.n)
     offset = times - traj.times
     assert np.max(np.abs(offset)) <= 1e-6
     moved = traj.states + np.array([rhs(row) for row in traj.states]) \
@@ -243,7 +241,7 @@ def test_symmetric_scheme_matches_full_field_reference():
 
 
 @pytest.mark.parametrize("text,u0,t_final", [
-    ("p1^2/2 + q1^2/2 + b*q1^4", EvalPoint((1.0,), (0.5,), {"b": 0.37}), 5.0),
+    ("p1^2/2 + q1^2/2 + b*q1^4", EvalPoint((1.0,), (0.5,)), 5.0),
     ("p1^2/2 - cos(q1)", EvalPoint((2.0,), (0.0,)), 5.0),
     # the three kick components share the two exponentials as temporaries
     ("(p1^2+p2^2+p3^2)/2 + exp(q1-q2) + exp(q2-q3)",
@@ -255,9 +253,12 @@ def test_symmetric_scheme_matches_full_field_reference():
 def test_symmetric_scheme_matches_numpy_reference(text, u0, t_final):
     h = parse(text, u0.n)
     structure = SymplecticStructure.canonical(u0.n)
+    # binds b of the quartic case; the other cases have no parameters
+    params = {"b": 0.37}
     traj = integrate(h, structure, u0, t_final,
-                     IntegratorConfig(scheme="symmetric4", step=0.01))
-    states, error = symmetric4_reference(h, structure, u0, t_final, 0.01)
+                     IntegratorConfig(scheme="symmetric4", step=0.01), params)
+    states, error = symmetric4_reference(h, structure, u0, t_final, 0.01,
+                                         params)
     assert traj.error == error
     assert np.array_equal(traj.states, states)
     if error is not None:
@@ -268,10 +269,12 @@ def test_symmetric_step_source_is_shared_across_step_sizes():
     # the step coefficients are bound per run, not written into the source,
     # so a second step size compiles nothing new
     h = parse("p1^2/2 + q1^2/2 + b*q1^4", 1)
-    u0 = EvalPoint((1.0,), (0.5,), {"b": 0.37})
-    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.01))
+    u0 = EvalPoint((1.0,), (0.5,))
+    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.01),
+              {"b": 0.37})
     before = _binder_from_source.cache_info()
-    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.03))
+    integrate(h, S1, u0, 1.0, IntegratorConfig(scheme="symmetric4", step=0.03),
+              {"b": 0.37})
     after = _binder_from_source.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
@@ -395,13 +398,15 @@ def test_commute_leg_failure_raises():
 
 def test_parameters_flow_through_trajectory():
     h = parse("a*(p1^2+q1^2)/2", 1)
-    u0 = EvalPoint((1.0,), (0.0,), {"a": 2.0})
-    traj = integrate(h, S1, u0, 1.0)
-    assert traj.error is None
-    assert traj.final_point().params == {"a": 2.0}
-    # omega = 2, so the period is pi
-    full = integrate(h, S1, u0, math.pi)
-    assert np.linalg.norm(full.states[-1] - np.array([1.0, 0.0])) <= 1e-6
+    u0 = EvalPoint((1.0,), (0.0,))
+    # omega = 2, so the period is pi under either scheme
+    for config in (IntegratorConfig(),
+                   IntegratorConfig(scheme="symmetric4", step=0.01)):
+        full = integrate(h, S1, u0, math.pi, config, params={"a": 2.0})
+        assert full.error is None
+        q1, p1 = full.states[-1]
+        assert full.final_point() == EvalPoint((q1,), (p1,))
+        assert np.linalg.norm(full.states[-1] - np.array([1.0, 0.0])) <= 1e-6
 
 
 def test_trajectory_csv_roundtrip():

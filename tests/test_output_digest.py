@@ -31,7 +31,7 @@ def _level_arg(path: str) -> str:
     """--h at the member values of the fixture's first probe point."""
     system = load_system_file(path)
     inv = system.invariants
-    values = inv.member_values(inv.bind(system.suggested_probes[0]))
+    values = inv.member_values(system.suggested_probes[0])
     return "--h=" + ",".join(repr(float(v)) for v in values)
 
 

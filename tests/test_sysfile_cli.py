@@ -182,8 +182,8 @@ def test_parameters_bind_expressions_and_probes():
     assert system.seed == 7
     assert system.parameter_values == {"a": 2.5}
     u = system.suggested_probes[0]
-    assert u.q == (1.0,) and u.p == (-2.0,)
-    assert evaluate(system.hamiltonian, u) == pytest.approx(6.25)
+    assert u == EvalPoint((1.0,), (-2.0,))
+    assert system.invariants.member_values(u)[0] == pytest.approx(6.25)
 
 
 def test_chart_section_with_bracket_branch_and_params():
@@ -367,7 +367,7 @@ def test_simulate_twenty_four_vortices(tmp_path):
 
 def _vortex_level_arg():
     system = load_system_file(V3)
-    u = system.invariants.bind(EvalPoint((1.5, -1.2, 0.25), (0.9, 1.4, -0.5)))
+    u = EvalPoint((1.5, -1.2, 0.25), (0.9, 1.4, -0.5))
     values = [evaluate(e, u) for e in system.invariants.exprs]
     # the leading value is negative, so only the --h=... form parses
     return values, "--h=" + ",".join(repr(v) for v in values)
@@ -467,6 +467,47 @@ def test_simulate_flags_change_the_run():
     state = np.asarray(results["final_state"])
     expected = np.array([np.cos(6.4), -np.sin(6.4)])
     assert np.max(np.abs(state - expected)) <= 1e-4
+
+
+PARAM_OSCILLATOR = (
+    "[system]\n"
+    "dimension = 1\n"
+    "param.a = 2\n"
+    "hamiltonian = a*(p1^2+q1^2)/2\n"
+    "[invariants]\n"
+    "H = a*(p1^2+q1^2)/2\n"
+)
+
+
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "symmetric4",
+                                         "--step", "0.01"]],
+                         ids=["adaptive", "symmetric4"])
+def test_simulate_binds_file_parameters(tmp_path, scheme):
+    # param.a binds H, so the frequency is a = 2 and the period is pi
+    path = tmp_path / "param_oscillator.sys"
+    path.write_text(PARAM_OSCILLATOR)
+    report = report_of(["simulate", str(path), "--from", "1 | 0",
+                        "--t", "3.141592653589793", *scheme])
+    results = report["results"]
+    assert results["error"] is None
+    assert results["drift"]["H"] <= 1e-8
+    assert np.max(np.abs(np.asarray(results["final_state"])
+                         - [1.0, 0.0])) <= 1e-6
+
+
+def test_analyze_and_rank_bind_file_parameters(tmp_path):
+    path = tmp_path / "param_modes.sys"
+    path.write_text(
+        "[system]\n"
+        "dimension = 2\n"
+        "param.a = 2\n"
+        "param.b = 0.5\n"
+        "hamiltonian = a*(p1^2+q1^2)/2 + b*(p2^2+q2^2)\n"
+        "[invariants]\n"
+        "H1 = a*(p1^2+q1^2)/2\n"
+        "H2 = b*(p2^2+q2^2)\n")
+    assert report_of(["analyze", str(path)])["results"]["closed"] is True
+    assert report_of(["rank", str(path)])["results"]["rank"] == 2
 
 
 LOG_SYSTEM = (
