@@ -4,8 +4,9 @@ Given an ordered set of invariants H_1..H_k on a weighted phase space, this
 module fits structure constants {H_i, H_j} = c0_ij + sum_s c^s_ij H_s from
 seeded samples, decides closure and solvability, measures the algebra rank
 r = k - rank ||{H_i,H_j}(u)||, extracts Cartan (kernel) directions at a
-regular level, checks the dimension condition k + r = 2n, and searches for
-polynomial completions that commute with every generator.
+regular level, checks the dimension condition k + r = 2n, and searches the
+fitted algebra's Casimirs for polynomial completions that commute with
+every generator.
 
 Numeric rank decisions use the shared threshold: singular values above
 1e-8 times the largest one count toward the rank.
@@ -70,8 +71,8 @@ class InvariantSet:
     first use (see :func:`compile_functions`), so each point costs one
     call; its outputs match the tree walk ``reference_evaluate`` in
     tests/oracles.py bit for bit.  Screened sample batches are memoised per
-    seed, so the structure-constant fit, the probes, the Cartan regularity
-    check and the completion search evaluate each sampled point once per set.
+    seed, so the structure-constant fit, the probes and the Cartan
+    regularity check evaluate each sampled point once per set.
     """
 
     structure: SymplecticStructure
@@ -152,8 +153,8 @@ class InvariantSet:
         the first ``count`` of the points that seed draws (a batch's first
         points do not depend on its size).  Each batch is read through a memo
         keyed by its seed, which evaluates a point when the screening first
-        reaches it: the fit, the probes, the Cartan check and the completion
-        evaluate each sampled point once per set.
+        reaches it: the fit, the probes and the Cartan check evaluate each
+        sampled point once per set.
         """
         good: list[EvalPoint] = []
         values: list[np.ndarray] = []
@@ -285,7 +286,7 @@ def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
 
     A square or tall matrix gets the reduced SVD, whose ``s`` and ``vt``
     equal the full one's bit for bit without building the (rows, rows) U of
-    a tall completion system.  A wide matrix keeps the full SVD: its reduced
+    a tall Casimir system.  A wide matrix keeps the full SVD: its reduced
     ``vt`` rows can differ from the full ones in the last bit, and the
     completion search reads the leading rows of its wide exclusion and
     candidate spans.
@@ -597,17 +598,22 @@ def _monomial_expr(inv: InvariantSet, alpha: tuple[int, ...]) -> Expr:
 def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
                                  element: RegularElement, degree: int = 2,
                                  seed: int = 0) -> list[Expr]:
-    """Polynomials in H_1..H_k that bracket-commute with every generator.
+    """Polynomials in H_1..H_k that bracket-commute with every generator:
+    the Casimirs of the fitted algebra up to the given degree.
 
-    Builds the ansatz space of monomials of total degree <= degree, imposes
-    vanishing brackets with each generator (hence with every Cartan
-    combination, and pairwise among solutions by the Leibniz chain rule) at
-    max(40, 4 * monomials) seeded points, and solves the homogeneous
-    system.  Constants and the span of Cartan combinations are excluded
-    from the returned basis; each survivor is re-verified to bracket-commute
-    (with the Cartan combinations and pairwise) to 1e-8 at fresh points.
-    More than MAX_COMPLETION_MONOMIALS monomials raise ValueError: the
-    dense SVD of the system grows with the square of its row count.
+    With the constants of :func:`fit_structure_constants` (60 samples,
+    ``seed``, central terms allowed: ``analyze``'s fit, read from the set's
+    memo), {H_i, H_j} = C(h)_ij for C(xi) = c0 + sum_s xi_s c_s.  So P
+    commutes with every member iff sum_i dP/dxi_i C(xi)_ij = 0, a linear
+    system in P's monomial coefficients imposed at max(40, 4 * monomials)
+    standard-normal xi drawn with ``seed``; no phase-space point enters it.
+    The result is an orthonormal basis of its kernel without constants and
+    Cartan combinations, each member checked at 20 fresh xi to
+    max_j |sum_i dP_i C_ij| <= 1e-10 (1 + |dP| |C|).  ``element`` is not
+    read; it stays until the callers pass the constants instead.  Raises
+    AlgebraError when the fit does not close, and ValueError beyond
+    MAX_COMPLETION_MONOMIALS monomials: the dense SVD of the system grows
+    with the square of its row count.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -617,32 +623,30 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
         raise ValueError(
             f"degree {degree} in {k} members gives {n_mono} monomials; "
             f"the completion ansatz allows at most {MAX_COMPLETION_MONOMIALS}")
+    constants = fit_structure_constants(inv, 60, seed, allow_central=True)
+    if not check_closure(constants):
+        raise AlgebraError(
+            f"the members do not close (fit residual {constants.residual:.3e}),"
+            " so they have no Casimirs to complete them")
     monomials = _monomial_indices(k, degree)
-    _, values, jacobians = inv._screened_samples(max(40, 4 * n_mono), seed)
-    grads = _monomial_gradients(values, monomials)       # (m, n_mono, k)
-    brackets = np.array([_bracket_from_jacobian(inv, jac) for jac in jacobians])
+    rng = np.random.default_rng(seed)
 
-    # {m_alpha, H_j}(u) = sum_i dm_alpha/dH_i(u) * {H_i, H_j}(u)  (chain rule)
-    rows = np.einsum("mai,mij->mja", grads, brackets).reshape(-1, n_mono)
-    scale = np.max(np.abs(rows), axis=0)
-    # columns at rounding-noise level belong to monomials that already
-    # commute identically; snap them to zero instead of amplifying noise
-    dead = scale <= 1e-12 * max(1.0, float(np.max(scale, initial=0.0)))
-    rows[:, dead] = 0.0
-    scale[dead] = 1.0
-    rank, _, vt = _numeric_rank(rows / scale)
-    kernel = vt[rank:] / scale                            # unscaled coefficients
-    if kernel.shape[0] == 0:
-        return []
+    def bracket_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
+        """d m_alpha / d xi_i (count, n_mono, k) and C(xi) (count, k, k) at
+        ``count`` fresh xi."""
+        xi = rng.standard_normal((count, k))
+        return (_monomial_gradients(xi, monomials),
+                constants.c0 + np.einsum("ms,sij->mij", xi, constants.c))
 
-    # excluded directions: degree-1 embeddings of the Cartan combinations
-    deg1 = [a for a, alpha in enumerate(monomials) if sum(alpha) == 1]
-    excluded = np.zeros((cartan.dimension, n_mono))
-    for row, vec in enumerate(cartan.vectors):
-        for a in deg1:
-            i = monomials[a].index(1)
-            excluded[row, a] = vec[i]
-    if excluded.size:
+    grads, c = bracket_tables(max(40, 4 * n_mono))
+    rows = np.einsum("mai,mij->mja", grads, c).reshape(-1, n_mono)
+    rank, _, vt = _numeric_rank(rows)
+    kernel = vt[rank:]
+    # excluded directions: the Cartan combinations, as the degree-1
+    # monomials, which come first
+    if cartan.dimension:
+        excluded = np.zeros((cartan.dimension, n_mono))
+        excluded[:, :k] = cartan.vectors
         ex_rank, _, ex_vt = _numeric_rank(excluded)
         basis_ex = ex_vt[:ex_rank]
         kernel = kernel - (kernel @ basis_ex.T) @ basis_ex
@@ -654,27 +658,16 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     dim, _, vt = _numeric_rank(kernel)
     candidates = vt[:dim]
 
-    # numeric verification at fresh points: candidates must commute with the
-    # Cartan combinations and pairwise among themselves
-    _, vals, jac_chk = inv._screened_samples(20, seed + 1)
-    grad_chk = _monomial_gradients(vals, monomials)
-    brk_chk = np.array([_bracket_from_jacobian(inv, jac) for jac in jac_chk])
-    # gradient of a candidate in member space at each point: (m, cand, k)
-    cand_grad = np.einsum("ca,mai->mci", candidates, grad_chk)
-    cartan_grad = np.broadcast_to(cartan.vectors, (len(vals),) + cartan.vectors.shape)
-    cross = np.einsum("mci,mij,mdj->mcd", cand_grad, brk_chk, cartan_grad)
-    pairwise = np.einsum("mci,mij,mdj->mcd", cand_grad, brk_chk, cand_grad)
-    verified = []
-    for c_idx in range(candidates.shape[0]):
-        worst = max(float(np.max(np.abs(cross[:, c_idx, :]))) if cross.size else 0.0,
-                    float(np.max(np.abs(pairwise[:, c_idx, :]))) if pairwise.size else 0.0)
-        if worst <= 1e-8:
-            verified.append(candidates[c_idx])
+    grads, c = bracket_tables(20)
+    cand_grads = np.einsum("pa,mai->mpi", candidates, grads)
+    defect = np.max(np.abs(np.einsum("mpi,mij->mpj", cand_grads, c)), axis=2)
+    scale = (np.linalg.norm(cand_grads, axis=2)
+             * np.linalg.norm(c, axis=(1, 2))[:, None])
+    verified = np.all(defect <= 1e-10 * (1.0 + scale), axis=0)
     mono_exprs = [_monomial_expr(inv, alpha) for alpha in monomials]
     out = []
-    for vec in verified:
+    for vec in candidates[verified]:
         total = _weighted_sum(vec, mono_exprs, 1e-12)
         if total is not None:
             out.append(simplify(total))
     return out
-

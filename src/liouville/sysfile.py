@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .expr import EvalPoint, ParseError, parse
+from .expr import EvalPoint, ParseError, parameters_of, parse
 from .symplectic import SymplecticStructure
 from .algebra import InvariantSet
 from .action_angle import ChartDegree, SeparableChart
@@ -241,6 +241,10 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         raise SystemFileError("[system] needs hamiltonian")
     e = table["hamiltonian"]
     hamiltonian = _parse_expr(e.value, n, e.line)
+    unbound = parameters_of(hamiltonian) - set(params)
+    if unbound:
+        raise SystemFileError(
+            f"Hamiltonian uses unbound parameters: {sorted(unbound)}", e.line)
     names = []
     exprs = []
     for entry in sections["invariants"]:

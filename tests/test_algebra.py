@@ -495,6 +495,83 @@ def test_completion_plus_cartan_is_involutive_family():
                 assert abs(evaluate(br, pt)) <= 1e-8
 
 
+def _three_particles_text(denominators, g, seed):
+    """Particles on a line with g/r^2 pair forces: the energy H1, the
+    dilation H2 and the momentum H3, with p_j^2/(2 m_j) written
+    p_j^2/denominators[j]."""
+    kinetic = "+".join(f"p{j + 1}^2/{d!r}" for j, d in enumerate(denominators))
+    pairs = "+".join(f"{g!r}/(q{i}-q{j})^2" for i, j in ((1, 2), (1, 3), (2, 3)))
+    h1 = f"{kinetic}+{pairs}"
+    return ("[system]\nname = three_particles\ndimension = 3\n"
+            f"weights = 1.0, 1.0, 1.0\nseed = {seed}\nhamiltonian = {h1}\n\n"
+            f"[invariants]\nH1 = {h1}\nH2 = q1*p1+q2*p2+q3*p3\nH3 = p1+p2+p3\n")
+
+
+# (2 m_j, g, file seed, level values, level-solve guess); each input once
+# returned 1 or 2 degree-2 "completions" from a phase-space system whose
+# sampled points put two particles close together
+THREE_PARTICLE_INPUTS = [
+    ((3.5982302327130196, 2.085674794531728, 3.1235268821878295),
+     1.0821355273863227, 1415194979,
+     (6.957412249509262, 1.4087559884690037, 1.1022992657018884),
+     (-0.48982875535494663, 0.4052360215629984, 0.9182853227221555,
+      -0.6441644034534718, 0.9904188711609857, 0.7537659755406244)),
+    ((2.361064434827524, 3.5269530127372217, 1.8540329273147054),
+     0.7399330313350917, 1134912264,
+     (3.4142278704936437, -0.9769765631056424, 0.18432448193672868),
+     (-0.9499999465803038, -0.12141845637083751, 0.5833888383673166,
+      0.473655084572954, 0.5060343455575187, -0.7979720202390546)),
+    ((1.50321753506392, 3.413440966740225, 1.9035957440647788),
+     0.9951888773578464, 2018884642,
+     (5.718717849301387, -0.07133022790684147, 0.9105550605583812),
+     (-0.4807135545870692, 0.4905843645011424, 1.0239930220099778,
+      0.8948999869399658, -0.6650096875565806, 0.6609433329054469)),
+    ((2.304885441484477, 3.1098190402370767, 3.58911525502195),
+     0.8996123802114462, 182491539,
+     (2.658610499790723, 0.8625590758781742, 1.8864816979729562),
+     (-0.5813530837472449, 0.3929543889802139, 1.3272121768397345,
+      0.5012796779750665, 0.7168521092401167, 0.659653435398787)),
+    ((3.1480654179173886, 3.749110932977445, 3.724709715138179),
+     1.3120548912231789, 1433500118,
+     (5.331546919246226, 0.08369232201141719, -0.36020370862109263),
+     (-0.951872853877878, -0.014712895765693202, 0.6511590755421317,
+      -0.5593769008128465, 0.8735600734677589, -0.6760568367668228)),
+    ((2.8988785779487833, 1.1741751566153145, 3.7083212372833594),
+     1.1698063153800187, 1943136861,
+     (7.827419836848573, 0.3252744952619774, -0.7363007642009977),
+     (-0.8389311407380756, -0.2600373531929067, 0.3412575939511306,
+      -0.6403428312184166, 0.32446571902420296, -0.41047427322949676)),
+]
+
+
+@pytest.mark.parametrize("denominators, g, seed, level, guess",
+                         THREE_PARTICLE_INPUTS,
+                         ids=[f"seed{case[2]}" for case in THREE_PARTICLE_INPUTS])
+def test_three_particles_has_no_degree2_completion(denominators, g, seed,
+                                                   level, guess):
+    # {H1,H2} = 2 H1, {H1,H3} = 0, {H2,H3} = -H3: the bracket of a
+    # polynomial P with H2 has to vanish, which no P in H1..H3 up to
+    # degree 2 beyond the Cartan span does
+    system = loads_system(_three_particles_text(denominators, g, seed))
+    inv = system.invariants
+    assert check_closure(fit_structure_constants(inv, 60, system.seed,
+                                                 allow_central=True))
+    element = find_level_point(inv, level, EvalPoint(guess[:3], guess[3:]))
+    cartan = cartan_basis_at(inv, element, seed=system.seed)
+    assert search_polynomial_completion(inv, cartan, element, 2,
+                                        system.seed) == []
+
+
+def test_completion_refuses_an_algebra_that_does_not_close():
+    system = get_system("drift_control")
+    inv = system.invariants
+    u = probe_points(system, 1)[0]
+    element = find_level_point(inv, inv.member_values(u), u)
+    cartan = cartan_basis_at(inv, element, seed=system.seed)
+    with pytest.raises(AlgebraError, match="do not close"):
+        search_polynomial_completion(inv, cartan, element, 2, system.seed)
+
+
 def test_fitted_constants_satisfy_jacobi():
     for name, seed in (("vortices3", 26), ("central_field", 27)):
         inv = get_system(name).invariants
@@ -622,14 +699,15 @@ def test_fit_evaluates_each_screened_point_once(monkeypatch):
 
 
 def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
-    # the Cartan check's 5 points and the completion's 4 * 14 = 56 are
+    # the Cartan check's 5 points and the completion's 60-point fit are
     # prefixes of the seed-0 batch memoised on the set, so after a 60-point
-    # fit at seed 0 only the witness and the 20 seed-1 check points are new
+    # fit at seed 0 only the witness is new; the completion system itself
+    # reads the fitted constants and no phase-space point
     system = get_system("vortices3")
     u = probe_points(system, 1)[0]
     points = _count_evaluations(monkeypatch)
-    for fitted, cartan_count, completion_count in [(False, 6, 51 + 20),
-                                                   (True, 1, 20)]:
+    for fitted, cartan_count, completion_count in [(False, 6, 55),
+                                                   (True, 1, 0)]:
         inv = get_system("vortices3").invariants
         element = find_level_point(inv, inv.member_values(u), u)
         points.clear()
@@ -778,8 +856,9 @@ def test_invariant_set_owns_its_parameter_binding(used_first):
 
 def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
     # every matrix ranked by a catalog analysis: the structure fit's design
-    # and the completion systems (tall), bracket matrices (square), member
-    # Jacobians and completion spans (wide)
+    # and the Casimir systems (tall), bracket matrices (square), member
+    # Jacobians and completion spans (wide); drift_control does not close,
+    # so it has no completion search
     matrices = []
     original = algebra._numeric_rank
 
@@ -798,7 +877,8 @@ def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
         functional_independence(inv, probes)
         element = find_level_point(inv, inv.member_values(probes[0]), probes[0])
         cartan = cartan_basis_at(inv, element, system.seed)
-        search_polynomial_completion(inv, cartan, element, 2, system.seed)
+        if name != "drift_control":
+            search_polynomial_completion(inv, cartan, element, 2, system.seed)
     shapes = {"tall": 0, "square": 0, "wide": 0}
     for m in matrices:
         rows, cols = m.shape

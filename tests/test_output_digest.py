@@ -24,7 +24,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "3c4500b54b164602cd64bc0a7f93944e20cb09cdb3901a5ab68eadb1b8252be9"
+OUTPUT_DIGEST = "442f348d45bc4f87a2cbf00278bc09f6279ea149192f07307f9df8a2c26183ed"
 
 
 def _level_arg(path: str) -> str:

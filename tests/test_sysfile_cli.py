@@ -635,6 +635,28 @@ def test_overflowing_literal_exits_2_with_line_and_column(tmp_path):
                            "overflows (column 10)")
 
 
+def test_unbound_hamiltonian_parameter_exits_2_at_load(tmp_path):
+    # the members bind no parameter, so only the Hamiltonian's check sees c
+    path = tmp_path / "unbound.sys"
+    path.write_text(MINIMAL.replace("hamiltonian = (p1^2+q1^2)/2",
+                                    "hamiltonian = c*(p1^2+q1^2)/2"),
+                    encoding="utf-8")
+    _assert_one_error_line(*run_cli(["analyze", str(path)]),
+                           "line 3: Hamiltonian uses unbound parameters: ['c']")
+
+
+def test_complete_on_an_open_set_exits_2(tmp_path):
+    # drift_control's members do not close, so they have no Casimirs
+    path = tmp_path / "drift_control.sys"
+    path.write_text(export_system_file(get_system("drift_control")),
+                    encoding="utf-8")
+    system = load_system_file(str(path))
+    values = system.invariants.member_values(system.suggested_probes[0])
+    harg = "--h=" + ",".join(repr(float(v)) for v in values)
+    _assert_one_error_line(*run_cli(["complete", str(path), harg]),
+                           "do not close")
+
+
 def test_sample_dt_under_symmetric4_exits_2():
     # the fixed-step loop has no interpolant to honour the grid
     _assert_one_error_line(*run_cli(
