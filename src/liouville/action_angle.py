@@ -10,19 +10,24 @@ degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
 
-Time maps are evaluated as central differences, in h, of the branch
-primitive integral(w dlam).  Differencing the primitive instead of the
-integrand keeps the inverse-square-root turning-point singularity out of
-the difference quotient: when an endpoint sits on the cycle boundary the
-primitive is taken to the boundary of each shifted level set, where w
-vanishes and the boundary motion contributes nothing.
+Time maps and frequencies share one derivative: the central difference,
+in h, of the branch primitive integral(w dlam).  Differencing the primitive
+instead of the integrand keeps the inverse-square-root turning-point
+singularity out of the difference quotient: when an endpoint sits on the
+cycle boundary the primitive is taken to the boundary of each shifted
+level set, where w vanishes and the boundary motion contributes nothing.
+Where a shifted level has no cycle, at a cycle's birth, the difference is
+one-sided.  d gamma_i / d h_j is the time map over degree i's cycle (one
+turning point to the other) divided by pi, so the frequency matrix
+Omega = (d gamma / d h)^(-1) gives 2 pi / omega equal, to rounding, to
+twice that half-cycle time.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,8 +47,8 @@ __all__ = [
 
 ROOT_TOL = 1e-10
 FD_SCALE = 1e-6
-GAMMA_STEP_TOL = 1e-11
-TIME_REL_TOL = 2e-13
+QUAD_ABS_TOL = 1e-14
+QUAD_REL_TOL = 2e-13
 COND_LIMIT = 1e8
 _N_START = 16
 _N_MAX = 4096
@@ -97,11 +102,20 @@ class ChartDegree:
 
 @dataclass(frozen=True)
 class SeparableChart:
-    """Degrees j=1..n with level symbols h_1..h_dim and fixed parameters."""
+    """Degrees j=1..n with level symbols h_1..h_dim and fixed parameters.
+
+    ``levels[j - 1]`` lists the i of every h_i degree j reads, and
+    ``couplings[j - 1]`` every degree s whose lam_s / w_s it reads, both
+    ascending.
+    """
 
     degrees: tuple[ChartDegree, ...]
     h_dim: int
     params: Mapping[str, float] | None = None
+    levels: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                 compare=False)
+    couplings: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -112,7 +126,9 @@ class SeparableChart:
         fixed = dict(self.params or {})
         object.__setattr__(self, "params", fixed)
         n = len(self.degrees)
+        levels, couplings = [], []
         for j, deg in enumerate(self.degrees, start=1):
+            reads, coupled = set(), set()
             for name in sorted(parameters_of(deg.residual)):
                 if name in ("lam", "w") or name in fixed:
                     continue
@@ -120,6 +136,7 @@ class SeparableChart:
                 if m:
                     if int(m.group(1)) > self.h_dim:
                         raise ValueError(f"degree {j}: {name} exceeds h_dim")
+                    reads.add(int(m.group(1)))
                     continue
                 m = _FOREIGN_RE.match(name)
                 if m:
@@ -130,20 +147,17 @@ class SeparableChart:
                             f"not {name}")
                     if s > n:
                         raise ValueError(f"degree {j}: {name} has no degree")
+                    coupled.add(s)
                     continue
                 raise ValueError(f"degree {j}: unknown symbol {name!r}")
+            levels.append(tuple(sorted(reads)))
+            couplings.append(tuple(sorted(coupled)))
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "couplings", tuple(couplings))
 
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    def foreign_symbols(self, j: int) -> set[str]:
-        deg = _degree(self, j)
-        out = set()
-        for name in parameters_of(deg.residual):
-            if name not in self.params and _FOREIGN_RE.match(name):
-                out.add(name)
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,16 +179,15 @@ def _h_map(chart: SeparableChart, h: Sequence[float]) -> dict[str, float]:
     return {f"h_{i}": float(v) for i, v in enumerate(h, start=1)}
 
 
-def _shifted_levels(hv: Sequence[float], jdx: int
-                    ) -> tuple[float, list[float], list[float]]:
-    """(delta, hv with hv[jdx] + delta, hv with hv[jdx] - delta): the levels
-    of a central difference in h_{jdx+1}."""
-    delta = FD_SCALE * (1.0 + abs(hv[jdx]))
-    h_plus = list(hv)
-    h_plus[jdx] += delta
-    h_minus = list(hv)
-    h_minus[jdx] -= delta
-    return delta, h_plus, h_minus
+def _level(chart: SeparableChart, h: Sequence[float],
+           square_for: str | None = None) -> list[float]:
+    """h as floats, one per level symbol; with ``square_for`` (the caller's
+    name) the chart must also have one level symbol per degree."""
+    hv = [float(v) for v in h]
+    _h_map(chart, hv)
+    if square_for is not None and chart.h_dim != chart.n:
+        raise ValueError(f"{square_for} needs one level symbol per degree")
+    return hv
 
 
 def _compile_degree(chart: SeparableChart, j: int, h: Sequence[float],
@@ -307,13 +320,17 @@ def _root_scale(lam: float, h: Sequence[float]) -> float:
     return 1.0 + abs(lam) + max((abs(v) for v in h), default=0.0)
 
 
+def _branch_value(g, deg: ChartDegree, lam: float,
+                  h: Sequence[float]) -> float:
+    """w on ``deg``'s branch at lam, with ``g`` its pair compiled at h."""
+    return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))
+
+
 def solve_branch(chart: SeparableChart, j: int, lam: float,
                  h: Sequence[float]) -> float:
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
-    deg = _degree(chart, j)
-    g = _compile_degree(chart, j, h)
-    return _solve_signed(g, float(lam), deg.branch_sign,
-                         _root_scale(lam, h))
+    return _branch_value(_compile_degree(chart, j, h), _degree(chart, j),
+                         float(lam), h)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +413,14 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _branch_integral(g, a: float, b: float, sign: int,
-                     stop_abs: float, stop_rel: float, scale: float) -> float:
+                     scale: float) -> float:
     """integral of w(lam) over [a, b] by Gauss-Legendre doubling.
 
     The substitution lam = mid + halfwidth*sin(theta) turns the
     inverse-square-root behaviour of dlam near a turning point into an
     analytic integrand in theta, so the node count doubles only a few
-    times before the step change drops under the target.
+    times before the step change drops under
+    max(QUAD_ABS_TOL, QUAD_REL_TOL * (1 + |integral|)).
     """
     if a == b:
         return 0.0
@@ -422,8 +440,8 @@ def _branch_integral(g, a: float, b: float, sign: int,
                 raise QuadratureError(
                     f"lost the real branch inside the interval: {exc}") from None
             total += gw * w * hw * 0.5 * math.pi * math.cos(theta)
-        if prev is not None and \
-                abs(total - prev) <= max(stop_abs, stop_rel * (1.0 + abs(total))):
+        if prev is not None and abs(total - prev) <= \
+                max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(total))):
             return total
         prev = total
         n *= 2
@@ -434,8 +452,7 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     """Action gamma_j = (1/2pi) * integral of w dlam around the cycle at
     the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
+    hv = _level(chart, h)
     deg = _degree(chart, j)
     g = _compile_degree(chart, j, hv)
     lam_minus, lam_plus = _turning_points(g, deg)
@@ -443,19 +460,15 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
         return 0.0
     scale = _root_scale(max(abs(lam_minus), abs(lam_plus)), hv)
     # on the + branch every root is >= +0.0, so w is |w|
-    value = _branch_integral(g, lam_minus, lam_plus, 1,
-                             GAMMA_STEP_TOL, 1e-12, scale)
-    return value / math.pi
+    return _branch_integral(g, lam_minus, lam_plus, 1, scale) / math.pi
 
 
 # ---------------------------------------------------------------------------
 # time maps
 
 
-class _SideLost(Exception):
-    # a shifted level lost the cycle; the caller may fall back to a
-    # one-sided difference
-    pass
+# an interval from one turning point of the cycle to the other
+_CYCLE = (("tp", -1), ("tp", 1))
 
 
 def _classify_intervals(chart, hv, mu):
@@ -488,8 +501,9 @@ def _classify_intervals(chart, hv, mu):
     return specs
 
 
-def _primitive(chart, s, spec, h_side) -> float:
-    """integral of the branch w_s over the interval resolved at h_side."""
+def _primitive(chart, s, spec, h_side) -> float | None:
+    """integral of the branch w_s over the interval resolved at h_side, or
+    None where a turning-point end has no cycle at that level."""
     deg = chart.degrees[s - 1]
     g = _compile_degree(chart, s, h_side)
     lam_minus = lam_plus = None
@@ -497,16 +511,16 @@ def _primitive(chart, s, spec, h_side) -> float:
         try:
             lam_minus, lam_plus = _turning_points(g, deg)
         except ChartError:
-            raise _SideLost() from None
+            return None
         if lam_minus == lam_plus:
-            raise _SideLost()
+            return None
     ends = []
     for kind, v in spec:
         if kind == "tp":
             ends.append(lam_minus if v < 0 else lam_plus)
         else:
             try:
-                _solve_signed(g, v, deg.branch_sign, _root_scale(v, h_side))
+                _branch_value(g, deg, v, h_side)
             except (NoRealRootError, ConvergenceError):
                 raise QuadratureError(
                     "endpoint sits at a turning point of a nearby level; "
@@ -514,8 +528,35 @@ def _primitive(chart, s, spec, h_side) -> float:
                     "endpoint") from None
             ends.append(v)
     scale = _root_scale(max(abs(ends[0]), abs(ends[1])), h_side)
-    return _branch_integral(g, ends[0], ends[1], deg.branch_sign,
-                            1e-14, TIME_REL_TOL, scale)
+    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, scale)
+
+
+def _level_derivative(f: Callable[[list[float]], float | None],
+                      hv: list[float], jdx: int) -> float:
+    """d f / d h_{jdx+1} at the level hv, the module's one difference in h.
+
+    Central over hv[jdx] +- FD_SCALE (1 + |hv[jdx]|); where f returns None
+    on one side (that level lost the cycle) it is one-sided from hv.
+    """
+    delta = FD_SCALE * (1.0 + abs(hv[jdx]))
+    h_plus = list(hv)
+    h_plus[jdx] += delta
+    h_minus = list(hv)
+    h_minus[jdx] -= delta
+    upper = f(h_plus)
+    lower = f(h_minus)
+    if upper is not None and lower is not None:
+        return (upper - lower) / (2.0 * delta)
+    if upper is None and lower is None:
+        raise QuadratureError(
+            "both shifted levels lost the cycle; choose an interior "
+            "endpoint")
+    base = f(hv)
+    if base is None:
+        raise QuadratureError("the level has a degenerate cycle")
+    if upper is not None:
+        return (upper - base) / delta
+    return (base - lower) / delta
 
 
 def time_map(chart: SeparableChart, h: Sequence[float],
@@ -526,50 +567,22 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     contributes nothing, and t(mu0) = 0 when every interval is empty.
     Endpoints matching a turning point track the turning points of the
     finite-difference-shifted levels, which is what makes the half-cycle
-    time exact for these integrals.
+    time exact for these integrals; where one shifted level has no cycle
+    (at a cycle's birth) the difference is one-sided.
     """
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
+    hv = _level(chart, h, "time_map")
     n = chart.n
-    if chart.h_dim != n:
-        raise ValueError("time_map needs one level symbol per degree")
     if len(mu) != n:
         raise ValueError("one (start, end) pair per degree")
     specs = _classify_intervals(chart, hv, mu)
-    base_cache: dict[int, float] = {}
     times = []
     for jdx in range(n):
-        h_name = f"h_{jdx + 1}"
-        delta, h_plus, h_minus = _shifted_levels(hv, jdx)
         t_j = 0.0
         for s in range(1, n + 1):
             spec = specs[s - 1]
-            if spec is None:
-                continue
-            if h_name not in parameters_of(chart.degrees[s - 1].residual):
-                continue
-            try:
-                upper = _primitive(chart, s, spec, h_plus)
-            except _SideLost:
-                upper = None
-            try:
-                lower = _primitive(chart, s, spec, h_minus)
-            except _SideLost:
-                lower = None
-            if upper is not None and lower is not None:
-                t_j += (upper - lower) / (2.0 * delta)
-            elif upper is None and lower is None:
-                raise QuadratureError(
-                    "both shifted levels lost the cycle; choose an "
-                    "interior endpoint")
-            else:
-                if s not in base_cache:
-                    base_cache[s] = _primitive(chart, s, spec, hv)
-                base = base_cache[s]
-                if upper is not None:
-                    t_j += (upper - base) / delta
-                else:
-                    t_j += (base - lower) / delta
+            if spec is not None and jdx + 1 in chart.levels[s - 1]:
+                t_j += _level_derivative(
+                    functools.partial(_primitive, chart, s, spec), hv, jdx)
         times.append(t_j)
     return tuple(times)
 
@@ -578,54 +591,35 @@ def time_map(chart: SeparableChart, h: Sequence[float],
 # frequencies
 
 
-def _action_jacobian(chart: SeparableChart, hv: list[float]) -> np.ndarray:
-    n = chart.n
-    a = np.zeros((n, n))
-    for i in range(1, n + 1):
-        names = parameters_of(chart.degrees[i - 1].residual)
-        for jdx in range(n):
-            if f"h_{jdx + 1}" not in names:
-                continue
-            delta, h_plus, h_minus = _shifted_levels(hv, jdx)
-            a[i - 1, jdx] = (action_variable(chart, i, h_plus)
-                             - action_variable(chart, i, h_minus)) / (2 * delta)
-    return a
+def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
+    """Omega = (d gamma / d h)^(-1), refused above condition number COND_LIMIT.
 
-
-def _inverse_action_jacobian(chart: SeparableChart, hv: list[float]
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """(d gamma / d h, its inverse); refuses a condition number above
-    COND_LIMIT."""
-    a = _action_jacobian(chart, hv)
+    d gamma_i / d h_j is branch_sign_i times the level derivative of the
+    primitive over degree i's cycle, over pi: the time map of that cycle,
+    from one turning point to the other.
+    """
+    hv = _level(chart, h, "frequency_matrix")
+    a = np.zeros((chart.n, chart.n))
+    for i in range(1, chart.n + 1):
+        sign = chart.degrees[i - 1].branch_sign
+        cycle = functools.partial(_primitive, chart, i, _CYCLE)
+        for j in chart.levels[i - 1]:
+            a[i - 1, j - 1] = sign * _level_derivative(cycle, hv,
+                                                       j - 1) / math.pi
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > COND_LIMIT:
         raise ChartError(
             f"action map not invertible: condition number {cond:.3g}")
-    return a, np.linalg.inv(a)
-
-
-def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
-    """Omega = (d gamma / d h)^(-1), guarded by a condition-number check."""
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
-    if chart.h_dim != chart.n:
-        raise ValueError("frequency_matrix needs one level symbol per degree")
-    return _inverse_action_jacobian(chart, hv)[1]
+    return np.linalg.inv(a)
 
 
 def action_spectrum(chart: SeparableChart, h: Sequence[float]) -> ActionSpectrum:
-    """Actions and frequency matrix at h, with the consistency defect checked."""
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
-    if chart.h_dim != chart.n:
-        raise ValueError("action_spectrum needs one level symbol per degree")
+    """Actions gamma_j and the frequency matrix of :func:`frequency_matrix`
+    at h."""
+    hv = _level(chart, h, "action_spectrum")
     gammas = tuple(action_variable(chart, j, hv)
                    for j in range(1, chart.n + 1))
-    a, omega = _inverse_action_jacobian(chart, hv)
-    defect = float(np.max(np.abs(omega @ a - np.eye(chart.n))))
-    if defect > 1e-4:
-        raise ChartError(f"frequency consistency defect {defect:.3g}")
-    return ActionSpectrum(gammas, omega, tuple(hv))
+    return ActionSpectrum(gammas, frequency_matrix(chart, hv), tuple(hv))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +632,7 @@ def _environments(chart: SeparableChart, hv: list[float],
     fractions = (-0.45, 0.1, 0.55)
     envs: list[dict[str, float]] = [{} for _ in fractions]
     for s in needed:
-        if chart.foreign_symbols(s):
+        if chart.couplings[s - 1]:
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
         deg = chart.degrees[s - 1]
@@ -652,19 +646,8 @@ def _environments(chart: SeparableChart, hv: list[float],
         for env, f in zip(envs, fractions):
             lam_s = mid + f * hw
             env[f"lam_{s}"] = lam_s
-            env[f"w_{s}"] = _solve_signed(g, lam_s, deg.branch_sign,
-                                          _root_scale(lam_s, hv))
+            env[f"w_{s}"] = _branch_value(g, deg, lam_s, hv)
     return envs
-
-
-def _fd_branch(chart, i, lam, hv, jdx, env) -> float:
-    deg = chart.degrees[i - 1]
-    delta, h_plus, h_minus = _shifted_levels(hv, jdx - 1)
-    w_plus = _solve_signed(_compile_degree(chart, i, h_plus, env), lam,
-                           deg.branch_sign, _root_scale(lam, h_plus))
-    w_minus = _solve_signed(_compile_degree(chart, i, h_minus, env), lam,
-                            deg.branch_sign, _root_scale(lam, h_minus))
-    return (w_plus - w_minus) / (2.0 * delta)
 
 
 def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
@@ -677,29 +660,24 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
     Degrees without foreign symbols contribute zero by construction and
     are skipped, which also covers the single-degree chart.
     """
-    hv = [float(v) for v in h]
-    _h_map(chart, hv)
+    hv = _level(chart, h)
     probe_vals = [float(v) for v in probes]
     if not probe_vals:
         raise ValueError("need at least one probe value")
     worst = 0.0
-    for i in range(1, chart.n + 1):
-        foreign = chart.foreign_symbols(i)
-        if not foreign:
+    for i, deg in enumerate(chart.degrees, start=1):
+        if not chart.couplings[i - 1]:
             continue
-        needed = sorted({int(_FOREIGN_RE.match(nm).group(2))
-                         for nm in foreign})
-        envs = _environments(chart, hv, needed)
-        names = parameters_of(chart.degrees[i - 1].residual)
+        envs = _environments(chart, hv, chart.couplings[i - 1])
         usable = 0
         for lam in probe_vals:
-            for jdx in range(1, chart.h_dim + 1):
-                if f"h_{jdx}" not in names:
-                    continue
-                vals = []
+            for j in chart.levels[i - 1]:
+                # dw_i/dh_j at lam in each environment
                 try:
-                    for env in envs:
-                        vals.append(_fd_branch(chart, i, lam, hv, jdx, env))
+                    vals = [_level_derivative(
+                        lambda hs: _branch_value(
+                            _compile_degree(chart, i, hs, env), deg, lam, hs),
+                        hv, j - 1) for env in envs]
                 except ChartError:
                     continue
                 usable += 1

@@ -309,6 +309,9 @@ def export_system_file(system: SystemDefinition) -> str:
     if system.non_invariant:
         lines.append(
             f"non_invariant = {', '.join(sorted(system.non_invariant))}")
+    params = system.invariants.params
+    for key in sorted(params):
+        lines.append(f"param.{key} = {_fmt_number(params[key])}")
     lines.append(f"hamiltonian = {to_string(system.hamiltonian)}")
     lines.append("")
     lines.append("[invariants]")

@@ -125,6 +125,12 @@ def _cmd_rank(system: SystemDefinition, args, seed: int):
 
 def _cmd_cartan(system: SystemDefinition, args, seed: int):
     values = _parse_values(args.h, "--h")
+    constants = fit_structure_constants(system.invariants, samples=60,
+                                        seed=seed, allow_central=True)
+    if not check_closure(constants):
+        raise AlgebraError(
+            f"the members do not close (fit residual {constants.residual:.3e}),"
+            " so they have no Cartan basis")
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
     results = {

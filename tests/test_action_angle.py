@@ -99,6 +99,15 @@ def test_turning_points_degenerate_level(osc):
     assert abs(a) <= 1e-8
 
 
+def test_solve_branch_at_a_turning_point_lands_on_the_tangency_root(
+        osc, quartic, uncoupled):
+    # R(lam+-, .) has no sign change there, so the root is the minimiser
+    for chart, h in ((osc, [0.7]), (quartic, [0.8]), (uncoupled, [0.6, 0.8])):
+        for j in range(1, chart.n + 1):
+            for lam in turning_points(chart, j, h):
+                assert abs(solve_branch(chart, j, lam, h)) <= 1e-7, (j, lam)
+
+
 def test_turning_points_failures(osc):
     with pytest.raises(NoRealRootError, match="no sign change"):
         turning_points(osc, 1, [-0.5])
@@ -167,6 +176,16 @@ def test_frequency_matrix_oscillator(osc):
     omega = frequency_matrix(osc, [0.7])
     assert omega.shape == (1, 1)
     assert omega[0, 0] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_frequency_at_a_cycle_birth(osc):
+    # the lower shifted level of h = 5e-7 is negative and has no cycle, so
+    # d gamma / d h is the one-sided difference the time map takes there
+    assert abs(frequency_matrix(osc, [5e-7])[0, 0] - 1.0) <= 1e-8
+    assert abs(action_spectrum(osc, [5e-7]).omega[0, 0] - 1.0) <= 1e-8
+    # at h = 0 the base level itself has no cycle to difference from
+    with pytest.raises(QuadratureError, match="degenerate cycle"):
+        frequency_matrix(osc, [0.0])
 
 
 def test_frequency_matrix_uncoupled(uncoupled):
@@ -238,11 +257,13 @@ def test_action_period_duality_against_flow(quartic):
 
 
 def test_full_cycle_time_matches_frequency(osc, quartic):
+    # both read one level derivative of the same primitive, so they agree
+    # to rounding
     for chart, h in ((osc, 0.7), (quartic, 0.8)):
         a, b = turning_points(chart, 1, [h])
         t_full = 2.0 * time_map(chart, [h], [(a, b)])[0]
         period = 2.0 * math.pi / frequency_matrix(chart, [h])[0, 0]
-        assert abs(t_full - period) / period <= 1e-4
+        assert abs(t_full - period) / period <= 1e-12
 
 
 def test_action_grows_with_level(osc):

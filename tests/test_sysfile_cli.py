@@ -238,14 +238,32 @@ def test_probe_errors(probe_text, message):
     assert info.value.line == 7
 
 
+PARAMETERISED = (
+    "[system]\n"
+    "dimension = 1\n"
+    "param.a = 2\n"
+    "hamiltonian = a*(p1^2+q1^2)/2\n"
+    "[invariants]\n"
+    "H = a*(p1^2+q1^2)/2\n"
+    "[probes]\n"
+    "point = 0.5 | -0.25\n"
+)
+
+
 @pytest.mark.parametrize("name", [
     "oscillator", "central_field", "three_particles", "drift_control",
+    "parameterised",
 ])
 def test_export_then_load_round_trip(name):
     """export_system_file output parses back to an equivalent definition."""
-    src = get_system(name)
+    src = (loads_system(PARAMETERISED) if name == "parameterised"
+           else get_system(name))
     back = loads_system(export_system_file(src), name_hint="x")
     assert back.invariants.names == src.invariants.names
+    assert back.invariants.params == src.invariants.params
+    probe = back.suggested_probes[0]
+    assert np.array_equal(back.invariants.member_values(probe),
+                          src.invariants.member_values(probe))
     assert back.structure.weights == src.structure.weights
     assert back.non_invariant == src.non_invariant
     assert len(back.suggested_probes) == 3
@@ -422,6 +440,13 @@ def test_actions_oscillator():
     assert results["h"] == [0.5]
     assert results["gammas"][0] == pytest.approx(0.5, abs=1e-8)
     assert results["omega"][0][0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_actions_at_a_cycle_birth():
+    # the lower shifted level of h = 5e-7 has no cycle; the difference in h
+    # is one-sided there
+    results = report_of(["actions", OSC, "--h", "5e-7"])["results"]
+    assert results["omega"][0][0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_actions_on_a_coupled_chart_exits_2(tmp_path):
@@ -655,6 +680,16 @@ def test_complete_on_an_open_set_exits_2(tmp_path):
     harg = "--h=" + ",".join(repr(float(v)) for v in values)
     _assert_one_error_line(*run_cli(["complete", str(path), harg]),
                            "do not close")
+
+
+def test_cartan_on_an_open_set_exits_2(tmp_path):
+    # drift_control's members do not close, so no Cartan basis is reported
+    path = tmp_path / "drift_control.sys"
+    path.write_text(export_system_file(get_system("drift_control")),
+                    encoding="utf-8")
+    _assert_one_error_line(*run_cli(
+        ["cartan", str(path), "--h=2.0502008974535126,-1.660934072833945"]),
+        "do not close")
 
 
 def test_sample_dt_under_symmetric4_exits_2():
