@@ -70,9 +70,9 @@ class InvariantSet:
     only.  Member values and gradients come from one function compiled on
     first use (see :func:`compile_functions`), so each point costs one
     call; its outputs match the tree walk ``reference_evaluate`` in
-    tests/oracles.py bit for bit.  Screened sample batches are memoised per
-    seed, so the structure-constant fit, the probes and the Cartan
-    regularity check evaluate each sampled point once per set.
+    tests/oracles.py bit for bit.  Every sampled point's outcome is kept,
+    keyed by its coordinates, so each verdict that reads sampled points
+    evaluates each of them once per set.
     """
 
     structure: SymplecticStructure
@@ -103,7 +103,8 @@ class InvariantSet:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
         self._grad_cache: dict[int, tuple[Expr, ...]] = {}
         self._compiled: Callable | None = None
-        self._batches: dict[int, list[tuple]] = {}
+        self._draws: dict[int, list[EvalPoint]] = {}
+        self._outcomes: dict[tuple[float, ...], tuple | str] = {}
 
     @property
     def k(self) -> int:
@@ -115,18 +116,27 @@ class InvariantSet:
         return self._grad_cache[i]
 
     def _evaluate(self, point: EvalPoint) -> tuple[np.ndarray, np.ndarray]:
-        """(member values (k,), Jacobian (k, 2n)) at a point, from one call of
-        the function compiled on first use: the k members followed by their
-        k * 2n gradient partials."""
+        """Read-only (member values (k,), Jacobian (k, 2n)) at a point: a
+        point :meth:`sample_points` drew is read from the memo, where a
+        DomainError is kept as its message; any other point costs one call
+        of the function compiled on first use, whose outputs are the k
+        members followed by their k * 2n gradient partials."""
         n = self.structure.n
         if point.n < n:
             raise UnboundSymbolError(
                 f"a {point.n}-degree point cannot bind a {n}-degree phase space")
+        state = point.q[:n] + point.p[:n]
+        outcome = self._outcomes.get(state)
+        if isinstance(outcome, str):
+            raise DomainError(outcome)
+        if outcome is not None:
+            return outcome
         if self._compiled is None:
             exprs = self.exprs + tuple(
                 g for i in range(self.k) for g in self.gradient_exprs(i))
             self._compiled = compile_functions(exprs, n, self.params)
-        out = np.array(self._compiled(point.q[:n] + point.p[:n]))
+        out = np.array(self._compiled(state))
+        out.flags.writeable = False
         return out[:self.k], out[self.k:].reshape(self.k, 2 * n)
 
     def member_values(self, point: EvalPoint) -> np.ndarray:
@@ -138,63 +148,37 @@ class InvariantSet:
 
     def sample_points(self, count: int, seed: int) -> list[EvalPoint]:
         """Seeded points where every member and every member gradient (hence
-        the bracket matrix) evaluates; resamples domain failures up to a
-        10x oversampling cap.  The screened batches are memoised (see
-        :meth:`_screened_samples`), so the returned points are shared with
-        every other request for the same seed."""
-        return self._screened_samples(count, seed)[0]
-
-    def _screened_samples(self, count: int, seed: int
-                          ) -> tuple[list[EvalPoint], np.ndarray, np.ndarray]:
-        """:meth:`sample_points` with the member values (count, k) and
-        Jacobians (count, k, 2n) that screened the points.
-
-        The i-th batch is drawn with ``seed + i`` and has ``count`` points,
-        the first ``count`` of the points that seed draws (a batch's first
-        points do not depend on its size).  Each batch is read through a memo
-        keyed by its seed, which evaluates a point when the screening first
-        reaches it: the fit, the probes and the Cartan check evaluate each
-        sampled point once per set.
-        """
+        the bracket matrix) evaluates.  Batch i is the first ``count``
+        points drawn with ``seed + i`` (a draw's first points do not depend
+        on its length); points that leave the domain are skipped, up to
+        10 * count draws.  A drawn point is evaluated when a request first
+        reaches it, and the outcome is memoised by its state, whose
+        coordinates lie in +-[0.5, 2], so equal keys are equal bits."""
         good: list[EvalPoint] = []
-        values: list[np.ndarray] = []
-        jacobians: list[np.ndarray] = []
         drawn = 0
         batch_seed = seed
         while len(good) < count:
             if drawn >= 10 * count:
                 raise SamplingError(
                     f"could not find {count} sample points clear of domain errors")
-            for u, value, jacobian in self._screened_batch(batch_seed, count):
+            if len(self._draws.get(batch_seed, ())) < count:
+                self._draws[batch_seed] = sample_eval_points(
+                    self.structure.n, count, batch_seed)
+            for u in self._draws[batch_seed][:count]:
                 drawn += 1
-                if value is None:
+                state = u.q + u.p
+                if state not in self._outcomes:
+                    try:
+                        self._outcomes[state] = self._evaluate(u)
+                    except DomainError as exc:
+                        self._outcomes[state] = str(exc)
+                if isinstance(self._outcomes[state], str):
                     continue
                 good.append(u)
-                values.append(value)
-                jacobians.append(jacobian)
                 if len(good) == count:
                     break
             batch_seed += 1
-        return good, np.array(values), np.array(jacobians)
-
-    def _screened_batch(self, seed: int, count: int
-                        ) -> Iterator[tuple[EvalPoint, np.ndarray | None,
-                                            np.ndarray | None]]:
-        """The first ``count`` memo entries (point, values, Jacobian) of the
-        batch drawn with ``seed``; values and Jacobian are None where the
-        point leaves the domain.  An entry is evaluated when first reached."""
-        entries = self._batches.setdefault(seed, [])
-        batch = None
-        for i in range(count):
-            if i == len(entries):
-                if batch is None:
-                    batch = sample_eval_points(self.structure.n, count, seed)
-                try:
-                    value, jacobian = self._evaluate(batch[i])
-                except DomainError:
-                    value = jacobian = None
-                entries.append((batch[i], value, jacobian))
-            yield entries[i]
+        return good
 
 
 @dataclass(frozen=True)
@@ -344,7 +328,9 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     c0 = np.zeros((k, k))
     if k == 1:
         return StructureConstants(inv.names, c, c0, 0.0)
-    points, values, jacobians = inv._screened_samples(samples, seed)
+    points = inv.sample_points(samples, seed)
+    values, jacobians = zip(*map(inv._evaluate, points))
+    values = np.array(values)
     rows, cols = np.triu_indices(k, 1)
     b = np.empty((len(points), len(rows)))                      # (m, pairs)
     grad_product = np.empty_like(b)
@@ -378,6 +364,17 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
 def check_closure(constants: StructureConstants) -> bool:
     """True iff the fit residual is below CLOSURE_TOL."""
     return constants.residual <= CLOSURE_TOL
+
+
+def _closed_fit(inv: InvariantSet, seed: int) -> StructureConstants:
+    """``analyze``'s fit (60 samples, ``seed``, central terms allowed);
+    raises AlgebraError when the members do not close, so that no Cartan
+    basis or Casimir is read off a table that is not an algebra."""
+    constants = fit_structure_constants(inv, 60, seed, allow_central=True)
+    if not check_closure(constants):
+        raise AlgebraError(
+            f"the members do not close (fit residual {constants.residual:.3e})")
+    return constants
 
 
 def is_solvable(constants: StructureConstants) -> bool:
@@ -517,8 +514,8 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     m = _bracket_from_jacobian(inv, jac)
     rank, _, vt = _numeric_rank(m)
     kernel = vt[rank:]
-    _, _, jacobians = inv._screened_samples(5, seed)
-    generic_rank, _ = _max_bracket_rank(inv, jacobians)
+    generic_rank, _ = _max_bracket_rank(
+        inv, _jacobians_in_domain(inv, inv.sample_points(5, seed)))
     if rank != generic_rank:
         raise RegularityError(
             f"bracket-matrix rank {rank} at the witness differs from the "
@@ -601,12 +598,12 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     """Polynomials in H_1..H_k that bracket-commute with every generator:
     the Casimirs of the fitted algebra up to the given degree.
 
-    With the constants of :func:`fit_structure_constants` (60 samples,
-    ``seed``, central terms allowed: ``analyze``'s fit, read from the set's
-    memo), {H_i, H_j} = C(h)_ij for C(xi) = c0 + sum_s xi_s c_s.  So P
-    commutes with every member iff sum_i dP/dxi_i C(xi)_ij = 0, a linear
-    system in P's monomial coefficients imposed at max(40, 4 * monomials)
-    standard-normal xi drawn with ``seed``; no phase-space point enters it.
+    With the constants of :func:`_closed_fit` (``analyze``'s fit, read
+    from the set's memo), {H_i, H_j} = C(h)_ij for C(xi) = c0 + sum_s xi_s
+    c_s.  So P commutes with every member iff sum_i dP/dxi_i C(xi)_ij = 0,
+    a linear system in P's monomial coefficients imposed at max(40, 4 *
+    monomials) standard-normal xi drawn with ``seed``; no phase-space point
+    enters it.
     The result is an orthonormal basis of its kernel without constants and
     Cartan combinations, each member checked at 20 fresh xi to
     max_j |sum_i dP_i C_ij| <= 1e-10 (1 + |dP| |C|).  ``element`` is not
@@ -623,11 +620,7 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
         raise ValueError(
             f"degree {degree} in {k} members gives {n_mono} monomials; "
             f"the completion ansatz allows at most {MAX_COMPLETION_MONOMIALS}")
-    constants = fit_structure_constants(inv, 60, seed, allow_central=True)
-    if not check_closure(constants):
-        raise AlgebraError(
-            f"the members do not close (fit residual {constants.residual:.3e}),"
-            " so they have no Casimirs to complete them")
+    constants = _closed_fit(inv, seed)
     monomials = _monomial_indices(k, degree)
     rng = np.random.default_rng(seed)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .expr import EvalPoint, ExprError, to_string
 from .algebra import (
-    AlgebraError, cartan_basis_at, algebra_rank, check_closure,
+    AlgebraError, _closed_fit, cartan_basis_at, algebra_rank, check_closure,
     find_level_point, fit_structure_constants, functional_independence,
     is_solvable, mishchenko_fomenko_check, search_polynomial_completion,
 )
@@ -104,8 +104,8 @@ def _cmd_analyze(system: SystemDefinition, args, seed: int):
         "max_central_term": float(np.max(np.abs(constants.c0))),
         "structure_constants": _listify(constants.c),
         "central_terms": _listify(constants.c0),
-        "jacobi_defect": constants.jacobi_defect(),
-        "solvable": is_solvable(constants),
+        "jacobi_defect": constants.jacobi_defect() if closed else None,
+        "solvable": is_solvable(constants) if closed else None,
         "independent": functional_independence(inv, probes),
     }
     return results, closed, []
@@ -125,12 +125,7 @@ def _cmd_rank(system: SystemDefinition, args, seed: int):
 
 def _cmd_cartan(system: SystemDefinition, args, seed: int):
     values = _parse_values(args.h, "--h")
-    constants = fit_structure_constants(system.invariants, samples=60,
-                                        seed=seed, allow_central=True)
-    if not check_closure(constants):
-        raise AlgebraError(
-            f"the members do not close (fit residual {constants.residual:.3e}),"
-            " so they have no Cartan basis")
+    _closed_fit(system.invariants, seed)
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
     results = {

@@ -127,8 +127,9 @@ def numerically_equivalent(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the screening loop that draws and evaluates every batch afresh, which the
-# memoised InvariantSet._screened_samples must match bit for bit
+# the screening loop that draws and evaluates every batch afresh, which
+# InvariantSet.sample_points, and the outcomes it keeps for _evaluate, must
+# match bit for bit
 
 
 def reference_screened_samples(inv, count, seed):

@@ -178,7 +178,7 @@ def test_frequency_matrix_oscillator(osc):
     assert omega[0, 0] == pytest.approx(1.0, abs=1e-4)
 
 
-def test_frequency_at_a_cycle_birth(osc):
+def test_frequency_at_a_cycle_birth(osc, quartic):
     # the lower shifted level of h = 5e-7 is negative and has no cycle, so
     # d gamma / d h is the one-sided difference the time map takes there
     assert abs(frequency_matrix(osc, [5e-7])[0, 0] - 1.0) <= 1e-8
@@ -186,6 +186,11 @@ def test_frequency_at_a_cycle_birth(osc):
     # at h = 0 the base level itself has no cycle to difference from
     with pytest.raises(QuadratureError, match="degenerate cycle"):
         frequency_matrix(osc, [0.0])
+    # a one-sided difference from gamma(0) = 0 would read omega = 1 on the
+    # oscillator but ~0.03 on the quartic, whose omega(h) -> 0 as its
+    # period grows like h^(-1/4): the raise is the honest answer
+    with pytest.raises(QuadratureError, match="degenerate cycle"):
+        frequency_matrix(quartic, [0.0])
 
 
 def test_frequency_matrix_uncoupled(uncoupled):

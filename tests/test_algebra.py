@@ -18,7 +18,9 @@ from liouville.algebra import (
     build_combination,
 )
 from liouville import algebra
-from liouville.expr import compile_functions, p, parse, q, sample_eval_points
+from liouville.expr import (
+    DomainError, compile_functions, p, parse, q, sample_eval_points,
+)
 from liouville.sysfile import loads_system
 from oracles import reference_evaluate, reference_screened_samples
 
@@ -677,16 +679,21 @@ def test_bracket_matrix_matches_symbolic_oracle():
 
 
 def _count_evaluations(monkeypatch):
-    """The states (q + p) of the InvariantSet._evaluate calls, in order."""
-    points = []
-    original = InvariantSet._evaluate
+    """The states passed to the invariant sets' compiled member-and-gradient
+    functions, in order: one per computation, below the sampled-point memo."""
+    states = []
 
-    def counting(self, point):
-        points.append(point.q + point.p)
-        return original(self, point)
+    def compile_counting(*args, **kwargs):
+        fn = compile_functions(*args, **kwargs)
 
-    monkeypatch.setattr(InvariantSet, "_evaluate", counting)
-    return points
+        def counting(y):
+            states.append(tuple(y))
+            return fn(y)
+
+        return counting
+
+    monkeypatch.setattr(algebra, "compile_functions", compile_counting)
+    return states
 
 
 def test_fit_evaluates_each_screened_point_once(monkeypatch):
@@ -698,9 +705,33 @@ def test_fit_evaluates_each_screened_point_once(monkeypatch):
     assert len(points) == 60
 
 
+def test_analyze_chain_evaluates_each_sampled_state_once(monkeypatch):
+    # analyze's fit, then the six probes that rank, the dimension condition
+    # and the independence check read: the probes are a prefix of the
+    # fit's seed-42 draw, so no verdict computes a sampled point again
+    system = get_system("vortices3")
+    inv = system.invariants
+    points = _count_evaluations(monkeypatch)
+    fit_structure_constants(inv, 60, 42, allow_central=True)
+    probes = probe_points(system, 6, 42)
+    algebra_rank(inv, probes)
+    mishchenko_fomenko_check(inv, probes)
+    functional_independence(inv, probes)
+    assert len(points) == len(set(points)) == 60
+
+
+def test_sampled_values_and_jacobians_are_read_only():
+    # the memo hands the same arrays to every verdict, so none may write
+    inv = get_system("vortices3").invariants
+    u = inv.sample_points(1, 0)[0]
+    for shared in (inv.member_values(u), inv.jacobian_at(u)):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+
 def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
     # the Cartan check's 5 points and the completion's 60-point fit are
-    # prefixes of the seed-0 batch memoised on the set, so after a 60-point
+    # prefixes of the seed-0 draw memoised on the set, so after a 60-point
     # fit at seed 0 only the witness is new; the completion system itself
     # reads the fitted constants and no phase-space point
     system = get_system("vortices3")
@@ -725,6 +756,14 @@ def test_cartan_and_completion_evaluate_each_screened_point_once(monkeypatch):
 
 def _states(points):
     return [u.q + u.p for u in points]
+
+
+def _screened(inv, count, seed):
+    """(points, values (count, k), Jacobians (count, k, 2n)) of a
+    sample_points request, read through _evaluate as the verdicts read them."""
+    points = inv.sample_points(count, seed)
+    values, jacobians = zip(*map(inv._evaluate, points))
+    return points, np.array(values), np.array(jacobians)
 
 
 def _sqrt_set():
@@ -753,15 +792,34 @@ def _screen_like_reference(make, requests):
             want = reference_screened_samples(ref, count, seed)
         except SamplingError as exc:
             with pytest.raises(SamplingError, match=str(exc)):
-                memo._screened_samples(count, seed)
+                memo.sample_points(count, seed)
             results.append(None)
             continue
-        got = memo._screened_samples(count, seed)
+        got = _screened(memo, count, seed)
         assert _states(got[0]) == _states(want[0])
         assert np.array_equal(_bits(got[1]), _bits(want[1]))
         assert np.array_equal(_bits(got[2]), _bits(want[2]))
         results.append(got)
     return results
+
+
+def test_rejected_sample_raises_its_kept_domain_error(monkeypatch):
+    # a drawn point that left the domain is not computed again: _evaluate
+    # raises the DomainError message the screening kept
+    inv, fresh = _sqrt_set(), _sqrt_set()
+    states = _count_evaluations(monkeypatch)
+    good = _states(inv.sample_points(5, 0))
+    rejected = [u for u in sample_eval_points(1, 5, 0)
+                if u.q + u.p not in good]
+    assert rejected
+    for u in rejected:
+        with pytest.raises(DomainError) as want:
+            fresh._evaluate(u)
+        before = len(states)
+        with pytest.raises(DomainError) as got:
+            inv._evaluate(u)
+        assert str(got.value) == str(want.value)
+        assert len(states) == before
 
 
 @pytest.mark.parametrize("make", [lambda: get_system("vortices3").invariants,
@@ -810,7 +868,7 @@ def test_cold_screening_evaluates_the_reference_states_only(monkeypatch, make,
     points = _count_evaluations(monkeypatch)
     outcomes = []
     for screen in (lambda inv: reference_screened_samples(inv, count, seed),
-                   lambda inv: inv._screened_samples(count, seed)):
+                   lambda inv: inv.sample_points(count, seed)):
         points.clear()
         try:
             screen(make())
@@ -846,7 +904,7 @@ def test_invariant_set_owns_its_parameter_binding(used_first):
     bracket = compile_functions([poisson_bracket(*exprs, s)], 1, {"g": 0.6})
     assert bracket_matrix_at(inv, u)[0, 1] == pytest.approx(
         bracket((3.0, 0.5))[0], rel=1e-12)
-    got, ref = inv._screened_samples(8, 3), want._screened_samples(8, 3)
+    got, ref = _screened(inv, 8, 3), _screened(want, 8, 3)
     assert _states(got[0]) == _states(ref[0])
     assert np.array_equal(_bits(got[1]), _bits(ref[1]))
     assert np.array_equal(_bits(got[2]), _bits(ref[2]))

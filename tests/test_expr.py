@@ -411,39 +411,56 @@ def test_eval_point_state():
 STRUCTURAL_DIGEST = "76a2829adea5a6d742aa3ecf5020748f8dc50a9040719ef276505bd3a20ebd0f"
 
 
-def _structural_digest() -> str:
-    digest = hashlib.sha256()
+def _structural_items():
+    """Every labelled tree in digest order, as the bytes the digest hashes."""
 
-    def add(e):
-        digest.update(f"{e!r}\0{to_string(e)}\n".encode())
+    def item(label, e):
+        return label, f"{e!r}\0{to_string(e)}\n".encode()
 
     for name in sorted(list_systems()):
         system = get_system(name)
         inv = system.invariants
-        add(system.hamiltonian)
+        coords = system.structure.coordinates
+        yield item(f"{name} hamiltonian", system.hamiltonian)
         for i, member in enumerate(inv.exprs):
-            add(member)
-            for g in inv.gradient_exprs(i):
-                add(g)
+            yield item(f"{name} {inv.names[i]}", member)
+            for s, g in zip(coords, inv.gradient_exprs(i)):
+                yield item(f"{name} d{inv.names[i]}/d{s}", g)
         field = hamiltonian_vector_field(system.hamiltonian, system.structure)
-        for component in field.dq + field.dp:
-            add(component)
+        for s, component in zip(coords, field.dq + field.dp):
+            yield item(f"{name} field d{s}/dt", component)
         if system.n <= 5:
-            for a, b in itertools.combinations(inv.exprs, 2):
-                add(poisson_bracket(a, b, system.structure))
+            for (a, ea), (b, eb) in itertools.combinations(
+                    zip(inv.names, inv.exprs), 2):
+                yield item(f"{name} {{{a}, {b}}}",
+                           poisson_bracket(ea, eb, system.structure))
         if system.chart is not None:
-            for deg in system.chart.degrees:
-                add(deg.residual)
-                add(differentiate(deg.residual, "w"))
+            for j, deg in enumerate(system.chart.degrees, 1):
+                yield item(f"{name} chart residual {j}", deg.residual)
+                yield item(f"{name} chart residual {j} d/dw",
+                           differentiate(deg.residual, "w"))
     rng = np.random.default_rng(2718)
-    for _ in range(200):
+    for r in range(200):
         e = _random_expr(rng)
-        add(e)
-        add(simplify(e))
+        yield item(f"random {r}", e)
+        yield item(f"random {r} simplified", simplify(e))
         for s in ("q1", "q2", "p1", "p2"):
-            add(differentiate(e, s))
+            yield item(f"random {r} d/d{s}", differentiate(e, s))
+
+
+def _structural_digest() -> str:
+    digest = hashlib.sha256()
+    for _, data in _structural_items():
+        digest.update(data)
     return digest.hexdigest()
 
 
 def test_structural_digest_is_unchanged():
     assert _structural_digest() == STRUCTURAL_DIGEST
+
+
+if __name__ == "__main__":
+    # one "sha256  label" line per tree, so that two trees' listings can be
+    # diffed item by item: PYTHONPATH=src python tests/test_expr.py
+    for label, data in _structural_items():
+        print(f"{hashlib.sha256(data).hexdigest()}  {label}")

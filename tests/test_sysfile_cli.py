@@ -692,6 +692,21 @@ def test_cartan_on_an_open_set_exits_2(tmp_path):
         "do not close")
 
 
+def test_analyze_reports_no_algebra_verdicts_for_an_open_set(tmp_path):
+    # drift_control's fitted table does not close, so it has no abstract
+    # algebra to be solvable or to satisfy Jacobi; the tables stay as the
+    # diagnostic
+    path = tmp_path / "drift_control.sys"
+    path.write_text(export_system_file(get_system("drift_control")),
+                    encoding="utf-8")
+    report = report_of(["analyze", str(path)])
+    results = report["results"]
+    assert results["closed"] is False and results["residual"] > 1e-6
+    assert results["solvable"] is None and results["jacobi_defect"] is None
+    assert np.any(results["structure_constants"])
+    assert report["verdict"] is False
+
+
 def test_sample_dt_under_symmetric4_exits_2():
     # the fixed-step loop has no interpolant to honour the grid
     _assert_one_error_line(*run_cli(
