@@ -10,17 +10,19 @@ degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
 
-Time maps and frequencies share one derivative: the central difference,
-in h, of the branch primitive integral(w dlam).  Differencing the primitive
-instead of the integrand keeps the inverse-square-root turning-point
-singularity out of the difference quotient: when an endpoint sits on the
-cycle boundary the primitive is taken to the boundary of each shifted
-level set, where w vanishes and the boundary motion contributes nothing.
-Where a shifted level has no cycle, at a cycle's birth, the difference is
-one-sided.  d gamma_i / d h_j is the time map over degree i's cycle (one
-turning point to the other) divided by pi, so the frequency matrix
+Time maps and frequencies read one table of level derivatives: entry
+(s, j) is the central difference, in h_j, of degree s's branch primitive
+integral(w dlam).  time_map sums its columns.  Over each degree's cycle
+(one turning point to the other), d gamma_s / d h_j is the degree's branch
+sign times the entry over pi, so the frequency matrix
 Omega = (d gamma / d h)^(-1) gives 2 pi / omega equal, to rounding, to
-twice that half-cycle time.
+twice the half-cycle time.
+Differencing the primitive instead of the integrand keeps the
+inverse-square-root turning-point singularity out of the difference
+quotient: when an endpoint sits on the cycle boundary the primitive is
+taken to the boundary of each shifted level set, where w vanishes and the
+boundary motion contributes nothing.  Where a shifted level has no cycle,
+at a cycle's birth, the difference is one-sided.
 """
 from __future__ import annotations
 
@@ -167,39 +169,33 @@ class ActionSpectrum:
     h: tuple[float, ...]
 
 
-def _degree(chart: SeparableChart, j: int) -> ChartDegree:
-    if not 1 <= j <= chart.n:
-        raise ValueError(f"degree index {j} out of range 1..{chart.n}")
-    return chart.degrees[j - 1]
-
-
-def _h_map(chart: SeparableChart, h: Sequence[float]) -> dict[str, float]:
-    if len(h) != chart.h_dim:
-        raise ValueError(f"expected {chart.h_dim} level values, got {len(h)}")
-    return {f"h_{i}": float(v) for i, v in enumerate(h, start=1)}
-
-
 def _level(chart: SeparableChart, h: Sequence[float],
            square_for: str | None = None) -> list[float]:
     """h as floats, one per level symbol; with ``square_for`` (the caller's
     name) the chart must also have one level symbol per degree."""
     hv = [float(v) for v in h]
-    _h_map(chart, hv)
+    if len(hv) != chart.h_dim:
+        raise ValueError(f"expected {chart.h_dim} level values, got {len(hv)}")
     if square_for is not None and chart.h_dim != chart.n:
         raise ValueError(f"{square_for} needs one level symbol per degree")
     return hv
 
 
-def _compile_degree(chart: SeparableChart, j: int, h: Sequence[float],
+def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
                     env: Mapping[str, float] | None = None
-                    ) -> Callable[[tuple[float, float]], tuple[float, float]]:
-    """Compile (R, dR/dw) of degree j as a function of the pair (lam, w)."""
+                    ) -> tuple[ChartDegree, Callable]:
+    """Degree j and its (R, dR/dw) compiled as a function of the pair
+    (lam, w) at the level hv (already checked by :func:`_level`), with
+    ``env`` binding other degrees' states."""
+    if not 1 <= j <= chart.n:
+        raise ValueError(f"degree index {j} out of range 1..{chart.n}")
+    deg = chart.degrees[j - 1]
     params = dict(chart.params)
-    params.update(_h_map(chart, h))
+    params.update((f"h_{i}", v) for i, v in enumerate(hv, start=1))
     if env:
         params.update(env)
     try:
-        return compile_functions(_degree(chart, j)._pair, 1, params)
+        return deg, compile_functions(deg._pair, 1, params)
     except UnboundSymbolError as exc:
         raise ChartError(
             f"degree {j} references another degree's state ({exc}); "
@@ -320,7 +316,7 @@ def _root_scale(lam: float, h: Sequence[float]) -> float:
     return 1.0 + abs(lam) + max((abs(v) for v in h), default=0.0)
 
 
-def _branch_value(g, deg: ChartDegree, lam: float,
+def _branch_value(deg: ChartDegree, g, lam: float,
                   h: Sequence[float]) -> float:
     """w on ``deg``'s branch at lam, with ``g`` its pair compiled at h."""
     return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))
@@ -329,8 +325,8 @@ def _branch_value(g, deg: ChartDegree, lam: float,
 def solve_branch(chart: SeparableChart, j: int, lam: float,
                  h: Sequence[float]) -> float:
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
-    return _branch_value(_compile_degree(chart, j, h), _degree(chart, j),
-                         float(lam), h)
+    hv = _level(chart, h)
+    return _branch_value(*_compile_degree(chart, j, hv), float(lam), hv)
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +348,36 @@ def turning_points(chart: SeparableChart, j: int,
     outside of the sign change, where solve_branch lands on the tangency
     root, so |w(lam+-)| is at the floating-point floor.
     """
-    return _turning_points(_compile_degree(chart, j, h), _degree(chart, j))
+    return _cycle(chart, j, _level(chart, h))[2:]
 
 
-def _turning_points(g, deg: ChartDegree) -> tuple[float, float]:
-    """turning_points of ``deg`` with its residual pair already compiled."""
+def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]
+           ) -> tuple[ChartDegree, Callable, float, float]:
+    """(degree j, its pair compiled at hv, lam-, lam+): the one search for
+    turning points, behind :func:`turning_points`."""
+    deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
     vals = np.array([_existence(g, x) for x in grid])
     neg = np.nonzero(vals < 0.0)[0]
-    if len(neg) == 0:
-        # refine the grid minimum; a tangency means a degenerate cycle
-        i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        lam_min, g_min = _golden_min(lambda x: _existence(g, x), lo, hi)
-        if g_min < 0.0:
-            left = _bisect_sign(g, lo, lam_min)
-            right = _bisect_sign(g, hi, lam_min)
-            return left, right
-        if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-            return lam_min, lam_min
-        raise NoRealRootError("no sign change in bracket")
-    first, last = int(neg[0]), int(neg[-1])
-    if first == 0 or last == len(grid) - 1:
-        raise NoRealRootError(
-            "bracket endpoints must lie outside the classically allowed "
-            "region")
-    left = _bisect_sign(g, grid[first - 1], grid[first])
-    right = _bisect_sign(g, grid[last + 1], grid[last])
-    return left, right
+    if len(neg):
+        first, last = int(neg[0]), int(neg[-1])
+        if first == 0 or last == len(grid) - 1:
+            raise NoRealRootError(
+                "bracket endpoints must lie outside the classically allowed "
+                "region")
+        return (deg, g, _bisect_sign(g, grid[first - 1], grid[first]),
+                _bisect_sign(g, grid[last + 1], grid[last]))
+    # refine the grid minimum; a tangency means a degenerate cycle
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    lam_min, g_min = _golden_min(lambda x: _existence(g, x), lo, hi)
+    if g_min < 0.0:
+        return deg, g, _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
+    if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
+        return deg, g, lam_min, lam_min
+    raise NoRealRootError("no sign change in bracket")
 
 
 def _bisect_sign(g, outside: float, inside: float) -> float:
@@ -413,8 +409,9 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _branch_integral(g, a: float, b: float, sign: int,
-                     scale: float) -> float:
-    """integral of w(lam) over [a, b] by Gauss-Legendre doubling.
+                     h: Sequence[float]) -> float:
+    """integral of w(lam) over [a, b], with ``g`` compiled at the level h,
+    by Gauss-Legendre doubling.
 
     The substitution lam = mid + halfwidth*sin(theta) turns the
     inverse-square-root behaviour of dlam near a turning point into an
@@ -424,6 +421,7 @@ def _branch_integral(g, a: float, b: float, sign: int,
     """
     if a == b:
         return 0.0
+    scale = _root_scale(max(abs(a), abs(b)), h)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     prev = None
@@ -453,18 +451,13 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
     hv = _level(chart, h)
-    deg = _degree(chart, j)
-    g = _compile_degree(chart, j, hv)
-    lam_minus, lam_plus = _turning_points(g, deg)
-    if lam_minus == lam_plus:
-        return 0.0
-    scale = _root_scale(max(abs(lam_minus), abs(lam_plus)), hv)
+    _, g, lam_minus, lam_plus = _cycle(chart, j, hv)
     # on the + branch every root is >= +0.0, so w is |w|
-    return _branch_integral(g, lam_minus, lam_plus, 1, scale) / math.pi
+    return _branch_integral(g, lam_minus, lam_plus, 1, hv) / math.pi
 
 
 # ---------------------------------------------------------------------------
-# time maps
+# time maps and frequencies
 
 
 # an interval from one turning point of the cycle to the other
@@ -479,7 +472,7 @@ def _classify_intervals(chart, hv, mu):
         if a == b:
             specs.append(None)
             continue
-        lam_minus, lam_plus = turning_points(chart, s, hv)
+        _, _, lam_minus, lam_plus = _cycle(chart, s, hv)
         if lam_minus == lam_plus:
             raise QuadratureError(
                 "degenerate cycle; choose an interior endpoint")
@@ -504,31 +497,29 @@ def _classify_intervals(chart, hv, mu):
 def _primitive(chart, s, spec, h_side) -> float | None:
     """integral of the branch w_s over the interval resolved at h_side, or
     None where a turning-point end has no cycle at that level."""
-    deg = chart.degrees[s - 1]
-    g = _compile_degree(chart, s, h_side)
-    lam_minus = lam_plus = None
     if any(kind == "tp" for kind, _ in spec):
         try:
-            lam_minus, lam_plus = _turning_points(g, deg)
-        except ChartError:
+            deg, g, lam_minus, lam_plus = _cycle(chart, s, h_side)
+        except NoRealRootError:
             return None
         if lam_minus == lam_plus:
             return None
+    else:
+        deg, g = _compile_degree(chart, s, h_side)
     ends = []
     for kind, v in spec:
         if kind == "tp":
             ends.append(lam_minus if v < 0 else lam_plus)
         else:
             try:
-                _branch_value(g, deg, v, h_side)
+                _branch_value(deg, g, v, h_side)
             except (NoRealRootError, ConvergenceError):
                 raise QuadratureError(
                     "endpoint sits at a turning point of a nearby level; "
                     "the time integral diverges there, choose an interior "
                     "endpoint") from None
             ends.append(v)
-    scale = _root_scale(max(abs(ends[0]), abs(ends[1])), h_side)
-    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, scale)
+    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side)
 
 
 def _level_derivative(f: Callable[[list[float]], float | None],
@@ -571,41 +562,37 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     (at a cycle's birth) the difference is one-sided.
     """
     hv = _level(chart, h, "time_map")
-    n = chart.n
-    if len(mu) != n:
+    if len(mu) != chart.n:
         raise ValueError("one (start, end) pair per degree")
-    specs = _classify_intervals(chart, hv, mu)
-    times = []
-    for jdx in range(n):
-        t_j = 0.0
-        for s in range(1, n + 1):
-            spec = specs[s - 1]
-            if spec is not None and jdx + 1 in chart.levels[s - 1]:
-                t_j += _level_derivative(
-                    functools.partial(_primitive, chart, s, spec), hv, jdx)
-        times.append(t_j)
-    return tuple(times)
+    table = _time_table(chart, hv, _classify_intervals(chart, hv, mu))
+    return tuple(sum(column, 0.0) for column in table.T)
 
 
-# ---------------------------------------------------------------------------
-# frequencies
+def _time_table(chart: SeparableChart, hv: list[float],
+                specs: Sequence) -> np.ndarray:
+    """T[s-1, j-1] = d/dh_j of degree s's primitive over specs[s-1], for
+    each h_j that degree s reads; every other entry stays +0.0."""
+    table = np.zeros((chart.n, chart.h_dim))
+    for s, spec in enumerate(specs, start=1):
+        if spec is not None:
+            primitive = functools.partial(_primitive, chart, s, spec)
+            for j in chart.levels[s - 1]:
+                table[s - 1, j - 1] = _level_derivative(primitive, hv, j - 1)
+    return table
 
 
 def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
     """Omega = (d gamma / d h)^(-1), refused above condition number COND_LIMIT.
 
-    d gamma_i / d h_j is branch_sign_i times the level derivative of the
-    primitive over degree i's cycle, over pi: the time map of that cycle,
-    from one turning point to the other.
+    d gamma_i / d h_j is branch_sign_i times the time table over degree
+    i's cycle, over pi.
     """
     hv = _level(chart, h, "frequency_matrix")
-    a = np.zeros((chart.n, chart.n))
-    for i in range(1, chart.n + 1):
-        sign = chart.degrees[i - 1].branch_sign
-        cycle = functools.partial(_primitive, chart, i, _CYCLE)
-        for j in chart.levels[i - 1]:
-            a[i - 1, j - 1] = sign * _level_derivative(cycle, hv,
-                                                       j - 1) / math.pi
+    table = _time_table(chart, hv, [_CYCLE] * chart.n)
+    a = np.zeros_like(table)
+    for i, deg in enumerate(chart.degrees):
+        filled = [j - 1 for j in chart.levels[i]]
+        a[i, filled] = deg.branch_sign * table[i, filled] / math.pi
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > COND_LIMIT:
         raise ChartError(
@@ -635,9 +622,7 @@ def _environments(chart: SeparableChart, hv: list[float],
         if chart.couplings[s - 1]:
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
-        deg = chart.degrees[s - 1]
-        g = _compile_degree(chart, s, hv)
-        lam_minus, lam_plus = _turning_points(g, deg)
+        deg, g, lam_minus, lam_plus = _cycle(chart, s, hv)
         if lam_minus == lam_plus:
             raise ChartError(
                 f"degenerate cycle in degree {s} cannot be varied")
@@ -646,7 +631,7 @@ def _environments(chart: SeparableChart, hv: list[float],
         for env, f in zip(envs, fractions):
             lam_s = mid + f * hw
             env[f"lam_{s}"] = lam_s
-            env[f"w_{s}"] = _branch_value(g, deg, lam_s, hv)
+            env[f"w_{s}"] = _branch_value(deg, g, lam_s, hv)
     return envs
 
 
@@ -665,7 +650,7 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
     if not probe_vals:
         raise ValueError("need at least one probe value")
     worst = 0.0
-    for i, deg in enumerate(chart.degrees, start=1):
+    for i in range(1, chart.n + 1):
         if not chart.couplings[i - 1]:
             continue
         envs = _environments(chart, hv, chart.couplings[i - 1])
@@ -676,7 +661,7 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
                 try:
                     vals = [_level_derivative(
                         lambda hs: _branch_value(
-                            _compile_degree(chart, i, hs, env), deg, lam, hs),
+                            *_compile_degree(chart, i, hs, env), lam, hs),
                         hv, j - 1) for env in envs]
                 except ChartError:
                     continue

@@ -101,7 +101,6 @@ class InvariantSet:
         unbound -= set(self.params)
         if unbound:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
-        self._grad_cache: dict[int, tuple[Expr, ...]] = {}
         self._compiled: Callable | None = None
         self._draws: dict[int, list[EvalPoint]] = {}
         self._outcomes: dict[tuple[float, ...], tuple | str] = {}
@@ -109,11 +108,6 @@ class InvariantSet:
     @property
     def k(self) -> int:
         return len(self.names)
-
-    def gradient_exprs(self, i: int) -> tuple[Expr, ...]:
-        if i not in self._grad_cache:
-            self._grad_cache[i] = gradient(self.exprs[i], self.structure.coordinates)
-        return self._grad_cache[i]
 
     def _evaluate(self, point: EvalPoint) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (member values (k,), Jacobian (k, 2n)) at a point: a
@@ -132,8 +126,9 @@ class InvariantSet:
         if outcome is not None:
             return outcome
         if self._compiled is None:
+            coords = self.structure.coordinates
             exprs = self.exprs + tuple(
-                g for i in range(self.k) for g in self.gradient_exprs(i))
+                g for e in self.exprs for g in gradient(e, coords))
             self._compiled = compile_functions(exprs, n, self.params)
         out = np.array(self._compiled(state))
         out.flags.writeable = False
@@ -387,9 +382,7 @@ def is_solvable(constants: StructureConstants) -> bool:
     c = constants.c
     k = constants.k
     basis = np.eye(k)
-    for _ in range(k + 1):
-        if basis.shape[0] == 0:
-            return True
+    while True:
         brackets = np.einsum("ai,bj,sij->abs", basis, basis, c).reshape(-1, k)
         norms = np.linalg.norm(brackets, axis=1)
         brackets = brackets[norms > 1e-14]
@@ -399,7 +392,6 @@ def is_solvable(constants: StructureConstants) -> bool:
         if dim >= basis.shape[0]:
             return False
         basis = vt[:dim]
-    return False
 
 
 def algebra_rank(inv: InvariantSet, probes: Sequence[EvalPoint]

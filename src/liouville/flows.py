@@ -44,6 +44,8 @@ __all__ = [
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 COMMUTE_TOL = 1e-6
+# the step budget of one run, and the row limit of a sample_dt grid
+MAX_STEPS = 2_000_000
 
 # Dormand-Prince 5(4) tableau as scipy.integrate.RK45 holds it, without the
 # stage nodes (every field here is autonomous) and without the second
@@ -84,8 +86,9 @@ class IntegratorConfig:
     RK45's controller, with rtol = atol = ``tolerance``) or "symmetric4"
     (fixed ``step``, separable H only).
     ``sample_dt`` switches an adaptive trajectory to a uniform output grid
-    of at most ``max_steps`` rows; the fixed-step scheme has no interpolant
-    and rejects it.  ``collision_threshold`` aborts when the
+    of at most ``MAX_STEPS`` rows; the fixed-step scheme has no
+    interpolant and rejects it.  Every run stops after ``MAX_STEPS``
+    steps with error "max_steps".  ``collision_threshold`` aborts when the
     minimum pairwise squared distance between the per-degree points
     (q_j, p_j) drops below it.  Every number must be finite.
     """
@@ -93,7 +96,6 @@ class IntegratorConfig:
     scheme: str = "adaptive"
     tolerance: float = 1e-9
     step: float | None = None
-    max_steps: int = 2_000_000
     sample_dt: float | None = None
     collision_threshold: float | None = None
 
@@ -108,8 +110,6 @@ class IntegratorConfig:
             raise ValueError("tolerance must be positive")
         if self.scheme == "symmetric4" and (self.step is None or self.step <= 0):
             raise ValueError("symmetric4 needs a positive fixed step")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
         if self.sample_dt is not None and self.sample_dt <= 0:
             raise ValueError("sample_dt must be positive")
         if self.sample_dt is not None and self.scheme != "adaptive":
@@ -172,7 +172,7 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
     if config.sample_dt is not None and \
-            t_final / config.sample_dt >= config.max_steps:
+            t_final / config.sample_dt >= MAX_STEPS:
         raise ValueError("the sample_dt grid has more than max_steps rows")
     if u0.n != structure.n:
         raise ValueError("initial point dimension mismatch")
@@ -218,7 +218,7 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
     steps = 0
     next_sample = config.sample_dt
     while True:
-        if steps >= config.max_steps:
+        if steps >= MAX_STEPS:
             error = "max_steps"
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -385,10 +385,10 @@ def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
 def _integrate_symmetric4(h, fld, params, y0, t_final, n,
                           config) -> Trajectory:
     m = max(1, round(t_final / config.step))
-    truncated_budget = m > config.max_steps
+    truncated_budget = m > MAX_STEPS
     dt = t_final / m
     if truncated_budget:
-        m = config.max_steps
+        m = MAX_STEPS
     step = _compile_step(h, fld, n, params, dt)
     y = tuple(map(float, y0))
     ts = [0.0]

@@ -199,6 +199,27 @@ def test_frequency_matrix_uncoupled(uncoupled):
     assert omega[0, 1] == omega[1, 0] == 0.0
 
 
+def test_mixed_level_chart_off_diagonal_entries():
+    # degree 1 oscillates at frequency 1 with energy h_1 + h_2 / 2, degree
+    # 2 at frequency 2 with energy h_2: d gamma / d h = [[1, 1/2], [0, 1/2]]
+    chart = SeparableChart((
+        ChartDegree(simplify(W ** 2 + LAM ** 2 - 2 * (H1 + 0.5 * H2)),
+                    bracket=(-8.0, 8.0)),
+        ChartDegree(simplify(W ** 2 + 4 * LAM ** 2 - 2 * H2),
+                    bracket=(-8.0, 8.0)),
+    ), h_dim=2)
+    h = [0.4, 0.6]
+    omega = frequency_matrix(chart, h)
+    assert np.max(np.abs(omega - [[1.0, -1.0], [0.0, 2.0]])) <= 1e-8
+    cycles = [turning_points(chart, j, h) for j in (1, 2)]
+    first = time_map(chart, h, [cycles[0], (0.0, 0.0)])
+    both = time_map(chart, h, cycles)
+    assert np.max(np.abs(np.array(first) / math.pi - [1.0, 0.5])) <= 1e-9
+    assert np.max(np.abs(np.array(both) / math.pi - [1.0, 1.0])) <= 1e-9
+    gammas = action_spectrum(chart, h).gammas
+    assert np.max(np.abs(np.array(gammas) - [0.7, 0.3])) <= 1e-12
+
+
 def test_frequency_matrix_singular_action_map():
     flat = SeparableChart(
         (ChartDegree(simplify(W ** 2 + LAM ** 2 - const(2.0)),

@@ -14,7 +14,7 @@ from liouville import (
     simplify, substitute_param, to_string, variables_of,
 )
 from liouville.catalog import list_systems
-from liouville.expr import const, p, param, q
+from liouville.expr import const, gradient, p, param, q
 from liouville.symplectic import hamiltonian_vector_field, poisson_bracket
 from oracles import numerically_equivalent, reference_evaluate
 
@@ -424,7 +424,7 @@ def _structural_items():
         yield item(f"{name} hamiltonian", system.hamiltonian)
         for i, member in enumerate(inv.exprs):
             yield item(f"{name} {inv.names[i]}", member)
-            for s, g in zip(coords, inv.gradient_exprs(i)):
+            for s, g in zip(coords, gradient(member, coords)):
                 yield item(f"{name} d{inv.names[i]}/d{s}", g)
         field = hamiltonian_vector_field(system.hamiltonian, system.structure)
         for s, component in zip(coords, field.dq + field.dp):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from liouville import flows
 from liouville.algebra import build_combination, cartan_basis_at, find_level_point
 from liouville.catalog import get_system, probe_points
 from liouville.expr import (
@@ -348,16 +349,15 @@ def test_adaptive_step_probe_outside_domain_truncates_with_flag():
     assert traj.states.tolist() == [[1e-12, -1.0]]
 
 
-def test_max_steps_truncates_with_flag():
+def test_max_steps_truncates_with_flag(monkeypatch):
+    monkeypatch.setattr(flows, "MAX_STEPS", 5)
     osc = get_system("oscillator")
-    traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 100.0,
-                     IntegratorConfig(max_steps=5))
+    traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 100.0)
     assert traj.error == "max_steps"
     assert traj.accepted_steps == 5
     assert len(traj.times) == 6
     fixed = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1.0,
-                      IntegratorConfig(scheme="symmetric4", step=0.01,
-                                       max_steps=5))
+                      IntegratorConfig(scheme="symmetric4", step=0.01))
     assert fixed.error == "max_steps"
     assert fixed.accepted_steps == 5
     assert len(fixed.times) == 6
@@ -370,7 +370,7 @@ def test_initial_point_outside_domain_raises():
         integrate(system.hamiltonian, system.structure, coincident, 1.0)
 
 
-def test_integrate_input_validation():
+def test_integrate_input_validation(monkeypatch):
     osc = get_system("oscillator")
     u0 = EvalPoint((1.0,), (0.0,))
     with pytest.raises(ValueError, match="positive"):
@@ -380,9 +380,10 @@ def test_integrate_input_validation():
                   IntegratorConfig(scheme="symmetric4", step=0.01))
     with pytest.raises(ValueError, match="finite"):
         integrate(osc.hamiltonian, S1, EvalPoint((math.nan,), (0.0,)), 1.0)
+    monkeypatch.setattr(flows, "MAX_STEPS", 10)
     with pytest.raises(ValueError, match="max_steps"):
         integrate(osc.hamiltonian, S1, u0, 1.0,
-                  IntegratorConfig(sample_dt=0.01, max_steps=10))
+                  IntegratorConfig(sample_dt=0.01))
     with pytest.raises(ValueError, match="dimension"):
         integrate(osc.hamiltonian, SymplecticStructure.canonical(2), u0, 1.0)
     with pytest.raises(ValueError, match="unbound"):
@@ -446,8 +447,6 @@ def test_config_validation():
         IntegratorConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="step"):
         IntegratorConfig(scheme="symmetric4")
-    with pytest.raises(ValueError, match="max_steps"):
-        IntegratorConfig(max_steps=0)
     with pytest.raises(ValueError, match="sample_dt"):
         IntegratorConfig(sample_dt=-0.1)
     with pytest.raises(ValueError, match="adaptive scheme only"):
