@@ -31,7 +31,7 @@ from .action_angle import (
     action_variable, frequency_matrix, picard_fuchs_residual, solve_branch,
     time_map, turning_points,
 )
-from .catalog import SystemDefinition, get_system, list_systems, probe_points, \
-    export_system_file
+from .catalog import SystemDefinition, get_system, list_systems, probe_points
+from .sysfile import export_system_file
 
 __version__ = "0.1.0"

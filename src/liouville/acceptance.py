@@ -36,7 +36,8 @@ from .action_angle import (
     ChartDegree, SeparableChart, action_variable, frequency_matrix,
     picard_fuchs_residual, time_map, turning_points,
 )
-from .catalog import export_system_file, get_system, probe_points
+from .catalog import get_system, probe_points
+from .sysfile import export_system_file
 from . import cli
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
@@ -98,7 +99,7 @@ def criterion_1() -> _Checks:
     """Three-vortex bracket table against the closed-form right-hand sides."""
     system = get_system("vortices3")
     inv = system.invariants
-    xi = system.parameter_values["xi"]
+    xi = system.structure.weights
     p1e, p2e, _, _ = inv.exprs
     zero = const(0.0)
     expected = {
@@ -120,7 +121,7 @@ def criterion_2() -> _Checks:
     """Bracket-matrix rank, algebra rank, and the Cartan kernel directions."""
     system = get_system("vortices3")
     inv = system.invariants
-    xi = system.parameter_values["xi"]
+    xi = system.structure.weights
     probes = probe_points(system, 6, seed=5)
     matrix_ranks = set()
     for u in probes:
@@ -169,7 +170,7 @@ def criterion_4() -> _Checks:
     """Degree-2 completion over the momenta and the abelian triple."""
     system = get_system("vortices3")
     inv = system.invariants
-    xi = system.parameter_values["xi"]
+    xi = system.structure.weights
     sub = InvariantSet(system.structure, inv.names[:3], inv.exprs[:3])
     u0 = probe_points(system, 1, seed=9)[0]
     element = find_level_point(sub, tuple(sub.member_values(u0)), u0)

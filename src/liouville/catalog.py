@@ -2,8 +2,9 @@
 
 Every builder bakes its numeric parameters directly into the expressions,
 so a SystemDefinition is fully bound and exports to the system-file format
-without a separate parameter table.  Members flagged in ``non_invariant``
-are deliberate controls that do not commute with the Hamiltonian.
+(``sysfile.export_system_file``) without a separate parameter table.
+Members flagged in ``non_invariant`` are deliberate controls that do not
+commute with the Hamiltonian.
 """
 from __future__ import annotations
 
@@ -12,24 +13,20 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    Call, EvalPoint, Expr, Param, ParseError, _fmt_number, const, p, parse,
-    parameters_of, q, simplify, substitute_param, to_string,
+    Call, EvalPoint, Expr, Param, ParseError, const, p, parse, parameters_of,
+    q, simplify, substitute_param,
 )
 from .symplectic import SymplecticStructure
 from .algebra import InvariantSet
 from .action_angle import ChartDegree, SeparableChart
 
-__all__ = [
-    "SystemDefinition", "get_system", "list_systems", "probe_points",
-    "export_system_file",
-]
+__all__ = ["SystemDefinition", "get_system", "list_systems", "probe_points"]
 
 
 @dataclass(frozen=True)
 class SystemDefinition:
     """A fully bound fixture: structure, Hamiltonian, invariants, chart.
 
-    ``parameter_values`` records the numbers baked into the expressions.
     Members listed in ``non_invariant`` are deliberate controls whose
     brackets with the Hamiltonian leave the member span.  The remaining
     members close on the span: in most fixtures they commute with the
@@ -41,7 +38,6 @@ class SystemDefinition:
     structure: SymplecticStructure
     hamiltonian: Expr
     invariants: InvariantSet
-    parameter_values: dict
     seed: int = 42
     chart: SeparableChart | None = None
     non_invariant: frozenset = frozenset()
@@ -94,9 +90,8 @@ def _build_oscillator(params: Mapping | None) -> SystemDefinition:
     s = SymplecticStructure.canonical(1)
     h = simplify((p(1) ** 2 + const(omega * omega) * q(1) ** 2) / 2)
     inv = InvariantSet(s, ("H",), (h,))
-    return SystemDefinition(
-        "oscillator", s, h, inv, {"omega": omega},
-        chart=_oscillator_chart((omega,)))
+    return SystemDefinition("oscillator", s, h, inv,
+                            chart=_oscillator_chart((omega,)))
 
 
 def _build_uncoupled(params: Mapping | None) -> SystemDefinition:
@@ -113,9 +108,8 @@ def _build_uncoupled(params: Mapping | None) -> SystemDefinition:
     names = tuple(f"H{j}" for j in range(1, n + 1))
     h = simplify(_sum(members))
     inv = InvariantSet(s, names, tuple(members))
-    return SystemDefinition(
-        "uncoupled_oscillators", s, h, inv, {"omegas": omegas},
-        chart=_oscillator_chart(omegas))
+    return SystemDefinition("uncoupled_oscillators", s, h, inv,
+                            chart=_oscillator_chart(omegas))
 
 
 def _build_quartic(params: Mapping | None) -> SystemDefinition:
@@ -126,8 +120,7 @@ def _build_quartic(params: Mapping | None) -> SystemDefinition:
     residual = simplify(_W ** 2 / 2 + _LAM ** 4 / 4 - Param("h_1"))
     chart = SeparableChart((ChartDegree(residual, bracket=(-8.0, 8.0)),),
                            h_dim=1)
-    return SystemDefinition(
-        "quartic_oscillator", s, h, inv, {}, chart=chart)
+    return SystemDefinition("quartic_oscillator", s, h, inv, chart=chart)
 
 
 def _vortex_members(xi: Sequence[float]) -> tuple[Expr, Expr, Expr, Expr]:
@@ -166,8 +159,7 @@ def _build_vortices(params: Mapping | None, name: str = "vortices",
     s = SymplecticStructure(n, xi)
     p1, p2, moment, h = _vortex_members(xi)
     inv = InvariantSet(s, ("P1", "P2", "P", "H"), (p1, p2, moment, h))
-    return SystemDefinition(
-        name, s, h, inv, {"n": n, "xi": xi})
+    return SystemDefinition(name, s, h, inv)
 
 
 def _build_vortices3(params: Mapping | None) -> SystemDefinition:
@@ -197,8 +189,7 @@ def _build_central_field(params: Mapping | None) -> SystemDefinition:
     p2 = simplify(p(3) * q(1) - p(1) * q(3))
     p3 = simplify(p(1) * q(2) - p(2) * q(1))
     inv = InvariantSet(s, ("H", "P1", "P2", "P3"), (h, p1, p2, p3))
-    return SystemDefinition(
-        "central_field", s, h, inv, {"potential": pot_text})
+    return SystemDefinition("central_field", s, h, inv)
 
 
 def _build_three_particles(params: Mapping | None) -> SystemDefinition:
@@ -221,8 +212,7 @@ def _build_three_particles(params: Mapping | None) -> SystemDefinition:
     h2 = simplify(_sum([q(j) * p(j) for j in (1, 2, 3)]))
     h3 = simplify(_sum([p(j) for j in (1, 2, 3)]))
     inv = InvariantSet(s, ("H1", "H2", "H3"), (h1, h2, h3))
-    return SystemDefinition(
-        "three_particles", s, h1, inv, {"g": g, "masses": masses})
+    return SystemDefinition("three_particles", s, h1, inv)
 
 
 def _build_drift_control(params: Mapping | None) -> SystemDefinition:
@@ -230,37 +220,19 @@ def _build_drift_control(params: Mapping | None) -> SystemDefinition:
     s = SymplecticStructure.canonical(1)
     h = simplify((p(1) ** 2 + q(1) ** 2) / 2)
     inv = InvariantSet(s, ("H", "F"), (h, q(1)))
-    return SystemDefinition(
-        "drift_control", s, h, inv, {},
-        non_invariant=frozenset({"F"}))
+    return SystemDefinition("drift_control", s, h, inv,
+                            non_invariant=frozenset({"F"}))
 
 
-_BUILDERS: dict[str, tuple[Callable, str, dict]] = {
-    "oscillator": (_build_oscillator,
-                   "harmonic oscillator with separable chart",
-                   {"omega": "frequency, nonzero, default 1"}),
-    "uncoupled_oscillators": (_build_uncoupled,
-                              "independent oscillators, one member per mode",
-                              {"omegas": "tuple of nonzero frequencies, "
-                                         "default (1, 2)"}),
-    "quartic_oscillator": (_build_quartic,
-                           "anharmonic one-degree control", {}),
-    "vortices3": (_build_vortices3,
-                  "three point vortices, members P1,P2,P,H",
-                  {"xi": "three nonzero vorticities, default (1, 1, -2)"}),
-    "vortices": (_build_vortices,
-                 "n point vortices for the dimension scan",
-                 {"n": "vortex count >= 2, default 3",
-                  "xi": "vorticities, default (1,..,1, -(n-1))"}),
-    "central_field": (_build_central_field,
-                      "material point in R^3 under a central potential",
-                      {"potential": "expression in r2, default r2/2"}),
-    "three_particles": (_build_three_particles,
-                        "particles on a line with g/r^2 interaction",
-                        {"g": "coupling, nonzero, default 1",
-                         "masses": "three positive masses, default (1,1,1)"}),
-    "drift_control": (_build_drift_control,
-                      "oscillator plus a non-invariant member", {}),
+_BUILDERS: dict[str, Callable] = {
+    "oscillator": _build_oscillator,
+    "uncoupled_oscillators": _build_uncoupled,
+    "quartic_oscillator": _build_quartic,
+    "vortices3": _build_vortices3,
+    "vortices": _build_vortices,
+    "central_field": _build_central_field,
+    "three_particles": _build_three_particles,
+    "drift_control": _build_drift_control,
 }
 
 
@@ -269,14 +241,12 @@ def get_system(name: str, params: Mapping | None = None) -> SystemDefinition:
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown system {name!r}; available: {sorted(_BUILDERS)}")
-    builder, _, _ = _BUILDERS[name]
-    return builder(params)
+    return _BUILDERS[name](params)
 
 
-def list_systems() -> dict[str, dict]:
-    """Catalog names with a short description and the parameter schema."""
-    return {name: {"description": desc, "params": dict(schema)}
-            for name, (_, desc, schema) in _BUILDERS.items()}
+def list_systems() -> list[str]:
+    """Catalog names, in a fixed order."""
+    return list(_BUILDERS)
 
 
 def probe_points(system: SystemDefinition, count: int = 5,
@@ -293,47 +263,3 @@ def probe_points(system: SystemDefinition, count: int = 5,
     if missing > 0:
         points.extend(system.invariants.sample_points(missing, seed))
     return points
-
-
-def export_system_file(system: SystemDefinition) -> str:
-    """Render a definition in the system-file format (see the sysfile
-    module), with three probe points."""
-    s = system.structure
-    lines = [
-        "[system]",
-        f"name = {system.name}",
-        f"dimension = {s.n}",
-        f"weights = {', '.join(_fmt_number(w) for w in s.weights)}",
-        f"seed = {system.seed}",
-    ]
-    if system.non_invariant:
-        lines.append(
-            f"non_invariant = {', '.join(sorted(system.non_invariant))}")
-    params = system.invariants.params
-    for key in sorted(params):
-        lines.append(f"param.{key} = {_fmt_number(params[key])}")
-    lines.append(f"hamiltonian = {to_string(system.hamiltonian)}")
-    lines.append("")
-    lines.append("[invariants]")
-    for name, e in zip(system.invariants.names, system.invariants.exprs):
-        lines.append(f"{name} = {to_string(e)}")
-    chart = system.chart
-    if chart is not None:
-        lines.append("")
-        lines.append("[chart]")
-        lines.append(f"h_dim = {chart.h_dim}")
-        for key in sorted(chart.params):
-            lines.append(f"param.{key} = {_fmt_number(chart.params[key])}")
-        for j, deg in enumerate(chart.degrees, start=1):
-            lines.append(f"residual_{j} = {to_string(deg.residual)}")
-            a, b = deg.bracket
-            lines.append(f"bracket_{j} = {_fmt_number(a)}, {_fmt_number(b)}")
-            if deg.branch_sign != 1:
-                lines.append(f"branch_{j} = {deg.branch_sign}")
-    lines.append("")
-    lines.append("[probes]")
-    for pt in probe_points(system, 3):
-        qs = ", ".join(_fmt_number(v) for v in pt.q)
-        ps = ", ".join(_fmt_number(v) for v in pt.p)
-        lines.append(f"point = {qs} | {ps}")
-    return "\n".join(lines) + "\n"

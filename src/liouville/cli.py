@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .expr import EvalPoint, ExprError, to_string
+from .expr import ExprError, to_string
 from .algebra import (
     AlgebraError, _closed_fit, cartan_basis_at, algebra_rank, check_closure,
     find_level_point, fit_structure_constants, functional_independence,
@@ -32,12 +32,12 @@ from .flows import (
 )
 from .action_angle import ChartError, action_spectrum
 from .catalog import SystemDefinition, probe_points
-from .sysfile import SystemFileError, load_system_file
+from .sysfile import SystemFileError, _float_list, _point, load_system_file
 
 __all__ = ["main"]
 
 
-def _resolve_seed(flag: int | None, file_seed: int | None) -> int:
+def _resolve_seed(flag: int | None, file_seed: int) -> int:
     if flag is not None:
         return flag
     env = os.environ.get("LIOUVILLE_SEED")
@@ -46,9 +46,7 @@ def _resolve_seed(flag: int | None, file_seed: int | None) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"bad LIOUVILLE_SEED value {env!r}") from None
-    if file_seed is not None:
-        return file_seed
-    return 42
+    return file_seed
 
 
 def _digest(path: str) -> str:
@@ -58,27 +56,6 @@ def _digest(path: str) -> str:
 
 def _listify(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
-
-
-def _parse_values(text: str, what: str) -> list[float]:
-    try:
-        values = [float(s) for s in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad {what}: {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"bad {what}: {text!r} (values must be finite)")
-    return values
-
-
-def _parse_point(text: str, n: int) -> EvalPoint:
-    if "|" not in text:
-        raise ValueError("points are written q1,.. | p1,..")
-    q_text, _, p_text = text.partition("|")
-    qs = _parse_values(q_text, "point")
-    ps = _parse_values(p_text, "point")
-    if len(qs) != n or len(ps) != n:
-        raise ValueError(f"point needs {n} q and {n} p values")
-    return EvalPoint(tuple(qs), tuple(ps))
 
 
 def _witness_element(system: SystemDefinition, values, seed: int):
@@ -124,7 +101,7 @@ def _cmd_rank(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_cartan(system: SystemDefinition, args, seed: int):
-    values = _parse_values(args.h, "--h")
+    values = _float_list(args.h, "--h")
     _closed_fit(system.invariants, seed)
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
@@ -153,7 +130,7 @@ def _cmd_mf_check(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_complete(system: SystemDefinition, args, seed: int):
-    values = _parse_values(args.h, "--h")
+    values = _float_list(args.h, "--h")
     element = _witness_element(system, values, seed)
     basis = cartan_basis_at(system.invariants, element, seed=seed)
     found = search_polynomial_completion(system.invariants, basis, element,
@@ -171,7 +148,7 @@ def _cmd_simulate(system: SystemDefinition, args, seed: int):
     if not (math.isfinite(args.t) and args.t > 0):
         raise ValueError("--t must be positive and finite")
     if args.start is not None:
-        u0 = _parse_point(args.start, system.n)
+        u0 = _point(args.start, system.n, "point")
     else:
         u0 = probe_points(system, 1, seed)[0]
     config = IntegratorConfig(
@@ -202,7 +179,7 @@ def _cmd_simulate(system: SystemDefinition, args, seed: int):
 def _cmd_actions(system: SystemDefinition, args, seed: int):
     if system.chart is None:
         raise ValueError("the system file has no [chart] section")
-    values = _parse_values(args.h, "--h")
+    values = _float_list(args.h, "--h")
     spectrum = action_spectrum(system.chart, values)
     results = {
         "h": list(spectrum.h),

@@ -404,39 +404,52 @@ def _fmt_number(v: float) -> str:
 
 
 def to_string(e: Expr) -> str:
-    if isinstance(e, Const):
-        if e.value < 0 or (e.value == 0 and math.copysign(1.0, e.value) < 0):
-            return "-" + _fmt_number(-e.value)
-        return _fmt_number(e.value)
-    if isinstance(e, (Var, Param)):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    if isinstance(e, Neg):
-        inner = to_string(e.arg)
-        if _prec(e.arg) < 3.0:
-            inner = f"({inner})"
-        return "-" + inner
-    if isinstance(e, Pow):
-        base = to_string(e.base)
-        # a leading minus would rebind under ^, turning (-3)^2 into -(3^2)
-        if _prec(e.base) < 9.0 or base.startswith("-"):
-            base = f"({base})"
-        if e.exponent < 0:
-            return f"{base}^(-{_fmt_number(-e.exponent)})"
-        return f"{base}^{_fmt_number(e.exponent)}"
-    if isinstance(e, BinOp):
-        lhs = to_string(e.left)
-        if _prec(e.left) < _PREC[e.op]:
-            lhs = f"({lhs})"
-        rhs = to_string(e.right)
-        # left-associative grammar: equal precedence on the right needs parens,
-        # and a leading minus on the right is parenthesized for readability
-        if _prec(e.right) <= _PREC[e.op] or isinstance(e.right, Neg) \
-                or (isinstance(e.right, Const) and e.right.value < 0):
-            rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Print ``e`` in the grammar :func:`parse` reads, popping nodes and
+    literal pieces from an explicit stack: linear time, any depth."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Const):
+            if math.copysign(1.0, node.value) < 0:
+                out.append("-" + _fmt_number(-node.value))
+            else:
+                out.append(_fmt_number(node.value))
+        elif isinstance(node, (Var, Param)):
+            out.append(node.name)
+        elif isinstance(node, Call):
+            stack += [")", node.arg, node.func + "("]
+        elif isinstance(node, Neg):
+            stack += _wrapped(node.arg, _prec(node.arg) < 3.0) + ["-"]
+        elif isinstance(node, Pow):
+            if node.exponent < 0:
+                stack.append(f"^(-{_fmt_number(-node.exponent)})")
+            else:
+                stack.append(f"^{_fmt_number(node.exponent)}")
+            # a leading minus would rebind under ^, turning (-3)^2 into -(3^2)
+            base = node.base
+            stack += _wrapped(base, _prec(base) < 9.0 or (
+                isinstance(base, Const) and math.copysign(1.0, base.value) < 0))
+        elif isinstance(node, BinOp):
+            # left-associative grammar: equal precedence on the right needs
+            # parens, and a leading minus on the right is parenthesized for
+            # readability
+            right = node.right
+            stack += _wrapped(right, _prec(right) <= _PREC[node.op]
+                              or isinstance(right, Neg)
+                              or (isinstance(right, Const) and right.value < 0))
+            stack.append(node.op)
+            stack += _wrapped(node.left, _prec(node.left) < _PREC[node.op])
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(out)
+
+
+def _wrapped(node: Expr, parens: bool) -> list:
+    """Pieces to push for ``node``, in parentheses when ``parens``."""
+    return [")", node, "("] if parens else [node]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Loading and validation of the line-oriented system-file format.
+"""Reading and writing of the line-oriented system-file format.
 
 The format has four sections.  Keys and values are separated by the first
-``=`` on the line; blank lines and lines starting with ``#`` are skipped.
+``=`` on the line; ``#`` starts a comment that runs to the end of the line,
+and blank lines are skipped.
 
     [system]
     name = vortices3
@@ -24,23 +25,31 @@ The format has four sections.  Keys and values are separated by the first
     branch_1 = -1               # optional, default +1
 
     [probes]                    # optional
-    point = 0.5, 1 | -0.25, 2   # q values | p values
+    point = 0.5, 1, 0 | -0.25, 2, 0     # q values | p values
 
-Errors carry the offending line number.
+Errors carry the offending line number.  The number-list and point readers
+also parse the command line's ``--h`` and ``--from`` values, whose errors
+carry no line.
 """
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
-from .expr import EvalPoint, ParseError, parameters_of, parse
+from .expr import (
+    EvalPoint, ParseError, _fmt_number, parameters_of, parse, to_string,
+)
 from .symplectic import SymplecticStructure
 from .algebra import InvariantSet
 from .action_angle import ChartDegree, SeparableChart
-from .catalog import SystemDefinition
+from .catalog import SystemDefinition, probe_points
 
-__all__ = ["SystemFileError", "load_system_file", "loads_system"]
+__all__ = [
+    "SystemFileError", "export_system_file", "load_system_file",
+    "loads_system",
+]
 
 _SECTIONS = ("system", "invariants", "chart", "probes")
 
@@ -64,8 +73,8 @@ def _split_sections(text: str) -> dict[str, list[_Entry]]:
     sections: dict[str, list[_Entry]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
@@ -89,7 +98,14 @@ def _split_sections(text: str) -> dict[str, list[_Entry]]:
     return sections
 
 
-def _float(text: str, line: int, what: str) -> float:
+def _int(e: _Entry, what: str) -> int:
+    try:
+        return int(e.value)
+    except ValueError:
+        raise SystemFileError(f"bad {what}: {e.value!r}", e.line) from None
+
+
+def _float(text: str, what: str, line: int | None = None) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -99,11 +115,24 @@ def _float(text: str, line: int, what: str) -> float:
     return value
 
 
-def _float_list(text: str, line: int, what: str) -> list[float]:
+def _float_list(text: str, what: str, line: int | None = None) -> list[float]:
+    """Finite numbers written ``a, b, ..``; ``line`` is None for a flag."""
     items = [s.strip() for s in text.split(",")]
     if any(not s for s in items):
         raise SystemFileError(f"bad {what}: {text!r}", line)
-    return [_float(s, line, what) for s in items]
+    return [_float(s, what, line) for s in items]
+
+
+def _point(text: str, n: int, what: str, line: int | None = None) -> EvalPoint:
+    """A phase-space point written ``q1, .. | p1, ..`` with n of each."""
+    if "|" not in text:
+        raise SystemFileError(f"{what}s are written q1, .. | p1, ..", line)
+    q_text, _, p_text = text.partition("|")
+    qs = _float_list(q_text, what, line)
+    ps = _float_list(p_text, what, line)
+    if len(qs) != n or len(ps) != n:
+        raise SystemFileError(f"{what} needs {n} q and {n} p values", line)
+    return EvalPoint(tuple(qs), tuple(ps))
 
 
 def _parse_expr(text: str, dimension: int, line: int):
@@ -128,31 +157,23 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
     if "h_dim" not in table:
         raise SystemFileError("chart needs h_dim",
                               entries[0].line if entries else None)
-    e = table.pop("h_dim")
-    try:
-        h_dim = int(e.value)
-    except ValueError:
-        raise SystemFileError(f"bad h_dim: {e.value!r}", e.line) from None
+    h_dim = _int(table.pop("h_dim"), "h_dim")
     params = {}
-    residuals: dict[int, _Entry] = {}
-    brackets: dict[int, _Entry] = {}
-    branches: dict[int, _Entry] = {}
+    stores: dict[str, dict[int, _Entry]] = {
+        "residual": {}, "bracket": {}, "branch": {}}
     for key, e in table.items():
         if key.startswith("param."):
-            params[key[6:]] = _float(e.value, e.line, "chart parameter")
+            params[key[6:]] = _float(e.value, "chart parameter", e.line)
             continue
-        for prefix, store in (("residual_", residuals), ("bracket_", brackets),
-                              ("branch_", branches)):
-            if key.startswith(prefix):
-                try:
-                    j = int(key[len(prefix):])
-                except ValueError:
-                    raise SystemFileError(
-                        f"bad degree index in {key!r}", e.line) from None
-                store[j] = e
-                break
-        else:
+        match = re.fullmatch(r"(residual|bracket|branch)_(.*)", key)
+        if match is None:
             raise SystemFileError(f"unknown chart key {key!r}", e.line)
+        try:
+            stores[match[1]][int(match[2])] = e
+        except ValueError:
+            raise SystemFileError(
+                f"bad degree index in {key!r}", e.line) from None
+    residuals, brackets, branches = stores.values()
     if not residuals:
         raise SystemFileError("chart needs residual_1")
     n = max(residuals)
@@ -164,7 +185,7 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
         residual = _parse_expr(e.value, 0, e.line)
         bracket = None
         if j in brackets:
-            vals = _float_list(brackets[j].value, brackets[j].line, "bracket")
+            vals = _float_list(brackets[j].value, "bracket", brackets[j].line)
             if len(vals) != 2:
                 raise SystemFileError("bracket needs two values",
                                       brackets[j].line)
@@ -202,7 +223,7 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
     for key in list(table):
         if key.startswith("param."):
             e = table.pop(key)
-            params[key[6:]] = _float(e.value, e.line, "parameter")
+            params[key[6:]] = _float(e.value, "parameter", e.line)
     known = {"name", "dimension", "weights", "seed", "non_invariant",
              "hamiltonian"}
     for key, e in table.items():
@@ -211,15 +232,12 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
     if "dimension" not in table:
         raise SystemFileError("[system] needs dimension")
     e = table["dimension"]
-    try:
-        n = int(e.value)
-    except ValueError:
-        raise SystemFileError(f"bad dimension: {e.value!r}", e.line) from None
+    n = _int(e, "dimension")
     if n < 1:
         raise SystemFileError("dimension must be positive", e.line)
     if "weights" in table:
         e = table["weights"]
-        weights = _float_list(e.value, e.line, "weights")
+        weights = _float_list(e.value, "weights", e.line)
         if len(weights) != n:
             raise SystemFileError(
                 f"expected {n} weights, got {len(weights)}", e.line)
@@ -229,13 +247,7 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
             raise SystemFileError(str(exc), e.line) from None
     else:
         structure = SymplecticStructure.canonical(n)
-    seed = 42
-    if "seed" in table:
-        e = table["seed"]
-        try:
-            seed = int(e.value)
-        except ValueError:
-            raise SystemFileError(f"bad seed: {e.value!r}", e.line) from None
+    seed = _int(table["seed"], "seed") if "seed" in table else 42
     name = table["name"].value if "name" in table else name_hint
     if "hamiltonian" not in table:
         raise SystemFileError("[system] needs hamiltonian")
@@ -276,21 +288,11 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         if entry.key != "point":
             raise SystemFileError(
                 f"unknown [probes] key {entry.key!r}", entry.line)
-        if "|" not in entry.value:
-            raise SystemFileError(
-                "probe points are written q1, .. | p1, ..", entry.line)
-        q_text, _, p_text = entry.value.partition("|")
-        qs = _float_list(q_text, entry.line, "probe point")
-        ps = _float_list(p_text, entry.line, "probe point")
-        if len(qs) != n or len(ps) != n:
-            raise SystemFileError(
-                f"probe point needs {n} q and {n} p values", entry.line)
-        probes.append(EvalPoint(tuple(qs), tuple(ps)))
+        probes.append(_point(entry.value, n, "probe point", entry.line))
     return SystemDefinition(
         name=name, structure=structure, hamiltonian=hamiltonian,
-        invariants=invariants, parameter_values=dict(params), seed=seed,
-        chart=chart, non_invariant=non_invariant,
-        suggested_probes=tuple(probes))
+        invariants=invariants, seed=seed, chart=chart,
+        non_invariant=non_invariant, suggested_probes=tuple(probes))
 
 
 def load_system_file(path: str) -> SystemDefinition:
@@ -299,3 +301,48 @@ def load_system_file(path: str) -> SystemDefinition:
         text = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
     return loads_system(text, name_hint=stem)
+
+
+def _numbers(values) -> str:
+    return ", ".join(_fmt_number(v) for v in values)
+
+
+def export_system_file(system: SystemDefinition) -> str:
+    """Render a definition in the system-file format, with three probe
+    points; :func:`loads_system` reads the text back."""
+    s = system.structure
+    lines = [
+        "[system]",
+        f"name = {system.name}",
+        f"dimension = {s.n}",
+        f"weights = {_numbers(s.weights)}",
+        f"seed = {system.seed}",
+    ]
+    if system.non_invariant:
+        lines.append(
+            f"non_invariant = {', '.join(sorted(system.non_invariant))}")
+    params = system.invariants.params
+    for key in sorted(params):
+        lines.append(f"param.{key} = {_fmt_number(params[key])}")
+    lines.append(f"hamiltonian = {to_string(system.hamiltonian)}")
+    lines.append("")
+    lines.append("[invariants]")
+    for name, e in zip(system.invariants.names, system.invariants.exprs):
+        lines.append(f"{name} = {to_string(e)}")
+    chart = system.chart
+    if chart is not None:
+        lines.append("")
+        lines.append("[chart]")
+        lines.append(f"h_dim = {chart.h_dim}")
+        for key in sorted(chart.params):
+            lines.append(f"param.{key} = {_fmt_number(chart.params[key])}")
+        for j, deg in enumerate(chart.degrees, start=1):
+            lines.append(f"residual_{j} = {to_string(deg.residual)}")
+            lines.append(f"bracket_{j} = {_numbers(deg.bracket)}")
+            if deg.branch_sign != 1:
+                lines.append(f"branch_{j} = {deg.branch_sign}")
+    lines.append("")
+    lines.append("[probes]")
+    for pt in probe_points(system, 3):
+        lines.append(f"point = {_numbers(pt.q)} | {_numbers(pt.p)}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Lie-algebra decisions: closure, solvability, rank, Cartan data, completions."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -980,3 +981,122 @@ def test_level_solve_rejects_trials_where_a_gradient_leaves_the_domain():
     assert abs(inv.member_values(element.witness)[0]) <= 1e-10
     assert np.all(np.isfinite(inv.jacobian_at(element.witness)))
     assert cartan_basis_at(inv, element).dimension == 1
+
+
+# ---------------------------------------------------------------------------
+# oracle algebras from linear moment maps: for n x n matrices A_a spanning a
+# Lie algebra g in gl(n), the members H_a = sum_ij p_i (A_a)_ij q_j bracket
+# as {H_a, H_b} = -H_[A_a, A_b], so every verdict has an exact answer from
+# the integer commutator constants
+
+
+def _e(n, i, j):
+    unit = np.zeros((n, n), dtype=np.int64)
+    unit[i - 1, j - 1] = 1
+    return unit
+
+
+MOMENT_ALGEBRAS = {
+    "sl2": [_e(2, 1, 1) - _e(2, 2, 2), _e(2, 1, 2), _e(2, 2, 1)],
+    "so3": [_e(3, 2, 3) - _e(3, 3, 2), _e(3, 3, 1) - _e(3, 1, 3),
+            _e(3, 1, 2) - _e(3, 2, 1)],
+    "heisenberg": [_e(3, 1, 2), _e(3, 2, 3), _e(3, 1, 3)],
+    "upper_triangular": [_e(2, 1, 1), _e(2, 1, 2), _e(2, 2, 2)],
+    "solvable4": [_e(3, 1, 1), _e(3, 1, 2), _e(3, 1, 3), _e(3, 2, 3)],
+    "abelian": [_e(2, 1, 1), _e(2, 2, 2)],
+}
+
+
+def _moment_set(basis):
+    n = basis[0].shape[0]
+    exprs = tuple(
+        parse("+".join(f"{a[i, j]}*p{i + 1}*q{j + 1}"
+                       for i in range(n) for j in range(n) if a[i, j]), n)
+        for a in basis)
+    names = tuple(f"H{a}" for a in range(1, len(basis) + 1))
+    return InvariantSet(SymplecticStructure.canonical(n), names, exprs)
+
+
+def _commutator_constants(basis):
+    """Integer f[s, a, b] with [A_a, A_b] = sum_s f[s, a, b] A_s, checked
+    exactly in integer arithmetic."""
+    k = len(basis)
+    flat = np.array([a.ravel() for a in basis]).T
+    f = np.zeros((k, k, k), dtype=np.int64)
+    for a, b in itertools.product(range(k), repeat=2):
+        comm = basis[a] @ basis[b] - basis[b] @ basis[a]
+        coef = np.linalg.lstsq(flat, comm.ravel(), rcond=None)[0]
+        f[:, a, b] = np.rint(coef).astype(np.int64)
+        assert np.array_equal(flat @ f[:, a, b], comm.ravel())
+    return f
+
+
+def _row_basis(rows):
+    """Echelon basis of the rows' span over Q (Fraction elimination)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    basis = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+                for r in rows if r is not pivot]
+        basis.append(pivot)
+    return basis
+
+
+def _exact_solvable(f):
+    """Derived series over Q from the integer constants."""
+    k = f.shape[0]
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
+    while basis:
+        brackets = [[sum(int(f[s, i, j]) * x[i] * y[j]
+                         for i in range(k) for j in range(k))
+                     for s in range(k)] for x in basis for y in basis]
+        derived = _row_basis(brackets)
+        if len(derived) == len(basis):
+            return False
+        basis = derived
+    return True
+
+
+def _exact_index(f, draws=8):
+    """k - max rank of C(xi)_ab = sum_s f[s, a, b] xi_s over integer xi."""
+    rng = np.random.default_rng(5)
+    k = f.shape[0]
+    best = max(len(_row_basis(np.einsum("sab,s->ab", f, xi).tolist()))
+               for xi in rng.integers(-50, 51, size=(draws, k)))
+    return k - best
+
+
+@pytest.mark.parametrize("name, solvable, index", [
+    ("sl2", False, 1), ("so3", False, 1), ("heisenberg", True, 1),
+    ("upper_triangular", True, 1), ("solvable4", True, 0),
+    ("abelian", True, 2),
+])
+def test_moment_map_algebras_match_exact_verdicts(name, solvable, index):
+    basis = MOMENT_ALGEBRAS[name]
+    f = _commutator_constants(basis)
+    assert _exact_solvable(f) == solvable
+    assert _exact_index(f) == index
+    inv = _moment_set(basis)
+    constants = fit_structure_constants(inv, 60, 3, allow_central=True)
+    assert check_closure(constants)
+    assert np.max(np.abs(constants.c + f)) <= 1e-12
+    assert np.max(np.abs(constants.c0)) <= 1e-12
+    assert is_solvable(constants) == solvable
+    probes = inv.sample_points(6, 3)
+    assert algebra_rank(inv, probes)[0] == index
+    assert functional_independence(inv, probes)
+    report = mishchenko_fomenko_check(inv, probes)
+    assert report.holds == (inv.k + index == 2 * inv.structure.n)
+
+
+def test_moment_map_negative_controls():
+    # E12 and E21 without their commutator E11 - E22 do not close, and the
+    # nine members of gl(3) cannot be independent on a 6-dimensional space
+    pair = _moment_set([_e(2, 1, 2), _e(2, 2, 1)])
+    assert not check_closure(
+        fit_structure_constants(pair, 60, 3, allow_central=True))
+    gl3 = _moment_set([_e(3, i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+    assert not functional_independence(gl3, gl3.sample_points(9, 3))

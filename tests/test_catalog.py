@@ -6,10 +6,9 @@ import pytest
 
 from liouville.action_angle import action_variable
 from liouville.algebra import check_closure, fit_structure_constants
-from liouville.catalog import (
-    export_system_file, get_system, list_systems, probe_points,
-)
+from liouville.catalog import get_system, list_systems, probe_points
 from liouville.expr import EvalPoint, evaluate
+from liouville.sysfile import export_system_file
 from liouville.symplectic import poisson_bracket
 
 ALL_NAMES = {
@@ -27,12 +26,8 @@ CONSERVATIVE = (
 
 def test_list_systems_contents():
     listing = list_systems()
+    assert len(listing) == len(ALL_NAMES)
     assert set(listing) == ALL_NAMES
-    for info in listing.values():
-        assert info["description"]
-        assert isinstance(info["params"], dict)
-    assert "xi" in listing["vortices"]["params"]
-    assert "g" in listing["three_particles"]["params"]
 
 
 def test_unknown_system_and_parameter():
@@ -48,7 +43,6 @@ def test_vortices3_shape():
     assert system.n == 3
     assert system.structure.weights == (1.0, 1.0, -2.0)
     assert system.invariants.names == ("P1", "P2", "P", "H")
-    assert system.parameter_values["xi"] == (1.0, 1.0, -2.0)
     assert system.chart is None
     # the Hamiltonian is the fourth member
     u = probe_points(system, 1)[0]

@@ -7,6 +7,7 @@ subprocesses.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,10 +17,13 @@ import numpy as np
 import pytest
 
 from liouville import __version__
-from liouville.catalog import export_system_file, get_system
+from liouville.action_angle import action_spectrum
+from liouville.catalog import get_system
 from liouville.cli import main
 from liouville.expr import EvalPoint, evaluate
-from liouville.sysfile import SystemFileError, load_system_file, loads_system
+from liouville.sysfile import (
+    SystemFileError, export_system_file, load_system_file, loads_system,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -180,7 +184,7 @@ def test_parameters_bind_expressions_and_probes():
     )
     system = loads_system(text, name_hint="toy")
     assert system.seed == 7
-    assert system.parameter_values == {"a": 2.5}
+    assert system.invariants.params == {"a": 2.5}
     u = system.suggested_probes[0]
     assert u == EvalPoint((1.0,), (-2.0,))
     assert system.invariants.member_values(u)[0] == pytest.approx(6.25)
@@ -236,6 +240,17 @@ def test_probe_errors(probe_text, message):
     with pytest.raises(SystemFileError, match=message) as info:
         loads_system(MINIMAL + "[probes]\n" + probe_text)
     assert info.value.line == 7
+
+
+def test_readme_system_file_loads_verbatim():
+    # the README's example carries comments after values and on their own
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    system = loads_system(text)
+    assert system.name == "oscillator"
+    assert system.suggested_probes == (EvalPoint((0.5,), (-0.25,)),)
+    spectrum = action_spectrum(system.chart, [0.5])
+    assert spectrum.gammas[0] == pytest.approx(0.5, abs=1e-12)
 
 
 PARAMETERISED = (
@@ -718,7 +733,8 @@ def test_sample_dt_under_symmetric4_exits_2():
 @pytest.mark.parametrize("argv, fragment", [
     (["simulate", OSC, "--t", "1", "--sample-dt", "nan"],
      "sample_dt must be finite"),
-    (["cartan", V3, "--h=nan,3.3,2.9175,0.634"], "values must be finite"),
+    (["cartan", V3, "--h=nan,3.3,2.9175,0.634"],
+     "--h must be finite, got 'nan'"),
 ])
 def test_non_finite_flag_exits_2(argv, fragment):
     _assert_one_error_line(*run_cli(argv), fragment)
@@ -835,15 +851,29 @@ def test_very_deep_sum_is_ranked_analysed_and_simulated(tmp_path):
     assert np.isfinite(drift) and drift <= 1e-8
 
 
-def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
-    # cartan prints its combinations, and printing still recurses per level
+def test_very_deep_sum_is_printed_by_cartan(tmp_path):
+    # cartan prints its combinations; the printer walks an explicit stack
     path = tmp_path / "deep.sys"
     path.write_text(_long_sum_system(3000), encoding="utf-8")
-    code, out, err = run_cli(["cartan", str(path), "--h", "0.5"])
+    results = report_of(["cartan", str(path), "--h", "0.5"])["results"]
+    assert results["dimension"] == 1
+    (combination,) = results["combinations"]
+    assert combination.startswith("p1^2/2+")
+    assert combination.count("*q1^2") == 2999
+
+
+def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
+    # differentiating a product still recurses once per factor
+    product = "p1^2/2 + " + "*".join(["q1"] * 3000)
+    path = tmp_path / "deep.sys"
+    path.write_text("[system]\ndimension = 1\n"
+                    f"hamiltonian = {product}\n[invariants]\nH = {product}\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "RecursionError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("exc, line", [
