@@ -10,6 +10,16 @@ degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
 
+Branch integrals run in theta, lam = mid + halfwidth*sin(theta).  An
+interval from one turning point to the other (an action, or a cycle's
+primitive) is integrated by the trapezoid rule, which converges
+exponentially on that periodic integrand and reuses every node when it
+doubles; an interval with a fixed interior end uses Gauss-Legendre
+doubling.  A chart memoises each cycle it resolves and each primitive it
+integrates, per level, so actions, turning points, frequencies and time
+maps at one level share one search per cycle and one integral per
+shifted level.
+
 Time maps and frequencies read one table of level derivatives: entry
 (s, j) is the central difference, in h_j, of degree s's branch primitive
 integral(w dlam).  time_map sums its columns.  Over each degree's cycle
@@ -29,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -52,7 +63,8 @@ FD_SCALE = 1e-6
 QUAD_ABS_TOL = 1e-14
 QUAD_REL_TOL = 2e-13
 COND_LIMIT = 1e8
-_N_START = 16
+_GL_START = 16
+_TRAPEZOID_START = 8
 _N_MAX = 4096
 
 _H_RE = re.compile(r"^h_([1-9][0-9]*)$")
@@ -109,6 +121,12 @@ class SeparableChart:
     ``levels[j - 1]`` lists the i of every h_i degree j reads, and
     ``couplings[j - 1]`` every degree s whose lam_s / w_s it reads, both
     ascending.
+
+    A chart is frozen, so it memoises what depends only on the chart and
+    a level: each resolved cycle, keyed by (j, level), and each branch
+    primitive, keyed by (s, interval, level).  Keys hold the float bits,
+    so -0.0 and 0.0 are different levels.  A failed cycle search is not
+    kept; it runs again on the next call.
     """
 
     degrees: tuple[ChartDegree, ...]
@@ -156,6 +174,8 @@ class SeparableChart:
             couplings.append(tuple(sorted(coupled)))
         object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "couplings", tuple(couplings))
+        object.__setattr__(self, "_cycles", {})
+        object.__setattr__(self, "_primitives", {})
 
     @property
     def n(self) -> int:
@@ -179,6 +199,11 @@ def _level(chart: SeparableChart, h: Sequence[float],
     if square_for is not None and chart.h_dim != chart.n:
         raise ValueError(f"{square_for} needs one level symbol per degree")
     return hv
+
+
+def _bits(values: Sequence[float]) -> bytes:
+    """The float64 bits of ``values``: a memo key that tells -0.0 from 0.0."""
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
@@ -354,7 +379,17 @@ def turning_points(chart: SeparableChart, j: int,
 def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]
            ) -> tuple[ChartDegree, Callable, float, float]:
     """(degree j, its pair compiled at hv, lam-, lam+): the one search for
-    turning points, behind :func:`turning_points`."""
+    turning points, behind :func:`turning_points`, run once per chart,
+    degree and level."""
+    key = (j, _bits(hv))
+    found = chart._cycles.get(key)
+    if found is None:
+        found = chart._cycles[key] = _find_cycle(chart, j, hv)
+    return found
+
+
+def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]
+                ) -> tuple[ChartDegree, Callable, float, float]:
     deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
@@ -408,42 +443,73 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _branch_integral(g, a: float, b: float, sign: int,
-                     h: Sequence[float]) -> float:
-    """integral of w(lam) over [a, b], with ``g`` compiled at the level h,
-    by Gauss-Legendre doubling.
+def _gauss_legendre(f: Callable[[float, float], float]):
+    """Gauss-Legendre sums of f on (-1, 1), n = _GL_START, 2n, ... _N_MAX
+    nodes; f(x, weight) returns weight times the integrand at x."""
+    n = _GL_START
+    while n <= _N_MAX:
+        total = 0.0
+        for x, gw in zip(*_gl(n)):
+            total += f(x, gw)
+        yield total
+        n *= 2
 
-    The substitution lam = mid + halfwidth*sin(theta) turns the
-    inverse-square-root behaviour of dlam near a turning point into an
-    analytic integrand in theta, so the node count doubles only a few
-    times before the step change drops under
-    max(QUAD_ABS_TOL, QUAD_REL_TOL * (1 + |integral|)).
+
+def _trapezoid(f: Callable[[float, float], float]):
+    """Trapezoid sums of f on (-1, 1) over n = _TRAPEZOID_START, 2n, ...
+    _N_MAX intervals, for an integrand that vanishes at both ends; each
+    doubling halves the last sum and adds only the new midpoints."""
+    n = _TRAPEZOID_START
+    total = 0.0
+    for k in range(1, n):
+        total += f(-1.0 + 2.0 * k / n, 2.0 / n)
+    yield total
+    while n < _N_MAX:
+        n *= 2
+        fresh = 0.0
+        for k in range(1, n, 2):
+            fresh += f(-1.0 + 2.0 * k / n, 2.0 / n)
+        total = 0.5 * total + fresh
+        yield total
+
+
+def _branch_integral(g, a: float, b: float, sign: int,
+                     h: Sequence[float], cycle: bool) -> float:
+    """integral of w(lam) over [a, b], with ``g`` compiled at the level h.
+
+    The substitution lam = mid + halfwidth*sin(theta), theta = x*pi/2,
+    turns the inverse-square-root behaviour of dlam near a turning point
+    into an analytic integrand in x on (-1, 1).  With ``cycle`` both ends
+    are turning points: the integrand vanishes there and continues to a
+    periodic one, so the trapezoid rule converges exponentially and each
+    doubling reuses every earlier node.  An interval with a fixed end uses
+    Gauss-Legendre doubling.  Either rule doubles until the step change
+    drops under max(QUAD_ABS_TOL, QUAD_REL_TOL * (1 + |integral|)).
     """
     if a == b:
         return 0.0
     scale = _root_scale(max(abs(a), abs(b)), h)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
+
+    def w_dlam(x: float, weight: float) -> float:
+        theta = 0.5 * math.pi * x
+        try:
+            w = _solve_signed(g, mid + hw * math.sin(theta), sign, scale)
+        except NoRealRootError as exc:
+            raise QuadratureError(
+                f"lost the real branch inside the interval: {exc}") from None
+        return weight * w * hw * 0.5 * math.pi * math.cos(theta)
+
     prev = None
-    n = _N_START
-    while n <= _N_MAX:
-        nodes, weights = _gl(n)
-        total = 0.0
-        for x, gw in zip(nodes, weights):
-            theta = 0.5 * math.pi * x
-            lam = mid + hw * math.sin(theta)
-            try:
-                w = _solve_signed(g, lam, sign, scale)
-            except NoRealRootError as exc:
-                raise QuadratureError(
-                    f"lost the real branch inside the interval: {exc}") from None
-            total += gw * w * hw * 0.5 * math.pi * math.cos(theta)
+    for total in (_trapezoid if cycle else _gauss_legendre)(w_dlam):
         if prev is not None and abs(total - prev) <= \
                 max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(total))):
             return total
         prev = total
-        n *= 2
-    raise QuadratureError("Gauss-Legendre doubling did not converge")
+    raise QuadratureError(
+        f"{'trapezoid' if cycle else 'Gauss-Legendre'} doubling did not "
+        "converge")
 
 
 def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
@@ -453,7 +519,7 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     hv = _level(chart, h)
     _, g, lam_minus, lam_plus = _cycle(chart, j, hv)
     # on the + branch every root is >= +0.0, so w is |w|
-    return _branch_integral(g, lam_minus, lam_plus, 1, hv) / math.pi
+    return _branch_integral(g, lam_minus, lam_plus, 1, hv, True) / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +562,16 @@ def _classify_intervals(chart, hv, mu):
 
 def _primitive(chart, s, spec, h_side) -> float | None:
     """integral of the branch w_s over the interval resolved at h_side, or
-    None where a turning-point end has no cycle at that level."""
+    None where a turning-point end has no cycle at that level; computed
+    once per chart, degree, interval and level."""
+    key = (s, tuple(kind for kind, _ in spec),
+           _bits([v for _, v in spec] + list(h_side)))
+    if key not in chart._primitives:
+        chart._primitives[key] = _integrate_primitive(chart, s, spec, h_side)
+    return chart._primitives[key]
+
+
+def _integrate_primitive(chart, s, spec, h_side) -> float | None:
     if any(kind == "tp" for kind, _ in spec):
         try:
             deg, g, lam_minus, lam_plus = _cycle(chart, s, h_side)
@@ -519,7 +594,9 @@ def _primitive(chart, s, spec, h_side) -> float | None:
                     "the time integral diverges there, choose an interior "
                     "endpoint") from None
             ends.append(v)
-    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side)
+    cycle = all(kind == "tp" for kind, _ in spec)
+    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side,
+                            cycle)
 
 
 def _level_derivative(f: Callable[[list[float]], float | None],

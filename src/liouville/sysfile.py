@@ -169,10 +169,14 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
         if match is None:
             raise SystemFileError(f"unknown chart key {key!r}", e.line)
         try:
-            stores[match[1]][int(match[2])] = e
+            j = int(match[2])
         except ValueError:
-            raise SystemFileError(
-                f"bad degree index in {key!r}", e.line) from None
+            j = None
+        # degrees count from 1; a stray bracket_0 or branch_0 is reported
+        # below as a cycle key without a residual
+        if j is None or (j < 1 and match[1] == "residual"):
+            raise SystemFileError(f"bad degree index in {key!r}", e.line)
+        stores[match[1]][j] = e
     residuals, brackets, branches = stores.values()
     if not residuals:
         raise SystemFileError("chart needs residual_1")

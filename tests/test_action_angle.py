@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from liouville import action_angle
 from liouville.action_angle import (
     ChartDegree,
     ChartError,
@@ -124,6 +125,103 @@ def test_action_variable_uncoupled_mode(uncoupled):
 
 def test_action_variable_zero_level(osc):
     assert action_variable(osc, 1, [0.0]) == 0.0
+
+
+# gamma = C h^(3/4) for H = p^2/2 + q^4/4, C = (2/pi) 4^(1/4) sqrt(2) B with
+# B = integral_0^1 sqrt(1 - x^4) dx = Gamma(1/4)^2 / (6 sqrt(2 pi))
+QUARTIC_C = (2.0 / math.pi * 4.0 ** 0.25 * math.sqrt(2.0)
+             * math.gamma(0.25) ** 2 / (6.0 * math.sqrt(2.0 * math.pi)))
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-3, 0.01, 0.5, 2.0, 9.0])
+def test_cycle_actions_match_closed_forms(osc, quartic, uncoupled, h):
+    # the oscillators' gamma = h / omega (omega = 1, and 2 for the second
+    # uncoupled mode); at h = 1e-6 the 1e-14 absolute tolerance governs
+    bound = 1e-13 if h < 1e-3 else 1e-14
+    for got, want in ((action_variable(osc, 1, [h]), h),
+                      (action_variable(uncoupled, 2, [0.5, h]), h / 2.0),
+                      (action_variable(quartic, 1, [h]), QUARTIC_C * h ** 0.75)):
+        assert abs(got - want) <= bound * want, (got, want)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of the module function ``name`` from here on."""
+    calls = [0]
+    function = getattr(action_angle, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return function(*args)
+
+    monkeypatch.setattr(action_angle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, h, gauss_legendre_solves", [
+    ("oscillator", 0.5, 48), ("quartic_oscillator", 0.7, 112)])
+def test_cycle_action_needs_half_the_gauss_legendre_solves(
+        monkeypatch, name, h, gauss_legendre_solves):
+    # Gauss-Legendre doubling from 16 nodes took 16 + 32 (+ 64) solves; the
+    # trapezoid rule from 8 intervals reuses its nodes
+    chart = get_system(name).chart
+    calls = _count_calls(monkeypatch, "_solve_signed")
+    action_variable(chart, 1, [h])
+    assert 0 < calls[0] <= gauss_legendre_solves // 2
+
+
+def _op_bits(chart, h, order) -> bytes:
+    """Raw bytes of the actions op's results (spectrum, degree 1's turning
+    points, its half-cycle time), with the calls made in ``order``."""
+    out = {}
+    for step in order:
+        if step == "spectrum":
+            spectrum = action_spectrum(chart, h)
+            out[step] = spectrum.gammas + tuple(spectrum.omega.ravel())
+        elif step == "turning":
+            out[step] = turning_points(chart, 1, h)
+        else:
+            mu = [turning_points(chart, 1, h)] + [(0.0, 0.0)] * (chart.n - 1)
+            out[step] = time_map(chart, h, mu)
+    return b"".join(np.array(out[k], dtype=float).tobytes()
+                    for k in ("spectrum", "turning", "time") if k in out)
+
+
+@pytest.mark.parametrize("name, h", [
+    ("oscillator", [0.5]), ("uncoupled_oscillators", [0.6, 0.8]),
+    ("quartic_oscillator", [0.7])])
+def test_chart_memo_gives_the_same_bits_in_any_order(name, h):
+    fresh = [_op_bits(get_system(name).chart, h, order) for order in
+             (("spectrum", "turning", "time"), ("time", "turning", "spectrum"),
+              ("turning", "time", "spectrum"))]
+    chart = get_system(name).chart
+    shared = [_op_bits(chart, h, ("spectrum", "turning", "time")),
+              _op_bits(chart, h, ("time", "turning", "spectrum"))]
+    assert len(set(fresh + shared)) == 1
+
+
+@pytest.mark.parametrize("name, h", [
+    ("oscillator", [0.5]), ("uncoupled_oscillators", [0.6, 0.8]),
+    ("quartic_oscillator", [0.7])])
+def test_turning_points_and_time_map_reuse_the_spectrum(monkeypatch, name, h):
+    chart = get_system(name).chart
+    action_spectrum(chart, h)
+    calls = _count_calls(monkeypatch, "_solve_signed")
+    _op_bits(chart, h, ("turning", "time"))
+    assert calls[0] == 0
+
+
+def test_chart_memo_tells_negative_zero_from_zero(monkeypatch):
+    # h_1 = 0 is a regular level here: turning points -1, 1 and gamma = 0.5
+    def chart():
+        return SeparableChart((ChartDegree(
+            simplify(W ** 2 + LAM ** 2 - 2 * H1 - 1), (-8.0, 8.0)),), h_dim=1)
+
+    want = _op_bits(chart(), [-0.0], ("spectrum", "turning", "time"))
+    shared = chart()
+    _op_bits(shared, [0.0], ("spectrum", "turning", "time"))
+    searches = _count_calls(monkeypatch, "_find_cycle")
+    assert _op_bits(shared, [-0.0], ("spectrum", "turning", "time")) == want
+    assert searches[0] > 0
 
 
 def test_time_map_matches_arcsin(osc):

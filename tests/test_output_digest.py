@@ -31,7 +31,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "a79887049490873c3bc359460d5f9e9cb1058c33d6c19964550b38db47804a2b"
+OUTPUT_DIGEST = "022a2d273d24b241faf604363fbf4a9e8a9d95fb877fe2e9cdd1ad9b24b67508"
 
 
 def _level_arg(path: str) -> str:

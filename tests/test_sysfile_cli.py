@@ -216,6 +216,10 @@ def test_chart_section_with_bracket_branch_and_params():
      "bracket needs two values", 9),
     ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbracket_1 = -8, 8\n"
      "bracket_2 = -8, 8\n", r"cycle keys without residual: \[2\]", None),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbracket_1 = -8, 8\n"
+     "residual_0 = w^2+lam^2-2*h_1\n", "bad degree index in 'residual_0'", 10),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbracket_1 = -8, 8\n"
+     "residual_-1 = w^2\n", "bad degree index in 'residual_-1'", 10),
     ("h_dim = 1\nresidual_1 = w^2-2*h_1\nresidual_3 = w^2-2*h_3\n"
      "bracket_1 = -8,8\nbracket_3 = -8,8\n", "missing residual_2", None),
     ("h_dim = 1\nwhatever = 3\nresidual_1 = w^2-2*h_1\nbracket_1 = -8,8\n",
@@ -477,6 +481,17 @@ def test_actions_on_a_coupled_chart_exits_2(tmp_path):
     code, out, err = run_cli(["actions", str(path), "--h", "0.5,0.8"])
     _assert_one_error_line(code, out, err, "w_2")
     assert "another degree's state" in err
+
+
+@pytest.mark.parametrize("key", ["residual_0", "residual_-1"])
+def test_actions_with_a_residual_below_degree_1_exits_2(tmp_path, key):
+    # loading used to drop the key and report degree 1 alone
+    path = tmp_path / "stray.sys"
+    path.write_text(Path(OSC).read_text(encoding="utf-8").replace(
+        "bracket_1 = -8, 8\n", f"bracket_1 = -8, 8\n{key} = w^2 + nonsense\n"),
+        encoding="utf-8")
+    _assert_one_error_line(*run_cli(["actions", str(path), "--h", "0.5"]),
+                           f"line 15: bad degree index in '{key}'")
 
 
 def test_simulate_writes_csv(tmp_path):
