@@ -18,7 +18,10 @@ doubles; an interval with a fixed interior end uses Gauss-Legendre
 doubling.  A chart memoises each cycle it resolves and each primitive it
 integrates, per level, so actions, turning points, frequencies and time
 maps at one level share one search per cycle and one integral per
-shifted level.
+shifted level.  A branch solve in an integral starts at the previous
+node's grid cell, and a shifted level's cycle search at the base level's
+cells; each lands where the full search would under the two-branch
+restriction, and falls back to the full search where its start fails.
 
 Time maps and frequencies read one table of level derivatives: entry
 (s, j) is the central difference, in h_j, of degree s's branch primitive
@@ -66,6 +69,7 @@ COND_LIMIT = 1e8
 _GL_START = 16
 _TRAPEZOID_START = 8
 _N_MAX = 4096
+_MEMO_CAP = 1024
 
 _H_RE = re.compile(r"^h_([1-9][0-9]*)$")
 _FOREIGN_RE = re.compile(r"^(lam|w)_([1-9][0-9]*)$")
@@ -126,7 +130,9 @@ class SeparableChart:
     a level: each resolved cycle, keyed by (j, level), and each branch
     primitive, keyed by (s, interval, level).  Keys hold the float bits,
     so -0.0 and 0.0 are different levels.  A failed cycle search is not
-    kept; it runs again on the next call.
+    kept; it runs again on the next call.  A cycle keeps the grid cells of
+    its turning points for its shifted levels' searches.  Each memo is
+    emptied when it reaches _MEMO_CAP entries.
     """
 
     degrees: tuple[ChartDegree, ...]
@@ -204,6 +210,14 @@ def _level(chart: SeparableChart, h: Sequence[float],
 def _bits(values: Sequence[float]) -> bytes:
     """The float64 bits of ``values``: a memo key that tells -0.0 from 0.0."""
     return struct.pack(f"{len(values)}d", *values)
+
+
+def _remember(memo: dict, key, value):
+    """memo[key] = value, in a memo emptied first at _MEMO_CAP entries."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
@@ -289,8 +303,18 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
-    """Root of R(lam, .) with the requested sign, smallest in magnitude.
+def _solve_signed(g, lam: float, sign: int, scale: float,
+                  k0: int = 0) -> tuple[float, int]:
+    """(w, k): the root of R(lam, .) with the requested sign, smallest in
+    magnitude, and k where grid cell (k - 1, k) brackets it.
+
+    Grid point k >= 0 is sign * 1e-9 * scale * 2^k, and point -1 is w = 0.
+    The walk from point k0 steps up while the point has the sign of
+    R(lam, 0) and down while the point below has the other sign.  From
+    k0 = 0 it finds the first sign change; from the previous node's k it
+    finds the same cell while no other root of the requested sign lies
+    below that cell.  A walk from k0 > 0 that meets a DomainError or runs
+    off the 64 points starts again from 0.
 
     Tangency tolerance: if no sign change exists but min |R| <= ROOT_TOL
     the minimizer is accepted as the (double) root; this is what makes
@@ -298,31 +322,29 @@ def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
     """
     g0, _ = g((lam, 0.0))
     if g0 == 0.0:
-        return 0.0
-    prev_w, prev_g = 0.0, g0
-    found = None
-    w_mag = 1e-9 * scale
-    for _ in range(64):
-        w = sign * w_mag
+        return 0.0, 0
+    k, below, above = k0, None, None
+    while (below is None or above is None) and k < 64:
+        w = sign * math.ldexp(1e-9 * scale, k) if k >= 0 else 0.0
         try:
-            gv, _ = g((lam, w))
+            gv = g((lam, w))[0] if k >= 0 else g0
         except DomainError:
             break
-        if (gv > 0.0) != (prev_g > 0.0):
-            found = (prev_w, w, prev_g, gv) if sign > 0 else \
-                (w, prev_w, gv, prev_g)
-            break
-        prev_w, prev_g = w, gv
-        w_mag *= 2.0
-    if found is not None:
-        lo, hi, glo, ghi = found
-        return _solve_root(g, lam, lo, hi, glo, ghi)
+        if (gv > 0.0) == (g0 > 0.0):
+            below, k = (w, gv), k + 1
+        else:
+            above, k = (w, gv, k), k - 1
+    if below is not None and above is not None:
+        lo, hi = (below, above) if sign > 0 else (above, below)
+        return _solve_root(g, lam, lo[0], hi[0], lo[1], hi[1]), above[2]
+    if k0:
+        return _solve_signed(g, lam, sign, scale)
     # no sign change: look for a tangency near the minimum of R
     if g0 < 0.0:
         # R negative at w=0 and never crossing: branch escapes to infinity
         raise NoRealRootError(
             f"branch unbounded at lam={lam:.6g} (no sign change in w)")
-    hi = sign * w_mag
+    hi = sign * math.ldexp(1e-9 * scale, k)
     a, b = (0.0, hi) if sign > 0 else (hi, 0.0)
     w_min, g_min = _golden_min(lambda w: g((lam, w))[0], a, b)
     if g_min < 0.0:
@@ -330,9 +352,9 @@ def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
         glo2 = g((lam, lo2))[0]
         ghi2 = g((lam, hi2))[0]
         if (glo2 > 0.0) != (ghi2 > 0.0):
-            return _solve_root(g, lam, lo2, hi2, glo2, ghi2)
+            return _solve_root(g, lam, lo2, hi2, glo2, ghi2), 0
     if abs(g_min) <= ROOT_TOL:
-        return w_min
+        return w_min, 0
     raise NoRealRootError(
         f"no real root at lam={lam:.6g} (min |R| = {abs(g_min):.3g})")
 
@@ -344,7 +366,7 @@ def _root_scale(lam: float, h: Sequence[float]) -> float:
 def _branch_value(deg: ChartDegree, g, lam: float,
                   h: Sequence[float]) -> float:
     """w on ``deg``'s branch at lam, with ``g`` its pair compiled at h."""
-    return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))
+    return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))[0]
 
 
 def solve_branch(chart: SeparableChart, j: int, lam: float,
@@ -376,25 +398,37 @@ def turning_points(chart: SeparableChart, j: int,
     return _cycle(chart, j, _level(chart, h))[2:]
 
 
-def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]
+def _cycle(chart: SeparableChart, j: int, hv: Sequence[float],
+           base: Sequence[float] | None = None
            ) -> tuple[ChartDegree, Callable, float, float]:
     """(degree j, its pair compiled at hv, lam-, lam+): the one search for
     turning points, behind :func:`turning_points`, run once per chart,
-    degree and level."""
+    degree and level; a search at hv starts from ``base``'s cells."""
     key = (j, _bits(hv))
     found = chart._cycles.get(key)
     if found is None:
-        found = chart._cycles[key] = _find_cycle(chart, j, hv)
-    return found
+        near = None if base is None else chart._cycles.get((j, _bits(base)))
+        found = _remember(chart._cycles, key,
+                          _find_cycle(chart, j, hv, near and near[4]))
+    return found[:4]
 
 
-def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]
-                ) -> tuple[ChartDegree, Callable, float, float]:
+def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
+                cells: tuple[int, int] | None = None) -> tuple:
+    """_cycle's entry and (first, last), the first and last of 129 bracket
+    points where R(lam, 0) < 0, each bisected against its outer neighbour.
+    Another level's ``cells`` stand if the four points around them read
+    outside, inside, inside, outside: the full search finds the same ones
+    while the allowed region is one interval.  Else the full search runs."""
     deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
-    vals = np.array([_existence(g, x) for x in grid])
-    neg = np.nonzero(vals < 0.0)[0]
+    if cells and [_existence(g, grid[i]) < 0.0 for i in (
+            cells[0] - 1, *cells, cells[1] + 1)] == [False, True, True, False]:
+        neg = cells
+    else:
+        vals = np.array([_existence(g, x) for x in grid])
+        neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         first, last = int(neg[0]), int(neg[-1])
         if first == 0 or last == len(grid) - 1:
@@ -402,16 +436,17 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]
                 "bracket endpoints must lie outside the classically allowed "
                 "region")
         return (deg, g, _bisect_sign(g, grid[first - 1], grid[first]),
-                _bisect_sign(g, grid[last + 1], grid[last]))
+                _bisect_sign(g, grid[last + 1], grid[last]), (first, last))
     # refine the grid minimum; a tangency means a degenerate cycle
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     lam_min, g_min = _golden_min(lambda x: _existence(g, x), lo, hi)
     if g_min < 0.0:
-        return deg, g, _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
+        return (deg, g, _bisect_sign(g, lo, lam_min),
+                _bisect_sign(g, hi, lam_min), None)
     if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-        return deg, g, lam_min, lam_min
+        return deg, g, lam_min, lam_min, None
     raise NoRealRootError("no sign change in bracket")
 
 
@@ -491,11 +526,14 @@ def _branch_integral(g, a: float, b: float, sign: int,
     scale = _root_scale(max(abs(a), abs(b)), h)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
+    k = 0
 
     def w_dlam(x: float, weight: float) -> float:
+        nonlocal k
         theta = 0.5 * math.pi * x
         try:
-            w = _solve_signed(g, mid + hw * math.sin(theta), sign, scale)
+            w, k = _solve_signed(g, mid + hw * math.sin(theta), sign, scale,
+                                 k)
         except NoRealRootError as exc:
             raise QuadratureError(
                 f"lost the real branch inside the interval: {exc}") from None
@@ -560,21 +598,22 @@ def _classify_intervals(chart, hv, mu):
     return specs
 
 
-def _primitive(chart, s, spec, h_side) -> float | None:
-    """integral of the branch w_s over the interval resolved at h_side, or
-    None where a turning-point end has no cycle at that level; computed
-    once per chart, degree, interval and level."""
+def _primitive(chart, s, spec, hv, h_side) -> float | None:
+    """integral of the branch w_s over the interval resolved at h_side, a
+    shift of the level hv, or None where a turning-point end has no cycle
+    at that level; computed once per chart, degree, interval and level."""
     key = (s, tuple(kind for kind, _ in spec),
            _bits([v for _, v in spec] + list(h_side)))
     if key not in chart._primitives:
-        chart._primitives[key] = _integrate_primitive(chart, s, spec, h_side)
+        return _remember(chart._primitives, key,
+                         _integrate_primitive(chart, s, spec, hv, h_side))
     return chart._primitives[key]
 
 
-def _integrate_primitive(chart, s, spec, h_side) -> float | None:
+def _integrate_primitive(chart, s, spec, hv, h_side) -> float | None:
     if any(kind == "tp" for kind, _ in spec):
         try:
-            deg, g, lam_minus, lam_plus = _cycle(chart, s, h_side)
+            deg, g, lam_minus, lam_plus = _cycle(chart, s, h_side, hv)
         except NoRealRootError:
             return None
         if lam_minus == lam_plus:
@@ -652,7 +691,7 @@ def _time_table(chart: SeparableChart, hv: list[float],
     table = np.zeros((chart.n, chart.h_dim))
     for s, spec in enumerate(specs, start=1):
         if spec is not None:
-            primitive = functools.partial(_primitive, chart, s, spec)
+            primitive = functools.partial(_primitive, chart, s, spec, hv)
             for j in chart.levels[s - 1]:
                 table[s - 1, j - 1] = _level_derivative(primitive, hv, j - 1)
     return table

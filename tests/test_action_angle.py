@@ -1,5 +1,6 @@
 """Branch solving, turning points, actions, time maps, and frequencies."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from liouville.expr import (
     simplify, substitute_param, to_string,
 )
 from liouville.flows import IntegratorConfig, integrate
+from liouville.sysfile import loads_system
 from test_expr_trees import _random_tree
 
 W = Param("w")
@@ -73,6 +75,56 @@ def test_solve_branch_negative_sign():
     chart = SeparableChart((deg,), h_dim=1)
     assert solve_branch(chart, 1, 0.0, [0.5]) == pytest.approx(-1.0,
                                                                abs=1e-10)
+
+
+def _residual_chart(text: str, branch_sign: int = 1) -> SeparableChart:
+    return SeparableChart((ChartDegree(parse(text, 0), (-8.0, 8.0),
+                                       branch_sign),), h_dim=1)
+
+
+@pytest.mark.parametrize("text, sign, want", [
+    # roots in the grid cells near 1e-9 * 2^30, 2^33 and 2^37
+    ("(w-1)*(w-10)*(w-100)", 1, 1.0),
+    ("(w+1)*(w+10)*(w+100)", -1, -1.0),
+    # both roots inside one cell: no grid point sees a sign change, and
+    # the golden-section minimum re-brackets the smaller one
+    ("(w-0.99)*(w-1.01)", 1, 0.99),
+    # R raises a DomainError above w = 3, past the root
+    ("(w-1)*sqrt(3-w)", 1, 1.0),
+], ids=["three_roots", "three_negative_roots", "two_roots_in_one_cell",
+        "domain_hole_above_the_root"])
+def test_solve_branch_returns_the_smallest_root_of_the_sign(text, sign, want):
+    w = solve_branch(_residual_chart(text, sign), 1, 0.0, [0.0])
+    assert w == pytest.approx(want, abs=1e-12)
+
+
+def test_solve_branch_unbounded_branch():
+    # R(lam, 0) < 0 and R never crosses zero: the branch escapes to infinity
+    with pytest.raises(NoRealRootError, match="branch unbounded"):
+        solve_branch(_residual_chart("-w^2-1"), 1, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("text", [
+    "(w-1)*sqrt(3-w)",      # from k0, the walk meets the DomainError hole
+    # every sign change lies below k0, so the walk runs off the grid; a
+    # tangency search from there would find the root 3
+    "(w-0.5)*(w-2)*(w-3)*(w-7)",
+    "(w-0.99)*(w-1.01)",    # no grid point sees a sign change
+    "-w^2-1",               # an unbounded branch
+])
+def test_a_warm_walk_that_fails_starts_again_from_zero(text):
+    chart = _residual_chart(text)
+    _, g = action_angle._compile_degree(chart, 1, [0.0])
+    try:
+        want = solve_branch(chart, 1, 0.0, [0.0])
+    except NoRealRootError as exc:
+        want = str(exc)
+    for k0 in (40, 63):
+        try:
+            got = action_angle._solve_signed(g, 0.0, 1, 1.0, k0)[0]
+        except NoRealRootError as exc:
+            got = str(exc)
+        assert got == want, k0
 
 
 def test_solve_branch_index_and_level_validation(osc):
@@ -167,6 +219,35 @@ def test_cycle_action_needs_half_the_gauss_legendre_solves(
     calls = _count_calls(monkeypatch, "_solve_signed")
     action_variable(chart, 1, [h])
     assert 0 < calls[0] <= gauss_legendre_solves // 2
+
+
+def _count_root_calls(monkeypatch) -> list[int]:
+    """Count the calls of every (R, dR/dw) pair compiled from here on."""
+    calls = [0]
+    compile_pair = action_angle.compile_functions
+
+    def counted_compile(*args):
+        pair = compile_pair(*args)
+
+        def counted(y):
+            calls[0] += 1
+            return pair(y)
+        return counted
+
+    monkeypatch.setattr(action_angle, "compile_functions", counted_compile)
+    return calls
+
+
+@pytest.mark.parametrize("name, h, cold_calls", [
+    ("oscillator", 0.5, 2338), ("quartic_oscillator", 0.7, 4681)])
+def test_warm_searches_halve_the_root_function_calls(
+        monkeypatch, name, h, cold_calls):
+    # cold_calls: every branch solve scanning up from 1e-9 * scale and
+    # every shifted-level cycle search reading all 129 grid points
+    chart = get_system(name).chart
+    calls = _count_root_calls(monkeypatch)
+    action_spectrum(chart, [h])
+    assert 0 < calls[0] <= 0.48 * cold_calls
 
 
 def _op_bits(chart, h, order) -> bytes:
@@ -470,3 +551,55 @@ def test_action_of_a_long_chart_residual():
     residual = parse(f"w^2 + {terms} - 2*h_1", 0)
     chart = SeparableChart((ChartDegree(residual, (-8.0, 8.0)),), h_dim=1)
     assert action_spectrum(chart, [0.7]).gammas[0] == pytest.approx(0.7, abs=1e-12)
+
+
+def _cold_searches(monkeypatch):
+    """Start every branch solve at w = 0 and every cycle search from the
+    full grid."""
+    solve, find = action_angle._solve_signed, action_angle._find_cycle
+    monkeypatch.setattr(action_angle, "_solve_signed",
+                        lambda g, lam, sign, scale, k0=0:
+                        solve(g, lam, sign, scale))
+    monkeypatch.setattr(action_angle, "_find_cycle",
+                        lambda chart, j, hv, cells=None: find(chart, j, hv))
+
+
+def _chart_factories():
+    for name in ("oscillator", "uncoupled_oscillators", "quartic_oscillator"):
+        yield pytest.param(lambda name=name: get_system(name).chart, id=name)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("*.sys")):
+        if loads_system(path.read_text()).chart is not None:
+            yield pytest.param(lambda path=path: loads_system(
+                path.read_text()).chart, id=path.name)
+
+
+@pytest.mark.parametrize("fresh", list(_chart_factories()))
+def test_warm_searches_give_the_cold_bits(monkeypatch, fresh):
+    rng = np.random.default_rng(34)
+    h_dim = fresh().h_dim
+    # a cycle's birth (the lower shifted level has no cycle); levels whose
+    # turning points sit on a grid point of the bracket (-8, 8), so that a
+    # shifted level's allowed run gains a point; then levels across the
+    # benchmark's range and beyond
+    levels = [[v] * h_dim for v in (5e-7, 0.25, 0.5, 2.0)] + [
+        list(rng.uniform(0.01, 9.0, h_dim)) for _ in range(8)]
+    order = ("spectrum", "turning", "time")
+    warm = [_op_bits(fresh(), h, order) for h in levels]
+    with monkeypatch.context() as cold:
+        _cold_searches(cold)
+        assert [_op_bits(fresh(), h, order) for h in levels] == warm
+
+
+def test_chart_memo_stays_within_its_cap(monkeypatch):
+    levels = [[0.6, 0.8], [0.3, 1.7], [2.5, 0.2], [0.6, 0.8]]
+    order = ("spectrum", "turning", "time")
+    want = [_op_bits(get_system("uncoupled_oscillators").chart, h, order)
+            for h in levels]
+    monkeypatch.setattr(action_angle, "_MEMO_CAP", 3)
+    chart = get_system("uncoupled_oscillators").chart
+    sizes = []
+    for h, bits in zip(levels, want):
+        assert _op_bits(chart, h, order) == bits
+        sizes += [len(chart._cycles), len(chart._primitives)]
+    assert 0 < max(sizes) <= 3
