@@ -15,11 +15,12 @@ interval from one turning point to the other (an action, or a cycle's
 primitive) is integrated by the trapezoid rule, which converges
 exponentially on that periodic integrand and reuses every node when it
 doubles; an interval with a fixed interior end uses Gauss-Legendre
-doubling.  A chart memoises each cycle it resolves and each primitive it
-integrates, per level, so actions, turning points, frequencies and time
-maps at one level share one search per cycle and one integral per
-shifted level.  A branch solve in an integral starts at the previous
-node's grid cell, and a shifted level's cycle search at the base level's
+doubling.  A chart memoises each cycle it resolves, per level, and keeps
+with it the integral over that cycle once computed, so actions, turning
+points, frequencies and time maps at one level share one search per cycle
+and one integral per shifted level; an interval with a fixed end is
+integrated on each call.  A branch solve in an integral starts at the
+previous node's grid cell, and a shifted level's cycle search at the base level's
 cells; each lands where the full search would under the two-branch
 restriction, and falls back to the full search where its start fails.
 
@@ -126,13 +127,13 @@ class SeparableChart:
     ``couplings[j - 1]`` every degree s whose lam_s / w_s it reads, both
     ascending.
 
-    A chart is frozen, so it memoises what depends only on the chart and
-    a level: each resolved cycle, keyed by (j, level), and each branch
-    primitive, keyed by (s, interval, level).  Keys hold the float bits,
-    so -0.0 and 0.0 are different levels.  A failed cycle search is not
-    kept; it runs again on the next call.  A cycle keeps the grid cells of
-    its turning points for its shifted levels' searches.  Each memo is
-    emptied when it reaches _MEMO_CAP entries.
+    A chart is frozen, so it keeps one memo of what depends only on the
+    chart and a level: each resolved cycle, keyed by (j, level bits), so
+    -0.0 and 0.0 are different levels.  A cycle keeps the grid cells of
+    its turning points, for its shifted levels' searches, and the branch
+    integral over it once computed.  A failed cycle search is not kept; it
+    runs again on the next call.  The memo is emptied when it reaches
+    _MEMO_CAP entries.
     """
 
     degrees: tuple[ChartDegree, ...]
@@ -181,7 +182,6 @@ class SeparableChart:
         object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "couplings", tuple(couplings))
         object.__setattr__(self, "_cycles", {})
-        object.__setattr__(self, "_primitives", {})
 
     @property
     def n(self) -> int:
@@ -210,14 +210,6 @@ def _level(chart: SeparableChart, h: Sequence[float],
 def _bits(values: Sequence[float]) -> bytes:
     """The float64 bits of ``values``: a memo key that tells -0.0 from 0.0."""
     return struct.pack(f"{len(values)}d", *values)
-
-
-def _remember(memo: dict, key, value):
-    """memo[key] = value, in a memo emptied first at _MEMO_CAP entries."""
-    if len(memo) >= _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
@@ -380,12 +372,6 @@ def solve_branch(chart: SeparableChart, j: int, lam: float,
 # turning points
 
 
-def _existence(g, lam: float) -> float:
-    # sign indicator of real-root existence for even libration residuals:
-    # R(lam, 0) <= 0 exactly when the pair +-|w| exists
-    return g((lam, 0.0))[0]
-
-
 def turning_points(chart: SeparableChart, j: int,
                    h: Sequence[float]) -> tuple[float, float]:
     """Cycle endpoints (lam-, lam+) where the branch pair collapses, w -> 0.
@@ -395,39 +381,43 @@ def turning_points(chart: SeparableChart, j: int,
     outside of the sign change, where solve_branch lands on the tangency
     root, so |w(lam+-)| is at the floating-point floor.
     """
-    return _cycle(chart, j, _level(chart, h))[2:]
+    return tuple(_cycle(chart, j, _level(chart, h))[2:4])
 
 
 def _cycle(chart: SeparableChart, j: int, hv: Sequence[float],
-           base: Sequence[float] | None = None
-           ) -> tuple[ChartDegree, Callable, float, float]:
-    """(degree j, its pair compiled at hv, lam-, lam+): the one search for
+           base: Sequence[float] | None = None) -> list:
+    """[degree j, its pair compiled at hv, lam-, lam+, grid cells, the
+    integral over the cycle or None until computed]: the one search for
     turning points, behind :func:`turning_points`, run once per chart,
     degree and level; a search at hv starts from ``base``'s cells."""
     key = (j, _bits(hv))
     found = chart._cycles.get(key)
     if found is None:
         near = None if base is None else chart._cycles.get((j, _bits(base)))
-        found = _remember(chart._cycles, key,
-                          _find_cycle(chart, j, hv, near and near[4]))
-    return found[:4]
+        found = [*_find_cycle(chart, j, hv, near and near[4]), None]
+        if len(chart._cycles) >= _MEMO_CAP:
+            chart._cycles.clear()
+        chart._cycles[key] = found
+    return found
 
 
 def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
                 cells: tuple[int, int] | None = None) -> tuple:
-    """_cycle's entry and (first, last), the first and last of 129 bracket
-    points where R(lam, 0) < 0, each bisected against its outer neighbour.
-    Another level's ``cells`` stand if the four points around them read
-    outside, inside, inside, outside: the full search finds the same ones
-    while the allowed region is one interval.  Else the full search runs."""
+    """_cycle's entry but the integral, with cells (first, last) the first
+    and last of 129 bracket points where R(lam, 0) < 0 (for an even
+    libration residual, where the pair +-|w| exists), each bisected
+    against its outer neighbour.  Another level's ``cells`` stand if the
+    four points around them read outside, inside, inside, outside: the
+    full search finds the same ones while the allowed region is one
+    interval.  Else the full search runs."""
     deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
-    if cells and [_existence(g, grid[i]) < 0.0 for i in (
+    if cells and [g((grid[i], 0.0))[0] < 0.0 for i in (
             cells[0] - 1, *cells, cells[1] + 1)] == [False, True, True, False]:
         neg = cells
     else:
-        vals = np.array([_existence(g, x) for x in grid])
+        vals = np.array([g((x, 0.0))[0] for x in grid])
         neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         first, last = int(neg[0]), int(neg[-1])
@@ -441,7 +431,7 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    lam_min, g_min = _golden_min(lambda x: _existence(g, x), lo, hi)
+    lam_min, g_min = _golden_min(lambda x: g((x, 0.0))[0], lo, hi)
     if g_min < 0.0:
         return (deg, g, _bisect_sign(g, lo, lam_min),
                 _bisect_sign(g, hi, lam_min), None)
@@ -451,18 +441,15 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
 
 
 def _bisect_sign(g, outside: float, inside: float) -> float:
-    """Shrink [outside, inside] across the sign change; return the outside end."""
-    g_out = _existence(g, outside)
-    g_in = _existence(g, inside)
-    if g_out < 0.0 or g_in >= 0.0:
-        raise NoRealRootError("no sign change in bracket")
+    """Shrink [outside, inside] across the sign change of R(lam, 0); the
+    caller has read R there as not < 0 and < 0.  Return the outside end."""
     for _ in range(200):
         if abs(outside - inside) <= 2e-16 * (1.0 + abs(outside) + abs(inside)):
             break
         mid = 0.5 * (outside + inside)
         if mid == outside or mid == inside:
             break
-        if _existence(g, mid) < 0.0:
+        if g((mid, 0.0))[0] < 0.0:
             inside = mid
         else:
             outside = mid
@@ -555,7 +542,7 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
     hv = _level(chart, h)
-    _, g, lam_minus, lam_plus = _cycle(chart, j, hv)
+    _, g, lam_minus, lam_plus = _cycle(chart, j, hv)[:4]
     # on the + branch every root is >= +0.0, so w is |w|
     return _branch_integral(g, lam_minus, lam_plus, 1, hv, True) / math.pi
 
@@ -576,7 +563,7 @@ def _classify_intervals(chart, hv, mu):
         if a == b:
             specs.append(None)
             continue
-        _, _, lam_minus, lam_plus = _cycle(chart, s, hv)
+        lam_minus, lam_plus = _cycle(chart, s, hv)[2:4]
         if lam_minus == lam_plus:
             raise QuadratureError(
                 "degenerate cycle; choose an interior endpoint")
@@ -601,23 +588,18 @@ def _classify_intervals(chart, hv, mu):
 def _primitive(chart, s, spec, hv, h_side) -> float | None:
     """integral of the branch w_s over the interval resolved at h_side, a
     shift of the level hv, or None where a turning-point end has no cycle
-    at that level; computed once per chart, degree, interval and level."""
-    key = (s, tuple(kind for kind, _ in spec),
-           _bits([v for _, v in spec] + list(h_side)))
-    if key not in chart._primitives:
-        return _remember(chart._primitives, key,
-                         _integrate_primitive(chart, s, spec, hv, h_side))
-    return chart._primitives[key]
-
-
-def _integrate_primitive(chart, s, spec, hv, h_side) -> float | None:
+    at that level.  The integral over the cycle is kept in the cycle's memo
+    entry; an interval with a fixed end is integrated on each call."""
     if any(kind == "tp" for kind, _ in spec):
         try:
-            deg, g, lam_minus, lam_plus = _cycle(chart, s, h_side, hv)
+            found = _cycle(chart, s, h_side, hv)
         except NoRealRootError:
             return None
+        deg, g, lam_minus, lam_plus, _, integral = found
         if lam_minus == lam_plus:
             return None
+        if spec == _CYCLE and integral is not None:
+            return integral
     else:
         deg, g = _compile_degree(chart, s, h_side)
     ends = []
@@ -633,9 +615,11 @@ def _integrate_primitive(chart, s, spec, hv, h_side) -> float | None:
                     "the time integral diverges there, choose an interior "
                     "endpoint") from None
             ends.append(v)
-    cycle = all(kind == "tp" for kind, _ in spec)
-    return _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side,
-                            cycle)
+    total = _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side,
+                             all(kind == "tp" for kind, _ in spec))
+    if spec == _CYCLE:
+        found[5] = total
+    return total
 
 
 def _level_derivative(f: Callable[[list[float]], float | None],
@@ -738,7 +722,7 @@ def _environments(chart: SeparableChart, hv: list[float],
         if chart.couplings[s - 1]:
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
-        deg, g, lam_minus, lam_plus = _cycle(chart, s, hv)
+        deg, g, lam_minus, lam_plus = _cycle(chart, s, hv)[:4]
         if lam_minus == lam_plus:
             raise ChartError(
                 f"degenerate cycle in degree {s} cannot be varied")

@@ -38,15 +38,21 @@ __all__ = ["main"]
 
 
 def _resolve_seed(flag: int | None, file_seed: int) -> int:
-    if flag is not None:
-        return flag
+    """--seed, else LIOUVILLE_SEED, else the file's seed (the loader has
+    checked that one); numpy takes only non-negative seeds."""
     env = os.environ.get("LIOUVILLE_SEED")
-    if env:
+    if flag is not None:
+        seed, source = flag, "--seed"
+    elif env:
         try:
-            return int(env)
+            seed, source = int(env), "LIOUVILLE_SEED"
         except ValueError:
             raise ValueError(f"bad LIOUVILLE_SEED value {env!r}") from None
-    return file_seed
+    else:
+        return file_seed
+    if seed < 0:
+        raise ValueError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _digest(path: str) -> str:

@@ -252,6 +252,8 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
     else:
         structure = SymplecticStructure.canonical(n)
     seed = _int(table["seed"], "seed") if "seed" in table else 42
+    if seed < 0:
+        raise SystemFileError("seed must be non-negative", table["seed"].line)
     name = table["name"].value if "name" in table else name_hint
     if "hamiltonian" not in table:
         raise SystemFileError("[system] needs hamiltonian")

@@ -601,5 +601,46 @@ def test_chart_memo_stays_within_its_cap(monkeypatch):
     sizes = []
     for h, bits in zip(levels, want):
         assert _op_bits(chart, h, order) == bits
-        sizes += [len(chart._cycles), len(chart._primitives)]
+        sizes.append(len(chart._cycles))
     assert 0 < max(sizes) <= 3
+
+
+def test_a_cycle_between_two_grid_points_is_found_from_the_minimum():
+    # the allowed region (0.06 -+ sqrt(2 h)) = (0.028, 0.092) holds no
+    # point of the 129-point grid on (-8, 8), whose spacing is 0.125, so
+    # the search refines the grid minimum and bisects from there
+    chart = _residual_chart("w^2+(lam-0.06)^2-2*h_1")
+    h = 5e-4
+    a, b = turning_points(chart, 1, [h])
+    assert abs(a - (0.06 - math.sqrt(2.0 * h))) <= 1e-15
+    assert abs(b - (0.06 + math.sqrt(2.0 * h))) <= 1e-15
+    spectrum = action_spectrum(chart, [h])
+    assert abs(spectrum.gammas[0] - h) <= 1e-15
+    assert abs(spectrum.omega[0, 0] - 1.0) <= 1e-9
+    assert abs(2.0 * time_map(chart, [h], [(a, b)])[0] - 2.0 * math.pi) <= 1e-9
+
+
+def test_turning_point_bisection_reads_neither_end(monkeypatch):
+    # every caller has just read both ends: grid points, the four points
+    # around a shifted level's cells, or the golden-section minimum
+    bisect = action_angle._bisect_sign
+    calls = []
+
+    def recorded(g, outside, inside):
+        reads = []
+
+        def read(y):
+            reads.append(y[0])
+            return g(y)
+        calls.append((outside, inside, reads))
+        return bisect(read, outside, inside)
+
+    monkeypatch.setattr(action_angle, "_bisect_sign", recorded)
+    for chart, h in ((get_system("oscillator").chart, [0.5]),
+                     (get_system("uncoupled_oscillators").chart, [0.6, 0.8]),
+                     (_residual_chart("w^2+(lam-0.06)^2-2*h_1"), [5e-4])):
+        action_spectrum(chart, h)
+    # four degrees, each at h and h +- delta, each with two turning points
+    assert len(calls) == 4 * 3 * 2
+    for outside, inside, reads in calls:
+        assert reads and outside not in reads and inside not in reads

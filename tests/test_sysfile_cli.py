@@ -153,6 +153,8 @@ def test_section_structure_errors(text, message, line):
      "[invariants]\nF = q1\n", "unknown \\[system\\] key 'color'", 3),
     ("[system]\ndimension = 1\nseed = x\nhamiltonian = q1\n"
      "[invariants]\nF = q1\n", "bad seed: 'x'", 3),
+    ("[system]\ndimension = 1\nseed = -3\nhamiltonian = q1\n"
+     "[invariants]\nF = q1\n", "seed must be non-negative", 3),
     ("[system]\ndimension = 1\nparam.a = x\nhamiltonian = q1\n"
      "[invariants]\nF = q1\n", "bad parameter: 'x'", 3),
     ("[system]\ndimension = 1\nweights = 1, 2\nhamiltonian = q1\n"
@@ -661,6 +663,25 @@ def test_errors_exit_2_with_message(argv, fragment):
     assert err.startswith("error: ")
     assert fragment in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flag, env, file_seed, fragment", [
+    ("-1", None, 5, "--seed must be non-negative, got -1"),
+    (None, "-2", 5, "LIOUVILLE_SEED must be non-negative, got -2"),
+    (None, None, -3, "line 3: seed must be non-negative"),
+], ids=["flag", "environment", "file"])
+def test_negative_seeds_exit_2_naming_their_source(tmp_path, monkeypatch,
+                                                  flag, env, file_seed,
+                                                  fragment):
+    # numpy refuses them only later, with a message naming neither
+    path = tmp_path / "seeded.sys"
+    path.write_text(MINIMAL.replace(
+        "dimension = 1\n", f"dimension = 1\nseed = {file_seed}\n"),
+        encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("LIOUVILLE_SEED", env)
+    argv = ["rank", str(path)] + (["--seed", flag] if flag else [])
+    _assert_one_error_line(*run_cli(argv), fragment)
 
 
 def _assert_one_error_line(code, out, err, fragment):
