@@ -10,33 +10,27 @@ degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
 
-Branch integrals run in theta, lam = mid + halfwidth*sin(theta).  An
-interval from one turning point to the other (an action, or a cycle's
-primitive) is integrated by the trapezoid rule, which converges
-exponentially on that periodic integrand and reuses every node when it
-doubles; an interval with a fixed interior end uses Gauss-Legendre
-doubling.  A chart memoises each cycle it resolves, per level, and keeps
-with it the integral over that cycle once computed, so actions, turning
-points, frequencies and time maps at one level share one search per cycle
-and one integral per shifted level; an interval with a fixed end is
-integrated on each call.  A branch solve in an integral starts at the
-previous node's grid cell, and a shifted level's cycle search at the base level's
-cells; each lands where the full search would under the two-branch
-restriction, and falls back to the full search where its start fails.
+Every level derivative is an integral of the branch's own rate
+dw/dh_i = -R_{h_i} / R_w (the implicit-function theorem); a turning-point
+end adds nothing, since w vanishes there.  Time maps sum these integrals
+over the given intervals, and the frequency matrix inverts
+d gamma_i / d h_j = (1/pi) * integral of d|w_i|/dh_j over degree i's
+cycle, so 2 pi / omega equals twice the half-cycle time.
 
-Time maps and frequencies read one table of level derivatives: entry
-(s, j) is the central difference, in h_j, of degree s's branch primitive
-integral(w dlam).  time_map sums its columns.  Over each degree's cycle
-(one turning point to the other), d gamma_s / d h_j is the degree's branch
-sign times the entry over pi, so the frequency matrix
-Omega = (d gamma / d h)^(-1) gives 2 pi / omega equal, to rounding, to
-twice the half-cycle time.
-Differencing the primitive instead of the integrand keeps the
-inverse-square-root turning-point singularity out of the difference
-quotient: when an endpoint sits on the cycle boundary the primitive is
-taken to the boundary of each shifted level set, where w vanishes and the
-boundary motion contributes nothing.  Where a shifted level has no cycle,
-at a cycle's birth, the difference is one-sided.
+Branch integrals run in theta, lam = mid + halfwidth*sin(theta).  Over a
+cycle (one turning point to the other) both w and -R_h/R_w, times
+dlam/dtheta, continue to periodic analytic integrands, so one nested
+trapezoid rule integrates the action and reuses every node when it
+doubles; each doubling's fresh nodes are the midpoint rule of the last
+step, which integrates the rates on the action's own branch solves.  An
+interval with a fixed interior end uses Gauss-Legendre doubling.  A chart
+memoises each cycle it resolves, per level, with its integrals once
+computed, so actions, turning points, frequencies and time maps at one
+level share one search and one quadrature per cycle; an interval with a
+fixed end is integrated on each call.  A branch solve in an integral
+starts at the previous node's grid cell; it lands where the full search
+would under the two-branch restriction, and falls back to the full search
+where its start fails.
 """
 from __future__ import annotations
 
@@ -51,7 +45,7 @@ import numpy as np
 
 from .expr import (
     DomainError, Expr, UnboundSymbolError, compile_functions, differentiate,
-    p, parameters_of, q, substitute_param,
+    gradient, p, parameters_of, q, substitute_param,
 )
 from .algebra import ConvergenceError
 
@@ -63,9 +57,11 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-10
-FD_SCALE = 1e-6
 QUAD_ABS_TOL = 1e-14
 QUAD_REL_TOL = 2e-13
+# a rate integral whose step, in units of its tolerance, is at most this
+# and no smaller than the last step has reached its roundoff floor
+QUAD_NOISE_STEPS = 1e4
 COND_LIMIT = 1e8
 _GL_START = 16
 _TRAPEZOID_START = 8
@@ -118,6 +114,15 @@ class ChartDegree:
                              "w", p(1))
         return r, differentiate(r, "p1")
 
+    @functools.cached_property
+    def _rates(self) -> tuple[Expr, ...]:
+        """(dR/dw, dR/dh_i for each h_i the residual reads, by i) over the
+        state of :attr:`_pair`."""
+        reads = sorted((name for name in parameters_of(self.residual)
+                        if _H_RE.match(name)), key=lambda name: int(name[2:]))
+        r, r_w = self._pair
+        return (r_w, *gradient(r, reads))
+
 
 @dataclass(frozen=True)
 class SeparableChart:
@@ -125,14 +130,13 @@ class SeparableChart:
 
     ``levels[j - 1]`` lists the i of every h_i degree j reads, and
     ``couplings[j - 1]`` every degree s whose lam_s / w_s it reads, both
-    ascending.
+    ascending.  A fixed parameter may not take a reserved name.
 
     A chart is frozen, so it keeps one memo of what depends only on the
     chart and a level: each resolved cycle, keyed by (j, level bits), so
-    -0.0 and 0.0 are different levels.  A cycle keeps the grid cells of
-    its turning points, for its shifted levels' searches, and the branch
-    integral over it once computed.  A failed cycle search is not kept; it
-    runs again on the next call.  The memo is emptied when it reaches
+    -0.0 and 0.0 are different levels.  A cycle keeps its action and rate
+    integrals once computed.  A failed cycle search is not kept; it runs
+    again on the next call.  The memo is emptied when it reaches
     _MEMO_CAP entries.
     """
 
@@ -151,6 +155,11 @@ class SeparableChart:
         if self.h_dim < 1:
             raise ValueError("h_dim must be positive")
         fixed = dict(self.params or {})
+        for name in fixed:
+            if name in ("lam", "w") or _H_RE.match(name) or \
+                    _FOREIGN_RE.match(name):
+                raise ValueError(
+                    f"chart parameter {name!r} takes a reserved name")
         object.__setattr__(self, "params", fixed)
         n = len(self.degrees)
         levels, couplings = [], []
@@ -213,11 +222,12 @@ def _bits(values: Sequence[float]) -> bytes:
 
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
-                    env: Mapping[str, float] | None = None
-                    ) -> tuple[ChartDegree, Callable]:
-    """Degree j and its (R, dR/dw) compiled as a function of the pair
-    (lam, w) at the level hv (already checked by :func:`_level`), with
-    ``env`` binding other degrees' states."""
+                    env: Mapping[str, float] | None = None,
+                    rates: bool = False) -> tuple[ChartDegree, Callable]:
+    """Degree j and its (R, dR/dw), or with ``rates`` its
+    ChartDegree._rates, compiled as a function of the pair (lam, w) at
+    the level hv (already checked by :func:`_level`), with ``env`` binding
+    other degrees' states."""
     if not 1 <= j <= chart.n:
         raise ValueError(f"degree index {j} out of range 1..{chart.n}")
     deg = chart.degrees[j - 1]
@@ -226,7 +236,8 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
     if env:
         params.update(env)
     try:
-        return deg, compile_functions(deg._pair, 1, params)
+        return deg, compile_functions(deg._rates if rates else deg._pair, 1,
+                                      params)
     except UnboundSymbolError as exc:
         raise ChartError(
             f"degree {j} references another degree's state ({exc}); "
@@ -361,6 +372,19 @@ def _branch_value(deg: ChartDegree, g, lam: float,
     return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))[0]
 
 
+def _branch_rates(rates, lam: float, w: float) -> list[float]:
+    """dw/dh_i = -R_{h_i} / R_w at the branch point (lam, w), for each h_i
+    of ``rates``, a degree's ChartDegree._rates compiled at the level."""
+    try:
+        r_w, *r_h = rates((lam, w))
+    except DomainError as exc:
+        raise QuadratureError(
+            f"no level derivative at lam={lam:.6g}: {exc}") from None
+    if r_w == 0.0:
+        raise QuadratureError(f"dR/dw vanishes on the branch at lam={lam:.6g}")
+    return [-v / r_w for v in r_h]
+
+
 def solve_branch(chart: SeparableChart, j: int, lam: float,
                  h: Sequence[float]) -> float:
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
@@ -384,41 +408,31 @@ def turning_points(chart: SeparableChart, j: int,
     return tuple(_cycle(chart, j, _level(chart, h))[2:4])
 
 
-def _cycle(chart: SeparableChart, j: int, hv: Sequence[float],
-           base: Sequence[float] | None = None) -> list:
-    """[degree j, its pair compiled at hv, lam-, lam+, grid cells, the
-    integral over the cycle or None until computed]: the one search for
-    turning points, behind :func:`turning_points`, run once per chart,
-    degree and level; a search at hv starts from ``base``'s cells."""
+def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
+    """[degree j, its pair compiled at hv, lam-, lam+, the cycle's
+    quadrature or None until computed]: the one search for turning
+    points, behind :func:`turning_points`, run once per chart, degree and
+    level."""
     key = (j, _bits(hv))
     found = chart._cycles.get(key)
     if found is None:
-        near = None if base is None else chart._cycles.get((j, _bits(base)))
-        found = [*_find_cycle(chart, j, hv, near and near[4]), None]
+        found = [*_find_cycle(chart, j, hv), None]
         if len(chart._cycles) >= _MEMO_CAP:
             chart._cycles.clear()
         chart._cycles[key] = found
     return found
 
 
-def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
-                cells: tuple[int, int] | None = None) -> tuple:
-    """_cycle's entry but the integral, with cells (first, last) the first
-    and last of 129 bracket points where R(lam, 0) < 0 (for an even
-    libration residual, where the pair +-|w| exists), each bisected
-    against its outer neighbour.  Another level's ``cells`` stand if the
-    four points around them read outside, inside, inside, outside: the
-    full search finds the same ones while the allowed region is one
-    interval.  Else the full search runs."""
+def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
+    """_cycle's entry but the quadrature, from the first and last of 129
+    bracket points where R(lam, 0) < 0 (for an even libration residual,
+    where the pair +-|w| exists), each bisected against its outer
+    neighbour."""
     deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
-    if cells and [g((grid[i], 0.0))[0] < 0.0 for i in (
-            cells[0] - 1, *cells, cells[1] + 1)] == [False, True, True, False]:
-        neg = cells
-    else:
-        vals = np.array([g((x, 0.0))[0] for x in grid])
-        neg = np.nonzero(vals < 0.0)[0]
+    vals = np.array([g((x, 0.0))[0] for x in grid])
+    neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         first, last = int(neg[0]), int(neg[-1])
         if first == 0 or last == len(grid) - 1:
@@ -426,7 +440,7 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
                 "bracket endpoints must lie outside the classically allowed "
                 "region")
         return (deg, g, _bisect_sign(g, grid[first - 1], grid[first]),
-                _bisect_sign(g, grid[last + 1], grid[last]), (first, last))
+                _bisect_sign(g, grid[last + 1], grid[last]))
     # refine the grid minimum; a tangency means a degenerate cycle
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
@@ -434,9 +448,9 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float],
     lam_min, g_min = _golden_min(lambda x: g((x, 0.0))[0], lo, hi)
     if g_min < 0.0:
         return (deg, g, _bisect_sign(g, lo, lam_min),
-                _bisect_sign(g, hi, lam_min), None)
+                _bisect_sign(g, hi, lam_min))
     if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-        return deg, g, lam_min, lam_min, None
+        return deg, g, lam_min, lam_min
     raise NoRealRootError("no sign change in bracket")
 
 
@@ -465,103 +479,174 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gauss_legendre(f: Callable[[float, float], float]):
-    """Gauss-Legendre sums of f on (-1, 1), n = _GL_START, 2n, ... _N_MAX
-    nodes; f(x, weight) returns weight times the integrand at x."""
-    n = _GL_START
-    while n <= _N_MAX:
-        total = 0.0
-        for x, gw in zip(*_gl(n)):
-            total += f(x, gw)
-        yield total
-        n *= 2
-
-
-def _trapezoid(f: Callable[[float, float], float]):
-    """Trapezoid sums of f on (-1, 1) over n = _TRAPEZOID_START, 2n, ...
-    _N_MAX intervals, for an integrand that vanishes at both ends; each
-    doubling halves the last sum and adds only the new midpoints."""
-    n = _TRAPEZOID_START
-    total = 0.0
-    for k in range(1, n):
-        total += f(-1.0 + 2.0 * k / n, 2.0 / n)
-    yield total
-    while n < _N_MAX:
-        n *= 2
-        fresh = 0.0
-        for k in range(1, n, 2):
-            fresh += f(-1.0 + 2.0 * k / n, 2.0 / n)
-        total = 0.5 * total + fresh
-        yield total
-
-
-def _branch_integral(g, a: float, b: float, sign: int,
-                     h: Sequence[float], cycle: bool) -> float:
-    """integral of w(lam) over [a, b], with ``g`` compiled at the level h.
-
-    The substitution lam = mid + halfwidth*sin(theta), theta = x*pi/2,
+def _branch_nodes(g, rates, a: float, b: float, sign: int,
+                  h: Sequence[float]):
+    """The quadrature node of [a, b] at x in (-1, 1), under the
+    substitution lam = mid + halfwidth*sin(theta), theta = x*pi/2, which
     turns the inverse-square-root behaviour of dlam near a turning point
-    into an analytic integrand in x on (-1, 1).  With ``cycle`` both ends
-    are turning points: the integrand vanishes there and continues to a
-    periodic one, so the trapezoid rule converges exponentially and each
-    doubling reuses every earlier node.  An interval with a fixed end uses
-    Gauss-Legendre doubling.  Either rule doubles until the step change
-    drops under max(QUAD_ABS_TOL, QUAD_REL_TOL * (1 + |integral|)).
-    """
-    if a == b:
-        return 0.0
+    into an analytic integrand in x.
+
+    node(x, weight, acc) solves w on the branch of ``sign``, adds weight *
+    dw/dh_i * dlam/dx to acc[i] for each h_i of ``rates`` unless acc is
+    None, and returns weight * w * dlam/dx."""
     scale = _root_scale(max(abs(a), abs(b)), h)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     k = 0
 
-    def w_dlam(x: float, weight: float) -> float:
+    def node(x: float, weight: float, acc: list[float] | None) -> float:
         nonlocal k
         theta = 0.5 * math.pi * x
+        lam = mid + hw * math.sin(theta)
         try:
-            w, k = _solve_signed(g, mid + hw * math.sin(theta), sign, scale,
-                                 k)
+            w, k = _solve_signed(g, lam, sign, scale, k)
         except NoRealRootError as exc:
             raise QuadratureError(
                 f"lost the real branch inside the interval: {exc}") from None
+        if acc is not None:
+            dlam = weight * hw * 0.5 * math.pi * math.cos(theta)
+            for i, v in enumerate(_branch_rates(rates, lam, w)):
+                acc[i] += v * dlam
         return weight * w * hw * 0.5 * math.pi * math.cos(theta)
 
-    prev = None
-    for total in (_trapezoid if cycle else _gauss_legendre)(w_dlam):
-        if prev is not None and abs(total - prev) <= \
-                max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(total))):
-            return total
-        prev = total
-    raise QuadratureError(
-        f"{'trapezoid' if cycle else 'Gauss-Legendre'} doubling did not "
-        "converge")
+    return node
+
+
+def _settled(new: Sequence[float], old: Sequence[float],
+             last: float | None) -> tuple[bool, float]:
+    """(whether a doubling rule for rate integrals stops at ``new``, its
+    step from ``old`` in units of max(QUAD_ABS_TOL, QUAD_REL_TOL *
+    (1 + |new|))), ``last`` the step before.  The rule stops under one
+    unit, or at the roundoff floor, where the step stops shrinking:
+    roundoff in R divided by a small R_w near a turning point sets it."""
+    step = max((abs(x - y) / max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(x)))
+                for x, y in zip(new, old)), default=0.0)
+    return step <= 1.0 or (last is not None
+                           and last <= step <= QUAD_NOISE_STEPS), step
+
+
+def _integrate_cycle(g, rates, m: int, a: float, b: float,
+                     h: Sequence[float]) -> tuple[float, tuple | str]:
+    """(integral of |w| from a to b, the integrals of d|w|/dh_i over it for
+    the m h_i of ``rates``, or why they do not exist), with both ends
+    turning points.
+
+    Trapezoid sums of w dlam over n = _TRAPEZOID_START, 2n, ... _N_MAX
+    intervals in x: the integrand vanishes at both ends and continues to a
+    periodic one, so the rule converges exponentially, and each doubling
+    halves the last sum and adds only the new midpoints.  The action stops
+    at the first step change under max(QUAD_ABS_TOL, QUAD_REL_TOL *
+    (1 + |integral|)).  The new midpoints are the midpoint rule of the
+    last n, which converges the same way on the rates' integrand; that one
+    need not vanish at the ends, which the rule never reads.  The rates
+    stop by :func:`_settled`; doubling goes on for whichever has not
+    stopped.
+    """
+    node = _branch_nodes(g, rates, a, b, 1, h)
+    n, nodes = _TRAPEZOID_START, range(1, _TRAPEZOID_START)
+    total = integral = rated = mids = step = None
+    while n <= _N_MAX:
+        fresh, acc = 0.0, [0.0] * m
+        try:
+            for k in nodes:
+                fresh += node(-1.0 + 2.0 * k / n, 2.0 / n,
+                              acc if rated is None and k % 2 else None)
+        except QuadratureError as exc:
+            if integral is None:
+                raise
+            return integral, str(exc)
+        if total is None:
+            total = fresh
+        else:
+            before, total = total, 0.5 * total + fresh
+            if integral is None and abs(total - before) <= max(
+                    QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(total))):
+                integral = total
+        if rated is None:
+            # a node's midpoint weight for n / 2 intervals is 4 / n
+            before, mids = mids, tuple(2.0 * v for v in acc)
+            if before is not None:
+                done, step = _settled(mids, before, step)
+                rated = mids if done else None
+        if integral is not None and rated is not None:
+            return integral, rated
+        n *= 2
+        nodes = range(1, n, 2)
+    if integral is None:
+        raise QuadratureError("trapezoid doubling did not converge")
+    return integral, "trapezoid doubling of the rates did not converge"
+
+
+def _cycle_quadrature(chart: SeparableChart, j: int, hv: Sequence[float],
+                      rates: bool = False) -> float | tuple[float, ...]:
+    """integral of |w_j| over degree j's cycle at hv, or with ``rates`` the
+    integrals of d|w_j|/dh_i over it for each h_i the degree reads, from
+    :func:`_integrate_cycle`, run once per cycle and kept in its memo
+    entry."""
+    found = _cycle(chart, j, hv)
+    if found[4] is None:
+        _, g, a, b = found[:4]
+        found[4] = (0.0, "the level has a degenerate cycle") if a == b else \
+            _integrate_cycle(g, _compile_degree(chart, j, hv, rates=True)[1],
+                             len(chart.levels[j - 1]), a, b, hv)
+    if not rates:
+        return found[4][0]
+    if isinstance(found[4][1], str):
+        raise QuadratureError(found[4][1])
+    return found[4][1]
+
+
+def _interval_rates(chart: SeparableChart, s: int, hv: Sequence[float],
+                    a: float, b: float) -> list[float]:
+    """integral from a to b of dw_s/dh_i on degree s's branch, for each h_i
+    the degree reads: Gauss-Legendre sums over n = _GL_START, 2n, ...
+    _N_MAX nodes, stopped by :func:`_settled`."""
+    deg, g = _compile_degree(chart, s, hv)
+    node = _branch_nodes(g, _compile_degree(chart, s, hv, rates=True)[1],
+                         a, b, deg.branch_sign, hv)
+    n, sums, step = _GL_START, None, None
+    while n <= _N_MAX:
+        last, sums = sums, [0.0] * len(chart.levels[s - 1])
+        for x, gw in zip(*_gl(n)):
+            node(x, gw, sums)
+        if last is not None:
+            done, step = _settled(sums, last, step)
+            if done:
+                return sums
+        n *= 2
+    raise QuadratureError("Gauss-Legendre doubling did not converge")
 
 
 def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     """Action gamma_j = (1/2pi) * integral of w dlam around the cycle at
     the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
-    hv = _level(chart, h)
-    _, g, lam_minus, lam_plus = _cycle(chart, j, hv)[:4]
-    # on the + branch every root is >= +0.0, so w is |w|
-    return _branch_integral(g, lam_minus, lam_plus, 1, hv, True) / math.pi
+    # the cycle is integrated on the + branch, where every root is >= +0.0
+    return _cycle_quadrature(chart, j, _level(chart, h)) / math.pi
 
 
 # ---------------------------------------------------------------------------
 # time maps and frequencies
 
 
-# an interval from one turning point of the cycle to the other
-_CYCLE = (("tp", -1), ("tp", 1))
+def time_map(chart: SeparableChart, h: Sequence[float],
+             mu: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    """Times t_j = sum_s integral d lam dw_s/dh_j over the given intervals.
 
-
-def _classify_intervals(chart, hv, mu):
-    """Resolve each (start, end) pair against the base turning points."""
-    specs = []
+    ``mu`` holds one (start, end) pair per degree; an equal pair
+    contributes nothing, and t(mu0) = 0 when every interval is empty.
+    dw_s/dh_j = -R_{h_j}/R_w stays finite in theta at a turning point, so
+    an end within 1e-7 relative of one is taken to it.  An interval from
+    one turning point to the other reads the cycle's rate integrals, the
+    nodes of its action; any other is integrated on each call.
+    """
+    hv = _level(chart, h, "time_map")
+    if len(mu) != chart.n:
+        raise ValueError("one (start, end) pair per degree")
+    table = np.zeros((chart.n, chart.h_dim))
     for s, (a, b) in enumerate(mu, start=1):
         a, b = float(a), float(b)
         if a == b:
-            specs.append(None)
             continue
         lam_minus, lam_plus = _cycle(chart, s, hv)[2:4]
         if lam_minus == lam_plus:
@@ -576,123 +661,34 @@ def _classify_intervals(chart, hv, mu):
         ends = []
         for v in (a, b):
             if abs(v - lam_minus) <= 1e-7 * (1.0 + abs(lam_minus)):
-                ends.append(("tp", -1))
+                ends.append(lam_minus)
             elif abs(v - lam_plus) <= 1e-7 * (1.0 + abs(lam_plus)):
-                ends.append(("tp", 1))
+                ends.append(lam_plus)
             else:
-                ends.append(("fixed", v))
-        specs.append(tuple(ends))
-    return specs
-
-
-def _primitive(chart, s, spec, hv, h_side) -> float | None:
-    """integral of the branch w_s over the interval resolved at h_side, a
-    shift of the level hv, or None where a turning-point end has no cycle
-    at that level.  The integral over the cycle is kept in the cycle's memo
-    entry; an interval with a fixed end is integrated on each call."""
-    if any(kind == "tp" for kind, _ in spec):
-        try:
-            found = _cycle(chart, s, h_side, hv)
-        except NoRealRootError:
-            return None
-        deg, g, lam_minus, lam_plus, _, integral = found
-        if lam_minus == lam_plus:
-            return None
-        if spec == _CYCLE and integral is not None:
-            return integral
-    else:
-        deg, g = _compile_degree(chart, s, h_side)
-    ends = []
-    for kind, v in spec:
-        if kind == "tp":
-            ends.append(lam_minus if v < 0 else lam_plus)
+                ends.append(v)
+        a, b = ends
+        if a == b or not chart.levels[s - 1]:
+            continue
+        if {a, b} == {lam_minus, lam_plus}:
+            sign = chart.degrees[s - 1].branch_sign * (1 if a < b else -1)
+            rates = [sign * v for v in _cycle_quadrature(chart, s, hv, True)]
         else:
-            try:
-                _branch_value(deg, g, v, h_side)
-            except (NoRealRootError, ConvergenceError):
-                raise QuadratureError(
-                    "endpoint sits at a turning point of a nearby level; "
-                    "the time integral diverges there, choose an interior "
-                    "endpoint") from None
-            ends.append(v)
-    total = _branch_integral(g, ends[0], ends[1], deg.branch_sign, h_side,
-                             all(kind == "tp" for kind, _ in spec))
-    if spec == _CYCLE:
-        found[5] = total
-    return total
-
-
-def _level_derivative(f: Callable[[list[float]], float | None],
-                      hv: list[float], jdx: int) -> float:
-    """d f / d h_{jdx+1} at the level hv, the module's one difference in h.
-
-    Central over hv[jdx] +- FD_SCALE (1 + |hv[jdx]|); where f returns None
-    on one side (that level lost the cycle) it is one-sided from hv.
-    """
-    delta = FD_SCALE * (1.0 + abs(hv[jdx]))
-    h_plus = list(hv)
-    h_plus[jdx] += delta
-    h_minus = list(hv)
-    h_minus[jdx] -= delta
-    upper = f(h_plus)
-    lower = f(h_minus)
-    if upper is not None and lower is not None:
-        return (upper - lower) / (2.0 * delta)
-    if upper is None and lower is None:
-        raise QuadratureError(
-            "both shifted levels lost the cycle; choose an interior "
-            "endpoint")
-    base = f(hv)
-    if base is None:
-        raise QuadratureError("the level has a degenerate cycle")
-    if upper is not None:
-        return (upper - base) / delta
-    return (base - lower) / delta
-
-
-def time_map(chart: SeparableChart, h: Sequence[float],
-             mu: Sequence[tuple[float, float]]) -> tuple[float, ...]:
-    """Times t_j = sum_s integral d lam dw_s/dh_j over the given intervals.
-
-    ``mu`` holds one (start, end) pair per degree; an equal pair
-    contributes nothing, and t(mu0) = 0 when every interval is empty.
-    Endpoints matching a turning point track the turning points of the
-    finite-difference-shifted levels, which is what makes the half-cycle
-    time exact for these integrals; where one shifted level has no cycle
-    (at a cycle's birth) the difference is one-sided.
-    """
-    hv = _level(chart, h, "time_map")
-    if len(mu) != chart.n:
-        raise ValueError("one (start, end) pair per degree")
-    table = _time_table(chart, hv, _classify_intervals(chart, hv, mu))
+            rates = _interval_rates(chart, s, hv, a, b)
+        table[s - 1, [j - 1 for j in chart.levels[s - 1]]] = rates
     return tuple(sum(column, 0.0) for column in table.T)
-
-
-def _time_table(chart: SeparableChart, hv: list[float],
-                specs: Sequence) -> np.ndarray:
-    """T[s-1, j-1] = d/dh_j of degree s's primitive over specs[s-1], for
-    each h_j that degree s reads; every other entry stays +0.0."""
-    table = np.zeros((chart.n, chart.h_dim))
-    for s, spec in enumerate(specs, start=1):
-        if spec is not None:
-            primitive = functools.partial(_primitive, chart, s, spec, hv)
-            for j in chart.levels[s - 1]:
-                table[s - 1, j - 1] = _level_derivative(primitive, hv, j - 1)
-    return table
 
 
 def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
     """Omega = (d gamma / d h)^(-1), refused above condition number COND_LIMIT.
 
-    d gamma_i / d h_j is branch_sign_i times the time table over degree
-    i's cycle, over pi.
+    d gamma_i / d h_j is the integral of d|w_i|/dh_j over degree i's
+    cycle, over pi.
     """
     hv = _level(chart, h, "frequency_matrix")
-    table = _time_table(chart, hv, [_CYCLE] * chart.n)
-    a = np.zeros_like(table)
-    for i, deg in enumerate(chart.degrees):
-        filled = [j - 1 for j in chart.levels[i]]
-        a[i, filled] = deg.branch_sign * table[i, filled] / math.pi
+    a = np.zeros((chart.n, chart.h_dim))
+    for i in range(chart.n):
+        a[i, [j - 1 for j in chart.levels[i]]] = np.divide(
+            _cycle_quadrature(chart, i + 1, hv, True), math.pi)
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > COND_LIMIT:
         raise ChartError(
@@ -737,13 +733,15 @@ def _environments(chart: SeparableChart, hv: list[float],
 
 def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
                           probes: Sequence[float]) -> float:
-    """Max spread of dw_i/dh_j across environments sharing (lam, h).
+    """Max spread of dw_i/dh_j = -R_{h_j}/R_w across environments sharing
+    (lam, h).
 
     For a genuinely separable chart the branch derivative is a function of
     the degree's own data alone, so the spread vanishes identically.  A
     residual coupled to another degree's state produces an O(1) spread.
     Degrees without foreign symbols contribute zero by construction and
-    are skipped, which also covers the single-degree chart.
+    are skipped, which also covers the single-degree chart.  A probe where
+    some environment has no branch point, or no rate, is not usable.
     """
     hv = _level(chart, h)
     probe_vals = [float(v) for v in probes]
@@ -754,20 +752,20 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
         if not chart.couplings[i - 1]:
             continue
         envs = _environments(chart, hv, chart.couplings[i - 1])
+        branches = [(*_compile_degree(chart, i, hv, env),
+                     _compile_degree(chart, i, hv, env, rates=True)[1])
+                    for env in envs]
         usable = 0
         for lam in probe_vals:
-            for j in chart.levels[i - 1]:
-                # dw_i/dh_j at lam in each environment
-                try:
-                    vals = [_level_derivative(
-                        lambda hs: _branch_value(
-                            *_compile_degree(chart, i, hs, env), lam, hs),
-                        hv, j - 1) for env in envs]
-                except ChartError:
-                    continue
+            try:
+                vals = [_branch_rates(rates, lam,
+                                      _branch_value(deg, g, lam, hv))
+                        for deg, g, rates in branches]
+            except ChartError:
+                continue
+            for column in zip(*vals):
                 usable += 1
-                worst = max(worst, max(vals) - min(vals))
+                worst = max(worst, max(column) - min(column))
         if usable == 0:
             raise ChartError(f"insufficient probes for degree {i}")
     return worst
-

@@ -32,7 +32,9 @@ from .flows import (
 )
 from .action_angle import ChartError, action_spectrum
 from .catalog import SystemDefinition, probe_points
-from .sysfile import SystemFileError, _float_list, _point, load_system_file
+from .sysfile import (
+    SystemFileError, _float_list, _point, _read_system_file,
+)
 
 __all__ = ["main"]
 
@@ -53,11 +55,6 @@ def _resolve_seed(flag: int | None, file_seed: int) -> int:
     if seed < 0:
         raise ValueError(f"{source} must be non-negative, got {seed}")
     return seed
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _listify(arr) -> list:
@@ -289,13 +286,13 @@ def _run_verify(args) -> int:
 def _run(args) -> int:
     if args.command == "verify-paper":
         return _run_verify(args)
-    system = load_system_file(args.file)
+    system, data = _read_system_file(args.file)
     seed = _resolve_seed(args.seed, system.seed)
     handler = _HANDLERS[args.command]
     results, verdict, warnings = handler(system, args, seed)
     report = {
         "command": args.command,
-        "input": {"path": args.file, "sha256": _digest(args.file)},
+        "input": {"path": args.file, "sha256": hashlib.sha256(data).hexdigest()},
         "seed": seed,
         "version": __version__,
         "results": results,

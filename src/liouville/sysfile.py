@@ -303,10 +303,16 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
 
 def load_system_file(path: str) -> SystemDefinition:
     """Read and parse a system file; errors carry line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    return _read_system_file(path)[0]
+
+
+def _read_system_file(path: str) -> tuple[SystemDefinition, bytes]:
+    """The system in ``path`` and the bytes it was parsed from, read once,
+    since a pipe delivers its bytes only once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
-    return loads_system(text, name_hint=stem)
+    return loads_system(data.decode("utf-8"), name_hint=stem), data
 
 
 def _numbers(values) -> str:

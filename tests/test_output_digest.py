@@ -31,7 +31,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "022a2d273d24b241faf604363fbf4a9e8a9d95fb877fe2e9cdd1ad9b24b67508"
+OUTPUT_DIGEST = "d94212ecfeae5f081ad98bcc67611a38675b93cae9ff96d58051196fa9164eae"
 
 
 def _level_arg(path: str) -> str:

@@ -4,8 +4,10 @@ The CLI tests drive main() in-process and parse the JSON reports, so they
 cover argument wiring, seed resolution, and exit codes without spawning
 subprocesses.
 """
+import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,6 +26,7 @@ from liouville.expr import EvalPoint, evaluate
 from liouville.sysfile import (
     SystemFileError, export_system_file, load_system_file, loads_system,
 )
+from test_action_angle import _quartic_period
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -293,6 +296,25 @@ def test_export_then_load_round_trip(name):
         assert back.chart.degrees[0].bracket == src.chart.degrees[0].bracket
 
 
+def test_export_then_load_keeps_chart_parameters_and_branch_sign():
+    text = MINIMAL + (
+        "[chart]\n"
+        "h_dim = 1\n"
+        "param.omega = 2.5\n"
+        "residual_1 = w^2+omega*lam^2-2*h_1\n"
+        "bracket_1 = -4, 4.5\n"
+        "branch_1 = -1\n"
+    )
+    src = loads_system(text)
+    exported = export_system_file(src)
+    assert "param.omega = 2.5\n" in exported
+    assert "branch_1 = -1\n" in exported
+    back = loads_system(exported).chart
+    assert back.params == {"omega": 2.5}
+    assert back.degrees == src.chart.degrees
+    assert back.degrees[0].branch_sign == -1
+
+
 # ---------------------------------------------------------------------------
 # CLI subcommands
 
@@ -464,10 +486,19 @@ def test_actions_oscillator():
 
 
 def test_actions_at_a_cycle_birth():
-    # the lower shifted level of h = 5e-7 has no cycle; the difference in h
-    # is one-sided there
+    # h = 5e-7 is just above the cycle birth at h = 0
     results = report_of(["actions", OSC, "--h", "5e-7"])["results"]
     assert results["omega"][0][0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_actions_quartic_frequency_at_a_small_level(tmp_path):
+    # a small level, where omega(h) -> 0 like h^(1/4)
+    path = tmp_path / "quartic.sys"
+    path.write_text(export_system_file(get_system("quartic_oscillator")),
+                    encoding="utf-8")
+    omega = report_of(["actions", str(path), "--h", "1e-6"])["results"][
+        "omega"][0][0]
+    assert abs(omega - 2.0 * math.pi / _quartic_period(1e-6)) <= 1e-9
 
 
 def test_actions_on_a_coupled_chart_exits_2(tmp_path):
@@ -780,6 +811,19 @@ def _subprocess_env():
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path
                                                    if path else ""))
+
+
+def test_input_hash_is_of_the_bytes_read_from_a_pipe():
+    data = Path(OSC).read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville.cli", "actions", "/dev/stdin",
+         "--h", "0.5"],
+        input=data, capture_output=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert report_of(["actions", OSC, "--h", "0.5"])["input"]["sha256"] == \
+        hashlib.sha256(data).hexdigest()
 
 
 def test_infinite_final_time_exits_2():
