@@ -47,7 +47,6 @@ from .expr import (
     DomainError, Expr, UnboundSymbolError, compile_functions, differentiate,
     gradient, p, parameters_of, q, substitute_param,
 )
-from .algebra import ConvergenceError
 
 __all__ = [
     "ChartError", "NoRealRootError", "QuadratureError",
@@ -248,37 +247,44 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
 # root solving on one branch
 
 
-def _solve_root(g, lam: float, lo: float, hi: float,
-                glo: float, ghi: float) -> float:
-    """Newton iteration with a bisection safeguard on a sign bracket."""
+def _solve_root(g, lam: float, lo: float, hi: float, glo: float) -> float:
+    """Newton iteration with a bisection safeguard on a sign bracket.
+
+    A bracket whose sign change is a pole rather than a root stalls or
+    meets the pole; either is NoRealRootError.
+    """
     w = 0.5 * (lo + hi)
     best_w = w
     best_abs = math.inf
-    for _ in range(120):
-        gv, dg = g((lam, w))
-        if abs(gv) < best_abs:
-            best_abs, best_w = abs(gv), w
-        if gv == 0.0:
-            return w
-        if (gv > 0.0) == (glo > 0.0):
-            lo, glo = w, gv
-        else:
-            hi, ghi = w, gv
-        if dg != 0.0:
-            w_new = w - gv / dg
-            if not lo < w_new < hi:
+    try:
+        for _ in range(120):
+            gv, dg = g((lam, w))
+            if abs(gv) < best_abs:
+                best_abs, best_w = abs(gv), w
+            if gv == 0.0:
+                return w
+            if (gv > 0.0) == (glo > 0.0):
+                lo, glo = w, gv
+            else:
+                hi = w
+            if dg != 0.0:
+                w_new = w - gv / dg
+                if not lo < w_new < hi:
+                    w_new = 0.5 * (lo + hi)
+            else:
                 w_new = 0.5 * (lo + hi)
-        else:
-            w_new = 0.5 * (lo + hi)
-        if abs(w_new - w) <= 2e-16 * (1.0 + abs(w_new)):
+            if abs(w_new - w) <= 2e-16 * (1.0 + abs(w_new)):
+                w = w_new
+                break
             w = w_new
-            break
-        w = w_new
-    gv, _ = g((lam, w))
+        gv, _ = g((lam, w))
+    except DomainError as exc:
+        raise NoRealRootError(
+            f"branch solve met a pole at lam={lam:.6g}: {exc}") from None
     if abs(gv) < best_abs:
         best_abs, best_w = abs(gv), w
     if best_abs > ROOT_TOL:
-        raise ConvergenceError(
+        raise NoRealRootError(
             f"branch solve stalled at |R|={best_abs:.3g} (lam={lam:.6g})")
     return best_w
 
@@ -339,7 +345,7 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
             above, k = (w, gv, k), k - 1
     if below is not None and above is not None:
         lo, hi = (below, above) if sign > 0 else (above, below)
-        return _solve_root(g, lam, lo[0], hi[0], lo[1], hi[1]), above[2]
+        return _solve_root(g, lam, lo[0], hi[0], lo[1]), above[2]
     if k0:
         return _solve_signed(g, lam, sign, scale)
     # no sign change: look for a tangency near the minimum of R
@@ -355,7 +361,7 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
         glo2 = g((lam, lo2))[0]
         ghi2 = g((lam, hi2))[0]
         if (glo2 > 0.0) != (ghi2 > 0.0):
-            return _solve_root(g, lam, lo2, hi2, glo2, ghi2), 0
+            return _solve_root(g, lam, lo2, hi2, glo2), 0
     if abs(g_min) <= ROOT_TOL:
         return w_min, 0
     raise NoRealRootError(

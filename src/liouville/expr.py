@@ -483,15 +483,14 @@ def differentiate(e: Expr, symbol: str) -> Expr:
 def gradient(e: Expr, symbols: Sequence[str]) -> tuple[Expr, ...]:
     """Simplified partial derivatives of ``e``, one per named symbol.
 
-    The partials are built in one pass over ``e``: which symbols each
-    subtree mentions is found once, and one simplification memo serves
-    every symbol, so a subtree of ``e`` that recurs in every partial (the
-    ``g`` of ``d(f*g) = df*g + f*dg``) is simplified once.
+    One post-order pass over ``e`` builds every partial (:func:`_partials`),
+    and one simplification memo serves every symbol, so a subtree of ``e``
+    that recurs in every partial (the ``g`` of ``d(f*g) = df*g + f*dg``) is
+    simplified once.
     """
-    bits = {s: 1 << i for i, s in enumerate(dict.fromkeys(symbols))}
-    masks = _symbol_masks(e, bits)
+    partials = _partials(e, set(symbols))
     memo: dict[int, tuple[Expr, Expr]] = {}
-    return tuple(_simplify(_diff(e, bits[s], masks), memo) for s in symbols)
+    return tuple(_simplify(partials.get(s) or _zero(e), memo) for s in symbols)
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -527,67 +526,65 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
     return order
 
 
-def _symbol_masks(e: Expr, bits: Mapping[str, int]) -> dict[int, int]:
-    """Node id -> OR of ``bits`` over the symbols under that node."""
-    masks: dict[int, int] = {}
-    for node in _postorder((e,)):
-        mask = bits.get(node.name, 0) if type(node) in (Var, Param) else 0
-        for c in _children(node):
-            mask |= masks[id(c)]
-        masks[id(node)] = mask
-    return masks
+def _zero(e: Expr) -> Expr:
+    """The partial of ``e`` by a symbol it does not mention: ``Const(0.0)``,
+    the constant its full derivative simplifies to, inside one ``Neg`` per
+    leading ``Neg`` of ``e``, whose full derivative simplifies to -0.0."""
+    out: Expr = Const(0.0)
+    while type(e) is Neg:
+        out, e = Neg(out), e.arg
+    return out
 
 
-def _diff(e: Expr, bit: int, masks: Mapping[int, int]) -> Expr:
-    """Unsimplified derivative of ``e`` by the symbol whose bit is ``bit``.
+# d f(a) / da for each Call, as a tree over the argument a
+_OUTER = {
+    "ln": lambda a: BinOp("/", Const(1.0), a),
+    "sqrt": lambda a: BinOp("/", Const(0.5), Call("sqrt", a)),
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: Neg(Call("sin", a)),
+    "exp": lambda a: Call("exp", a),
+}
 
-    A subtree that does not mention the symbol differentiates straight to
-    ``Const(0.0)``, the constant its full derivative tree simplifies to, so
-    the work is linear in the part of the tree that mentions it.  Neg is
-    the exception: a symbol-free ``Neg`` keeps its wrapper, because its
-    full derivative simplifies to ``Const(-0.0)``.  The trees match the
-    full derivative's while every folded constant is finite: a symbol-free
-    subtree that folds to inf (``1e200*1e200``) differentiates to 0 here,
-    where the full tree meets inf*0 and reads nan.
+
+def _partials(e: Expr, symbols: set[str]) -> dict[str, Expr]:
+    """Unsimplified partials of ``e`` by each of ``symbols`` it mentions.
+
+    One pass over the post-order maps each node's symbols to its partial,
+    built from its children's maps; a child without the symbol contributes
+    :func:`_zero`.  The trees match the full derivative's while every
+    folded constant is finite: a symbol-free subtree that folds to inf
+    (``1e200*1e200``) differentiates to 0 here, where the full tree meets
+    inf*0 and reads nan.
     """
-    cls = type(e)
-    if cls is Neg:
-        return Neg(_diff(e.arg, bit, masks))
-    if not masks[id(e)] & bit:
-        return Const(0.0)
-    if cls is Var or cls is Param:
-        return Const(1.0)
-    if cls is BinOp and e.op in ("+", "-"):
-        # one loop down the left spine, so a sum's length costs no frames
-        spine: list[BinOp] = []
-        while type(e) is BinOp and e.op in ("+", "-") and masks[id(e)] & bit:
-            spine.append(e)
-            e = e.left
-        out = _diff(e, bit, masks)
-        for node in reversed(spine):
-            out = BinOp(node.op, out, _diff(node.right, bit, masks))
-        return out
-    if cls is BinOp:
-        da, db = _diff(e.left, bit, masks), _diff(e.right, bit, masks)
-        if e.op == "*":
-            return BinOp("+", BinOp("*", da, e.right), BinOp("*", e.left, db))
-        num = BinOp("-", BinOp("*", da, e.right), BinOp("*", e.left, db))
-        return BinOp("/", num, Pow(e.right, 2.0))
-    if cls is Pow:
-        scaled = BinOp("*", Const(e.exponent), Pow(e.base, e.exponent - 1.0))
-        return BinOp("*", scaled, _diff(e.base, bit, masks))
-    # a Call; _symbol_masks has refused every other node type
-    if e.func == "ln":
-        outer = BinOp("/", Const(1.0), e.arg)
-    elif e.func == "sqrt":
-        outer = BinOp("/", Const(0.5), Call("sqrt", e.arg))
-    elif e.func == "sin":
-        outer = Call("cos", e.arg)
-    elif e.func == "cos":
-        outer = Neg(Call("sin", e.arg))
-    else:
-        outer = Call("exp", e.arg)
-    return BinOp("*", outer, _diff(e.arg, bit, masks))
+    maps: dict[int, dict[str, Expr]] = {}
+    for node in _postorder((e,)):
+        cls = type(node)
+        out: dict[str, Expr] = {}
+        if cls is Var or cls is Param:
+            if node.name in symbols:
+                out[node.name] = Const(1.0)
+        elif cls is Neg:
+            out = {s: Neg(d) for s, d in maps[id(node.arg)].items()}
+        elif cls is BinOp:
+            a, b = node.left, node.right
+            das, dbs = maps[id(a)], maps[id(b)]
+            for s in {**das, **dbs}:
+                da, db = das.get(s) or _zero(a), dbs.get(s) or _zero(b)
+                if node.op in ("+", "-"):
+                    out[s] = BinOp(node.op, da, db)
+                elif node.op == "*":
+                    out[s] = BinOp("+", BinOp("*", da, b), BinOp("*", a, db))
+                else:
+                    out[s] = BinOp("/", BinOp("-", BinOp("*", da, b),
+                                              BinOp("*", a, db)), Pow(b, 2.0))
+        elif cls is Pow or cls is Call:
+            d_arg = maps[id(_children(node)[0])]
+            if d_arg:
+                outer = _OUTER[node.func](node.arg) if cls is Call else BinOp(
+                    "*", Const(node.exponent), Pow(node.base, node.exponent - 1.0))
+                out = {s: BinOp("*", outer, d) for s, d in d_arg.items()}
+        maps[id(node)] = out
+    return maps[id(e)]
 
 
 # ---------------------------------------------------------------------------

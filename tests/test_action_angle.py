@@ -104,6 +104,17 @@ def test_solve_branch_unbounded_branch():
         solve_branch(_residual_chart("-w^2-1"), 1, 0.0, [0.0])
 
 
+@pytest.mark.parametrize("text, match", [
+    # the sign change near w = 1.414 is a pole, beside which Newton stalls
+    ("1/(w^2-2) + lam^2", "stalled"),
+    # the bisection lands on the pole w = 1.1 itself
+    ("1/(w-1.1) + lam^2", "pole"),
+])
+def test_a_pole_in_the_sign_bracket_is_no_real_root(text, match):
+    with pytest.raises(NoRealRootError, match=match):
+        solve_branch(_residual_chart(text), 1, 0.5, [0.1])
+
+
 @pytest.mark.parametrize("text", [
     "(w-1)*sqrt(3-w)",      # from k0, the walk meets the DomainError hole
     # every sign change lies below k0, so the walk runs off the grid; a
@@ -489,6 +500,17 @@ def _coupled_chart() -> SeparableChart:
 def test_picard_fuchs_detects_coupling():
     chart = _coupled_chart()
     assert picard_fuchs_residual(chart, [0.5, 0.8], [0.1, 0.3]) >= 1e-2
+
+
+def test_picard_fuchs_skips_a_probe_whose_branch_meets_a_pole():
+    # at lam = 0.5 degree 1 brackets its pole, not a root
+    chart = SeparableChart((
+        ChartDegree(parse("1/(w^2-2) + lam^2 - h_1 + 0*w_2", 0), (-8.0, 8.0)),
+        ChartDegree(parse("w^2 + lam^2 - 2*h_2", 0), (-8.0, 8.0))), h_dim=2)
+    assert picard_fuchs_residual(chart, (0.1, 0.5), [1.0]) == 0.0
+    assert picard_fuchs_residual(chart, (0.1, 0.5), [0.5, 1.0]) == 0.0
+    with pytest.raises(ChartError, match="insufficient probes"):
+        picard_fuchs_residual(chart, (0.1, 0.5), [0.5])
 
 
 def test_picard_fuchs_probe_validation():

@@ -2,7 +2,11 @@
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,6 +461,22 @@ def _structural_digest() -> str:
 
 def test_structural_digest_is_unchanged():
     assert _structural_digest() == STRUCTURAL_DIGEST
+
+
+def test_structural_listing_does_not_depend_on_the_hash_seed():
+    # PYTHONHASHSEED permutes the iteration order of every set of symbol
+    # names; no tree may follow it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    listings = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, __file__], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        listings.append(proc.stdout)
+    assert listings[0] and listings[0] == listings[1]
 
 
 if __name__ == "__main__":

@@ -943,7 +943,7 @@ def test_very_deep_sum_is_printed_by_cartan(tmp_path):
 
 
 def test_very_deep_expression_exits_2_with_one_error_line(tmp_path):
-    # differentiating a product still recurses once per factor
+    # simplifying a product's derivative still recurses once per factor
     product = "p1^2/2 + " + "*".join(["q1"] * 3000)
     path = tmp_path / "deep.sys"
     path.write_text("[system]\ndimension = 1\n"
