@@ -289,6 +289,22 @@ def _solve_root(g, lam: float, lo: float, hi: float, glo: float) -> float:
     return best_w
 
 
+def _undefined(lam: float, w: float, exc: DomainError) -> NoRealRootError:
+    """The NoRealRootError for a residual that leaves its domain at
+    (lam, w)."""
+    return NoRealRootError(
+        f"residual undefined at lam={lam:.6g}, w={w:.6g}: {exc}")
+
+
+def _residual(g, lam: float, w: float) -> float:
+    """R(lam, w) from the compiled pair ``g``; a DomainError is
+    NoRealRootError."""
+    try:
+        return g((lam, w))[0]
+    except DomainError as exc:
+        raise _undefined(lam, w, exc) from None
+
+
 def _golden_min(f: Callable[[float], float], lo: float, hi: float
                 ) -> tuple[float, float]:
     """Golden-section minimum of a scalar function on [lo, hi]."""
@@ -327,9 +343,13 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
 
     Tangency tolerance: if no sign change exists but min |R| <= ROOT_TOL
     the minimizer is accepted as the (double) root; this is what makes
-    turning points usable as integration endpoints in floating point.
+    turning points usable as integration endpoints in floating point.  A
+    DomainError at w = 0 or in the tangency search is NoRealRootError.
     """
-    g0, _ = g((lam, 0.0))
+    try:
+        g0, _ = g((lam, 0.0))
+    except DomainError as exc:
+        raise _undefined(lam, 0.0, exc) from None
     if g0 == 0.0:
         return 0.0, 0
     k, below, above = k0, None, None
@@ -355,11 +375,11 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
             f"branch unbounded at lam={lam:.6g} (no sign change in w)")
     hi = sign * math.ldexp(1e-9 * scale, k)
     a, b = (0.0, hi) if sign > 0 else (hi, 0.0)
-    w_min, g_min = _golden_min(lambda w: g((lam, w))[0], a, b)
+    w_min, g_min = _golden_min(lambda w: _residual(g, lam, w), a, b)
     if g_min < 0.0:
         lo2, hi2 = (a, w_min) if sign > 0 else (w_min, b)
-        glo2 = g((lam, lo2))[0]
-        ghi2 = g((lam, hi2))[0]
+        glo2 = _residual(g, lam, lo2)
+        ghi2 = _residual(g, lam, hi2)
         if (glo2 > 0.0) != (ghi2 > 0.0):
             return _solve_root(g, lam, lo2, hi2, glo2), 0
     if abs(g_min) <= ROOT_TOL:
@@ -433,11 +453,16 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
     """_cycle's entry but the quadrature, from the first and last of 129
     bracket points where R(lam, 0) < 0 (for an even libration residual,
     where the pair +-|w| exists), each bisected against its outer
-    neighbour."""
+    neighbour.  A DomainError in R(lam, 0) is NoRealRootError."""
     deg, g = _compile_degree(chart, j, hv)
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
-    vals = np.array([g((x, 0.0))[0] for x in grid])
+    vals = np.empty(len(grid))
+    for i, x in enumerate(grid):
+        try:
+            vals[i] = g((x, 0.0))[0]
+        except DomainError as exc:
+            raise _undefined(x, 0.0, exc) from None
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         first, last = int(neg[0]), int(neg[-1])
@@ -451,7 +476,7 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    lam_min, g_min = _golden_min(lambda x: g((x, 0.0))[0], lo, hi)
+    lam_min, g_min = _golden_min(lambda x: _residual(g, x, 0.0), lo, hi)
     if g_min < 0.0:
         return (deg, g, _bisect_sign(g, lo, lam_min),
                 _bisect_sign(g, hi, lam_min))
@@ -462,14 +487,19 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
 
 def _bisect_sign(g, outside: float, inside: float) -> float:
     """Shrink [outside, inside] across the sign change of R(lam, 0); the
-    caller has read R there as not < 0 and < 0.  Return the outside end."""
+    caller has read R there as not < 0 and < 0.  Return the outside end;
+    a DomainError is NoRealRootError."""
     for _ in range(200):
         if abs(outside - inside) <= 2e-16 * (1.0 + abs(outside) + abs(inside)):
             break
         mid = 0.5 * (outside + inside)
         if mid == outside or mid == inside:
             break
-        if g((mid, 0.0))[0] < 0.0:
+        try:
+            below = g((mid, 0.0))[0] < 0.0
+        except DomainError as exc:
+            raise _undefined(mid, 0.0, exc) from None
+        if below:
             inside = mid
         else:
             outside = mid

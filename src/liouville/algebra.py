@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -72,7 +73,10 @@ class InvariantSet:
     call; its outputs match the tree walk ``reference_evaluate`` in
     tests/oracles.py bit for bit.  Every sampled point's outcome is kept,
     keyed by its coordinates, so each verdict that reads sampled points
-    evaluates each of them once per set.
+    evaluates each of them once per set.  Each structure-constant fit is
+    kept too, keyed by (samples, seed, allow_central), so ``analyze``'s
+    fit, ``cartan``'s closure check and the completion search share one
+    read-only fit.
     """
 
     structure: SymplecticStructure
@@ -104,6 +108,7 @@ class InvariantSet:
         self._compiled: Callable | None = None
         self._draws: dict[int, list[EvalPoint]] = {}
         self._outcomes: dict[tuple[float, ...], tuple | str] = {}
+        self._fits: dict[tuple[int, int, bool], StructureConstants] = {}
 
     @property
     def k(self) -> int:
@@ -287,11 +292,13 @@ def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
 
 
 def _bracket_from_jacobian(inv: InvariantSet, jac: np.ndarray) -> np.ndarray:
+    """Bracket matrices of a (..., k, 2n) Jacobian stack, one product over
+    the stack, so a (k, 2n) Jacobian gives its (k, k) matrix."""
     n = inv.structure.n
     inv_weights = 1.0 / np.array(inv.structure.weights)
-    a = (jac[:, n:] * inv_weights) @ jac[:, :n].T
+    a = (jac[..., n:] * inv_weights) @ jac[..., :n].swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = a - a.T
+        m = a - a.swapaxes(-1, -2)
     if not np.all(np.isfinite(m)):
         raise DomainError("non-finite bracket matrix")
     return m
@@ -314,8 +321,20 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     read as 1e-2 from gradients of size 1e7 is rounding), so a large
     gradient never hides a misfit above it.  A single member has the zero
     table and residual 0.
-    Antisymmetry of the returned tables holds by construction.
+    Antisymmetry of the returned tables holds by construction.  The fit is
+    memoised on the set per (samples, seed, allow_central), and its ``c``
+    and ``c0`` are read-only, since every caller shares them.
     """
+    key = (operator.index(samples), operator.index(seed), bool(allow_central))
+    fitted = inv._fits.get(key)
+    if fitted is None:
+        fitted = inv._fits[key] = _fit(inv, *key)
+        fitted.c.flags.writeable = fitted.c0.flags.writeable = False
+    return fitted
+
+
+def _fit(inv: InvariantSet, samples: int, seed: int,
+         allow_central: bool) -> StructureConstants:
     k = inv.k
     if samples < k + 2:
         raise ValueError("need more samples than regression columns")
@@ -326,13 +345,11 @@ def fit_structure_constants(inv: InvariantSet, samples: int = 60, seed: int = 0,
     points = inv.sample_points(samples, seed)
     values, jacobians = zip(*map(inv._evaluate, points))
     values = np.array(values)
+    jacobians = np.array(jacobians)                             # (m, k, 2n)
     rows, cols = np.triu_indices(k, 1)
-    b = np.empty((len(points), len(rows)))                      # (m, pairs)
-    grad_product = np.empty_like(b)
-    for m, jac in enumerate(jacobians):
-        b[m] = _bracket_from_jacobian(inv, jac)[rows, cols]
-        norms = np.linalg.norm(jac, axis=1)
-        grad_product[m] = norms[rows] * norms[cols]
+    b = _bracket_from_jacobian(inv, jacobians)[:, rows, cols]   # (m, pairs)
+    norms = np.linalg.norm(jacobians, axis=2)
+    grad_product = norms[:, rows] * norms[:, cols]
     if allow_central:
         design = np.hstack([np.ones((len(points), 1)), values])
     else:
@@ -590,12 +607,13 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     """Polynomials in H_1..H_k that bracket-commute with every generator:
     the Casimirs of the fitted algebra up to the given degree.
 
-    With the constants of :func:`_closed_fit` (``analyze``'s fit, read
-    from the set's memo), {H_i, H_j} = C(h)_ij for C(xi) = c0 + sum_s xi_s
-    c_s.  So P commutes with every member iff sum_i dP/dxi_i C(xi)_ij = 0,
-    a linear system in P's monomial coefficients imposed at max(40, 4 *
-    monomials) standard-normal xi drawn with ``seed``; no phase-space point
-    enters it.
+    It reads the set's memoised fit through :func:`_closed_fit`
+    (``analyze``'s fit, so after ``analyze`` it builds no bracket matrix):
+    {H_i, H_j} = C(h)_ij for C(xi) = c0 + sum_s xi_s c_s.  So P commutes
+    with every member iff sum_i dP/dxi_i C(xi)_ij = 0, a linear system in
+    P's monomial coefficients imposed at max(40, 4 * monomials)
+    standard-normal xi drawn with ``seed``; no phase-space point enters
+    it.
     The result is an orthonormal basis of its kernel without constants and
     Cartan combinations, each member checked at 20 fresh xi to
     max_j |sum_i dP_i C_ij| <= 1e-10 (1 + |dP| |C|).  ``element`` is not

@@ -115,6 +115,39 @@ def test_a_pole_in_the_sign_bracket_is_no_real_root(text, match):
         solve_branch(_residual_chart(text), 1, 0.5, [0.1])
 
 
+UNDEFINED_AT_ZERO = "1/w + lam^2 - h_1"
+
+
+def _branch(chart):
+    return solve_branch(chart, 1, 0.5, [0.1])
+
+
+def _turns(chart):
+    return turning_points(chart, 1, [0.1])
+
+
+@pytest.mark.parametrize("text, call, lam", [
+    # R(lam, 0) itself is undefined: the branch solve's first read, then
+    # the cycle search's first grid point
+    (UNDEFINED_AT_ZERO, _branch, "0.5"),
+    (UNDEFINED_AT_ZERO, _turns, "-8"),
+    (UNDEFINED_AT_ZERO, lambda chart: action_spectrum(chart, [0.1]), "-8"),
+    # the tangency search in w runs past the hole above w = 0.7
+    ("1 + sqrt(0.7 - w)", _branch, "0.5"),
+    # the turning-point bisection lands on the pole between grid points
+    ("w^2 + lam^2 - 1 + 1/(lam - 0.9375)", _turns, "0.9375"),
+    # no grid point is negative, and the minimum search enters the hole
+    # around lam = 0.0625
+    ("w^2 + (lam-0.0625)^2 - 0.001 + sqrt((lam-0.0625)^2 - 1e-4)", _turns,
+     "0.06"),
+], ids=["solve_branch", "turning_points", "action_spectrum",
+        "tangency_search", "bisection", "cycle_minimum_search"])
+def test_a_residual_leaving_its_domain_is_no_real_root(text, call, lam):
+    with pytest.raises(NoRealRootError,
+                       match=f"residual undefined at lam={lam}"):
+        call(_residual_chart(text))
+
+
 @pytest.mark.parametrize("text", [
     "(w-1)*sqrt(3-w)",      # from k0, the walk meets the DomainError hole
     # every sign change lies below k0, so the walk runs off the grid; a

@@ -756,6 +756,89 @@ def test_bracket_matrix_matches_symbolic_oracle():
                 assert abs(m[i, j] - want) <= 1e-12 * scale, (name, i, j)
 
 
+def _vortices8():
+    # seeded vorticities of either sign
+    rng = np.random.default_rng(8)
+    xi = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 2.0, 8)
+    return get_system("vortices", {"n": 8, "xi": tuple(xi)}).invariants
+
+
+def _recording_brackets(monkeypatch):
+    """The outputs of algebra._bracket_from_jacobian, recorded as it is
+    called."""
+    calls = []
+    build = algebra._bracket_from_jacobian
+
+    def recording(inv, jac):
+        calls.append(build(inv, jac))
+        return calls[-1]
+
+    monkeypatch.setattr(algebra, "_bracket_from_jacobian", recording)
+    return calls
+
+
+def test_fit_brackets_equal_bracket_matrix_at_bit_for_bit(monkeypatch):
+    """The fit's one product over its stacked Jacobians gives exactly the
+    bracket matrix of each point: exact equality only, never a tolerance."""
+    sets = [item for item in _catalog_sets() if item[1].k > 1]
+    calls = _recording_brackets(monkeypatch)
+    for name, inv in sets + [("vortices8", _vortices8())]:
+        for seed in (0, 42):
+            calls.clear()
+            fit_structure_constants(inv, 60, seed, allow_central=True)
+            [stacked] = calls
+            points = inv.sample_points(60, seed)
+            assert stacked.shape == (60, inv.k, inv.k), name
+            for m, u in zip(stacked, points):
+                want = bracket_matrix_at(inv, u)
+                assert np.array_equal(_bits(m), _bits(want)), (name, seed)
+
+
+def test_fit_is_memoised_per_samples_seed_and_central_flag():
+    inv = get_system("vortices3").invariants
+    first = fit_structure_constants(inv, 60, 7, allow_central=True)
+    assert fit_structure_constants(inv, samples=60, seed=7,
+                                   allow_central=True) is first
+    assert fit_structure_constants(inv, np.int64(60), np.int64(7),
+                                   1) is first
+    others = [fit_structure_constants(inv, 50, 7, allow_central=True),
+              fit_structure_constants(inv, 60, 8, allow_central=True),
+              fit_structure_constants(inv, 60, 7)]
+    assert len({id(fit) for fit in [first, *others]}) == 4
+    # a fresh set fits again, with the same bits
+    again = fit_structure_constants(get_system("vortices3").invariants, 60, 7,
+                                    allow_central=True)
+    assert again is not first
+    assert np.array_equal(_bits(again.c), _bits(first.c))
+    assert np.array_equal(_bits(again.c0), _bits(first.c0))
+    assert again.residual == first.residual
+
+
+def test_memoised_fit_tables_are_read_only():
+    # every caller shares the memoised fit, so none may write into it
+    for name in ("vortices3", "oscillator"):
+        sc = fit_structure_constants(get_system(name).invariants, 60, 3)
+        for table in (sc.c, sc.c0):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+
+def test_completion_after_analyze_builds_no_bracket_matrix(monkeypatch):
+    # analyze's fit is the one the completion search reads
+    system = get_system("vortices3")
+    inv = system.invariants
+    seed = system.seed
+    fit_structure_constants(inv, samples=60, seed=seed, allow_central=True)
+    u = probe_points(system, 1, seed)[0]
+    element = find_level_point(inv, inv.member_values(u), u)
+    cartan = cartan_basis_at(inv, element, seed=seed)
+    calls = _recording_brackets(monkeypatch)
+    found = search_polynomial_completion(inv, cartan, element, degree=2,
+                                         seed=seed)
+    assert len(found) == 2
+    assert calls == []
+
+
 def _count_evaluations(monkeypatch):
     """The states passed to the invariant sets' compiled member-and-gradient
     functions, in order: one per computation, below the sampled-point memo."""

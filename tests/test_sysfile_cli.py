@@ -26,7 +26,7 @@ from liouville.expr import EvalPoint, evaluate
 from liouville.sysfile import (
     SystemFileError, export_system_file, load_system_file, loads_system,
 )
-from test_action_angle import _quartic_period
+from test_action_angle import UNDEFINED_AT_ZERO, _quartic_period
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -514,6 +514,16 @@ def test_actions_on_a_coupled_chart_exits_2(tmp_path):
     code, out, err = run_cli(["actions", str(path), "--h", "0.5,0.8"])
     _assert_one_error_line(code, out, err, "w_2")
     assert "another degree's state" in err
+
+
+def test_actions_on_a_residual_undefined_at_w_0_exits_2(tmp_path):
+    path = tmp_path / "pole.sys"
+    path.write_text(
+        MINIMAL + "[chart]\nh_dim = 1\n"
+        f"residual_1 = {UNDEFINED_AT_ZERO}\nbracket_1 = -8, 8\n",
+        encoding="utf-8")
+    _assert_one_error_line(*run_cli(["actions", str(path), "--h", "0.1"]),
+                           "error: residual undefined at lam=")
 
 
 @pytest.mark.parametrize("key", ["residual_0", "residual_-1"])
