@@ -11,8 +11,12 @@ over the compiled field: its initial-step rule and step-size controller
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), the RMS error norm with
 rtol = atol = ``tolerance``, the last stage reused as the next step's
 first, the clamp at ``t_final`` and the quartic dense output that fills
-the ``sample_dt`` grid.  Only the order of a few floating-point sums
-differs, so step sizes agree with scipy's to about 1e-7 relative.
+the ``sample_dt`` grid, whose row k sits at k * ``sample_dt``.  Only the
+order of a few floating-point sums differs, so step sizes agree with
+scipy's to about 1e-7 relative.  Each step is one generated straight-line
+function of the state, compiled once per state length and bound per run
+to the compiled field: the six stage sums, the new state and the error
+norm written out per component.
 
 The fixed-step scheme runs one generated straight-line function per step:
 the kick, drift, kick of each of the three sub-steps over Python floats,
@@ -23,6 +27,7 @@ where the drift and the kick are still defined.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,6 +209,8 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
 def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
     tol = config.tolerance
     y = list(map(float, y0))
+    step = _binder_from_source(_dopri_source(len(y)))(
+        rhs, _A, _B, _E, len(y) ** 0.5)
     f = rhs(y)
     try:
         h_abs = _initial_step(rhs, y, f, t_final, tol)
@@ -216,7 +223,9 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
     ys = [y]
     error = None
     steps = 0
-    next_sample = config.sample_dt
+    # row k of a sample grid sits at k * sample_dt; a running sum of
+    # sample_dt would drift off that grid and miss its last row at t_final
+    sample = 1
     while True:
         if steps >= MAX_STEPS:
             error = "max_steps"
@@ -228,8 +237,7 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
             while h_abs >= min_step:
                 t_new = min(t + h_abs, t_final)
                 h = t_new - t
-                y_new, stages = _dopri_step(rhs, y, f, h)
-                err = _error_norm(y, y_new, stages, h, tol)
+                y_new, stages, err = step(y, f, h, tol)
                 if err < 1:
                     factor = _MAX_FACTOR if err == 0 else \
                         min(_MAX_FACTOR, _SAFETY * err ** -0.2)
@@ -250,15 +258,15 @@ def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
                 _min_pair_distance_sq(y, n) < config.collision_threshold:
             error = "collision"
             break
-        if next_sample is None:
+        if config.sample_dt is None:
             ts.append(t)
             ys.append(y)
         else:
-            while next_sample <= t * (1 + 1e-15):
-                ts.append(next_sample)
+            while (t_sample := sample * config.sample_dt) <= t * (1 + 1e-15):
+                ts.append(t_sample)
                 ys.append(_interpolate(y_old, stages, t - t_old,
-                                       (next_sample - t_old) / (t - t_old)))
-                next_sample += config.sample_dt
+                                       (t_sample - t_old) / (t - t_old)))
+                sample += 1
         if t >= t_final:
             break
     return Trajectory(np.array(ts), np.array(ys), error=error,
@@ -288,39 +296,52 @@ def _initial_step(rhs, y0, f0, t_final, tol) -> float:
     return min(100 * h0, h1, t_final)
 
 
-def _dopri_step(rhs, y, k1, h):
-    """One Dormand-Prince step of size ``h`` from ``y``, where ``k1`` is the
-    field at ``y``.  Returns the fifth-order state and the stages k1, k3..k7
-    (k2 has weight 0 in the solution, the error and the interpolant); k7 is
-    the field at the new state."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A
-    b1, b3, b4, b5, b6 = _B
-    k2 = rhs([v + (a21 * s1) * h for v, s1 in zip(y, k1)])
-    k3 = rhs([v + (a31 * s1 + a32 * s2) * h
-              for v, s1, s2 in zip(y, k1, k2)])
-    k4 = rhs([v + (a41 * s1 + a42 * s2 + a43 * s3) * h
-              for v, s1, s2, s3 in zip(y, k1, k2, k3)])
-    k5 = rhs([v + (a51 * s1 + a52 * s2 + a53 * s3 + a54 * s4) * h
-              for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([v + (a61 * s1 + a62 * s2 + a63 * s3 + a64 * s4 + a65 * s5) * h
-              for v, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + h * (b1 * s1 + b3 * s3 + b4 * s4 + b5 * s5 + b6 * s6)
-             for v, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
-    return y_new, (k1, k3, k4, k5, k6, rhs(y_new))
+# One Dormand-Prince step of size h from y, where k1 is the field at y,
+# over a state of length m.  It returns the fifth-order state, the stages
+# k1, k3..k7 (k2 has weight 0 in the solution, the error and the
+# interpolant; k7 is the field at the new state) and the RMS error norm,
+# each written out per component with the floating-point operations, in
+# the same order, of the loop over components in tests/oracles.py
+# (``dopri_reference``).  The field, the tableau and the norm's divisor
+# sqrt(m) are bound per run, not written into the source, so one compiled
+# source per m serves every field.
+_DOPRI_SOURCE = """\
+def _bind(rhs, A, B, E, norm):
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \\
+        (a61, a62, a63, a64, a65) = A
+    b1, b3, b4, b5, b6 = B
+    e1, e3, e4, e5, e6, e7 = E
+    def _step(y, k1, h, tol):
+{body}        return y_new, (k1, k3, k4, k5, k6, k7), _sqrt({total}) / norm
+    return _step
+"""
 
 
-def _error_norm(y, y_new, stages, h, tol) -> float:
-    """RMS of the embedded error estimate, scaled per component by
-    tol + max(|y|, |y_new|) * tol."""
-    e1, e3, e4, e5, e6, e7 = _E
-    total = 0.0
-    for v, w, s1, s3, s4, s5, s6, s7 in zip(y, y_new, *stages):
-        v, w = abs(v), abs(w)
-        r = (e1 * s1 + e3 * s3 + e4 * s4 + e5 * s5 + e6 * s6 + e7 * s7) * h \
-            / (tol + (v if v >= w else w) * tol)
-        total += r * r
-    return math.sqrt(total) / len(y) ** 0.5
+@functools.lru_cache(maxsize=None)
+def _dopri_source(m: int) -> str:
+    def names(prefix):
+        return "".join(f"{prefix}{i}, " for i in range(m))
+
+    def combination(coefficient, stages, i):
+        # the weighted stage sum of component i: a31 * k1_i + a32 * k2_i
+        return " + ".join(f"{coefficient}{j} * k{j}_{i}" for j in stages)
+
+    lines = [f"{names('y')}= y", f"{names('k1_')}= k1"]
+    for j in range(2, 7):
+        inputs = ", ".join(f"y{i} + ({combination(f'a{j}', range(1, j), i)})"
+                           " * h" for i in range(m))
+        lines += [f"k{j} = rhs([{inputs}])", f"{names(f'k{j}_')}= k{j}"]
+    lines += [f"n{i} = y{i} + h * ({combination('b', (1, 3, 4, 5, 6), i)})"
+              for i in range(m)]
+    lines += [f"y_new = [{names('n')}]", "k7 = rhs(y_new)",
+              f"{names('k7_')}= k7"]
+    for i in range(m):
+        lines += [f"v{i} = abs(y{i})", f"w{i} = abs(n{i})",
+                  f"r{i} = ({combination('e', (1, 3, 4, 5, 6, 7), i)}) * h"
+                  f" / (tol + (v{i} if v{i} >= w{i} else w{i}) * tol)"]
+    return _DOPRI_SOURCE.format(
+        body="".join(f"        {line}\n" for line in lines),
+        total=" + ".join(f"r{i} * r{i}" for i in range(m)))
 
 
 def _interpolate(y_old, stages, h, x):

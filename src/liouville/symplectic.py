@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import BinOp, Const, Expr, Neg, gradient, simplify
+from .expr import BinOp, Const, Expr, Neg, _simplify, gradient, simplify
 
 __all__ = [
     "SymplecticStructure", "VectorFieldExpr",
@@ -85,12 +85,15 @@ def hamiltonian_vector_field(h: Expr, structure: SymplecticStructure) -> VectorF
     dh = gradient(h, structure.coordinates)
     dq = []
     dp = []
+    # one memo for all 2n components: the partials share subtrees (the
+    # 1/r^2 factors of a vortex field), and each is simplified once
+    memo: dict = {}
     for w, dh_dq, dh_dp in zip(structure.weights, dh[:n], dh[n:]):
         # gradient's partials are simplified already; only a new node is not
         if w != 1.0:
-            dh_dp = simplify(BinOp("*", Const(1.0 / w), dh_dp))
+            dh_dp = _simplify(BinOp("*", Const(1.0 / w), dh_dp), memo)
             dh_dq = BinOp("*", Const(1.0 / w), dh_dq)
         dq.append(dh_dp)
-        dp.append(simplify(Neg(dh_dq)))
+        dp.append(_simplify(Neg(dh_dq), memo))
     return VectorFieldExpr(structure, tuple(dq), tuple(dp))
 

@@ -7,6 +7,7 @@ from liouville import (
     BinOp, Call, Const, DomainError, EvalPoint, ExprError, Neg, Param, Pow,
     UnboundSymbolError, Var, dimension_of, sample_eval_points, to_string,
 )
+from liouville import flows
 from liouville.algebra import SamplingError
 from liouville.expr import (
     _add_terms, _mul_factors, _rebuild_product, _rebuild_sum,
@@ -309,6 +310,118 @@ def symmetric4_reference(h, structure, u0, t_final, step, params=None):
     return np.array(ys), None
 
 
+# ---------------------------------------------------------------------------
+# the adaptive Dormand-Prince run as a loop over components, which flows.py's
+# generated step must reproduce bit for bit
+
+
+def dopri_reference(h, structure, u0, t_final, config):
+    """Times, states, truncation reason and accepted-step count of the
+    adaptive scheme on the flow of ``h`` from ``u0`` under ``config``.
+
+    Each step is one comprehension per stage over the components and one
+    loop for the RMS error norm; the initial step, the controller, the
+    interpolant and the sample grid at k * ``sample_dt`` are those of
+    ``integrate``.
+    """
+    fld = hamiltonian_vector_field(h, structure)
+    rhs = compile_functions(fld.dq + fld.dp, structure.n)
+    tol = config.tolerance
+    y = list(map(float, u0.state()))
+    f = rhs(y)
+    try:
+        h_abs = flows._initial_step(rhs, y, f, t_final, tol)
+    except DomainError:
+        return np.array([0.0]), np.array([y]), "domain_error", 0
+    t = 0.0
+    ts = [t]
+    ys = [y]
+    error = None
+    steps = 0
+    sample = 1
+    while True:
+        if steps >= flows.MAX_STEPS:
+            error = "max_steps"
+            break
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        try:
+            while h_abs >= min_step:
+                t_new = min(t + h_abs, t_final)
+                step = t_new - t
+                y_new, stages = _dopri_step(rhs, y, f, step)
+                err = _error_norm(y, y_new, stages, step, tol)
+                if err < 1:
+                    factor = flows._MAX_FACTOR if err == 0 else \
+                        min(flows._MAX_FACTOR, flows._SAFETY * err ** -0.2)
+                    h_abs = step * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs = step * max(flows._MIN_FACTOR,
+                                   flows._SAFETY * err ** -0.2)
+                rejected = True
+            else:
+                error = flows._UNDERFLOW
+                break
+        except DomainError:
+            error = "domain_error"
+            break
+        steps += 1
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, stages[-1]
+        if config.collision_threshold is not None and \
+                flows._min_pair_distance_sq(y, structure.n) \
+                < config.collision_threshold:
+            error = "collision"
+            break
+        if config.sample_dt is None:
+            ts.append(t)
+            ys.append(y)
+        else:
+            while sample * config.sample_dt <= t * (1 + 1e-15):
+                t_sample = sample * config.sample_dt
+                ts.append(t_sample)
+                ys.append(flows._interpolate(
+                    y_old, stages, t - t_old, (t_sample - t_old) / (t - t_old)))
+                sample += 1
+        if t >= t_final:
+            break
+    return np.array(ts), np.array(ys), error, steps
+
+
+def _dopri_step(rhs, y, k1, h):
+    """One Dormand-Prince step of size ``h`` from ``y``, where ``k1`` is the
+    field at ``y``: the fifth-order state and the stages k1, k3..k7."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = flows._A
+    b1, b3, b4, b5, b6 = flows._B
+    k2 = rhs([v + (a21 * s1) * h for v, s1 in zip(y, k1)])
+    k3 = rhs([v + (a31 * s1 + a32 * s2) * h
+              for v, s1, s2 in zip(y, k1, k2)])
+    k4 = rhs([v + (a41 * s1 + a42 * s2 + a43 * s3) * h
+              for v, s1, s2, s3 in zip(y, k1, k2, k3)])
+    k5 = rhs([v + (a51 * s1 + a52 * s2 + a53 * s3 + a54 * s4) * h
+              for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([v + (a61 * s1 + a62 * s2 + a63 * s3 + a64 * s4 + a65 * s5) * h
+              for v, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (b1 * s1 + b3 * s3 + b4 * s4 + b5 * s5 + b6 * s6)
+             for v, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+    return y_new, (k1, k3, k4, k5, k6, rhs(y_new))
+
+
+def _error_norm(y, y_new, stages, h, tol) -> float:
+    """RMS of the embedded error estimate, scaled per component by
+    tol + max(|y|, |y_new|) * tol."""
+    e1, e3, e4, e5, e6, e7 = flows._E
+    total = 0.0
+    for v, w, s1, s3, s4, s5, s6, s7 in zip(y, y_new, *stages):
+        v, w = abs(v), abs(w)
+        r = (e1 * s1 + e3 * s3 + e4 * s4 + e5 * s5 + e6 * s6 + e7 * s7) * h \
+            / (tol + (v if v >= w else w) * tol)
+        total += r * r
+    return math.sqrt(total) / len(y) ** 0.5
+
+
 def rk45_reference(h, structure, u0, t_final, tolerance, sample_dt=None):
     """Times, states, accepted-step count and truncation reason of
     ``scipy.integrate.RK45`` on the flow of ``h`` from ``u0``, with
@@ -325,7 +438,7 @@ def rk45_reference(h, structure, u0, t_final, tolerance, sample_dt=None):
     ts = [0.0]
     ys = [u0.state()]
     steps = 0
-    next_sample = sample_dt
+    sample = 1
     while solver.status == "running":
         try:
             message = solver.step()
@@ -339,8 +452,8 @@ def rk45_reference(h, structure, u0, t_final, tolerance, sample_dt=None):
             ys.append(solver.y.copy())
         else:
             dense = solver.dense_output()
-            while next_sample <= solver.t * (1 + 1e-15):
-                ts.append(next_sample)
-                ys.append(dense(next_sample))
-                next_sample += sample_dt
+            while sample * sample_dt <= solver.t * (1 + 1e-15):
+                ts.append(sample * sample_dt)
+                ys.append(dense(sample * sample_dt))
+                sample += 1
     return np.array(ts), np.array(ys), steps, None

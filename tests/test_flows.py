@@ -21,7 +21,10 @@ from liouville.flows import (
     trajectory_to_csv,
 )
 from liouville.symplectic import SymplecticStructure, hamiltonian_vector_field
-from oracles import rk45_reference, symmetric4_reference
+from oracles import (
+    _dopri_step, _error_norm, dopri_reference, rk45_reference,
+    symmetric4_reference,
+)
 
 S1 = SymplecticStructure.canonical(1)
 
@@ -135,6 +138,114 @@ def test_adaptive_sample_grid():
     still = integrate(const(0.0), S1, u0, 10.0, config)
     assert np.array_equal(still.times, traj.times)
     assert np.array_equal(still.states, np.tile(u0.state(), (21, 1)))
+
+
+def test_adaptive_sample_grid_sits_at_multiples_of_sample_dt():
+    # a running sum of 0.1 drifts off k * 0.1 and misses the row at t_final
+    osc = get_system("oscillator")
+    traj = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1000.0,
+                     IntegratorConfig(sample_dt=0.1))
+    assert traj.error is None
+    assert len(traj.times) == 10001 and traj.times[-1] == 1000.0
+    assert np.array_equal(traj.times, np.arange(10001) * 0.1)
+    assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.times))) <= 1e-5
+
+
+def _ring6():
+    xi = (1.0, 0.95, 1.05, 1.0, 0.9, 1.1)
+    angles = [2.0 * math.pi * k / 6 + 0.05 * (-1) ** k for k in range(6)]
+    return get_system("vortices", {"n": 6, "xi": xi}), EvalPoint(
+        tuple(math.cos(a) for a in angles), tuple(math.sin(a) for a in angles))
+
+
+def _case(name):
+    """(H, structure, start, t_final, config) of one adaptive run whose
+    every output the component-loop reference must reproduce exactly."""
+    if name in ("step_underflow", "domain_error", "probe_domain_error"):
+        text, u0, t_final = {
+            "step_underflow": ("p1^2/2 + ln(q1)", (1.0, -1.0), 10.0),
+            "domain_error": ("p1^2/2 + sqrt(q1)", (0.1, -1.0), 10.0),
+            "probe_domain_error": ("p1^2/2 + sqrt(q1)", (1e-12, -1.0), 1.0),
+        }[name]
+        return (parse(text, 1), S1, EvalPoint((u0[0],), (u0[1],)), t_final,
+                IntegratorConfig())
+    system, u0, t_final, config = {
+        "vortices3": (*_vortex_probe(), 50.0, IntegratorConfig()),
+        "central_field": (get_system("central_field"),
+                          EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8)),
+                          50.0, IntegratorConfig()),
+        "ring6": (*_ring6(), 20.0, IntegratorConfig()),
+        "oscillator_grid": (get_system("oscillator"), EvalPoint((1.0,), (0.0,)),
+                            10.0, IntegratorConfig(sample_dt=0.5)),
+        "collision": (*_vortex_probe(), 50.0,
+                      IntegratorConfig(collision_threshold=1.05)),
+    }[name]
+    return system.hamiltonian, system.structure, u0, t_final, config
+
+
+@pytest.mark.parametrize("name,error,steps", [
+    ("vortices3", None, None),
+    ("central_field", None, None),
+    ("ring6", None, None),
+    ("oscillator_grid", None, None),
+    ("collision", "collision", None),
+    ("step_underflow", flows._UNDERFLOW, 218),
+    ("domain_error", "domain_error", None),
+    ("probe_domain_error", "domain_error", 0),
+])
+def test_adaptive_step_matches_component_loop_reference(name, error, steps):
+    # the generated step performs the reference's operations in its order,
+    # so every output agrees exactly; this comparison never takes a tolerance
+    h, structure, u0, t_final, config = _case(name)
+    traj = integrate(h, structure, u0, t_final, config)
+    times, states, ref_error, ref_steps = dopri_reference(
+        h, structure, u0, t_final, config)
+    assert traj.error == ref_error == error
+    assert traj.accepted_steps == ref_steps
+    assert steps is None or ref_steps == steps
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("name", ["oscillator_grid", "central_field", "ring6"])
+def test_generated_step_equals_component_loop_step(name):
+    # one step at a time, so a change that moves the error norm by an ulp
+    # shows even where the controller would round it away
+    h, structure, u0, _, _ = _case(name)
+    fld = hamiltonian_vector_field(h, structure)
+    rhs = compile_functions(fld.dq + fld.dp, structure.n)
+    m = 2 * structure.n
+    step = flows._binder_from_source(flows._dopri_source(m))(
+        rhs, flows._A, flows._B, flows._E, m ** 0.5)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        y = (u0.state() + rng.normal(0.0, 0.05, m)).tolist()
+        k1 = rhs(y)
+        dt = float(10.0 ** rng.uniform(-4.0, -0.5))
+        tol = float(10.0 ** rng.uniform(-12.0, -6.0))
+        y_new, stages, err = step(y, k1, dt, tol)
+        ref_new, ref_stages = _dopri_step(rhs, y, k1, dt)
+        assert y_new == ref_new and stages == ref_stages
+        assert err == _error_norm(y, ref_new, ref_stages, dt, tol)
+
+
+def test_adaptive_step_source_is_shared_across_fields():
+    # the field is bound per run, not written into the step's source, so a
+    # second Hamiltonian of the same dimension compiles no new step
+    u0 = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
+    first = get_system("central_field")
+    integrate(first.hamiltonian, first.structure, u0, 1.0)
+    h = parse("(p1^2 + p2^2 + p3^2)/2 + (q1^2 + q2^2 + q3^2)^2/4", 3)
+    structure = SymplecticStructure.canonical(3)
+    fld = hamiltonian_vector_field(h, structure)
+    # the new field and H compile their own sources before the run
+    compile_functions(fld.dq + fld.dp, 3)
+    compile_functions([h], 3)
+    before = _binder_from_source.cache_info()
+    integrate(h, structure, u0, 1.0)
+    after = _binder_from_source.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 @pytest.mark.parametrize("name,point,t_final,sample_dt", [
