@@ -460,8 +460,9 @@ def evaluate(e: Expr, point: EvalPoint) -> float:
     """Evaluate the parameter-free ``e`` at ``point``; raises DomainError
     outside the real domain.
 
-    Each call compiles ``e`` (see :func:`compile_functions`), so a loop over
-    points should compile once and call the compiled function instead.
+    Each call generates the code of ``e`` (see :func:`compile_functions`);
+    the compile itself is shared with every tree of the same shape.  A loop
+    over points should compile once and call the compiled function instead.
     """
     return compile_functions([e], point.n)(point.q + point.p)[0]
 
@@ -820,7 +821,8 @@ def sample_eval_points(n: int, count: int, seed: int) -> list[EvalPoint]:
     for _ in range(count):
         vals = rng.uniform(0.5, 2.0, size=2 * n)
         signs = rng.integers(0, 2, size=2 * n) * 2 - 1
-        vals = vals * signs
+        # one conversion to Python floats per draw, not one per coordinate
+        vals = (vals * signs).tolist()
         points.append(EvalPoint(tuple(vals[:n]), tuple(vals[n:])))
     return points
 
@@ -838,12 +840,20 @@ _BINOP_TEMPLATES = {op: f"({{}}{op}{{}})" for op in "+-*/"}
 _MAX_INLINE_DEPTH = 32
 
 
-def _template(e: Expr, n: int, param_index: Mapping[str, int]
-              ) -> tuple[str, tuple[Expr, ...]]:
+def _literal(value: float, literals: dict[str, int]) -> str:
+    """The name ``k<i>`` of a numeric literal.  ``literals`` numbers each
+    literal by its ``repr`` on first use, so -0.0 and 0.0 get two names, and
+    ``float`` of a key gives back its value bit for bit."""
+    return f"k{literals.setdefault(repr(value), len(literals))}"
+
+
+def _template(e: Expr, n: int, param_index: Mapping[str, int],
+              literals: dict[str, int]) -> tuple[str, tuple[Expr, ...]]:
     """Python source of one node with ``{}`` holes for its children.
 
     Two nodes with the same template and structurally equal children are
-    the same subexpression.
+    the same subexpression.  A parameter is read as ``c<i>`` and a numeric
+    literal as ``k<i>`` (see :func:`_literal`).
     """
     cls = type(e)
     if cls is BinOp:
@@ -855,17 +865,15 @@ def _template(e: Expr, n: int, param_index: Mapping[str, int]
                 f"variable {e.name} unbound in a {n}-degree state")
         return f"y[{idx - 1 if e.name[0] == 'q' else n + idx - 1}]", ()
     if cls is Const:
-        text = repr(e.value)
-        # a bare negative literal would rebind under ** ((-2.0)**2 != -2.0**2)
-        return (f"({text})" if text.startswith("-") else text), ()
+        return _literal(e.value, literals), ()
     if cls is Param:
         if e.name not in param_index:
             raise UnboundSymbolError(f"parameter {e.name!r} unbound at compile time")
-        return f"c[{param_index[e.name]}]", ()
+        return f"c{param_index[e.name]}", ()
     if cls is Pow:
         if float(e.exponent).is_integer() and abs(e.exponent) <= 64:
             return f"({{}}**{int(e.exponent)})", (e.base,)
-        return f"_pow({{}},{e.exponent!r})", (e.base,)
+        return f"_pow({{}},{_literal(e.exponent, literals)})", (e.base,)
     if cls is Neg:
         return "(-{})", (e.arg,)
     if cls is Call and e.func in _MATH:
@@ -873,9 +881,13 @@ def _template(e: Expr, n: int, param_index: Mapping[str, int]
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _emit(exprs: Sequence[Expr], n: int,
-          param_index: Mapping[str, int]) -> tuple[list[str], list[str]]:
+def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int],
+          literals: dict[str, int]) -> tuple[list[str], list[str]]:
     """Straight-line statements plus one result expression per input.
+
+    The numeric literals the code reads are added to ``literals`` (see
+    :func:`_template`) in post-order of first use; :func:`_unpack` binds
+    them, and the parameters, to their names.
 
     A subtree gets its own temporary when it occurs more than once (common
     subexpressions are found by structure, not object identity) or when
@@ -890,7 +902,7 @@ def _emit(exprs: Sequence[Expr], n: int,
     templates: list[str] = []
     kids: list[tuple[int, ...]] = []
     for node in _postorder(exprs):
-        template, children = _template(node, n, param_index)
+        template, children = _template(node, n, param_index, literals)
         child_slots = tuple([slot_of_id[id(c)] for c in children])
         key = (template,) + child_slots
         slot = slot_of_key.get(key)
@@ -929,13 +941,20 @@ def _emit(exprs: Sequence[Expr], n: int,
 _NAMESPACE = {
     **{f"_{name}": fn for name, fn in _MATH.items()}, "_pow": _pow,
     "_isfinite": math.isfinite, "_DomainError": DomainError,
-    "inf": math.inf, "nan": math.nan,
 }
 
 
+def _unpack(params: int, literals: int) -> str:
+    """Lines of a binder that unpack its tuples ``c`` (parameter values) and
+    ``k`` (literal values) into the names ``c0, c1, ...`` and ``k0, k1, ...``
+    the code from :func:`_emit` reads."""
+    return "".join(f"    {''.join(f'{t}{i}, ' for i in range(count))}= {t}\n"
+                   for t, count in (("c", params), ("k", literals)) if count)
+
+
 _SOURCE = """\
-def _bind(c):
-    def _compiled(y):
+def _bind(c, k):
+{unpack}    def _compiled(y):
         try:
             y = tuple(map(float, y))
 {body}            out = ({result})
@@ -951,8 +970,9 @@ def _bind(c):
 
 @functools.lru_cache(maxsize=128)
 def _binder_from_source(source: str):
-    # the source names parameters by position only, so one compiled binder
-    # serves every binding of the same expressions (charts compile per level)
+    # the source names parameters and literals, never their values, so one
+    # compiled binder serves every system whose trees have the same shape
+    # (a chart at every level, an oscillator at every frequency)
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<liouville-expr>", "exec"), namespace)
     return namespace["_bind"]
@@ -963,18 +983,24 @@ def compile_functions(exprs: Sequence[Expr], n: int,
                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Compile expressions into one generated function of the state vector.
 
-    The state layout is ``y = (q1..qn, p1..pn)``; parameter values are bound
-    at compile time.  The trees are compiled as given (not simplified), so
-    each output equals the tree walk ``reference_evaluate`` (in
-    tests/oracles.py) of its expression bit for bit.  The
-    generated code converts ``y`` to Python floats (numpy scalars would turn
-    a zero division into a warning plus inf), and raises
-    :class:`DomainError` on a domain failure or a non-finite output.
+    The state layout is ``y = (q1..qn, p1..pn)``.  The generated source
+    names parameters and numeric literals, and each call of its binder
+    binds their values, so expressions of one shape (equal trees up to
+    their literals and parameter values) share one compiled source.  The
+    trees are compiled as given (not simplified), so each output equals the
+    tree walk ``reference_evaluate`` (in tests/oracles.py) of its
+    expression bit for bit.  The generated code converts ``y`` to Python
+    floats (numpy scalars would turn a zero division into a warning plus
+    inf), and raises :class:`DomainError` on a domain failure or a
+    non-finite output.
     """
     params = dict(params or {})
     param_index = {name: i for i, name in enumerate(sorted(params))}
-    lines, outs = _emit(exprs, n, param_index)
+    literals: dict[str, int] = {}
+    lines, outs = _emit(exprs, n, param_index, literals)
     body = "".join(f"            {line}\n" for line in lines)
     result = ",".join(outs) + ("," if len(outs) == 1 else "")
-    bind = _binder_from_source(_SOURCE.format(body=body, result=result))
-    return bind(tuple(float(params[name]) for name in sorted(params)))
+    bind = _binder_from_source(_SOURCE.format(
+        unpack=_unpack(len(params), len(literals)), body=body, result=result))
+    return bind(tuple(float(params[name]) for name in sorted(params)),
+                tuple(map(float, literals)))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    DomainError, EvalPoint, Expr, _binder_from_source, _emit,
+    DomainError, EvalPoint, Expr, _binder_from_source, _emit, _unpack,
     compile_functions, parameters_of, variables_of,
 )
 from .symplectic import SymplecticStructure, hamiltonian_vector_field
@@ -362,11 +362,12 @@ def _interpolate(y_old, stages, h, x):
             for v, s1, s3, s4, s5, s6, s7 in zip(y_old, *stages)]
 
 
-# The coefficients h1, d1, h0, d0 are bound per run, not written into the
-# source, so one cached source serves every step size.
+# The parameters, the literals and the coefficients h1, d1, h0, d0 are
+# bound per run, not written into the source, so one cached source serves
+# every step size and every Hamiltonian of the same shape.
 _STEP_SOURCE = """\
-def _bind(c, h1, d1, h0, d0):
-    def _step(y):
+def _bind(c, k, h1, d1, h0, d0):
+{unpack}    def _step(y):
         y = list(y)
         try:
 {body}            e = {energy}
@@ -384,9 +385,10 @@ def _bind(c, h1, d1, h0, d0):
 
 def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
     param_index = {name: i for i, name in enumerate(sorted(params))}
-    kick = _emit(fld.dp, n, param_index)
-    drift = _emit(fld.dq, n, param_index)
-    energy_lines, (energy,) = _emit([h], n, param_index)
+    literals: dict[str, int] = {}     # one table for the kick, drift and H
+    kick = _emit(fld.dp, n, param_index, literals)
+    drift = _emit(fld.dq, n, param_index, literals)
+    energy_lines, (energy,) = _emit([h], n, param_index, literals)
     lines = []
     for half, full in (("h1", "d1"), ("h0", "d0"), ("h1", "d1")):
         for k, (body, outs), offset in ((half, kick, n), (full, drift, 0),
@@ -396,10 +398,12 @@ def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
                       for i, out in enumerate(outs)]
     lines += energy_lines
     bind = _binder_from_source(_STEP_SOURCE.format(
+        unpack=_unpack(len(params), len(literals)),
         body="".join(f"            {line}\n" for line in lines),
         energy=energy))
     # grouped as (0.5*c)*dt and c*dt, like the reference loop in tests/oracles.py
     return bind(tuple(float(params[name]) for name in sorted(params)),
+                tuple(map(float, literals)),
                 0.5 * _W1 * dt, _W1 * dt, 0.5 * _W0 * dt, _W0 * dt)
 
 

@@ -22,8 +22,8 @@ from liouville.action_angle import (
 )
 from liouville.catalog import get_system, list_systems
 from liouville.expr import (
-    EvalPoint, Param, const, differentiate, p, parameters_of, parse, q,
-    simplify, substitute_param, to_string,
+    EvalPoint, Param, _binder_from_source, const, differentiate, p,
+    parameters_of, parse, q, simplify, substitute_param, to_string,
 )
 from liouville.flows import IntegratorConfig, integrate
 from liouville.sysfile import loads_system
@@ -513,6 +513,21 @@ def test_action_spectrum_uncoupled(uncoupled):
     assert spectrum.gammas[0] == pytest.approx(0.5, abs=1e-8)
     assert spectrum.gammas[1] == pytest.approx(0.4, abs=1e-8)
     assert np.allclose(np.diag(spectrum.omega), [1.0, 2.0], atol=1e-4)
+
+
+def test_oscillator_charts_at_other_frequencies_share_their_compiles():
+    # omega^2 is a literal of the residual and the level a parameter, and
+    # the compiled source names both: a second omega compiles nothing new
+    # (omega = 1 is left out, as a factor 1 simplifies away)
+    first = get_system("oscillator", {"omega": 1.3}).chart
+    action_spectrum(first, [0.5])
+    before = _binder_from_source.cache_info()
+    second = get_system("oscillator", {"omega": 0.8}).chart
+    spectrum = action_spectrum(second, [0.6])
+    after = _binder_from_source.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert spectrum.gammas[0] == pytest.approx(0.6 / 0.8, abs=1e-8)
+    assert spectrum.omega[0, 0] == pytest.approx(0.8, abs=1e-6)
 
 
 def test_picard_fuchs_separable_charts(osc, uncoupled):

@@ -20,8 +20,8 @@ from liouville.algebra import (
 )
 from liouville import algebra
 from liouville.expr import (
-    DomainError, compile_functions, gradient, p, parse, q,
-    sample_eval_points,
+    DomainError, _binder_from_source, compile_functions, gradient, p, parse,
+    q, sample_eval_points,
 )
 from liouville.sysfile import loads_system
 from oracles import reference_evaluate, reference_screened_samples
@@ -737,6 +737,26 @@ def test_member_values_and_jacobian_bit_identical_to_evaluate():
                    for e in inv.exprs]
             assert np.array_equal(_bits(inv.member_values(u)), _bits(values)), name
             assert np.array_equal(_bits(inv.jacobian_at(u)), _bits(jac)), name
+
+
+def test_vortex_sets_with_other_intensities_share_one_compile():
+    # the intensities are literals of the members and their gradients, and
+    # the compiled source names them: a second set of generic intensities
+    # (none is 1, whose product folds away) compiles nothing new
+    u = EvalPoint((0.3, -0.9, 1.4), (1.1, 0.2, -0.6))
+    first = get_system("vortices3", {"xi": (1.3, 0.7, -2.1)}).invariants
+    first.member_values(u)
+    before = _binder_from_source.cache_info()
+    second = get_system("vortices3", {"xi": (0.9, 1.6, -1.4)}).invariants
+    values, jac = second.member_values(u), second.jacobian_at(u)
+    after = _binder_from_source.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    assert np.array_equal(_bits(values), _bits(
+        [reference_evaluate(e, u) for e in second.exprs]))
+    assert np.array_equal(_bits(jac), _bits(
+        [[reference_evaluate(g, u)
+          for g in gradient(e, second.structure.coordinates)]
+         for e in second.exprs]))
 
 
 def test_bracket_matrix_matches_symbolic_oracle():

@@ -272,6 +272,23 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sample_eval_points_keeps_the_random_stream(n):
+    # the per-coordinate construction of numpy scalars the points replaced:
+    # the same draws, in the same order, give the same coordinates
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(7):
+            vals = rng.uniform(0.5, 2.0, size=2 * n)
+            signs = rng.integers(0, 2, size=2 * n) * 2 - 1
+            vals = vals * signs
+            want.append((tuple(vals[:n]), tuple(vals[n:])))
+        got = sample_eval_points(n, 7, seed)
+        assert [(u.q, u.p) for u in got] == want
+        assert all(type(v) is float for u in got for v in u.q + u.p)
+
+
 def test_compile_functions_matches_evaluate():
     """Each expression, compiled alone, equals reference_evaluate() bit for
     bit and raises DomainError at exactly the points where it does."""

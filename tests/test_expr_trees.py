@@ -9,17 +9,20 @@ come from seeded generators, so every run checks the same cases.
 import dataclasses
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
 from liouville import (
-    BinOp, Call, Const, Neg, Param, Pow, Var, compile_functions,
-    differentiate, dimension_of, gradient, parameters_of, parse, simplify,
-    substitute_param, to_string, variables_of,
+    BinOp, Call, Const, DomainError, Neg, Param, Pow, Var, compile_functions,
+    differentiate, dimension_of, gradient, parameters_of, parse,
+    sample_eval_points, simplify, substitute_param, to_string, variables_of,
 )
-from liouville.expr import FUNCTIONS, _children, _postorder
-from oracles import full_derivative, nested_simplify
+from liouville.expr import (
+    FUNCTIONS, _Node, _binder_from_source, _children, _emit, _postorder,
+)
+from oracles import full_derivative, nested_simplify, reference_evaluate
 from test_expr import _random_expr
 
 # small constants and exponents keep every folded constant finite at depth 4
@@ -324,3 +327,87 @@ def test_substitute_param_matches_recursive_rebuild():
         for root in (e,) + gradient(e, GRADIENT_SYMBOLS):
             assert repr(substitute_param(root, "a", replacement)) == \
                 repr(_recursive_substitute(root, "a", replacement)), root
+
+
+# ---------------------------------------------------------------------------
+# compiled code is shared per shape: literals are bound like parameters
+
+
+def _with_literals(e, rng):
+    """``e`` with each distinct literal, by repr (0.0 and -0.0 are two), in
+    its Consts and non-integer exponents replaced by a fresh seeded value;
+    shared nodes stay shared.  Returns the tree and the repr -> value map."""
+    fresh = {}
+
+    def new(value):
+        if repr(value) not in fresh:
+            fresh[repr(value)] = float(rng.uniform(-3.0, 3.0))
+        return fresh[repr(value)]
+
+    out = {}
+    for node in _postorder((e,)):
+        if type(node) is Const:
+            out[id(node)] = Const(new(node.value))
+        elif type(node) is Pow and not float(node.exponent).is_integer():
+            out[id(node)] = Pow(out[id(node.base)], new(node.exponent))
+        else:
+            fields = [getattr(node, f) for f in node.__dataclass_fields__]
+            out[id(node)] = type(node)(*[
+                out[id(v)] if isinstance(v, _Node) else v for v in fields])
+    return out[id(e)], fresh
+
+
+def _outcome(fn, e, u, params):
+    """The compiled value and the tree walk's, or "domain" for both."""
+    try:
+        want = reference_evaluate(e, u, params)
+    except DomainError:
+        with pytest.raises(DomainError):
+            fn(u.q + u.p)
+        return "domain"
+    (got,) = fn(u.q + u.p)
+    assert struct.pack("d", got) == struct.pack("d", want), (e, u)
+    return "finite"
+
+
+def test_trees_with_other_literals_share_the_compile_bit_for_bit():
+    # fresh values keep the shape: distinct from each other, and a
+    # non-integer exponent stays non-integer
+    rng = np.random.default_rng(20261020)
+    points = sample_eval_points(2, 3, seed=11)
+    outcomes = set()
+    for e in _trees():
+        twin, fresh = _with_literals(e, rng)
+        assert len({repr(v) for v in fresh.values()}) == len(fresh)
+        assert not any(v.is_integer() for v in fresh.values())
+        params = {"a": float(rng.uniform(0.5, 2.0))}
+        twin_params = {"a": float(rng.uniform(0.5, 2.0))}
+        fn = compile_functions([e], 2, params)
+        before = _binder_from_source.cache_info()
+        twin_fn = compile_functions([twin], 2, twin_params)
+        assert _binder_from_source.cache_info().misses == before.misses, e
+        for u in points:
+            outcomes.add(_outcome(fn, e, u, params))
+            outcomes.add(_outcome(twin_fn, twin, u, twin_params))
+    assert outcomes == {"domain", "finite"}
+
+
+def test_literal_names_keep_the_sign():
+    # keyed by value, -0.0 would share 0.0's name; a bare -2.0 would rebind
+    # under ** (-2.0**2 == -4.0)
+    q1 = Var("q1")
+    fn = compile_functions([BinOp("*", Const(-0.0), q1),
+                            BinOp("*", Const(0.0), q1)], 1)
+    low, high = fn((1.5, 0.0))
+    assert (low, high) == (0.0, 0.0)
+    assert math.copysign(1.0, low) == -1.0
+    assert math.copysign(1.0, high) == 1.0
+    assert compile_functions([Pow(Const(-2.0), 2.0)], 0)(()) == (4.0,)
+
+
+def test_a_literal_used_twice_gets_one_name():
+    literals = {}
+    lines, (code,) = _emit([parse("2*q1 + 2*p1 + 0.5", 1)], 1, {}, literals)
+    assert literals == {"2.0": 0, "0.5": 1}
+    assert lines == [] and code.count("k0") == 2 and code.count("k1") == 1
+    assert "2.0" not in code and "0.5" not in code

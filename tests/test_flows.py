@@ -390,6 +390,23 @@ def test_symmetric_step_source_is_shared_across_step_sizes():
     after = _binder_from_source.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+    # the literals are bound per run too: an uncoupled pair at other
+    # frequencies (none is 1, whose factor simplifies away) shares the
+    # field's, H's and the step's sources
+    u0 = EvalPoint((1.0, -0.4), (0.5, 0.8))
+    config = IntegratorConfig(scheme="symmetric4", step=0.01)
+    pair = get_system("uncoupled_oscillators", {"omegas": (1.3, 0.7)})
+    integrate(pair.hamiltonian, pair.structure, u0, 1.0, config)
+    before = _binder_from_source.cache_info()
+    pair = get_system("uncoupled_oscillators", {"omegas": (1.1, 1.9)})
+    traj = integrate(pair.hamiltonian, pair.structure, u0, 1.0, config)
+    after = _binder_from_source.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 3
+    states, error = symmetric4_reference(pair.hamiltonian, pair.structure,
+                                         u0, 1.0, 0.01)
+    assert traj.error is error is None
+    assert np.array_equal(traj.states, states)
 
 
 @pytest.mark.parametrize("name,point", [
