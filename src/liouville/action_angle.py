@@ -44,8 +44,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DomainError, Expr, UnboundSymbolError, compile_functions, differentiate,
-    gradient, p, parameters_of, q, substitute_param,
+    DomainError, Expr, Param, UnboundSymbolError, _substitute,
+    compile_functions, differentiate, gradient, p, parameters_of, q,
 )
 
 __all__ = [
@@ -109,8 +109,7 @@ class ChartDegree:
     @functools.cached_property
     def _pair(self) -> tuple[Expr, Expr]:
         """(R, dR/dw) over the compiled state (q1, p1) = (lam, w)."""
-        r = substitute_param(substitute_param(self.residual, "lam", q(1)),
-                             "w", p(1))
+        r = _substitute(self.residual, {Param("lam"): q(1), Param("w"): p(1)})
         return r, differentiate(r, "p1")
 
     @functools.cached_property

@@ -8,8 +8,11 @@ regular level, checks the dimension condition k + r = 2n, and searches the
 fitted algebra's Casimirs for polynomial completions that commute with
 every generator.
 
-Numeric rank decisions use the shared threshold: singular values above
-1e-8 times the largest one count toward the rank.
+Numeric rank decisions count the singular values above 1e-8 times the
+largest one.  The bracket-matrix rank is read off D^-1 M D^-1, for D the
+member-gradient norms at the point, and counts only singular values above
+1e-10 as well, so brackets that vanish up to roundoff count as zero;
+functional independence scales each Jacobian row to unit norm.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 RANK_RCOND = 1e-8
+RANK_FLOOR = 1e-10
 CLOSURE_TOL = 1e-6
 SOLVABLE_RCOND = 1e-6
 MAX_COMPLETION_MONOMIALS = 200
@@ -280,6 +284,22 @@ def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
     return int(np.sum(s > rcond * s[0])), s, vt
 
 
+def _inverse_norms(jac: np.ndarray) -> np.ndarray:
+    """1 / norm of each row of ``jac``, and 0 for a zero row, so that a
+    row scaled by it stays zero rather than turning into nan."""
+    norms = np.linalg.norm(jac, axis=-1)
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def _bracket_rank(m: np.ndarray, jac: np.ndarray) -> int:
+    """Numeric rank of the bracket matrix ``m`` of the Jacobian ``jac``:
+    the singular values of D^-1 m D^-1, for D the member-gradient norms,
+    above max(RANK_RCOND * s_0, RANK_FLOOR)."""
+    d = _inverse_norms(jac)
+    _, s, _ = _numeric_rank(m * d[:, None] * d[None, :])
+    return int(np.sum(s > max(RANK_RCOND * s[0], RANK_FLOOR)))
+
+
 def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
     """M[i,j] = {H_i, H_j}(point), from the member Jacobian at the point.
 
@@ -415,7 +435,8 @@ def algebra_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
                  ) -> tuple[int, bool]:
     """(rank of G, constant-rank flag) from bracket matrices at the probes.
 
-    rank G = k - max over probes of the numeric rank of ||{H_i,H_j}(u)||.
+    rank G = k - max over probes of the numeric rank of ||{H_i,H_j}(u)||,
+    read off the matrix scaled by the member-gradient norms.
     """
     if len(probes) < 3:
         raise ValueError("need at least three probe points")
@@ -445,7 +466,7 @@ def _max_bracket_rank(inv: InvariantSet, jacobians: Iterable[np.ndarray]
             m = _bracket_from_jacobian(inv, jac)
         except DomainError:
             continue
-        ranks.add(_numeric_rank(m)[0])
+        ranks.add(_bracket_rank(m, jac))
     if not ranks:
         raise SamplingError("every probe hit a domain error (singular locus)")
     return max(ranks), len(ranks) == 1
@@ -521,8 +542,12 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
         raise RegularityError(
             f"witness misses the level values by {err:.3e}")
     m = _bracket_from_jacobian(inv, jac)
-    rank, _, vt = _numeric_rank(m)
-    kernel = vt[rank:]
+    rank = _bracket_rank(m, jac)
+    # the rank comes from the scaled matrix and the kernel from the
+    # unscaled one: the scaled kernel is D times this one, and
+    # orthonormalising D^-1 times it gives another, equally valid basis,
+    # which would change the Cartan vectors every report prints
+    kernel = _numeric_rank(m)[2][rank:]
     generic_rank, _ = _max_bracket_rank(
         inv, _jacobians_in_domain(inv, inv.sample_points(5, seed)))
     if rank != generic_rank:
@@ -542,13 +567,14 @@ def mishchenko_fomenko_check(inv: InvariantSet, probes: Sequence[EvalPoint]
 
 def functional_independence(inv: InvariantSet, probes: Sequence[EvalPoint]
                             ) -> bool:
-    """True iff the member Jacobian has full rank k at every usable probe."""
+    """True iff the member Jacobian, each row scaled to unit norm, has full
+    rank k at every usable probe."""
     if len(probes) < inv.k:
         raise ValueError("need at least k probe points")
     usable = 0
     for jac in _jacobians_in_domain(inv, probes):
         usable += 1
-        rank, _, _ = _numeric_rank(jac)
+        rank, _, _ = _numeric_rank(jac * _inverse_norms(jac)[:, None])
         if rank < inv.k:
             return False
     if usable < inv.k:

@@ -789,19 +789,26 @@ def parameters_of(*exprs: Expr) -> set[str]:
 
 
 def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of parameter ``name`` by ``replacement``.
+    """Replace every occurrence of parameter ``name`` by ``replacement``."""
+    return _substitute(e, {Param(name): replacement})
+
+
+def _substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
+    """``e`` with each Var or Param leaf that is a key of ``mapping``
+    replaced by its value.
 
     Each distinct node is rebuilt once, from its fields with every child
     replaced by that child's result, in post-order, so the depth of ``e`` is
-    not bounded by the recursion limit.
+    not bounded by the recursion limit and shared subtrees stay shared.
     """
     out: dict[int, Expr] = {}
     for node in _postorder((e,)):
-        if type(node) is Param and node.name == name:
-            out[id(node)] = replacement
+        cls = type(node)
+        if cls is Var or cls is Param:
+            out[id(node)] = mapping.get(node, node)
         else:
             fields = [getattr(node, f) for f in node.__dataclass_fields__]
-            out[id(node)] = type(node)(*[
+            out[id(node)] = cls(*[
                 out[id(v)] if isinstance(v, _Node) else v for v in fields])
     return out[id(e)]
 
@@ -881,13 +888,11 @@ def _template(e: Expr, n: int, param_index: Mapping[str, int],
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int],
-          literals: dict[str, int]) -> tuple[list[str], list[str]]:
-    """Straight-line statements plus one result expression per input.
-
-    The numeric literals the code reads are added to ``literals`` (see
-    :func:`_template`) in post-order of first use; :func:`_unpack` binds
-    them, and the parameters, to their names.
+def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int]
+          ) -> tuple[list[str], list[str], tuple[float, ...]]:
+    """Straight-line statements, one result expression per input, and the
+    values of the numeric literals the code reads, numbered (see
+    :func:`_template`) in post-order of first use.
 
     A subtree gets its own temporary when it occurs more than once (common
     subexpressions are found by structure, not object identity) or when
@@ -897,6 +902,7 @@ def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int],
     ``reference_evaluate`` in tests/oracles.py.
     """
     # distinct subtrees in post-order: children always precede parents
+    literals: dict[str, int] = {}
     slot_of_id: dict[int, int] = {}
     slot_of_key: dict[tuple, int] = {}
     templates: list[str] = []
@@ -935,21 +941,13 @@ def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int],
             text, d = f"t{slot}", 0
         code.append(text)
         depth.append(d)
-    return lines, [code[r] for r in roots]
+    return lines, [code[r] for r in roots], tuple(map(float, literals))
 
 
 _NAMESPACE = {
     **{f"_{name}": fn for name, fn in _MATH.items()}, "_pow": _pow,
     "_isfinite": math.isfinite, "_DomainError": DomainError,
 }
-
-
-def _unpack(params: int, literals: int) -> str:
-    """Lines of a binder that unpack its tuples ``c`` (parameter values) and
-    ``k`` (literal values) into the names ``c0, c1, ...`` and ``k0, k1, ...``
-    the code from :func:`_emit` reads."""
-    return "".join(f"    {''.join(f'{t}{i}, ' for i in range(count))}= {t}\n"
-                   for t, count in (("c", params), ("k", literals)) if count)
 
 
 _SOURCE = """\
@@ -995,12 +993,16 @@ def compile_functions(exprs: Sequence[Expr], n: int,
     non-finite output.
     """
     params = dict(params or {})
-    param_index = {name: i for i, name in enumerate(sorted(params))}
-    literals: dict[str, int] = {}
-    lines, outs = _emit(exprs, n, param_index, literals)
+    names = sorted(params)
+    param_index = {name: i for i, name in enumerate(names)}
+    lines, outs, literals = _emit(exprs, n, param_index)
+    # the binder unpacks its tuples c (parameter values) and k (literal
+    # values) into the names c0, c1, ... and k0, k1, ... the code reads
+    unpack = "".join(f"    {''.join(f'{t}{i}, ' for i in range(count))}= {t}\n"
+                     for t, count in (("c", len(names)), ("k", len(literals)))
+                     if count)
     body = "".join(f"            {line}\n" for line in lines)
     result = ",".join(outs) + ("," if len(outs) == 1 else "")
-    bind = _binder_from_source(_SOURCE.format(
-        unpack=_unpack(len(params), len(literals)), body=body, result=result))
-    return bind(tuple(float(params[name]) for name in sorted(params)),
-                tuple(map(float, literals)))
+    bind = _binder_from_source(_SOURCE.format(unpack=unpack, body=body,
+                                              result=result))
+    return bind(tuple(float(params[name]) for name in names), literals)

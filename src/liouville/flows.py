@@ -18,12 +18,15 @@ function of the state, compiled once per state length and bound per run
 to the compiled field: the six stage sums, the new state and the error
 norm written out per component.
 
-The fixed-step scheme runs one generated straight-line function per step:
-the kick, drift, kick of each of the three sub-steps over Python floats,
-with the same floating-point operations in the same order as evaluating
-the compiled drift and kick and updating a state array, followed by H at
-the step's end, so a step that leaves H's domain truncates the run even
-where the drift and the kick are still defined.
+The fixed-step scheme compiles each step with :func:`compile_functions`,
+from expression trees over the state: each of the three sub-steps
+substitutes the current state's trees into the kick, the drift and the
+kick again, with the same floating-point operations in the same order as
+evaluating the compiled drift and kick and updating a state array.  A
+sub-step's last half-kick and the next one's first read the same q, so
+common-subexpression elimination evaluates that kick field once.  The
+step returns H at its end too, so a step that leaves H's domain truncates
+the run even where the drift and the kick are still defined.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    DomainError, EvalPoint, Expr, _binder_from_source, _emit, _unpack,
-    compile_functions, parameters_of, variables_of,
+    BinOp, Const, DomainError, EvalPoint, Expr, _binder_from_source,
+    _substitute, compile_functions, p, parameters_of, q, variables_of,
 )
 from .symplectic import SymplecticStructure, hamiltonian_vector_field
 from .algebra import InvariantSet
@@ -362,49 +365,22 @@ def _interpolate(y_old, stages, h, x):
             for v, s1, s3, s4, s5, s6, s7 in zip(y_old, *stages)]
 
 
-# The parameters, the literals and the coefficients h1, d1, h0, d0 are
-# bound per run, not written into the source, so one cached source serves
-# every step size and every Hamiltonian of the same shape.
-_STEP_SOURCE = """\
-def _bind(c, k, h1, d1, h0, d0):
-{unpack}    def _step(y):
-        y = list(y)
-        try:
-{body}            e = {energy}
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise _DomainError(str(exc)) from None
-        if not _isfinite(e):
-            raise _DomainError("non-finite Hamiltonian after a step")
-        for v in y:
-            if not _isfinite(v):
-                raise _DomainError("non-finite state after a step")
-        return tuple(y)
-    return _step
-"""
-
-
 def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
-    param_index = {name: i for i, name in enumerate(sorted(params))}
-    literals: dict[str, int] = {}     # one table for the kick, drift and H
-    kick = _emit(fld.dp, n, param_index, literals)
-    drift = _emit(fld.dq, n, param_index, literals)
-    energy_lines, (energy,) = _emit([h], n, param_index, literals)
-    lines = []
-    for half, full in (("h1", "d1"), ("h0", "d0"), ("h1", "d1")):
-        for k, (body, outs), offset in ((half, kick, n), (full, drift, 0),
-                                        (half, kick, n)):
-            lines += body
-            lines += [f"y[{offset + i}] = y[{offset + i}] + {k}*({out})"
-                      for i, out in enumerate(outs)]
-    lines += energy_lines
-    bind = _binder_from_source(_STEP_SOURCE.format(
-        unpack=_unpack(len(params), len(literals)),
-        body="".join(f"            {line}\n" for line in lines),
-        energy=energy))
-    # grouped as (0.5*c)*dt and c*dt, like the reference loop in tests/oracles.py
-    return bind(tuple(float(params[name]) for name in sorted(params)),
-                tuple(map(float, literals)),
-                0.5 * _W1 * dt, _W1 * dt, 0.5 * _W0 * dt, _W0 * dt)
+    """One composition step compiled from its trees: the new state, then H
+    there.  Each update is y_i + k * f_i, with k grouped as (0.5*c)*dt or
+    c*dt like the reference loop in tests/oracles.py and f_i the field over
+    the current state's trees."""
+    y = [q(i) for i in range(1, n + 1)] + [p(i) for i in range(1, n + 1)]
+    coordinates = tuple(y)
+    for c in (_W1, _W0, _W1):
+        for k, field, offset in ((0.5 * c * dt, fld.dp, n), (c * dt, fld.dq, 0),
+                                 (0.5 * c * dt, fld.dp, n)):
+            state = dict(zip(coordinates, y))
+            for i, f in enumerate(field):
+                y[offset + i] = BinOp("+", y[offset + i], BinOp(
+                    "*", Const(k), _substitute(f, state)))
+    return compile_functions(
+        y + [_substitute(h, dict(zip(coordinates, y)))], n, params)
 
 
 def _integrate_symmetric4(h, fld, params, y0, t_final, n,
@@ -415,7 +391,9 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
     if truncated_budget:
         m = MAX_STEPS
     step = _compile_step(h, fld, n, params, dt)
-    y = tuple(map(float, y0))
+    # a row is the state, then H there; the step reads only the state, so
+    # the first row's H is a placeholder, and the column goes at the end
+    y = (*map(float, y0), 0.0)
     ts = [0.0]
     ys = [y]
     error = None
@@ -434,8 +412,8 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
         ys.append(y)
     if error is None and truncated_budget:
         error = "max_steps"
-    return Trajectory(np.array(ts), np.array(ys), error=error,
-                      accepted_steps=len(ts) - 1)
+    return Trajectory(np.array(ts), np.ascontiguousarray(np.array(ys)[:, :-1]),
+                      error=error, accepted_steps=len(ts) - 1)
 
 
 def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]:

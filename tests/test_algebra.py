@@ -591,10 +591,6 @@ ABELIAN_SETS = {
         ("I3", "p1^3+p2^3+p3^3+3*(p1+p2)/(q1-q2)^2+3*(p1+p3)/(q1-q3)^2"
                "+3*(p2+p3)/(q2-q3)^2")], seed=5),
 }
-# brackets that vanish only up to roundoff (entries near 1e-13) pass the
-# relative 1e-8 cutoff, so the bracket matrix reads rank 2 and rank G = 1
-_ROUNDOFF_RANK = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: rank of a roundoff bracket matrix")
 _ABELIAN_CASES = [(name, seed) for name in ABELIAN_SETS for seed in (1, 7, 42)]
 
 
@@ -607,13 +603,10 @@ def test_abelian_liouville_sets_close(name, seed):
     assert np.max(np.abs(constants.c0)) <= 1e-9
 
 
-@pytest.mark.parametrize("name, seed", _ABELIAN_CASES[:6] + [
-    ("calogero_moser3", 7), ("calogero_moser3", 42),
-    # a probe with q1 and q2 close together: at seed 5 the Jacobian's raw
-    # singular values are 1.1e10, 9.5e5 and 1.0, full rank after row scaling
-    *[pytest.param("calogero_moser3", seed, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: Jacobian rank without row "
-                            "scaling")) for seed in (1, 5)]])
+# a probe with q1 and q2 close together: at seed 5 the Jacobian's raw
+# singular values are 1.1e10, 9.5e5 and 1.0, full rank after row scaling
+@pytest.mark.parametrize("name, seed", _ABELIAN_CASES + [
+    ("calogero_moser3", 5)])
 def test_abelian_liouville_sets_are_independent(name, seed):
     system = loads_system(ABELIAN_SETS[name])
     inv = system.invariants
@@ -628,18 +621,107 @@ def _abelian_mf_report(name, seed):
     return report
 
 
+# brackets that vanish only up to roundoff (entries near 1e-13) are judged
+# against the gradients they came from, so the bracket matrix reads rank 0
 @pytest.mark.parametrize("name, seed", _ABELIAN_CASES + [
     ("calogero_moser3", 5)])
-@_ROUNDOFF_RANK
 def test_abelian_liouville_sets_have_full_rank(name, seed):
     assert _abelian_mf_report(name, seed).rank_g == 3
 
 
 @pytest.mark.parametrize("name, seed", _ABELIAN_CASES + [
     ("calogero_moser3", 5)])
-@_ROUNDOFF_RANK
 def test_abelian_liouville_sets_meet_the_dimension_condition(name, seed):
     assert _abelian_mf_report(name, seed).holds
+
+
+@pytest.mark.parametrize("name", ABELIAN_SETS)
+def test_abelian_liouville_sets_have_a_three_dimensional_cartan_basis(name):
+    # every member commutes with every other, so at a regular level the
+    # whole set spans the kernel of the bracket matrix
+    system = loads_system(ABELIAN_SETS[name])
+    inv = system.invariants
+    u = probe_points(system, 1, seed=7)[0]
+    element = find_level_point(inv, inv.member_values(u), u)
+    assert cartan_basis_at(inv, element, seed=7).dimension == 3
+
+
+# the analysis workload's three_particles inputs that read dependent on seed
+# 11 before the Jacobian rows were scaled: a probe with two particles close
+# together gives raw Jacobian singular values such as 1.2e10, 3.0 and 0.5
+@pytest.mark.parametrize("denominators, g, seed", [
+    ((2.8988785779487833, 1.1741751566153145, 3.7083212372833594),
+     1.1698063153800187, 1943136861),
+    ((1.544692687380121, 3.9620782853829297, 2.729826013271944),
+     1.3967286232890848, 606634340),
+    ((3.411407313714469, 3.3600664708824617, 3.0557188427826505),
+     0.9586123878251668, 840990862),
+    ((3.2148135749493307, 3.0194401342653885, 1.1672947505341993),
+     0.7893555423955962, 258284861),
+])
+def test_three_particles_with_a_near_collision_probe_are_independent(
+        denominators, g, seed):
+    system = loads_system(_three_particles_text(denominators, g, seed))
+    assert functional_independence(system.invariants,
+                                   probe_points(system, 6, seed))
+
+
+def test_a_vanishing_member_gradient_keeps_the_verdicts():
+    # F's gradient vanishes at the first probe: its zero row in the Jacobian
+    # and in the bracket matrix stays zero under the norm scaling, no nan
+    s = SymplecticStructure.canonical(2)
+    inv = InvariantSet(s, ("H", "F"), (
+        parse("(p1^2+q1^2)/2 + (p2^2+q2^2)/2", 2), parse("(p1^2+q1^2)/2", 2)))
+    probes = [EvalPoint((0.0, 1.0), (0.0, -0.5))] + inv.sample_points(5, 3)
+    with np.errstate(all="raise"):
+        assert algebra_rank(inv, probes) == (2, True)
+        assert mishchenko_fomenko_check(inv, probes).holds
+        assert not functional_independence(inv, probes)
+        assert functional_independence(inv, probes[1:])
+
+
+def _so_n_central_field(n):
+    """H = |p|^2/2 + V(|q|^2) for V = r2/2 + r2^2/10 on T*R^n, with the
+    angular momenta L_ij = q_i p_j - q_j p_i (i < j): the algebra so(n) plus
+    the central H (Mishchenko & Fomenko, Funct. Anal. Appl. 12, 1978)."""
+    r2 = "+".join(f"q{i}^2" for i in range(1, n + 1))
+    names, texts = ["H"], ["0.5*(" + "+".join(
+        f"p{i}^2" for i in range(1, n + 1)) + f")+0.5*({r2})+0.1*({r2})^2"]
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        names.append(f"L{i}{j}")
+        texts.append(f"q{i}*p{j}-q{j}*p{i}")
+    return InvariantSet(SymplecticStructure.canonical(n), names,
+                        [parse(text, n) for text in texts])
+
+
+# L = q ^ p is a bivector of matrix rank 2, so the moment map meets only
+# coadjoint orbits of dimension 2n - 4: rank G = k - (2n - 4), and the
+# Jacobian rank is 2n - 2, so only n <= 3 gives independent members
+@pytest.mark.parametrize("n, rank_g", [(2, 2), (3, 2), (4, 3), (5, 5),
+                                       (6, 8)])
+def test_so_n_central_field_verdicts(n, rank_g):
+    inv = _so_n_central_field(n)
+    constants = fit_structure_constants(inv, 60, 3, allow_central=True)
+    probes = inv.sample_points(max(6, inv.k), 3)
+    assert check_closure(constants)
+    assert is_solvable(constants) == (n == 2)
+    assert functional_independence(inv, probes) == (n <= 3)
+    assert algebra_rank(inv, probes) == (rank_g, True)
+    assert mishchenko_fomenko_check(inv, probes).holds == (n <= 3)
+
+
+# at n = 4 the Pfaffian L12 L34 - L13 L24 + L14 L23, a Casimir of so(4),
+# vanishes on decomposable bivectors (the Plucker relation), so one of the
+# three degree-2 completions the search returns is zero on all of M
+@pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 19: a completion that is zero on M")),
+    5])
+def test_so_n_central_field_has_two_degree2_completions(n):
+    inv = _so_n_central_field(n)
+    u = inv.sample_points(1, 3)[0]
+    element = find_level_point(inv, inv.member_values(u), u)
+    cartan = cartan_basis_at(inv, element, seed=3)
+    assert len(search_polynomial_completion(inv, cartan, element, 2, 3)) == 2
 
 
 def test_completion_refuses_an_algebra_that_does_not_close():

@@ -21,6 +21,7 @@ from liouville import (
 )
 from liouville.expr import (
     FUNCTIONS, _Node, _binder_from_source, _children, _emit, _postorder,
+    _substitute,
 )
 from oracles import full_derivative, nested_simplify, reference_evaluate
 from test_expr import _random_expr
@@ -308,12 +309,12 @@ def test_gradient_of_a_long_parenthesized_sum(sign, want):
     assert compile_functions([dq1], 1)((1.0, 0.0)) == (want,)
 
 
-def _recursive_substitute(e, name, replacement):
-    if isinstance(e, Param) and e.name == name:
-        return replacement
+def _recursive_substitute(e, mapping):
+    if isinstance(e, (Var, Param)):
+        return mapping.get(e, e)
     if not _children(e):
         return e
-    kids = [_recursive_substitute(c, name, replacement) for c in _children(e)]
+    kids = [_recursive_substitute(c, mapping) for c in _children(e)]
     if isinstance(e, BinOp):
         return BinOp(e.op, *kids)
     if isinstance(e, Pow):
@@ -326,7 +327,27 @@ def test_substitute_param_matches_recursive_rebuild():
     for e in _trees():
         for root in (e,) + gradient(e, GRADIENT_SYMBOLS):
             assert repr(substitute_param(root, "a", replacement)) == \
-                repr(_recursive_substitute(root, "a", replacement)), root
+                repr(_recursive_substitute(root, {Param("a"): replacement})), \
+                root
+
+
+def test_substitute_on_var_leaves_matches_recursive_rebuild():
+    # the symmetric4 step substitutes state trees for every coordinate at
+    # once, and a chart substitutes two parameters in one walk
+    mapping = {Var("q1"): parse("q2*p1 - 1", 2), Var("p1"): parse("sin(q1)", 2),
+               Param("a"): Var("p2")}
+    for e in _trees():
+        for root in (e,) + gradient(e, GRADIENT_SYMBOLS):
+            assert repr(_substitute(root, mapping)) == \
+                repr(_recursive_substitute(root, mapping)), root
+
+
+def test_substitute_param_replaces_parameters_only():
+    # a Param named like a coordinate is not the coordinate
+    e = BinOp("*", Var("q1"), BinOp("+", Param("q1"), Param("b")))
+    assert substitute_param(e, "q1", Const(2.0)) == \
+        BinOp("*", Var("q1"), BinOp("+", Const(2.0), Param("b")))
+    assert substitute_param(e, "c", Const(2.0)) == e
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +427,7 @@ def test_literal_names_keep_the_sign():
 
 
 def test_a_literal_used_twice_gets_one_name():
-    literals = {}
-    lines, (code,) = _emit([parse("2*q1 + 2*p1 + 0.5", 1)], 1, {}, literals)
-    assert literals == {"2.0": 0, "0.5": 1}
+    lines, (code,), literals = _emit([parse("2*q1 + 2*p1 + 0.5", 1)], 1, {})
+    assert literals == (2.0, 0.5)
     assert lines == [] and code.count("k0") == 2 and code.count("k1") == 1
     assert "2.0" not in code and "0.5" not in code

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville import flows
+from liouville import expr, flows
 from liouville.algebra import build_combination, cartan_basis_at, find_level_point
 from liouville.catalog import get_system, probe_points
 from liouville.expr import (
@@ -361,6 +361,9 @@ def test_symmetric_scheme_matches_full_field_reference():
     # q2 turns negative, and the kick's q2^1.5 fails in _pow at row 56
     ("sqrt(1+p1^2) + p2^4/4 + ln(2+sin(q1)) + q2^2.5",
      EvalPoint((0.3, 0.9), (1.2, -0.7)), 7.3),
+    # a non-polynomial kick in two degrees, shared across sub-steps
+    ("p1^2/2+p2^2/2-cos(q1)+exp(0.3*q2)",
+     EvalPoint((0.4, -1.1), (0.9, 0.2)), 6.0),
 ])
 def test_symmetric_scheme_matches_numpy_reference(text, u0, t_final):
     h = parse(text, u0.n)
@@ -407,6 +410,29 @@ def test_symmetric_step_source_is_shared_across_step_sizes():
                                          u0, 1.0, 0.01)
     assert traj.error is error is None
     assert np.array_equal(traj.states, states)
+
+
+def test_symmetric_step_evaluates_the_shared_boundary_kick_once(monkeypatch):
+    # a sub-step's last half-kick and the next one's first read the same q,
+    # so one step evaluates the kick -sin(q1) 4 times rather than 6: with
+    # the 3 drifts, 7 field evaluations rather than 9
+    calls = []
+
+    def sin(x):
+        calls.append(x)
+        return math.sin(x)
+
+    monkeypatch.setitem(expr._NAMESPACE, "_sin", sin)
+    _binder_from_source.cache_clear()
+    try:
+        traj = integrate(parse("p1^2/2 - cos(q1)", 1), S1,
+                         EvalPoint((0.5,), (0.1,)), 0.01,
+                         IntegratorConfig(scheme="symmetric4", step=0.01))
+    finally:
+        _binder_from_source.cache_clear()
+    assert traj.error is None and len(traj.times) == 2
+    # one more evaluation checks the field at the start
+    assert len(calls) == 1 + 4
 
 
 @pytest.mark.parametrize("name,point", [
