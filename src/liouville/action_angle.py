@@ -23,10 +23,12 @@ dlam/dtheta, continue to periodic analytic integrands, so one nested
 trapezoid rule integrates the action and reuses every node when it
 doubles; each doubling's fresh nodes are the midpoint rule of the last
 step, which integrates the rates on the action's own branch solves.  An
-interval with a fixed interior end uses Gauss-Legendre doubling.  A chart
-memoises each cycle it resolves, per level, with its integrals once
-computed, so actions, turning points, frequencies and time maps at one
-level share one search and one quadrature per cycle; an interval with a
+interval with a fixed interior end uses Gauss-Legendre doubling.  Each
+degree derives R, R_w and its R_{h_i} once, in one gradient pass.  A
+chart memoises each cycle it resolves, per level, with the degree's pair
+(R, R_w) and rates compiled there and its integrals once computed, so
+actions, turning points, frequencies and time maps at one level share
+one compile, one search and one quadrature per cycle; an interval with a
 fixed end is integrated on each call.  A branch solve in an integral
 starts at the previous node's grid cell; it lands where the full search
 would under the two-branch restriction, and falls back to the full search
@@ -45,7 +47,7 @@ import numpy as np
 
 from .expr import (
     DomainError, Expr, Param, UnboundSymbolError, _substitute,
-    compile_functions, differentiate, gradient, p, parameters_of, q,
+    compile_functions, gradient, p, parameters_of, q,
 )
 
 __all__ = [
@@ -90,6 +92,7 @@ class ChartDegree:
 
     The branch selector picks the root sign; libration residuals are
     symmetric in w, so a pointwise sign is a complete selector.
+    ``_names`` holds the residual's symbol names, walked once.
     """
 
     residual: Expr
@@ -103,23 +106,19 @@ class ChartDegree:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("bracket must be a finite increasing pair")
         object.__setattr__(self, "bracket", (float(a), float(b)))
-        if "w" not in parameters_of(self.residual):
+        object.__setattr__(self, "_names",
+                           frozenset(parameters_of(self.residual)))
+        if "w" not in self._names:
             raise ValueError("residual must involve the symbol w")
 
     @functools.cached_property
-    def _pair(self) -> tuple[Expr, Expr]:
-        """(R, dR/dw) over the compiled state (q1, p1) = (lam, w)."""
+    def _trees(self) -> tuple[Expr, ...]:
+        """(R, dR/dw, dR/dh_i for each h_i the residual reads, by i) over
+        the compiled state (q1, p1) = (lam, w)."""
+        reads = sorted((name for name in self._names if _H_RE.match(name)),
+                       key=lambda name: int(name[2:]))
         r = _substitute(self.residual, {Param("lam"): q(1), Param("w"): p(1)})
-        return r, differentiate(r, "p1")
-
-    @functools.cached_property
-    def _rates(self) -> tuple[Expr, ...]:
-        """(dR/dw, dR/dh_i for each h_i the residual reads, by i) over the
-        state of :attr:`_pair`."""
-        reads = sorted((name for name in parameters_of(self.residual)
-                        if _H_RE.match(name)), key=lambda name: int(name[2:]))
-        r, r_w = self._pair
-        return (r_w, *gradient(r, reads))
+        return (r, *gradient(r, ("p1", *reads)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ class SeparableChart:
         levels, couplings = [], []
         for j, deg in enumerate(self.degrees, start=1):
             reads, coupled = set(), set()
-            for name in sorted(parameters_of(deg.residual)):
+            for name in sorted(deg._names):
                 if name in ("lam", "w") or name in fixed:
                     continue
                 m = _H_RE.match(name)
@@ -220,22 +219,22 @@ def _bits(values: Sequence[float]) -> bytes:
 
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
-                    env: Mapping[str, float] | None = None,
-                    rates: bool = False) -> tuple[ChartDegree, Callable]:
-    """Degree j and its (R, dR/dw), or with ``rates`` its
-    ChartDegree._rates, compiled as a function of the pair (lam, w) at
-    the level hv (already checked by :func:`_level`), with ``env`` binding
-    other degrees' states."""
+                    env: Mapping[str, float] | None = None
+                    ) -> tuple[Callable, Callable]:
+    """Degree j's pair (R, dR/dw) and rates (dR/dw, dR/dh_i for each h_i
+    it reads), each compiled as a function of (lam, w) at the level hv
+    (already checked by :func:`_level`), with ``env`` binding other
+    degrees' states."""
     if not 1 <= j <= chart.n:
         raise ValueError(f"degree index {j} out of range 1..{chart.n}")
-    deg = chart.degrees[j - 1]
+    trees = chart.degrees[j - 1]._trees
     params = dict(chart.params)
     params.update((f"h_{i}", v) for i, v in enumerate(hv, start=1))
     if env:
         params.update(env)
     try:
-        return deg, compile_functions(deg._rates if rates else deg._pair, 1,
-                                      params)
+        return (compile_functions(trees[:2], 1, params),
+                compile_functions(trees[1:], 1, params))
     except UnboundSymbolError as exc:
         raise ChartError(
             f"degree {j} references another degree's state ({exc}); "
@@ -288,20 +287,14 @@ def _solve_root(g, lam: float, lo: float, hi: float, glo: float) -> float:
     return best_w
 
 
-def _undefined(lam: float, w: float, exc: DomainError) -> NoRealRootError:
-    """The NoRealRootError for a residual that leaves its domain at
-    (lam, w)."""
-    return NoRealRootError(
-        f"residual undefined at lam={lam:.6g}, w={w:.6g}: {exc}")
-
-
 def _residual(g, lam: float, w: float) -> float:
     """R(lam, w) from the compiled pair ``g``; a DomainError is
     NoRealRootError."""
     try:
         return g((lam, w))[0]
     except DomainError as exc:
-        raise _undefined(lam, w, exc) from None
+        raise NoRealRootError(
+            f"residual undefined at lam={lam:.6g}, w={w:.6g}: {exc}") from None
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float
@@ -345,10 +338,7 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
     turning points usable as integration endpoints in floating point.  A
     DomainError at w = 0 or in the tangency search is NoRealRootError.
     """
-    try:
-        g0, _ = g((lam, 0.0))
-    except DomainError as exc:
-        raise _undefined(lam, 0.0, exc) from None
+    g0 = _residual(g, lam, 0.0)
     if g0 == 0.0:
         return 0.0, 0
     k, below, above = k0, None, None
@@ -399,7 +389,7 @@ def _branch_value(deg: ChartDegree, g, lam: float,
 
 def _branch_rates(rates, lam: float, w: float) -> list[float]:
     """dw/dh_i = -R_{h_i} / R_w at the branch point (lam, w), for each h_i
-    of ``rates``, a degree's ChartDegree._rates compiled at the level."""
+    of ``rates``, a degree's rates from :func:`_compile_degree`."""
     try:
         r_w, *r_h = rates((lam, w))
     except DomainError as exc:
@@ -414,7 +404,8 @@ def solve_branch(chart: SeparableChart, j: int, lam: float,
                  h: Sequence[float]) -> float:
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
     hv = _level(chart, h)
-    return _branch_value(*_compile_degree(chart, j, hv), float(lam), hv)
+    g, _ = _compile_degree(chart, j, hv)
+    return _branch_value(chart.degrees[j - 1], g, float(lam), hv)
 
 
 # ---------------------------------------------------------------------------
@@ -434,34 +425,29 @@ def turning_points(chart: SeparableChart, j: int,
 
 
 def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
-    """[degree j, its pair compiled at hv, lam-, lam+, the cycle's
+    """[degree j's pair and rates compiled at hv, lam-, lam+, the cycle's
     quadrature or None until computed]: the one search for turning
     points, behind :func:`turning_points`, run once per chart, degree and
     level."""
     key = (j, _bits(hv))
     found = chart._cycles.get(key)
     if found is None:
-        found = [*_find_cycle(chart, j, hv), None]
+        g, rates = _compile_degree(chart, j, hv)
+        found = [g, rates, *_find_cycle(chart.degrees[j - 1], g), None]
         if len(chart._cycles) >= _MEMO_CAP:
             chart._cycles.clear()
         chart._cycles[key] = found
     return found
 
 
-def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
-    """_cycle's entry but the quadrature, from the first and last of 129
-    bracket points where R(lam, 0) < 0 (for an even libration residual,
-    where the pair +-|w| exists), each bisected against its outer
-    neighbour.  A DomainError in R(lam, 0) is NoRealRootError."""
-    deg, g = _compile_degree(chart, j, hv)
+def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
+    """(lam-, lam+) of ``deg`` with ``g`` its compiled pair, from the first
+    and last of 129 bracket points where R(lam, 0) < 0 (for an even
+    libration residual, where the pair +-|w| exists), each bisected against
+    its outer neighbour.  A DomainError in R(lam, 0) is NoRealRootError."""
     a, b = deg.bracket
     grid = np.linspace(a, b, 129)
-    vals = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        try:
-            vals[i] = g((x, 0.0))[0]
-        except DomainError as exc:
-            raise _undefined(x, 0.0, exc) from None
+    vals = np.array([_residual(g, x, 0.0) for x in grid])
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         first, last = int(neg[0]), int(neg[-1])
@@ -469,7 +455,7 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
             raise NoRealRootError(
                 "bracket endpoints must lie outside the classically allowed "
                 "region")
-        return (deg, g, _bisect_sign(g, grid[first - 1], grid[first]),
+        return (_bisect_sign(g, grid[first - 1], grid[first]),
                 _bisect_sign(g, grid[last + 1], grid[last]))
     # refine the grid minimum; a tangency means a degenerate cycle
     i = int(np.argmin(vals))
@@ -477,10 +463,9 @@ def _find_cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
     hi = grid[min(i + 1, len(grid) - 1)]
     lam_min, g_min = _golden_min(lambda x: _residual(g, x, 0.0), lo, hi)
     if g_min < 0.0:
-        return (deg, g, _bisect_sign(g, lo, lam_min),
-                _bisect_sign(g, hi, lam_min))
+        return _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
     if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-        return deg, g, lam_min, lam_min
+        return lam_min, lam_min
     raise NoRealRootError("no sign change in bracket")
 
 
@@ -492,13 +477,7 @@ def _bisect_sign(g, outside: float, inside: float) -> float:
         if abs(outside - inside) <= 2e-16 * (1.0 + abs(outside) + abs(inside)):
             break
         mid = 0.5 * (outside + inside)
-        if mid == outside or mid == inside:
-            break
-        try:
-            below = g((mid, 0.0))[0] < 0.0
-        except DomainError as exc:
-            raise _undefined(mid, 0.0, exc) from None
-        if below:
+        if _residual(g, mid, 0.0) < 0.0:
             inside = mid
         else:
             outside = mid
@@ -620,10 +599,9 @@ def _cycle_quadrature(chart: SeparableChart, j: int, hv: Sequence[float],
     entry."""
     found = _cycle(chart, j, hv)
     if found[4] is None:
-        _, g, a, b = found[:4]
+        a, b = found[2:4]
         found[4] = (0.0, "the level has a degenerate cycle") if a == b else \
-            _integrate_cycle(g, _compile_degree(chart, j, hv, rates=True)[1],
-                             len(chart.levels[j - 1]), a, b, hv)
+            _integrate_cycle(*found[:2], len(chart.levels[j - 1]), a, b, hv)
     if not rates:
         return found[4][0]
     if isinstance(found[4][1], str):
@@ -636,9 +614,9 @@ def _interval_rates(chart: SeparableChart, s: int, hv: Sequence[float],
     """integral from a to b of dw_s/dh_i on degree s's branch, for each h_i
     the degree reads: Gauss-Legendre sums over n = _GL_START, 2n, ...
     _N_MAX nodes, stopped by :func:`_settled`."""
-    deg, g = _compile_degree(chart, s, hv)
-    node = _branch_nodes(g, _compile_degree(chart, s, hv, rates=True)[1],
-                         a, b, deg.branch_sign, hv)
+    g, rates = _cycle(chart, s, hv)[:2]
+    sign = chart.degrees[s - 1].branch_sign
+    node = _branch_nodes(g, rates, a, b, sign, hv)
     n, sums, step = _GL_START, None, None
     while n <= _N_MAX:
         last, sums = sums, [0.0] * len(chart.levels[s - 1])
@@ -753,7 +731,8 @@ def _environments(chart: SeparableChart, hv: list[float],
         if chart.couplings[s - 1]:
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
-        deg, g, lam_minus, lam_plus = _cycle(chart, s, hv)[:4]
+        deg = chart.degrees[s - 1]
+        g, _, lam_minus, lam_plus = _cycle(chart, s, hv)[:4]
         if lam_minus == lam_plus:
             raise ChartError(
                 f"degenerate cycle in degree {s} cannot be varied")
@@ -787,15 +766,14 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
         if not chart.couplings[i - 1]:
             continue
         envs = _environments(chart, hv, chart.couplings[i - 1])
-        branches = [(*_compile_degree(chart, i, hv, env),
-                     _compile_degree(chart, i, hv, env, rates=True)[1])
-                    for env in envs]
+        deg = chart.degrees[i - 1]
+        branches = [_compile_degree(chart, i, hv, env) for env in envs]
         usable = 0
         for lam in probe_vals:
             try:
                 vals = [_branch_rates(rates, lam,
                                       _branch_value(deg, g, lam, hv))
-                        for deg, g, rates in branches]
+                        for g, rates in branches]
             except ChartError:
                 continue
             for column in zip(*vals):

@@ -267,10 +267,10 @@ def build_combination(inv: InvariantSet, coeffs: Sequence[float]) -> Expr:
     return simplify(total) if total is not None else Const(0.0)
 
 
-def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
-                  ) -> tuple[int, np.ndarray, np.ndarray]:
+def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND,
+                  floor: float = 0.0) -> tuple[int, np.ndarray, np.ndarray]:
     """(rank, singular values, right singular vectors as rows); the rank
-    counts the singular values above rcond times the largest.
+    counts the singular values above max(rcond times the largest, floor).
 
     A square or tall matrix gets the reduced SVD, whose ``s`` and ``vt``
     equal the full one's bit for bit without building the (rows, rows) U of
@@ -281,7 +281,7 @@ def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND
     """
     rows, cols = matrix.shape
     _, s, vt = np.linalg.svd(matrix, full_matrices=rows < cols)
-    return int(np.sum(s > rcond * s[0])), s, vt
+    return int(np.sum(s > max(rcond * s[0], floor))), s, vt
 
 
 def _inverse_norms(jac: np.ndarray) -> np.ndarray:
@@ -296,8 +296,7 @@ def _bracket_rank(m: np.ndarray, jac: np.ndarray) -> int:
     the singular values of D^-1 m D^-1, for D the member-gradient norms,
     above max(RANK_RCOND * s_0, RANK_FLOOR)."""
     d = _inverse_norms(jac)
-    _, s, _ = _numeric_rank(m * d[:, None] * d[None, :])
-    return int(np.sum(s > max(RANK_RCOND * s[0], RANK_FLOOR)))
+    return _numeric_rank(m * d[:, None] * d[None, :], floor=RANK_FLOOR)[0]
 
 
 def bracket_matrix_at(inv: InvariantSet, point: EvalPoint) -> np.ndarray:
@@ -642,11 +641,13 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     it.
     The result is an orthonormal basis of its kernel without constants and
     Cartan combinations, each member checked at 20 fresh xi to
-    max_j |sum_i dP_i C_ij| <= 1e-10 (1 + |dP| |C|).  ``element`` is not
-    read; it stays until the callers pass the constants instead.  Raises
-    AlgebraError when the fit does not close, and ValueError beyond
-    MAX_COMPLETION_MONOMIALS monomials: the dense SVD of the system grows
-    with the square of its row count.
+    max_j |sum_i dP_i C_ij| <= 1e-10 (1 + |dP| |C|), and without the span
+    of members constant on M (the so(4) Pfaffian on decomposable
+    bivectors), found from the rank of their phase-space gradients.
+    ``element`` is not read; it stays until the callers pass the constants
+    instead.  Raises AlgebraError when the fit does not close, and
+    ValueError beyond MAX_COMPLETION_MONOMIALS monomials: the dense SVD of
+    the system grows with the square of its row count.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -692,10 +693,23 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     defect = np.max(np.abs(np.einsum("mpi,mij->mpj", cand_grads, c)), axis=2)
     scale = (np.linalg.norm(cand_grads, axis=2)
              * np.linalg.norm(c, axis=(1, 2))[:, None])
-    verified = np.all(defect <= 1e-10 * (1.0 + scale), axis=0)
+    candidates = candidates[np.all(defect <= 1e-10 * (1.0 + scale), axis=0)]
+    if len(candidates):
+        # drop the span of candidates constant on M: rank their phase-space
+        # gradients sum_i dP/dH_i(H(x)) grad H_i(x) at cartan_basis_at's
+        # points, each candidate's stacked row scaled to unit norm
+        values, jacs = zip(*(inv._evaluate(u)
+                             for u in inv.sample_points(5, seed)))
+        dp = np.einsum("pa,mai->mpi", candidates,
+                       _monomial_gradients(np.array(values), monomials))
+        on_m = np.einsum("mpi,mix->pmx", dp, np.array(jacs)).reshape(
+            len(candidates), -1)
+        r, _, span = _numeric_rank((on_m * _inverse_norms(on_m)[:, None]).T)
+        if r < len(candidates):
+            candidates = span[:r] @ candidates
     mono_exprs = [_monomial_expr(inv, alpha) for alpha in monomials]
     out = []
-    for vec in candidates[verified]:
+    for vec in candidates:
         total = _weighted_sum(vec, mono_exprs, 1e-12)
         if total is not None:
             out.append(simplify(total))

@@ -148,6 +148,15 @@ def test_a_residual_leaving_its_domain_is_no_real_root(text, call, lam):
         call(_residual_chart(text))
 
 
+def test_a_cycle_reaching_the_bracket_ends_is_no_real_root():
+    # at h_1 = 2 the turning points are -+2, outside the bracket (-1, 1)
+    chart = SeparableChart((ChartDegree(parse("w^2+lam^2-2*h_1", 0),
+                                        (-1.0, 1.0)),), h_dim=1)
+    with pytest.raises(NoRealRootError, match="bracket endpoints must lie "
+                       "outside the classically allowed region"):
+        turning_points(chart, 1, [2.0])
+
+
 @pytest.mark.parametrize("text", [
     "(w-1)*sqrt(3-w)",      # from k0, the walk meets the DomainError hole
     # every sign change lies below k0, so the walk runs off the grid; a
@@ -158,7 +167,7 @@ def test_a_residual_leaving_its_domain_is_no_real_root(text, call, lam):
 ])
 def test_a_warm_walk_that_fails_starts_again_from_zero(text):
     chart = _residual_chart(text)
-    _, g = action_angle._compile_degree(chart, 1, [0.0])
+    g, _ = action_angle._compile_degree(chart, 1, [0.0])
     try:
         want = solve_branch(chart, 1, 0.0, [0.0])
     except NoRealRootError as exc:
@@ -389,6 +398,27 @@ def test_turning_points_and_time_map_reuse_the_spectrum(monkeypatch, name, h):
     assert calls[0] == root_calls[0] == 0
 
 
+def test_an_interior_time_map_reuses_the_spectrum_compiles(monkeypatch):
+    # the cycle's memo entry keeps both compiled functions of the degree
+    chart = get_system("uncoupled_oscillators").chart
+    h = [0.6, 0.8]
+    action_spectrum(chart, h)
+    compiles = _count_calls(monkeypatch, "compile_functions")
+    turning_points(chart, 1, h)
+    time_map(chart, h, [(0.0, 0.5), (-0.2, 0.3)])
+    assert compiles[0] == 0
+
+
+def test_a_chart_walks_each_residual_for_its_symbols_once(monkeypatch):
+    walks = _count_calls(monkeypatch, "parameters_of")
+    chart = SeparableChart((
+        ChartDegree(parse("w^2 + lam^2 - 2*h_1", 0), (-8.0, 8.0)),
+        ChartDegree(parse("w^2 + 4*lam^2 - 2*h_2", 0), (-8.0, 8.0))),
+        h_dim=2)
+    action_spectrum(chart, [0.6, 0.8])
+    assert walks[0] == 2
+
+
 def test_chart_memo_tells_negative_zero_from_zero(monkeypatch):
     # h_1 = 0 is a regular level here: turning points -1, 1 and gamma = 0.5
     def chart():
@@ -569,6 +599,32 @@ def test_picard_fuchs_probe_validation():
         picard_fuchs_residual(chart, [0.5, 0.8], [7.9])
 
 
+@pytest.mark.parametrize("text, match", [
+    # R(lam, 0) = 0, so the branch is w = 0 exactly, where R_w = 0
+    ("w^2*(1+lam_1^2)", "dR/dw vanishes on the branch"),
+    # dR/dh_2 = 0.5 / sqrt(h_2 - 0.5) divides by zero at h_2 = 0.5
+    ("w - lam_1^2 - 1 + sqrt(h_2 - 0.5)", "no level derivative"),
+])
+def test_picard_fuchs_skips_a_probe_without_a_rate(monkeypatch, text, match):
+    chart = SeparableChart((
+        ChartDegree(parse("w^2 + lam^2 - 2*h_1", 0), (-8.0, 8.0)),
+        ChartDegree(parse(text, 0), (-8.0, 8.0))), h_dim=2)
+    rates = action_angle._branch_rates
+    raised = []
+
+    def recorded(*args):
+        try:
+            return rates(*args)
+        except QuadratureError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(action_angle, "_branch_rates", recorded)
+    with pytest.raises(ChartError, match="insufficient probes for degree 2"):
+        picard_fuchs_residual(chart, [0.5, 0.5], [0.0, 0.3])
+    assert len(raised) == 2 and all(match in m for m in raised)
+
+
 def test_action_period_duality_against_flow(quartic):
     """2 pi / Omega matches the period measured on the integrated orbit."""
     h = 0.8
@@ -676,7 +732,7 @@ def test_chart_pair_matches_substituting_the_derivative_in_w():
     charts = [get_system(name).chart for name in list_systems()]
     for r in [deg.residual for chart in charts if chart is not None
               for deg in chart.degrees] + trees:
-        pair = ChartDegree(r, (-1.0, 1.0))._pair
+        pair = ChartDegree(r, (-1.0, 1.0))._trees[:2]
         want = (substituted(r), substituted(differentiate(r, "w")))
         assert repr(pair) == repr(want), to_string(r)
 

@@ -711,11 +711,9 @@ def test_so_n_central_field_verdicts(n, rank_g):
 
 
 # at n = 4 the Pfaffian L12 L34 - L13 L24 + L14 L23, a Casimir of so(4),
-# vanishes on decomposable bivectors (the Plucker relation), so one of the
-# three degree-2 completions the search returns is zero on all of M
-@pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 19: a completion that is zero on M")),
-    5])
+# vanishes on decomposable bivectors (the Plucker relation), so the
+# search's three degree-2 Casimirs span only two functions on M
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_so_n_central_field_has_two_degree2_completions(n):
     inv = _so_n_central_field(n)
     u = inv.sample_points(1, 3)[0]
@@ -1183,9 +1181,9 @@ def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
     matrices = []
     original = algebra._numeric_rank
 
-    def recording(matrix, rcond=algebra.RANK_RCOND):
+    def recording(matrix, rcond=algebra.RANK_RCOND, floor=0.0):
         matrices.append(np.array(matrix))
-        return original(matrix, rcond)
+        return original(matrix, rcond, floor)
 
     monkeypatch.setattr(algebra, "_numeric_rank", recording)
     for name in list_systems():
