@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
-    compile_functions, dimension_of, gradient, parameters_of,
+    _simplify, compile_functions, dimension_of, gradient, parameters_of,
     sample_eval_points, simplify,
 )
 from .symplectic import SymplecticStructure
@@ -707,10 +707,12 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
         r, _, span = _numeric_rank((on_m * _inverse_norms(on_m)[:, None]).T)
         if r < len(candidates):
             candidates = span[:r] @ candidates
+    # one memo: the candidates share the monomial trees
     mono_exprs = [_monomial_expr(inv, alpha) for alpha in monomials]
+    memo: dict = {}
     out = []
     for vec in candidates:
         total = _weighted_sum(vec, mono_exprs, 1e-12)
         if total is not None:
-            out.append(simplify(total))
+            out.append(_simplify(total, memo))
     return out

@@ -592,36 +592,25 @@ def _partials(e: Expr, symbols: set[str]) -> dict[str, Expr]:
 # simplification
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
+def _flatten(e: Expr, sign: int, out: list[tuple[int, Expr]], ops: tuple[str, ...]):
+    """Append the operands of the chain of ``ops`` nodes ``e`` to ``out`` in
+    leaf order, each with its sign, unwrapping every Neg on the way.
 
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1.0
-
-
-def _add_terms(e: Expr, sign: int, out: list[tuple[int, Expr]]):
-    # an explicit stack, with the right operand pushed first so that the
-    # terms pop in leaf order; a sum of any depth costs no Python frames
+    A ``-`` flips its right operand's sign.  In a product only the left
+    operand carries the sign down, so the operands' signs multiply to the
+    product's.  An explicit stack, with the right operand pushed first so
+    that the operands pop in leaf order, costs no Python frames at any depth.
+    """
     stack = [(sign, e)]
     while stack:
         sign, e = stack.pop()
-        if isinstance(e, BinOp) and e.op in ("+", "-"):
-            stack += [(sign if e.op == "+" else -sign, e.right), (sign, e.left)]
-        elif isinstance(e, Neg):
+        if type(e) is BinOp and e.op in ops:
+            right = 1 if e.op == "*" else -sign if e.op == "-" else sign
+            stack += [(right, e.right), (sign, e.left)]
+        elif type(e) is Neg:
             stack.append((-sign, e.arg))
         else:
             out.append((sign, e))
-
-
-def _mul_factors(e: Expr, out: list[Expr]) -> int:
-    """Flatten a product chain; returns the sign picked up from Neg wrappers."""
-    if isinstance(e, BinOp) and e.op == "*":
-        return _mul_factors(e.left, out) * _mul_factors(e.right, out)
-    if isinstance(e, Neg):
-        return -_mul_factors(e.arg, out)
-    out.append(e)
-    return 1
 
 
 def _rebuild_sum(terms: list[tuple[int, Expr]], const_acc: float) -> Expr:
@@ -665,7 +654,11 @@ def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities, and flattening of sums and products.
 
     The result evaluates identically to the input on every point where both
-    are defined; this is deliberately not a full canonicalization.
+    are defined; this is deliberately not a full canonicalization.  A chain
+    of sums or of products is flattened in one walk, without recursion, and
+    gives the tree of the nested recursion over its levels while every
+    folded constant is finite: in ``(0*q1)*(1e200*1e200)`` that recursion
+    folds 0*q1 to 0, then 0*inf to nan, where one fold keeps q1 (nan*q1).
     """
     return _simplify(e, {})
 
@@ -705,54 +698,51 @@ def _simplify(e: Expr, memo: dict[int, tuple[Expr, Expr]]) -> Expr:
             folded = _fold(_pow, base.value, e.exponent) \
                 if isinstance(base, Const) else None
             out = Pow(base, e.exponent) if folded is None else folded
-    elif cls is BinOp and e.op in ("+", "-"):
-        # One pass down the left spine.  The bottom-left operand and every
-        # right child are simplified on their own and flattened in leaf
-        # order, which is the term list the nested recursion would rebuild
-        # and re-flatten at each level.
+    elif cls is BinOp and e.op in ("+", "-", "*"):
+        # One pass down the left spine of the chain of + and - (or of *)
+        # nodes.  The bottom-left operand and every right child are
+        # simplified on their own and flattened in leaf order, which is the
+        # operand list the nested recursion would rebuild and re-flatten at
+        # each level; a chain of any length costs linear time and no frames.
+        ops = ("*",) if e.op == "*" else ("+", "-")
         spine: list[tuple[int, Expr]] = []
         node = e
-        while isinstance(node, BinOp) and node.op in ("+", "-"):
-            spine.append((1 if node.op == "+" else -1, node.right))
+        while type(node) is BinOp and node.op in ops:
+            spine.append((-1 if node.op == "-" else 1, node.right))
             node = node.left
         raw: list[tuple[int, Expr]] = []
-        _add_terms(_simplify(node, memo), 1, raw)
+        _flatten(_simplify(node, memo), 1, raw, ops)
         for sign, right in reversed(spine):
-            _add_terms(_simplify(right, memo), sign, raw)
-        const_acc = 0.0
-        terms: list[tuple[int, Expr] | None] = []
-        # exact +t / -t pairs cancel (structural equality): each term takes
-        # out the earliest live term of opposite sign
-        live: dict[tuple[int, Expr], deque[int]] = {}
-        for sign, t in raw:
-            if isinstance(t, Const):
-                const_acc += sign * t.value
-                continue
-            opposite = live.get((-sign, t))
-            if opposite:
-                terms[opposite.popleft()] = None
-            else:
-                live.setdefault((sign, t), deque()).append(len(terms))
-                terms.append((sign, t))
-        out = _rebuild_sum([st for st in terms if st is not None], const_acc)
-    elif cls is BinOp and e.op == "*":
-        factors: list[Expr] = []
-        sign = _mul_factors(BinOp("*", _simplify(e.left, memo),
-                                  _simplify(e.right, memo)), factors)
-        const_acc = float(sign)
-        kept: list[Expr] = []
-        for f in factors:
-            if isinstance(f, Const):
-                const_acc *= f.value
-            else:
-                kept.append(f)
-        out = Const(0.0) if const_acc == 0.0 else _rebuild_product(kept, const_acc)
+            _flatten(_simplify(right, memo), sign, raw, ops)
+        if e.op == "*":
+            # the operands' signs, then the constants in leaf order
+            const_acc = math.prod([f.value for _, f in raw if isinstance(f, Const)],
+                                  start=float(math.prod([s for s, _ in raw])))
+            kept = [f for _, f in raw if not isinstance(f, Const)]
+            out = Const(0.0) if const_acc == 0.0 else _rebuild_product(kept, const_acc)
+        else:
+            const_acc = 0.0
+            terms: list[tuple[int, Expr] | None] = []
+            # exact +t / -t pairs cancel (structural equality): each term
+            # takes out the earliest live term of opposite sign
+            live: dict[tuple[int, Expr], deque[int]] = {}
+            for sign, t in raw:
+                if isinstance(t, Const):
+                    const_acc += sign * t.value
+                    continue
+                opposite = live.get((-sign, t))
+                if opposite:
+                    terms[opposite.popleft()] = None
+                else:
+                    live.setdefault((sign, t), deque()).append(len(terms))
+                    terms.append((sign, t))
+            out = _rebuild_sum([st for st in terms if st is not None], const_acc)
     elif cls is BinOp and e.op == "/":
         num = _simplify(e.left, memo)
         den = _simplify(e.right, memo)
-        if _is_zero(num):
+        if isinstance(num, Const) and num.value == 0.0:
             out = Const(0.0)
-        elif _is_one(den):
+        elif isinstance(den, Const) and den.value == 1.0:
             out = num
         elif isinstance(num, Const) and isinstance(den, Const) and den.value != 0.0:
             out = Const(num.value / den.value)

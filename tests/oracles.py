@@ -9,10 +9,7 @@ from liouville import (
 )
 from liouville import flows
 from liouville.algebra import SamplingError
-from liouville.expr import (
-    _add_terms, _mul_factors, _rebuild_product, _rebuild_sum,
-    compile_functions,
-)
+from liouville.expr import _rebuild_product, _rebuild_sum, compile_functions
 from liouville.symplectic import hamiltonian_vector_field
 
 
@@ -164,18 +161,21 @@ def reference_screened_samples(inv, count, seed):
 
 
 # ---------------------------------------------------------------------------
-# reference trees: the nested sum simplification and the full derivative
-# tree, as expr.py built them before its linear-time passes
+# reference trees: the nested sum and product simplification and the full
+# derivative tree, as expr.py built them before its linear-time passes
 
 
 def nested_simplify(e):
-    """``simplify`` with the nested ``+``/``-`` recursion and quadratic scan.
+    """``simplify`` with the nested ``+``/``-`` and ``*`` recursion and the
+    quadratic scan.
 
-    Each sum level simplifies both operands, re-flattens the left one and
-    cancels every new term against the earliest opposite term by a linear
-    scan.  The other branches repeat ``simplify``'s rules, except that a
-    constant call or power folds through the tree walk ``_eval`` and its
-    domain guards rather than through ``math`` directly.
+    Each sum or product level simplifies both operands and re-flattens the
+    simplified left one; a sum cancels every new term against the earliest
+    opposite term by a linear scan, and a product folds its constants.  The
+    other branches repeat ``simplify``'s rules, except that a constant call
+    or power folds through the tree walk ``_eval`` and its domain guards
+    rather than through ``math`` directly.  The flattening helpers are the
+    oracle's own: a product level recurses through ``_mul_factors``.
     """
     if isinstance(e, (Const, Var, Param)):
         return e
@@ -241,6 +241,30 @@ def nested_simplify(e):
     if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
         return Const(left.value / right.value)
     return BinOp("/", left, right)
+
+
+def _add_terms(e, sign, out):
+    """Append the signed terms of a sum chain in leaf order (an explicit
+    stack, so a long simplified sum operand costs no frames)."""
+    stack = [(sign, e)]
+    while stack:
+        sign, e = stack.pop()
+        if isinstance(e, BinOp) and e.op in ("+", "-"):
+            stack += [(sign if e.op == "+" else -sign, e.right), (sign, e.left)]
+        elif isinstance(e, Neg):
+            stack.append((-sign, e.arg))
+        else:
+            out.append((sign, e))
+
+
+def _mul_factors(e, out):
+    """Flatten a product chain; returns the sign picked up from Neg wrappers."""
+    if isinstance(e, BinOp) and e.op == "*":
+        return _mul_factors(e.left, out) * _mul_factors(e.right, out)
+    if isinstance(e, Neg):
+        return -_mul_factors(e.arg, out)
+    out.append(e)
+    return 1
 
 
 def full_derivative(e, s):

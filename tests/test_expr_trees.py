@@ -1,10 +1,11 @@
 """simplify, differentiate and gradient against the reference trees.
 
-The library walks a sum's left spine once and cancels through a dict, and it
-differentiates a subtree without the symbol straight to zero.  Both must
-give exactly the trees of the nested recursion and the full derivative, so
-the comparison is on ``repr``, which also tells 0.0 from -0.0.  The trees
-come from seeded generators, so every run checks the same cases.
+The library walks a sum's or a product's left spine once and cancels
+through a dict, and it differentiates a subtree without the symbol straight
+to zero.  Both must give exactly the trees of the nested recursion and the
+full derivative, so the comparison is on ``repr``, which also tells 0.0 from
+-0.0.  The trees come from seeded generators, so every run checks the same
+cases.
 """
 import dataclasses
 import math
@@ -92,8 +93,52 @@ def _trees():
     return trees
 
 
+# constants of one product: nonzero ones that fold to +-1 (0.5*2, -1*-1) or
+# to other finite values, and the zeros of either sign
+PRODUCT_CONSTS = ((1.0, -1.0), (0.5, 2.0, -1.0, -2.0), (0.0, -0.0, -1.0, 2.0))
+
+
+def _random_product(rng, length):
+    """A left-nested product of ``length`` operands over one constant pool,
+    with a Neg over the chain at any depth of its spine.  An operand is a
+    constant, a symbol, a negated one, a small sum, call or power, or a Neg
+    over a parenthesised sub-product with a Neg inside: a Neg flips the
+    whole product's sign once."""
+    consts = PRODUCT_CONSTS[rng.integers(0, len(PRODUCT_CONSTS))]
+
+    def operand():
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            return Const(_pick(rng, consts))
+        if kind == 1:
+            return Neg(_pick(rng, SYMBOLS))
+        if kind == 2:
+            return Neg(BinOp("*", _pick(rng, SYMBOLS), Neg(BinOp(
+                "*", Const(_pick(rng, consts)), _pick(rng, SYMBOLS)))))
+        if kind == 3:
+            return _pick(rng, (
+                BinOp(_pick(rng, "+-"), _pick(rng, SYMBOLS), Const(2.0)),
+                Pow(_pick(rng, SYMBOLS), _pick(rng, EXPONENTS)),
+                Call(_pick(rng, FUNCTIONS), _pick(rng, SYMBOLS))))
+        return _pick(rng, SYMBOLS)
+
+    node = operand()
+    for _ in range(length - 1):
+        node = BinOp("*", node, operand())
+        if rng.integers(0, 8) == 0:
+            node = Neg(node)
+    return node
+
+
+def _products():
+    rng = np.random.default_rng(20261020)
+    lengths = [2, 3, 5, 300] + [int(n) for n in rng.integers(2, 300, size=56)]
+    return [_random_product(rng, n) for n in lengths]
+
+
 def test_simplify_matches_nested_sum_recursion():
-    for e in _trees():
+    # the nested recursion of products too: chains up to 300 factors
+    for e in _trees() + _products():
         assert repr(simplify(e)) == repr(nested_simplify(e)), e
 
 
@@ -135,7 +180,9 @@ def test_differentiate_matches_full_derivative_tree():
     # the long sum stays under the recursion limit of the reference trees;
     # the library walks its spine in a loop
     long_sum = _long_mixed_sum(np.random.default_rng(400), 400)
-    for e in _trees() + [long_sum]:
+    rng = np.random.default_rng(30)
+    products = [_random_product(rng, n) for n in range(2, 31)]
+    for e in _trees() + [long_sum] + products:
         for s in ("q1", "p1", "a"):
             want = nested_simplify(full_derivative(e, s))
             assert repr(differentiate(e, s)) == repr(want), (e, s)
@@ -156,6 +203,35 @@ def test_symbol_free_overflowing_subtree_differentiates_to_zero():
     e = parse("1e200*1e200*q2", 2)
     assert repr(nested_simplify(full_derivative(e, "p1"))) == "Const(value=nan)"
     assert repr(differentiate(e, "p1")) == "Const(value=0.0)"
+
+
+def test_product_longer_than_the_recursion_limit():
+    q1 = Var("q1")
+    e = q1
+    for _ in range(2999):
+        e = BinOp("*", e, q1)
+    out, count = simplify(e), 1
+    while type(out) is BinOp:
+        assert out.op == "*" and out.right == q1
+        out, count = out.left, count + 1
+    assert out == q1 and count == 3000
+
+
+def test_overflow_meeting_zero_in_a_product_keeps_its_factors():
+    # trees match only while folded constants stay finite: the nested
+    # recursion folds 0*q1 to 0 first and drops q1, then 0*inf reads nan;
+    # one flat fold meets 0*inf with q1 still kept.  Neither one prints or
+    # evaluates.
+    q1 = Var("q1")
+    e = BinOp("*", BinOp("*", Const(0.0), q1),
+              BinOp("*", Const(1e200), Const(1e200)))
+    assert repr(nested_simplify(e)) == "Const(value=nan)"
+    got = simplify(e)
+    assert repr(got) == repr(BinOp("*", Const(math.nan), q1))
+    with pytest.raises(ValueError, match="non-finite"):
+        to_string(got)
+    with pytest.raises(DomainError):
+        compile_functions([got], 1)((1.0, 0.0))
 
 
 GRADIENT_SYMBOLS = ("q1", "q2", "p1", "p2")
