@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
-    _simplify, compile_functions, dimension_of, gradient, parameters_of,
+    _index_bound, _simplify, _symbols, compile_functions, gradient,
     sample_eval_points, simplify,
 )
 from .symplectic import SymplecticStructure
@@ -98,14 +98,14 @@ class InvariantSet:
             raise ValueError("member names must be unique")
         if not self.names:
             raise ValueError("an invariant set needs at least one member")
+        unbound = set()
         for name, e in zip(self.names, self.exprs):
-            d = dimension_of(e)
+            variables, params = _symbols((e,))
+            d = _index_bound(variables)
             if d > self.structure.n:
                 raise ValueError(
                     f"member {name!r} uses index {d}, beyond dimension {self.structure.n}")
-        unbound = set()
-        for e in self.exprs:
-            unbound |= parameters_of(e)
+            unbound |= params
         unbound -= set(self.params)
         if unbound:
             raise ValueError(f"members use unbound parameters: {sorted(unbound)}")
@@ -573,7 +573,9 @@ def functional_independence(inv: InvariantSet, probes: Sequence[EvalPoint]
     usable = 0
     for jac in _jacobians_in_domain(inv, probes):
         usable += 1
-        rank, _, _ = _numeric_rank(jac * _inverse_norms(jac)[:, None])
+        # ranked transposed: the tall (2n, k) matrix gets the reduced SVD,
+        # with no (2n, 2n) basis of right singular vectors
+        rank, _, _ = _numeric_rank((jac * _inverse_norms(jac)[:, None]).T)
         if rank < inv.k:
             return False
     if usable < inv.k:
@@ -659,17 +661,13 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
             f"the completion ansatz allows at most {MAX_COMPLETION_MONOMIALS}")
     constants = _closed_fit(inv, seed)
     monomials = _monomial_indices(k, degree)
-    rng = np.random.default_rng(seed)
-
-    def bracket_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
-        """d m_alpha / d xi_i (count, n_mono, k) and C(xi) (count, k, k) at
-        ``count`` fresh xi."""
-        xi = rng.standard_normal((count, k))
-        return (_monomial_gradients(xi, monomials),
-                constants.c0 + np.einsum("ms,sij->mij", xi, constants.c))
-
-    grads, c = bracket_tables(max(40, 4 * n_mono))
-    rows = np.einsum("mai,mij->mja", grads, c).reshape(-1, n_mono)
+    # one draw of xi: the system reads the first ``count`` rows and the
+    # check the last 20; d m_alpha / d xi_i (m, n_mono, k), C(xi) (m, k, k)
+    count = max(40, 4 * n_mono)
+    xi = np.random.default_rng(seed).standard_normal((count + 20, k))
+    grads = _monomial_gradients(xi, monomials)
+    c = constants.c0 + np.einsum("ms,sij->mij", xi, constants.c)
+    rows = np.einsum("mai,mij->mja", grads[:count], c[:count]).reshape(-1, n_mono)
     rank, _, vt = _numeric_rank(rows)
     kernel = vt[rank:]
     # excluded directions: the Cartan combinations, as the degree-1
@@ -688,7 +686,7 @@ def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,
     dim, _, vt = _numeric_rank(kernel)
     candidates = vt[:dim]
 
-    grads, c = bracket_tables(20)
+    grads, c = grads[count:], c[count:]
     cand_grads = np.einsum("pa,mai->mpi", candidates, grads)
     defect = np.max(np.abs(np.einsum("mpi,mij->mpj", cand_grads, c)), axis=2)
     scale = (np.linalg.norm(cand_grads, axis=2)

@@ -10,7 +10,7 @@ Grammar accepted by :func:`parse`::
     term     := factor (("*" | "/") factor)*
     factor   := "-" factor | base ("^" exponent)?
     base     := number | ident | "(" expr ")" | func "(" expr ")"
-    exponent := number | "-" number | "(" "-"? number ")"
+    exponent := "-"? number | "(" "-"? number ")"
 
 ``func`` is one of ``ln``, ``sqrt``, ``sin``, ``cos``, ``exp``; these names
 are reserved and may not be used as parameters.  A unary minus applied to a
@@ -52,8 +52,11 @@ def _pow(x: float, c: float) -> float:
 
 
 _VAR_RE = re.compile(r"^([qp])([1-9][0-9]*)$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# optional whitespace, then one token; the catch-all ``bad`` must stay last,
+# since ``finditer`` silently skips text that no alternative matches
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 class ExprError(Exception):
@@ -235,30 +238,18 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            value = float(m.group())
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "number":
+            value = float(value)
             if not math.isfinite(value):
-                raise ParseError("numeric literal overflows", i)
-            tokens.append(_Token("number", value, i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+                raise ParseError("numeric literal overflows", pos)
+        elif kind == "op":
+            kind = value
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append(_Token(kind, value, pos))
     tokens.append(_Token("end", None, len(text)))
     return tokens
 
@@ -276,6 +267,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def accept(self, kind: str) -> bool:
+        """Step past the next token if it is a ``kind``."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
@@ -305,72 +303,57 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
+        if self.accept("-"):
             inner = self.factor()
             # fold "-5" into a constant so printing round-trips
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Neg(inner)
         base = self.base()
-        if self.peek().kind == "^":
-            self.advance()
+        if self.accept("^"):
             return Pow(base, self.exponent())
         return base
 
     def exponent(self) -> float:
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return float(tok.value)
-        if tok.kind == "-":
-            self.advance()
-            num = self.expect("number")
-            return -float(num.value)
-        if tok.kind == "(":
-            self.advance()
-            sign = 1.0
-            if self.peek().kind == "-":
-                self.advance()
-                sign = -1.0
-            num = self.expect("number")
+        if tok.kind not in ("number", "-", "("):
+            raise ParseError("exponent must be a numeric literal", tok.pos)
+        paren = self.accept("(")
+        sign = -1.0 if self.accept("-") else 1.0
+        value = sign * self.expect("number").value
+        if paren:
             self.expect(")")
-            return sign * float(num.value)
-        raise ParseError("exponent must be a numeric literal", tok.pos)
+        return value
 
     def base(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Const(float(tok.value))
-        if tok.kind == "(":
-            self.advance()
+        if self.accept("number"):
+            return Const(tok.value)
+        if self.accept("("):
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.value
-            if name in FUNCTIONS:
-                if self.peek().kind != "(":
-                    raise ParseError(f"reserved function name {name!r} needs an argument list",
-                                     tok.pos)
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Call(name, arg)
-            m = _VAR_RE.match(name)
-            if m:
-                index = int(m.group(2))
-                if index > self.dimension:
-                    raise ParseError(
-                        f"variable {name!r} out of range for dimension {self.dimension}",
-                        tok.pos)
-                return Var(name)
-            if self.peek().kind == "(":
-                raise ParseError(f"unknown function {name!r}", tok.pos)
-            return Param(name)
-        raise ParseError(f"expected a value, found {tok.kind!r}", tok.pos)
+        if not self.accept("ident"):
+            raise ParseError(f"expected a value, found {tok.kind!r}", tok.pos)
+        name = tok.value
+        if name in FUNCTIONS:
+            if not self.accept("("):
+                raise ParseError(f"reserved function name {name!r} needs an argument list",
+                                 tok.pos)
+            arg = self.expr()
+            self.expect(")")
+            return Call(name, arg)
+        m = _VAR_RE.match(name)
+        if m:
+            index = int(m.group(2))
+            if index > self.dimension:
+                raise ParseError(
+                    f"variable {name!r} out of range for dimension {self.dimension}",
+                    tok.pos)
+            return Var(name)
+        if self.peek().kind == "(":
+            raise ParseError(f"unknown function {name!r}", tok.pos)
+        return Param(name)
 
 
 def parse(text: str, dimension: int) -> Expr:
@@ -758,24 +741,37 @@ def _simplify(e: Expr, memo: dict[int, tuple[Expr, Expr]]) -> Expr:
 # structure queries
 
 
-def _symbol_names(exprs: Sequence[Expr], kind: type) -> set[str]:
-    """Names of the ``kind`` nodes (Var or Param) anywhere in the trees."""
-    return {e.name for e in _postorder(exprs) if isinstance(e, kind)}
+def _symbols(exprs: Sequence[Expr]) -> tuple[set[str], set[str]]:
+    """Names of the variables and of the parameters anywhere in the trees,
+    from one walk."""
+    variables: set[str] = set()
+    params: set[str] = set()
+    for e in _postorder(exprs):
+        if type(e) is Var:
+            variables.add(e.name)
+        elif type(e) is Param:
+            params.add(e.name)
+    return variables, params
+
+
+def _index_bound(variables: set[str]) -> int:
+    """Smallest phase-space dimension that binds the named variables."""
+    return max((int(name[1:]) for name in variables), default=0)
 
 
 def variables_of(*exprs: Expr) -> set[str]:
     """Phase-space variables (``q3``, ``p1``, ...) the expressions mention."""
-    return _symbol_names(exprs, Var)
+    return _symbols(exprs)[0]
 
 
 def dimension_of(*exprs: Expr) -> int:
     """Smallest phase-space dimension that binds every variable used."""
-    return max((int(name[1:]) for name in variables_of(*exprs)), default=0)
+    return _index_bound(_symbols(exprs)[0])
 
 
 def parameters_of(*exprs: Expr) -> set[str]:
     """Named parameters the expressions mention."""
-    return _symbol_names(exprs, Param)
+    return _symbols(exprs)[1]
 
 
 def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:

@@ -1,16 +1,57 @@
 """Numeric oracles shared by the test modules."""
 import math
+import re
 
 import numpy as np
 
 from liouville import (
-    BinOp, Call, Const, DomainError, EvalPoint, ExprError, Neg, Param, Pow,
-    UnboundSymbolError, Var, dimension_of, sample_eval_points, to_string,
+    BinOp, Call, Const, DomainError, EvalPoint, ExprError, Neg, Param,
+    ParseError, Pow, UnboundSymbolError, Var, dimension_of,
+    sample_eval_points, to_string,
 )
 from liouville import flows
 from liouville.algebra import SamplingError
 from liouville.expr import _rebuild_product, _rebuild_sum, compile_functions
 from liouville.symplectic import hamiltonian_vector_field
+
+
+# ---------------------------------------------------------------------------
+# the hand-written scanner that the one-pattern tokenizer must match token
+# for token, errors and columns included
+
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def reference_tokenize(text):
+    """(kind, value, column) of each token of ``text``, then the end."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        if m:
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError("numeric literal overflows", i)
+            tokens.append(("number", value, i))
+            i = m.end()
+            continue
+        m = _REF_IDENT_RE.match(text, i)
+        if m:
+            tokens.append(("ident", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from liouville.algebra import (
     build_combination,
 )
 from liouville import algebra
+from liouville import expr as expr_module
 from liouville.expr import (
     DomainError, _binder_from_source, compile_functions, gradient, p, parse,
     q, sample_eval_points,
@@ -1174,10 +1175,10 @@ def test_invariant_set_owns_its_parameter_binding(used_first):
 
 
 def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
-    # every matrix ranked by a catalog analysis: the structure fit's design
-    # and the Casimir systems (tall), bracket matrices (square), member
-    # Jacobians and completion spans (wide); drift_control does not close,
-    # so it has no completion search
+    # every matrix ranked by a catalog analysis: the structure fit's design,
+    # the Casimir systems and the transposed member Jacobians (tall),
+    # bracket matrices (square) and completion spans (wide); drift_control
+    # does not close, so it has no completion search
     matrices = []
     original = algebra._numeric_rank
 
@@ -1208,6 +1209,43 @@ def test_reduced_svd_keeps_rank_values_and_kernel_bits(monkeypatch):
         assert np.array_equal(_bits(s), _bits(s_full))
         assert np.array_equal(_bits(vt), _bits(vt_full))
     assert min(shapes.values()) > 10, shapes
+
+
+def test_independence_ranks_tall_matrices(monkeypatch):
+    # a wide (1, 2n) Jacobian would get the full SVD and its (2n, 2n) basis
+    shapes = []
+    original = algebra._numeric_rank
+
+    def recording(matrix, rcond=algebra.RANK_RCOND, floor=0.0):
+        shapes.append(matrix.shape)
+        return original(matrix, rcond, floor)
+
+    monkeypatch.setattr(algebra, "_numeric_rank", recording)
+    inv = InvariantSet(SymplecticStructure.canonical(500), ("H",),
+                       (parse("0.5*(p1^2 + q1^2)", 500),))
+    assert functional_independence(inv, sample_eval_points(500, 3, 1))
+    assert shapes and all(rows >= cols for rows, cols in shapes), shapes
+
+
+def test_invariant_set_walks_each_member_once(monkeypatch):
+    walks = [0]
+    original = expr_module._postorder
+
+    def counted(roots):
+        walks[0] += 1
+        return original(roots)
+
+    monkeypatch.setattr(expr_module, "_postorder", counted)
+    s = SymplecticStructure.canonical(2)
+    InvariantSet(s, ("A", "B", "C"), (parse("q1*p2", 2), parse("a*q2", 2),
+                                       parse("b + p1", 2)), {"a": 1.0, "b": 2.0})
+    assert walks[0] == 3
+    with pytest.raises(ValueError) as err:
+        InvariantSet(s, ("A", "B"), (parse("q1", 2), parse("a*p3", 3)))
+    assert str(err.value) == "member 'B' uses index 3, beyond dimension 2"
+    with pytest.raises(ValueError) as err:
+        InvariantSet(s, ("A", "B"), (parse("b*q1", 2), parse("a*p2 + b", 2)))
+    assert str(err.value) == "members use unbound parameters: ['a', 'b']"
 
 
 def test_level_solve_evaluates_each_trial_once(monkeypatch):

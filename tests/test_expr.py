@@ -18,9 +18,9 @@ from liouville import (
     simplify, substitute_param, to_string, variables_of,
 )
 from liouville.catalog import list_systems
-from liouville.expr import const, gradient, p, param, q
+from liouville.expr import _tokenize, const, gradient, p, param, q
 from liouville.symplectic import hamiltonian_vector_field, poisson_bracket
-from oracles import numerically_equivalent, reference_evaluate
+from oracles import numerically_equivalent, reference_evaluate, reference_tokenize
 
 
 def test_parse_sum_of_products():
@@ -78,6 +78,65 @@ def test_parse_unary_minus_and_exponents():
     assert evaluate(parse("2^-2", 0), EvalPoint((), ())) == 0.25
     with pytest.raises(ParseError):
         parse("q1^p1", 1)        # exponents are numeric literals only
+
+
+# every exponent form the grammar reads, and every malformed exponent with
+# its message and 0-based column
+@pytest.mark.parametrize("text, tree", [
+    ("q1^2", Pow(Var("q1"), 2.0)),
+    ("q1^-2", Pow(Var("q1"), -2.0)),
+    ("q1^(2)", Pow(Var("q1"), 2.0)),
+    ("q1^(-0.5)", Pow(Var("q1"), -0.5)),
+    ("-2^2", Neg(Pow(Const(2.0), 2.0))),
+    ("2^-0", Pow(Const(2.0), -0.0)),
+])
+def test_exponent_forms(text, tree):
+    # repr tells -0.0 from 0.0
+    assert repr(parse(text, 3)) == repr(tree)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("q1^p1", "exponent must be a numeric literal (column 4)", 3),
+    ("q1^(-)", "expected 'number', found ')' (column 6)", 5),
+    ("q1^(2", "expected ')', found 'end' (column 6)", 5),
+    ("q1^-p1", "expected 'number', found 'ident' (column 5)", 4),
+    ("q1^(--2)", "expected 'number', found '-' (column 6)", 5),
+    ("q1^-(2)", "expected 'number', found '(' (column 5)", 4),
+])
+def test_exponent_errors(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, 3)
+    assert str(err.value) == message
+    assert err.value.position == position
+
+
+_FUZZ_PIECES = (list("0123456789.eE+-*/^()qpxyZ_ ")
+                + ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+                   "\u2028", "\u3000", "\u200b", "\u00e9", "\u0663", "\u00b2",
+                   "1e999", "7" * 400])
+
+
+def _tokens(text):
+    return [(t.kind, t.value, t.pos) for t in _tokenize(text)]
+
+
+def _scanned(text, scan):
+    """``scan(text)``, or the message and column of its ParseError."""
+    try:
+        return scan(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_tokenizer_matches_the_hand_written_scanner():
+    # seeded random strings over digits, number and operator characters,
+    # letters, ASCII and Unicode whitespace (and near-whitespace), non-ASCII
+    # letters and digits, an overflowing literal and long digit runs
+    rng = np.random.default_rng(3)
+    for _ in range(20000):
+        picks = rng.integers(0, len(_FUZZ_PIECES), size=rng.integers(0, 12))
+        text = "".join(_FUZZ_PIECES[i] for i in picks)
+        assert _scanned(text, _tokens) == _scanned(text, reference_tokenize), repr(text)
 
 
 def test_power_rule():
