@@ -446,11 +446,11 @@ def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
     libration residual, where the pair +-|w| exists), each bisected against
     its outer neighbour.  A DomainError in R(lam, 0) is NoRealRootError."""
     a, b = deg.bracket
-    grid = np.linspace(a, b, 129)
-    vals = np.array([_residual(g, x, 0.0) for x in grid])
-    neg = np.nonzero(vals < 0.0)[0]
-    if len(neg):
-        first, last = int(neg[0]), int(neg[-1])
+    grid = np.linspace(a, b, 129).tolist()
+    vals = [_residual(g, x, 0.0) for x in grid]
+    neg = [i for i, v in enumerate(vals) if v < 0.0]
+    if neg:
+        first, last = neg[0], neg[-1]
         if first == 0 or last == len(grid) - 1:
             raise NoRealRootError(
                 "bracket endpoints must lie outside the classically allowed "
@@ -458,13 +458,13 @@ def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
         return (_bisect_sign(g, grid[first - 1], grid[first]),
                 _bisect_sign(g, grid[last + 1], grid[last]))
     # refine the grid minimum; a tangency means a degenerate cycle
-    i = int(np.argmin(vals))
+    i = vals.index(min(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     lam_min, g_min = _golden_min(lambda x: _residual(g, x, 0.0), lo, hi)
     if g_min < 0.0:
         return _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
-    if abs(g_min) <= 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
+    if abs(g_min) <= 1e-9 * (1.0 + max(map(abs, vals))):
         return lam_min, lam_min
     raise NoRealRootError("no sign change in bracket")
 
@@ -489,8 +489,8 @@ def _bisect_sign(g, outside: float, inside: float) -> float:
 
 
 @functools.cache
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _gl(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return tuple(tuple(v.tolist()) for v in np.polynomial.legendre.leggauss(n))
 
 
 def _branch_nodes(g, rates, a: float, b: float, sign: int,
@@ -656,7 +656,7 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     hv = _level(chart, h, "time_map")
     if len(mu) != chart.n:
         raise ValueError("one (start, end) pair per degree")
-    table = np.zeros((chart.n, chart.h_dim))
+    times = [0.0] * chart.h_dim
     for s, (a, b) in enumerate(mu, start=1):
         a, b = float(a), float(b)
         if a == b:
@@ -687,8 +687,9 @@ def time_map(chart: SeparableChart, h: Sequence[float],
             rates = [sign * v for v in _cycle_quadrature(chart, s, hv, True)]
         else:
             rates = _interval_rates(chart, s, hv, a, b)
-        table[s - 1, [j - 1 for j in chart.levels[s - 1]]] = rates
-    return tuple(sum(column, 0.0) for column in table.T)
+        for j, v in zip(chart.levels[s - 1], rates):
+            times[j - 1] += v
+    return tuple(times)
 
 
 def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:

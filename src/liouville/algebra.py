@@ -20,13 +20,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
-    _index_bound, _simplify, _symbols, compile_functions, gradient,
+    _chain, _index_bound, _simplify, _symbols, compile_functions, gradient,
     sample_eval_points, simplify,
 )
 from .symplectic import SymplecticStructure
@@ -248,15 +248,10 @@ class MishchenkoFomenkoReport:
 def _weighted_sum(coeffs: Sequence[float], terms: Sequence[Expr],
                   drop: float) -> Expr | None:
     """Left-nested sum of c * term over the terms with |c| > drop * max |c|."""
-    total: Expr | None = None
     scale = max((abs(float(c)) for c in coeffs), default=0.0)
-    for c, e in zip(coeffs, terms):
-        c = float(c)
-        if scale > 0 and abs(c) <= drop * scale:
-            continue
-        term = BinOp("*", Const(c), e)
-        total = term if total is None else BinOp("+", total, term)
-    return total
+    return _chain("+", [BinOp("*", Const(float(c)), e)
+                        for c, e in zip(coeffs, terms)
+                        if not (scale > 0 and abs(float(c)) <= drop * scale)])
 
 
 def build_combination(inv: InvariantSet, coeffs: Sequence[float]) -> Expr:
@@ -286,8 +281,17 @@ def _numeric_rank(matrix: np.ndarray, rcond: float = RANK_RCOND,
 
 def _inverse_norms(jac: np.ndarray) -> np.ndarray:
     """1 / norm of each row of ``jac``, and 0 for a zero row, so that a
-    row scaled by it stays zero rather than turning into nan."""
-    norms = np.linalg.norm(jac, axis=-1)
+    row scaled by it stays zero rather than turning into nan.  A finite row
+    whose squares overflow (entries above about 1e154) is normed again
+    divided by its largest entry; every other row keeps its bits."""
+    with np.errstate(over="ignore"):
+        # np.linalg.norm's sum of squares for a real array, without the
+        # checks around it
+        norms = np.sqrt(np.add.reduce(jac * jac, axis=-1))
+    big = np.isinf(norms)
+    if big.any():
+        top = np.max(np.abs(jac[big]), axis=-1, keepdims=True)
+        norms[big] = top[:, 0] * np.linalg.norm(jac[big] / top, axis=-1)
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
@@ -315,8 +319,8 @@ def _bracket_from_jacobian(inv: InvariantSet, jac: np.ndarray) -> np.ndarray:
     the stack, so a (k, 2n) Jacobian gives its (k, k) matrix."""
     n = inv.structure.n
     inv_weights = 1.0 / np.array(inv.structure.weights)
-    a = (jac[..., n:] * inv_weights) @ jac[..., :n].swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
+        a = (jac[..., n:] * inv_weights) @ jac[..., :n].swapaxes(-1, -2)
         m = a - a.swapaxes(-1, -2)
     if not np.all(np.isfinite(m)):
         raise DomainError("non-finite bracket matrix")
@@ -439,29 +443,19 @@ def algebra_rank(inv: InvariantSet, probes: Sequence[EvalPoint]
     """
     if len(probes) < 3:
         raise ValueError("need at least three probe points")
-    best, constant = _max_bracket_rank(inv, _jacobians_in_domain(inv, probes))
+    best, constant = _max_bracket_rank(inv, probes)
     return inv.k - best, constant
 
 
-def _jacobians_in_domain(inv: InvariantSet, probes: Sequence[EvalPoint]
-                         ) -> Iterator[np.ndarray]:
-    """Member Jacobians at the probes, skipping probes where a member
-    gradient leaves the domain."""
-    for u in probes:
-        try:
-            yield inv.jacobian_at(u)
-        except DomainError:
-            continue
-
-
-def _max_bracket_rank(inv: InvariantSet, jacobians: Iterable[np.ndarray]
+def _max_bracket_rank(inv: InvariantSet, points: Iterable[EvalPoint]
                       ) -> tuple[int, bool]:
     """(max numeric bracket-matrix rank, rank equal at every usable point)
-    over the bracket matrices of the member Jacobians; a point whose
-    bracket matrix overflows is skipped."""
+    over the points; a point where a member gradient leaves the domain or
+    the bracket matrix overflows is skipped."""
     ranks = set()
-    for jac in jacobians:
+    for u in points:
         try:
+            jac = inv.jacobian_at(u)
             m = _bracket_from_jacobian(inv, jac)
         except DomainError:
             continue
@@ -484,6 +478,8 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
     target = np.array([float(v) for v in values])
     if len(target) != inv.k:
         raise ValueError("need one target value per member")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("level values must be finite")
     state = guess.state()
     n = inv.structure.n
 
@@ -537,7 +533,7 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
         raise RegularityError("regular element has no witness point")
     level, jac = inv._evaluate(element.witness)
     err = float(np.max(np.abs(level - np.array(element.values))))
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise RegularityError(
             f"witness misses the level values by {err:.3e}")
     m = _bracket_from_jacobian(inv, jac)
@@ -547,8 +543,7 @@ def cartan_basis_at(inv: InvariantSet, element: RegularElement,
     # orthonormalising D^-1 times it gives another, equally valid basis,
     # which would change the Cartan vectors every report prints
     kernel = _numeric_rank(m)[2][rank:]
-    generic_rank, _ = _max_bracket_rank(
-        inv, _jacobians_in_domain(inv, inv.sample_points(5, seed)))
+    generic_rank, _ = _max_bracket_rank(inv, inv.sample_points(5, seed))
     if rank != generic_rank:
         raise RegularityError(
             f"bracket-matrix rank {rank} at the witness differs from the "
@@ -571,7 +566,11 @@ def functional_independence(inv: InvariantSet, probes: Sequence[EvalPoint]
     if len(probes) < inv.k:
         raise ValueError("need at least k probe points")
     usable = 0
-    for jac in _jacobians_in_domain(inv, probes):
+    for u in probes:
+        try:
+            jac = inv.jacobian_at(u)
+        except DomainError:
+            continue
         usable += 1
         # ranked transposed: the tall (2n, k) matrix gets the reduced SVD,
         # with no (2n, 2n) basis of right singular vectors
@@ -618,14 +617,8 @@ def _monomial_gradients(values: np.ndarray, monomials: Sequence[tuple[int, ...]]
 
 
 def _monomial_expr(inv: InvariantSet, alpha: tuple[int, ...]) -> Expr:
-    factors: Expr | None = None
-    for i, a in enumerate(alpha):
-        if not a:
-            continue
-        f = inv.exprs[i] if a == 1 else Pow(inv.exprs[i], float(a))
-        factors = f if factors is None else BinOp("*", factors, f)
-    assert factors is not None
-    return factors
+    return _chain("*", [e if a == 1 else Pow(e, float(a))
+                        for e, a in zip(inv.exprs, alpha) if a])
 
 
 def search_polynomial_completion(inv: InvariantSet, cartan: CartanBasis,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    Call, EvalPoint, Expr, Param, ParseError, const, p, parse, parameters_of,
-    q, simplify, substitute_param,
+    Call, EvalPoint, Expr, Param, ParseError, _chain, const, p, parse,
+    parameters_of, q, simplify, substitute_param,
 )
 from .symplectic import SymplecticStructure
 from .algebra import InvariantSet
@@ -60,13 +60,6 @@ def _merge_params(defaults: dict, params: Mapping | None, name: str) -> dict:
     return merged
 
 
-def _sum(terms: Sequence[Expr]) -> Expr:
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
-
-
 _W = Param("w")
 _LAM = Param("lam")
 
@@ -106,7 +99,7 @@ def _build_uncoupled(params: Mapping | None) -> SystemDefinition:
     members = [simplify((p(j) ** 2 + const(w * w) * q(j) ** 2) / 2)
                for j, w in enumerate(omegas, start=1)]
     names = tuple(f"H{j}" for j in range(1, n + 1))
-    h = simplify(_sum(members))
+    h = simplify(_chain("+", members))
     inv = InvariantSet(s, names, tuple(members))
     return SystemDefinition("uncoupled_oscillators", s, h, inv,
                             chart=_oscillator_chart(omegas))
@@ -125,17 +118,17 @@ def _build_quartic(params: Mapping | None) -> SystemDefinition:
 
 def _vortex_members(xi: Sequence[float]) -> tuple[Expr, Expr, Expr, Expr]:
     n = len(xi)
-    p1 = _sum([const(xi[i]) * q(i + 1) for i in range(n)])
-    p2 = _sum([const(xi[i]) * p(i + 1) for i in range(n)])
+    p1 = _chain("+", [const(xi[i]) * q(i + 1) for i in range(n)])
+    p2 = _chain("+", [const(xi[i]) * p(i + 1) for i in range(n)])
     # the 1/2 makes the moment brackets come out as {P1,P}=-P2, {P2,P}=P1
-    moment = _sum([const(xi[i] / 2.0) * (q(i + 1) ** 2 + p(i + 1) ** 2)
-                   for i in range(n)])
+    moment = _chain("+", [const(xi[i] / 2.0) * (q(i + 1) ** 2 + p(i + 1) ** 2)
+                          for i in range(n)])
     logs = []
     for i in range(n):
         for j in range(i + 1, n):
             sep = (q(i + 1) - q(j + 1)) ** 2 + (p(i + 1) - p(j + 1)) ** 2
             logs.append(const(xi[i] * xi[j]) * Call("ln", sep))
-    h = const(-1.0 / (2.0 * math.pi)) * _sum(logs)
+    h = const(-1.0 / (2.0 * math.pi)) * _chain("+", logs)
     return (simplify(p1), simplify(p2), simplify(moment), simplify(h))
 
 
@@ -202,15 +195,15 @@ def _build_three_particles(params: Mapping | None) -> SystemDefinition:
     if g == 0.0:
         raise ValueError("three_particles: coupling g must be nonzero")
     s = SymplecticStructure.canonical(3)
-    kinetic = _sum([p(j) ** 2 / const(2.0 * masses[j - 1])
-                    for j in (1, 2, 3)])
+    kinetic = _chain("+", [p(j) ** 2 / const(2.0 * masses[j - 1])
+                           for j in (1, 2, 3)])
     pairs = []
     for i in (1, 2):
         for j in range(i + 1, 4):
             pairs.append(const(g) / (q(i) - q(j)) ** 2)
-    h1 = simplify(kinetic + _sum(pairs))
-    h2 = simplify(_sum([q(j) * p(j) for j in (1, 2, 3)]))
-    h3 = simplify(_sum([p(j) for j in (1, 2, 3)]))
+    h1 = simplify(kinetic + _chain("+", pairs))
+    h2 = simplify(_chain("+", [q(j) * p(j) for j in (1, 2, 3)]))
+    h3 = simplify(_chain("+", [p(j) for j in (1, 2, 3)]))
     inv = InvariantSet(s, ("H1", "H2", "H3"), (h1, h2, h3))
     return SystemDefinition("three_particles", s, h1, inv)
 

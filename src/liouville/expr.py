@@ -611,10 +611,17 @@ def _rebuild_sum(terms: list[tuple[int, Expr]], const_acc: float) -> Expr:
     return node
 
 
-def _rebuild_product(factors: list[Expr], const_acc: float) -> Expr:
+def _chain(op: str, terms: Sequence[Expr]) -> Expr | None:
+    """``op`` applied over ``terms`` nested to the left in list order, so
+    that a sum reads like ``t0 + t1 + t2``; None for no terms."""
     node: Expr | None = None
-    for f in factors:
-        node = f if node is None else BinOp("*", node, f)
+    for t in terms:
+        node = t if node is None else BinOp(op, node, t)
+    return node
+
+
+def _rebuild_product(factors: list[Expr], const_acc: float) -> Expr:
+    node = _chain("*", factors)
     if node is None:
         return Const(const_acc)
     if const_acc == 1.0:

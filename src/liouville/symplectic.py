@@ -10,9 +10,10 @@ Unit weights recover the canonical equations of motion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .expr import BinOp, Const, Expr, Neg, _simplify, gradient, simplify
+from .expr import BinOp, Const, Expr, Neg, _chain, _simplify, gradient, simplify
 
 __all__ = [
     "SymplecticStructure", "VectorFieldExpr",
@@ -22,7 +23,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymplecticStructure:
-    """Phase space T*R^n with per-degree weights xi_j (all nonzero)."""
+    """Phase space T*R^n with per-degree weights xi_j (finite, nonzero)."""
 
     n: int
     weights: tuple[float, ...]
@@ -35,6 +36,8 @@ class SymplecticStructure:
             raise ValueError(f"expected {self.n} weights, got {len(self.weights)}")
         if any(w == 0.0 for w in self.weights):
             raise ValueError("weights must be nonzero")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError(f"weights must be finite, got {self.weights}")
 
     @classmethod
     def canonical(cls, n: int) -> "SymplecticStructure":
@@ -65,18 +68,15 @@ def poisson_bracket(f: Expr, g: Expr, structure: SymplecticStructure) -> Expr:
     n = structure.n
     df = gradient(f, structure.coordinates)
     dg = gradient(g, structure.coordinates)
-    total: Expr | None = None
+    terms = []
     for w, df_dq, df_dp, dg_dq, dg_dp in zip(structure.weights, df[:n], df[n:],
                                              dg[:n], dg[n:]):
         term = simplify(BinOp("-", BinOp("*", df_dp, dg_dq), BinOp("*", df_dq, dg_dp)))
         if term == Const(0.0):
             continue
-        if w != 1.0:
-            term = BinOp("*", Const(1.0 / w), term)
-        total = term if total is None else BinOp("+", total, term)
-    if total is None:
-        return Const(0.0)
-    return simplify(total)
+        terms.append(term if w == 1.0 else BinOp("*", Const(1.0 / w), term))
+    total = _chain("+", terms)
+    return Const(0.0) if total is None else simplify(total)
 
 
 def hamiltonian_vector_field(h: Expr, structure: SymplecticStructure) -> VectorFieldExpr:

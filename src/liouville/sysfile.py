@@ -285,7 +285,12 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
         invariants = InvariantSet(structure, tuple(names), tuple(exprs),
                                   params=params)
     except ValueError as exc:
-        raise SystemFileError(str(exc)) from None
+        # the line of the first member reading an unbound parameter, looked
+        # up only here, so a valid file walks each member once
+        line = next((entry.line for entry, expr in
+                     zip(sections["invariants"], exprs)
+                     if parameters_of(expr) - set(params)), None)
+        raise SystemFileError(str(exc), line) from None
     chart = None
     if "chart" in sections:
         chart = _build_chart(sections["chart"])

@@ -447,6 +447,19 @@ def test_time_map_half_cycle_is_half_period(osc):
         assert abs(t - math.pi) <= 1e-6, h
 
 
+def test_root_layer_results_are_python_floats():
+    # the turning points, actions and times are computed in floats, from
+    # the sign scan (a degenerate cycle too) to the last quadrature sum
+    chart = get_system("uncoupled_oscillators").chart
+    h = [0.5, 0.8]
+    a, b = turning_points(chart, 1, h)
+    results = [a, b, *turning_points(chart, 1, [0.0, 0.8]),
+               action_variable(chart, 2, h),
+               *time_map(chart, h, [(a, b), (0.1, 0.3)]),
+               *action_spectrum(chart, h).gammas]
+    assert [type(v) for v in results] == [float] * len(results)
+
+
 def test_time_map_empty_interval(osc):
     assert time_map(osc, [0.5], [(0.3, 0.3)]) == (0.0,)
 

@@ -312,6 +312,28 @@ def test_find_level_point_vortex_self_consistency():
     assert np.max(np.abs(inv.member_values(element.witness) - target)) <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_find_level_point_rejects_non_finite_levels(bad):
+    # a NaN level fails every comparison, so the guess itself would come
+    # back as a converged witness
+    system = get_system("vortices3")
+    inv = system.invariants
+    u = probe_points(system, 1)[0]
+    level = list(inv.member_values(u))
+    level[0] = bad
+    with pytest.raises(ValueError, match="level values must be finite"):
+        find_level_point(inv, level, u)
+
+
+def test_cartan_basis_rejects_nan_level():
+    system = get_system("vortices3")
+    inv = system.invariants
+    u = probe_points(system, 1)[0]
+    level = (np.nan,) + tuple(inv.member_values(u))[1:]
+    with pytest.raises(RegularityError, match="misses the level"):
+        cartan_basis_at(inv, RegularElement(level, u))
+
+
 def test_cartan_basis_central_field():
     system = get_system("central_field")
     inv = system.invariants
@@ -404,6 +426,59 @@ def test_mishchenko_fomenko_scan():
         report = mishchenko_fomenko_check(system.invariants,
                                           probe_points(system, 5))
         assert report.holds == (n == 3)
+
+
+def _pt(qv, pv):
+    return EvalPoint((float(qv),), (float(pv),))
+
+
+def test_probes_outside_the_domain_are_skipped():
+    inv = InvariantSet(SymplecticStructure.canonical(1), ("L", "P"),
+                       (parse("ln(q1)", 1), p(1)))
+    clean = [_pt(1, 0), _pt(2, 1), _pt(1.5, -1)]
+    outside = [_pt(-1, 0), _pt(-2, 1), _pt(-1.5, -1)]
+    assert algebra_rank(inv, outside[:1] + clean) == algebra_rank(inv, clean) \
+        == (0, True)
+    assert mishchenko_fomenko_check(inv, clean + outside[:1]).holds
+    assert functional_independence(inv, outside[:1] + clean[:2])
+    with pytest.raises(SamplingError,
+                       match=r"^every probe hit a domain error \(singular locus\)$"):
+        algebra_rank(inv, outside)
+    with pytest.raises(SamplingError,
+                       match=r"^every probe hit a domain error \(singular locus\)$"):
+        mishchenko_fomenko_check(inv, outside)
+    with pytest.raises(SamplingError,
+                       match="^too few probes evaluate cleanly$"):
+        functional_independence(inv, outside[:1] + clean[:1])
+
+
+def test_probes_whose_bracket_overflows():
+    # with xi = 1e-300, {A, B} = -1e300 exp(q1 + p1) overflows where
+    # q1 + p1 > 19, while the Jacobian stays finite: the rank skips such a
+    # probe, and independence, which builds no bracket matrix, counts it
+    inv = InvariantSet(SymplecticStructure(1, (1e-300,)), ("A", "B"),
+                       (parse("exp(q1)", 1), parse("exp(p1)", 1)))
+    clean = [_pt(0, 0), _pt(0.5, 0), _pt(0, 0.5)]
+    over = [_pt(10, 10), _pt(12, 10), _pt(10, 12)]
+    with pytest.raises(DomainError):
+        bracket_matrix_at(inv, over[0])
+    assert algebra_rank(inv, over[:1] + clean) == algebra_rank(inv, clean) \
+        == (0, True)
+    with pytest.raises(SamplingError, match="every probe hit a domain error"):
+        algebra_rank(inv, over)
+    assert functional_independence(inv, over)
+
+
+def test_independence_of_gradients_above_1e154():
+    # each gradient row is about 1e263: its square overflows, which must
+    # not read as a zero row
+    inv = InvariantSet(SymplecticStructure.canonical(1), ("A", "B"),
+                       (parse("exp(300*q1)", 1), parse("exp(300*p1)", 1)))
+    assert functional_independence(inv, [_pt(2, 2), _pt(2, 1.5)])
+    d = algebra._inverse_norms(np.array([[3e200, 4e200], [0.0, 0.0],
+                                         [3.0, 4.0]]))
+    assert d[0] == pytest.approx(2e-201, rel=1e-15)
+    assert d[1:].tolist() == [0.0, 0.2]
 
 
 def test_functional_independence():

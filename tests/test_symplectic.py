@@ -176,6 +176,14 @@ def test_structure_validation():
     assert SymplecticStructure.canonical(3).weights == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_structure_rejects_non_finite_weights(bad):
+    # 1/inf = 0 would drop the degree from every bracket and flow field:
+    # H = |x|^2/2 and L = q1 p2 - q2 p1 would read rank_g 0, not 2
+    with pytest.raises(ValueError, match="weights must be finite"):
+        SymplecticStructure(2, (1.0, bad))
+
+
 def test_vector_field_component_count_checked():
     s = SymplecticStructure.canonical(2)
     with pytest.raises(ValueError):

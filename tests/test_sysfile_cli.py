@@ -168,6 +168,9 @@ def test_section_structure_errors(text, message, line):
      "[invariants]\nF = q1\n", "non_invariant names not in", 3),
     ("[system]\ndimension = 1\nhamiltonian = q1\n"
      "[invariants]\nF = q1\nF = p1\n", "duplicate invariant 'F'", 6),
+    ("[system]\ndimension = 1\nparam.a = 1\nhamiltonian = a*q1\n"
+     "[invariants]\nF = a*q1\nG = b*p1\nK = c*q1\n",
+     r"members use unbound parameters: \['b', 'c'\]", 7),
 ])
 def test_system_key_errors(text, message, line):
     with pytest.raises(SystemFileError, match=message) as info:
@@ -844,6 +847,20 @@ def test_infinite_final_time_exits_2():
         capture_output=True, text=True, timeout=60, env=_subprocess_env())
     _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr,
                            "--t must be positive and finite")
+
+
+def test_overflowing_bracket_prints_one_error_line(tmp_path):
+    # gradients near 1e263 overflow the bracket product; numpy's overflow
+    # warning must not reach stderr beside the error line
+    path = tmp_path / "big.sys"
+    path.write_text("[system]\ndimension = 1\nhamiltonian = exp(300*q1)\n"
+                    "[invariants]\nA = exp(300*q1)\nB = exp(300*p1)\n",
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville.cli", "analyze", str(path)],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                           "non-finite bracket matrix")
 
 
 def test_import_leaves_scipy_unloaded():
