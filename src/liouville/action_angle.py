@@ -208,6 +208,8 @@ def _level(chart: SeparableChart, h: Sequence[float],
     hv = [float(v) for v in h]
     if len(hv) != chart.h_dim:
         raise ValueError(f"expected {chart.h_dim} level values, got {len(hv)}")
+    if not all(map(math.isfinite, hv)):
+        raise ValueError(f"level values must be finite, got {hv}")
     if square_for is not None and chart.h_dim != chart.n:
         raise ValueError(f"{square_for} needs one level symbol per degree")
     return hv
@@ -659,6 +661,8 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     times = [0.0] * chart.h_dim
     for s, (a, b) in enumerate(mu, start=1):
         a, b = float(a), float(b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval ends must be finite, got {(a, b)}")
         if a == b:
             continue
         lam_minus, lam_plus = _cycle(chart, s, hv)[2:4]

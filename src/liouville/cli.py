@@ -11,6 +11,7 @@ error, which is reported as a single ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -61,9 +62,15 @@ def _listify(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _witness_element(system: SystemDefinition, values, seed: int):
+def _cartan_at_level(system: SystemDefinition, args, seed: int):
+    """The level values of ``--h``, the witness element there and its Cartan
+    basis, read only once the members close into an algebra."""
+    values = _float_list(args.h, "--h")
+    _closed_fit(system.invariants, seed)
     guess = probe_points(system, 1, seed)[0]
-    return find_level_point(system.invariants, values, guess)
+    element = find_level_point(system.invariants, values, guess)
+    return values, element, cartan_basis_at(system.invariants, element,
+                                            seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +111,7 @@ def _cmd_rank(system: SystemDefinition, args, seed: int):
 
 
 def _cmd_cartan(system: SystemDefinition, args, seed: int):
-    values = _float_list(args.h, "--h")
-    _closed_fit(system.invariants, seed)
-    element = _witness_element(system, values, seed)
-    basis = cartan_basis_at(system.invariants, element, seed=seed)
+    values, element, basis = _cartan_at_level(system, args, seed)
     results = {
         "h": values,
         "witness": {"q": _listify(element.witness.q),
@@ -123,19 +127,11 @@ def _cmd_cartan(system: SystemDefinition, args, seed: int):
 def _cmd_mf_check(system: SystemDefinition, args, seed: int):
     probes = probe_points(system, 6, seed)
     report = mishchenko_fomenko_check(system.invariants, probes)
-    results = {
-        "dim_g": report.dim_g,
-        "rank_g": report.rank_g,
-        "dim_m": report.dim_m,
-        "holds": report.holds,
-    }
-    return results, report.holds, []
+    return dataclasses.asdict(report), report.holds, []
 
 
 def _cmd_complete(system: SystemDefinition, args, seed: int):
-    values = _float_list(args.h, "--h")
-    element = _witness_element(system, values, seed)
-    basis = cartan_basis_at(system.invariants, element, seed=seed)
+    values, element, basis = _cartan_at_level(system, args, seed)
     found = search_polynomial_completion(system.invariants, basis, element,
                                          degree=args.degree, seed=seed)
     results = {
@@ -192,17 +188,6 @@ def _cmd_actions(system: SystemDefinition, args, seed: int):
     return results, True, []
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "rank": _cmd_rank,
-    "cartan": _cmd_cartan,
-    "mf-check": _cmd_mf_check,
-    "complete": _cmd_complete,
-    "simulate": _cmd_simulate,
-    "actions": _cmd_actions,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
@@ -219,21 +204,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "invariant sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_file=True):
+    def add(name, handler, help_text):
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        if needs_file:
+        sp.set_defaults(handler=handler)
+        if handler is not None:
             sp.add_argument("file", help="system file (.sys)")
         return sp
 
-    add("analyze", "closure, structure constants, solvability, independence")
-    add("rank", "bracket-matrix rank over probe points")
-    sp = add("cartan", "Cartan basis at a regular level")
+    add("analyze", _cmd_analyze,
+        "closure, structure constants, solvability, independence")
+    add("rank", _cmd_rank, "bracket-matrix rank over probe points")
+    sp = add("cartan", _cmd_cartan, "Cartan basis at a regular level")
     sp.add_argument("--h", required=True, help="level values, comma separated")
-    add("mf-check", "dimension condition dim G + rank G = dim M")
-    sp = add("complete", "polynomial completion over the Cartan basis")
+    add("mf-check", _cmd_mf_check,
+        "dimension condition dim G + rank G = dim M")
+    sp = add("complete", _cmd_complete,
+             "polynomial completion over the Cartan basis")
     sp.add_argument("--h", required=True, help="level values, comma separated")
     sp.add_argument("--degree", type=int, default=2)
-    sp = add("simulate", "integrate the Hamiltonian flow")
+    sp = add("simulate", _cmd_simulate, "integrate the Hamiltonian flow")
     sp.add_argument("--t", type=float, required=True, help="final time")
     sp.add_argument("--from", dest="start", default=None,
                     help="initial point q1,.. | p1,..")
@@ -245,10 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--collision", type=float, default=None,
                     help="abort below this minimum pairwise squared distance")
     sp.add_argument("--csv", default=None, help="trajectory CSV output path")
-    sp = add("actions", "action variables and frequency matrix")
+    sp = add("actions", _cmd_actions, "action variables and frequency matrix")
     sp.add_argument("--h", required=True, help="level values, comma separated")
-    add("verify-paper", "run the acceptance suite and print a pass/fail "
-                        "table", needs_file=False)
+    add("verify-paper", None,
+        "run the acceptance suite and print a pass/fail table")
     return parser
 
 
@@ -284,12 +273,11 @@ def _run_verify(args) -> int:
 
 
 def _run(args) -> int:
-    if args.command == "verify-paper":
+    if args.handler is None:
         return _run_verify(args)
     system, data = _read_system_file(args.file)
     seed = _resolve_seed(args.seed, system.seed)
-    handler = _HANDLERS[args.command]
-    results, verdict, warnings = handler(system, args, seed)
+    results, verdict, warnings = args.handler(system, args, seed)
     report = {
         "command": args.command,
         "input": {"path": args.file, "sha256": hashlib.sha256(data).hexdigest()},

@@ -159,8 +159,7 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
                               entries[0].line if entries else None)
     h_dim = _int(table.pop("h_dim"), "h_dim")
     params = {}
-    stores: dict[str, dict[int, _Entry]] = {
-        "residual": {}, "bracket": {}, "branch": {}}
+    cycle: dict[tuple[str, int], _Entry] = {}
     for key, e in table.items():
         if key.startswith("param."):
             params[key[6:]] = _float(e.value, "chart parameter", e.line)
@@ -176,31 +175,28 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
         # below as a cycle key without a residual
         if j is None or (j < 1 and match[1] == "residual"):
             raise SystemFileError(f"bad degree index in {key!r}", e.line)
-        stores[match[1]][j] = e
-    residuals, brackets, branches = stores.values()
-    if not residuals:
+        cycle[match[1], j] = e
+    n = max((j for kind, j in cycle if kind == "residual"), default=0)
+    if not n:
         raise SystemFileError("chart needs residual_1")
-    n = max(residuals)
     degrees = []
     for j in range(1, n + 1):
-        if j not in residuals:
+        e = cycle.pop(("residual", j), None)
+        if e is None:
             raise SystemFileError(f"chart is missing residual_{j}")
-        e = residuals[j]
         residual = _parse_expr(e.value, 0, e.line)
         bracket = None
-        if j in brackets:
-            vals = _float_list(brackets[j].value, "bracket", brackets[j].line)
+        if b := cycle.pop(("bracket", j), None):
+            vals = _float_list(b.value, "bracket", b.line)
             if len(vals) != 2:
-                raise SystemFileError("bracket needs two values",
-                                      brackets[j].line)
+                raise SystemFileError("bracket needs two values", b.line)
             bracket = (vals[0], vals[1])
         sign = 1
-        if j in branches:
-            text = branches[j].value
-            if text not in ("1", "-1", "+1"):
-                raise SystemFileError(f"branch must be 1 or -1, got {text!r}",
-                                      branches[j].line)
-            sign = int(text)
+        if b := cycle.pop(("branch", j), None):
+            if b.value not in ("1", "-1", "+1"):
+                raise SystemFileError(
+                    f"branch must be 1 or -1, got {b.value!r}", b.line)
+            sign = int(b.value)
         if bracket is None:
             raise SystemFileError(f"chart is missing bracket_{j}", e.line)
         try:
@@ -208,11 +204,9 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
                                        branch_sign=sign))
         except ValueError as exc:
             raise SystemFileError(f"degree {j}: {exc}", e.line) from None
-    extra = set(brackets) | set(branches)
-    extra -= set(range(1, n + 1))
-    if extra:
-        raise SystemFileError(
-            f"chart cycle keys without residual: {sorted(extra)}")
+    if cycle:
+        raise SystemFileError("chart cycle keys without residual: "
+                              f"{sorted({j for _, j in cycle})}")
     try:
         return SeparableChart(tuple(degrees), h_dim=h_dim, params=params)
     except ValueError as exc:

@@ -497,6 +497,21 @@ def test_time_map_shape_validation(osc, uncoupled):
         time_map(mixed, [0.25, 0.25], [(0.0, 0.1)])
 
 
+def test_turning_points_rejects_a_non_finite_level(osc):
+    with pytest.raises(ValueError, match="level values must be finite"):
+        turning_points(osc, 1, [math.nan])
+
+
+def test_action_spectrum_rejects_a_non_finite_level(osc):
+    with pytest.raises(ValueError, match="level values must be finite"):
+        action_spectrum(osc, [math.inf])
+
+
+def test_time_map_rejects_a_non_finite_interval_end(osc):
+    with pytest.raises(ValueError, match="interval ends must be finite"):
+        time_map(osc, [0.5], [(math.nan, 0.0)])
+
+
 def test_frequency_matrix_oscillator(osc):
     omega = frequency_matrix(osc, [0.7])
     assert omega.shape == (1, 1)

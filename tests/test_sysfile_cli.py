@@ -236,6 +236,17 @@ def test_chart_section_with_bracket_branch_and_params():
      "chart is missing bracket_1", 8),
     ("h_dim = 1\nresidual_1 = w^2-2*h_1\nloop_1 = 0,1; 1,0; 0,-1\n",
      "unknown chart key 'loop_1'", 9),
+    ("h_dim = 1\nbracket_1 = -8, 8\n", "chart needs residual_1", None),
+    ("h_dim = 1\nresidual_x = w^2-2*h_1\n",
+     "bad degree index in 'residual_x'", 8),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbracket_1 = -8,,8\n",
+     "bad bracket: '-8,,8'", 9),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_1\nbracket_1 = 8, -8\n",
+     "degree 1: bracket must be a finite increasing pair", 8),
+    ("h_dim = 1\nresidual_1 = w^2-2*h_2\nbracket_1 = -8, 8\n",
+     "bad chart: degree 1: h_2 exceeds h_dim", None),
+    ("h_dim = 1\nresidual_1 = lam^2-2*h_1\nbracket_1 = -8, 8\n",
+     "degree 1: residual must involve the symbol w", 8),
 ])
 def test_chart_errors(chart_text, message, line):
     with pytest.raises(SystemFileError, match=message) as info:
@@ -478,6 +489,12 @@ def test_complete_refuses_an_oversized_ansatz(degree, monomials):
     _assert_one_error_line(*run_cli(
         ["complete", V3, harg, "--degree", str(degree)]),
         f"gives {monomials} monomials")
+
+
+def test_complete_degree_0_exits_2():
+    _, harg = _vortex_level_arg()
+    code, out, err = run_cli(["complete", V3, harg, "--degree", "0"])
+    assert (code, out, err) == (2, "", "error: degree must be at least 1\n")
 
 
 def test_actions_oscillator():
@@ -787,6 +804,17 @@ def test_cartan_on_an_open_set_exits_2(tmp_path):
         "do not close")
 
 
+@pytest.mark.parametrize("command", ["cartan", "complete"])
+def test_open_set_is_refused_before_the_level_search(tmp_path, command):
+    # no level point reaches h = (100, -100), so only a closure check made
+    # before the search reports the open set
+    path = tmp_path / "drift_control.sys"
+    path.write_text(export_system_file(get_system("drift_control")),
+                    encoding="utf-8")
+    _assert_one_error_line(*run_cli([command, str(path), "--h=100,-100"]),
+                           "do not close")
+
+
 def test_analyze_reports_no_algebra_verdicts_for_an_open_set(tmp_path):
     # drift_control's fitted table does not close, so it has no abstract
     # algebra to be solvable or to satisfy Jacobi; the tables stay as the
@@ -995,7 +1023,7 @@ def test_unexpected_exception_exits_2(monkeypatch, exc, line):
     def broken(system, args, seed):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "rank", broken)
+    monkeypatch.setattr(cli, "_cmd_rank", broken)
     code, out, err = run_cli(["rank", V3, "--strict"])
     assert code == 2
     assert out == ""
