@@ -29,10 +29,13 @@ chart memoises each cycle it resolves, per level, with the degree's pair
 (R, R_w) and rates compiled there and its integrals once computed, so
 actions, turning points, frequencies and time maps at one level share
 one compile, one search and one quadrature per cycle; an interval with a
-fixed end is integrated on each call.  A branch solve in an integral
-starts at the previous node's grid cell; it lands where the full search
-would under the two-branch restriction, and falls back to the full search
-where its start fails.
+fixed end is integrated on each call.
+
+A degree whose residual has the form R = a*w^2 + R(lam, 0) with a constant
+a > 0 (a separated natural Hamiltonian, as every catalog chart) solves each
+branch value in closed form, w = sign * sqrt(-R(lam, 0) / a), from one call
+of its compiled pair; any other residual solves it by a grid walk in w and
+a safeguarded Newton iteration.
 """
 from __future__ import annotations
 
@@ -46,8 +49,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    DomainError, Expr, Param, UnboundSymbolError, _substitute,
-    compile_functions, gradient, p, parameters_of, q,
+    Const, DomainError, Expr, Param, UnboundSymbolError, _substitute,
+    _symbols, compile_functions, gradient, p, parameters_of, q, simplify,
 )
 
 __all__ = [
@@ -119,6 +122,20 @@ class ChartDegree:
                        key=lambda name: int(name[2:]))
         r = _substitute(self.residual, {Param("lam"): q(1), Param("w"): p(1)})
         return (r, *gradient(r, ("p1", *reads)))
+
+    @functools.cached_property
+    def _quadratic(self) -> float | None:
+        """a if R = a*w^2 + R(lam, 0) with a constant a > 0, else None: R_w
+        of :attr:`_trees` reads w alone, its derivative in w simplifies to
+        the constant 2a, and it vanishes at w = 0."""
+        r_w = self._trees[1]
+        if _symbols((r_w,)) != ({"p1"}, set()):
+            return None
+        slope = gradient(r_w, ("p1",))[0]
+        if type(slope) is Const and 0.0 < slope.value < math.inf and \
+                simplify(_substitute(r_w, {p(1): Const(0.0)})) == Const(0.0):
+            return 0.5 * slope.value
+        return None
 
 
 @dataclass(frozen=True)
@@ -322,18 +339,12 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _solve_signed(g, lam: float, sign: int, scale: float,
-                  k0: int = 0) -> tuple[float, int]:
-    """(w, k): the root of R(lam, .) with the requested sign, smallest in
-    magnitude, and k where grid cell (k - 1, k) brackets it.
+def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
+    """The root of R(lam, .) with the requested sign, smallest in magnitude.
 
-    Grid point k >= 0 is sign * 1e-9 * scale * 2^k, and point -1 is w = 0.
-    The walk from point k0 steps up while the point has the sign of
-    R(lam, 0) and down while the point below has the other sign.  From
-    k0 = 0 it finds the first sign change; from the previous node's k it
-    finds the same cell while no other root of the requested sign lies
-    below that cell.  A walk from k0 > 0 that meets a DomainError or runs
-    off the 64 points starts again from 0.
+    The walk reads the grid points sign * 1e-9 * scale * 2^k, k = 0..63,
+    upward from w = 0 and hands the first cell whose ends differ in sign
+    to :func:`_solve_root`; a DomainError ends the walk.
 
     Tangency tolerance: if no sign change exists but min |R| <= ROOT_TOL
     the minimizer is accepted as the (double) root; this is what makes
@@ -342,23 +353,18 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
     """
     g0 = _residual(g, lam, 0.0)
     if g0 == 0.0:
-        return 0.0, 0
-    k, below, above = k0, None, None
-    while (below is None or above is None) and k < 64:
-        w = sign * math.ldexp(1e-9 * scale, k) if k >= 0 else 0.0
+        return 0.0
+    k, below = 0, (0.0, g0)
+    while k < 64:
+        w = sign * math.ldexp(1e-9 * scale, k)
         try:
-            gv = g((lam, w))[0] if k >= 0 else g0
+            gv = g((lam, w))[0]
         except DomainError:
             break
-        if (gv > 0.0) == (g0 > 0.0):
-            below, k = (w, gv), k + 1
-        else:
-            above, k = (w, gv, k), k - 1
-    if below is not None and above is not None:
-        lo, hi = (below, above) if sign > 0 else (above, below)
-        return _solve_root(g, lam, lo[0], hi[0], lo[1]), above[2]
-    if k0:
-        return _solve_signed(g, lam, sign, scale)
+        if (gv > 0.0) != (g0 > 0.0):
+            lo, hi = (below, (w, gv)) if sign > 0 else ((w, gv), below)
+            return _solve_root(g, lam, lo[0], hi[0], lo[1])
+        below, k = (w, gv), k + 1
     # no sign change: look for a tangency near the minimum of R
     if g0 < 0.0:
         # R negative at w=0 and never crossing: branch escapes to infinity
@@ -372,9 +378,9 @@ def _solve_signed(g, lam: float, sign: int, scale: float,
         glo2 = _residual(g, lam, lo2)
         ghi2 = _residual(g, lam, hi2)
         if (glo2 > 0.0) != (ghi2 > 0.0):
-            return _solve_root(g, lam, lo2, hi2, glo2), 0
+            return _solve_root(g, lam, lo2, hi2, glo2)
     if abs(g_min) <= ROOT_TOL:
-        return w_min, 0
+        return w_min
     raise NoRealRootError(
         f"no real root at lam={lam:.6g} (min |R| = {abs(g_min):.3g})")
 
@@ -383,10 +389,22 @@ def _root_scale(lam: float, h: Sequence[float]) -> float:
     return 1.0 + abs(lam) + max((abs(v) for v in h), default=0.0)
 
 
-def _branch_value(deg: ChartDegree, g, lam: float,
-                  h: Sequence[float]) -> float:
-    """w on ``deg``'s branch at lam, with ``g`` its pair compiled at h."""
-    return _solve_signed(g, lam, deg.branch_sign, _root_scale(lam, h))[0]
+def _branch_value(deg: ChartDegree, g, lam: float, sign: int,
+                  scale: float) -> float:
+    """w on the branch of ``sign`` at lam, with ``g`` the pair of ``deg``:
+    sign * sqrt(-R(lam, 0) / a) where R = a*w^2 + R(lam, 0), or the
+    tangency root 0 where -R(lam, 0) / a < 0 and |R(lam, 0)| <= ROOT_TOL;
+    :func:`_solve_signed` on the grid of ``scale`` for other residuals."""
+    a = deg._quadratic
+    if a is None:
+        return _solve_signed(g, lam, sign, scale)
+    r0 = _residual(g, lam, 0.0)
+    if r0 < 0.0:
+        return sign * math.sqrt(-r0 / a)
+    if r0 <= ROOT_TOL:
+        return 0.0
+    raise NoRealRootError(
+        f"no real root at lam={lam:.6g} (min |R| = {r0:.3g})")
 
 
 def _branch_rates(rates, lam: float, w: float) -> list[float]:
@@ -407,7 +425,8 @@ def solve_branch(chart: SeparableChart, j: int, lam: float,
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
     hv = _level(chart, h)
     g, _ = _compile_degree(chart, j, hv)
-    return _branch_value(chart.degrees[j - 1], g, float(lam), hv)
+    deg, lam = chart.degrees[j - 1], float(lam)
+    return _branch_value(deg, g, lam, deg.branch_sign, _root_scale(lam, hv))
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +514,26 @@ def _gl(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(tuple(v.tolist()) for v in np.polynomial.legendre.leggauss(n))
 
 
-def _branch_nodes(g, rates, a: float, b: float, sign: int,
-                  h: Sequence[float]):
+def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float,
+                  sign: int, h: Sequence[float]):
     """The quadrature node of [a, b] at x in (-1, 1), under the
     substitution lam = mid + halfwidth*sin(theta), theta = x*pi/2, which
     turns the inverse-square-root behaviour of dlam near a turning point
     into an analytic integrand in x.
 
-    node(x, weight, acc) solves w on the branch of ``sign``, adds weight *
+    node(x, weight, acc) solves w on ``deg``'s branch of ``sign`` with
+    :func:`_branch_value`, ``g`` and ``rates`` compiled at h, adds weight *
     dw/dh_i * dlam/dx to acc[i] for each h_i of ``rates`` unless acc is
     None, and returns weight * w * dlam/dx."""
     scale = _root_scale(max(abs(a), abs(b)), h)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    k = 0
 
     def node(x: float, weight: float, acc: list[float] | None) -> float:
-        nonlocal k
         theta = 0.5 * math.pi * x
         lam = mid + hw * math.sin(theta)
         try:
-            w, k = _solve_signed(g, lam, sign, scale, k)
+            w = _branch_value(deg, g, lam, sign, scale)
         except NoRealRootError as exc:
             raise QuadratureError(
                 f"lost the real branch inside the interval: {exc}") from None
@@ -541,11 +559,12 @@ def _settled(new: Sequence[float], old: Sequence[float],
                            and last <= step <= QUAD_NOISE_STEPS), step
 
 
-def _integrate_cycle(g, rates, m: int, a: float, b: float,
-                     h: Sequence[float]) -> tuple[float, tuple | str]:
+def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
+                     b: float, h: Sequence[float]
+                     ) -> tuple[float, tuple | str]:
     """(integral of |w| from a to b, the integrals of d|w|/dh_i over it for
-    the m h_i of ``rates``, or why they do not exist), with both ends
-    turning points.
+    the m h_i of ``rates``, or why they do not exist) on the + branch of
+    ``deg``, with both ends turning points.
 
     Trapezoid sums of w dlam over n = _TRAPEZOID_START, 2n, ... _N_MAX
     intervals in x: the integrand vanishes at both ends and continues to a
@@ -558,7 +577,7 @@ def _integrate_cycle(g, rates, m: int, a: float, b: float,
     stop by :func:`_settled`; doubling goes on for whichever has not
     stopped.
     """
-    node = _branch_nodes(g, rates, a, b, 1, h)
+    node = _branch_nodes(deg, g, rates, a, b, 1, h)
     n, nodes = _TRAPEZOID_START, range(1, _TRAPEZOID_START)
     total = integral = rated = mids = step = None
     while n <= _N_MAX:
@@ -603,7 +622,8 @@ def _cycle_quadrature(chart: SeparableChart, j: int, hv: Sequence[float],
     if found[4] is None:
         a, b = found[2:4]
         found[4] = (0.0, "the level has a degenerate cycle") if a == b else \
-            _integrate_cycle(*found[:2], len(chart.levels[j - 1]), a, b, hv)
+            _integrate_cycle(chart.degrees[j - 1], *found[:2],
+                             len(chart.levels[j - 1]), a, b, hv)
     if not rates:
         return found[4][0]
     if isinstance(found[4][1], str):
@@ -617,8 +637,8 @@ def _interval_rates(chart: SeparableChart, s: int, hv: Sequence[float],
     the degree reads: Gauss-Legendre sums over n = _GL_START, 2n, ...
     _N_MAX nodes, stopped by :func:`_settled`."""
     g, rates = _cycle(chart, s, hv)[:2]
-    sign = chart.degrees[s - 1].branch_sign
-    node = _branch_nodes(g, rates, a, b, sign, hv)
+    deg = chart.degrees[s - 1]
+    node = _branch_nodes(deg, g, rates, a, b, deg.branch_sign, hv)
     n, sums, step = _GL_START, None, None
     while n <= _N_MAX:
         last, sums = sums, [0.0] * len(chart.levels[s - 1])
@@ -746,7 +766,8 @@ def _environments(chart: SeparableChart, hv: list[float],
         for env, f in zip(envs, fractions):
             lam_s = mid + f * hw
             env[f"lam_{s}"] = lam_s
-            env[f"w_{s}"] = _branch_value(deg, g, lam_s, hv)
+            env[f"w_{s}"] = _branch_value(deg, g, lam_s, deg.branch_sign,
+                                          _root_scale(lam_s, hv))
     return envs
 
 
@@ -775,9 +796,10 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
         branches = [_compile_degree(chart, i, hv, env) for env in envs]
         usable = 0
         for lam in probe_vals:
+            scale = _root_scale(lam, hv)
             try:
-                vals = [_branch_rates(rates, lam,
-                                      _branch_value(deg, g, lam, hv))
+                vals = [_branch_rates(rates, lam, _branch_value(
+                            deg, g, lam, deg.branch_sign, scale))
                         for g, rates in branches]
             except ChartError:
                 continue

@@ -175,6 +175,10 @@ def _build_chart(entries: list[_Entry]) -> SeparableChart:
         # below as a cycle key without a residual
         if j is None or (j < 1 and match[1] == "residual"):
             raise SystemFileError(f"bad degree index in {key!r}", e.line)
+        if (first := cycle.get((match[1], j))) is not None:
+            raise SystemFileError(
+                f"duplicate key {key!r} in [chart]: {first.key!r} names "
+                f"degree {j} too", e.line)
         cycle[match[1], j] = e
     n = max((j for kind, j in cycle if kind == "residual"), default=0)
     if not n:

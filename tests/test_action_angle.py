@@ -1,4 +1,5 @@
 """Branch solving, turning points, actions, time maps, and frequencies."""
+import hashlib
 import math
 from pathlib import Path
 
@@ -91,8 +92,11 @@ def _residual_chart(text: str, branch_sign: int = 1) -> SeparableChart:
     ("(w-0.99)*(w-1.01)", 1, 0.99),
     # R raises a DomainError above w = 3, past the root
     ("(w-1)*sqrt(3-w)", 1, 1.0),
+    # four sign changes: the walk stops at the first, in the cell near
+    # 1e-9 * 2^29, below the others
+    ("(w-0.5)*(w-2)*(w-3)*(w-7)", 1, 0.5),
 ], ids=["three_roots", "three_negative_roots", "two_roots_in_one_cell",
-        "domain_hole_above_the_root"])
+        "domain_hole_above_the_root", "four_roots"])
 def test_solve_branch_returns_the_smallest_root_of_the_sign(text, sign, want):
     w = solve_branch(_residual_chart(text, sign), 1, 0.0, [0.0])
     assert w == pytest.approx(want, abs=1e-12)
@@ -158,26 +162,34 @@ def test_a_cycle_reaching_the_bracket_ends_is_no_real_root():
 
 
 @pytest.mark.parametrize("text", [
-    "(w-1)*sqrt(3-w)",      # from k0, the walk meets the DomainError hole
-    # every sign change lies below k0, so the walk runs off the grid; a
-    # tangency search from there would find the root 3
-    "(w-0.5)*(w-2)*(w-3)*(w-7)",
+    "(w-1)*sqrt(3-w)",      # the walk meets the DomainError hole past 3
+    "(w-0.5)*(w-2)*(w-3)*(w-7)",    # four sign changes
     "(w-0.99)*(w-1.01)",    # no grid point sees a sign change
     "-w^2-1",               # an unbounded branch
 ])
 def test_a_warm_walk_that_fails_starts_again_from_zero(text):
+    # no walk is warm: a quadrature node keeps no grid cell from the node
+    # before, so every node of these out-of-class residuals, visited in
+    # any order, gives the cold walk's root or its error text
     chart = _residual_chart(text)
-    g, _ = action_angle._compile_degree(chart, 1, [0.0])
-    try:
-        want = solve_branch(chart, 1, 0.0, [0.0])
-    except NoRealRootError as exc:
-        want = str(exc)
-    for k0 in (40, 63):
+    deg = chart.degrees[0]
+    assert deg._quadratic is None
+    g, rates = action_angle._compile_degree(chart, 1, [0.0])
+    node = action_angle._branch_nodes(deg, g, rates, -1.0, 1.0, 1, [0.0])
+    scale = action_angle._root_scale(1.0, [0.0])
+    for x in (0.5, -0.75, 0.875, 0.5, -0.25):
+        theta = 0.5 * math.pi * x
+        lam = math.sin(theta)
         try:
-            got = action_angle._solve_signed(g, 0.0, 1, 1.0, k0)[0]
+            want = action_angle._solve_signed(g, lam, 1, scale) * 0.5 * \
+                math.pi * math.cos(theta)
         except NoRealRootError as exc:
+            want = f"lost the real branch inside the interval: {exc}"
+        try:
+            got = node(x, 1.0, None)
+        except QuadratureError as exc:
             got = str(exc)
-        assert got == want, k0
+        assert got == want, x
 
 
 def test_solve_branch_index_and_level_validation(osc):
@@ -310,18 +322,35 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def _chart(name: str) -> SeparableChart:
+    """The chart of the catalog system ``name``, or else the one-degree
+    chart of the residual text ``name``."""
+    if name in list_systems():
+        return get_system(name).chart
+    return _residual_chart(name)
+
+
+QUARTIC_IN_W = "w^2+0.1*w^4+lam^2-2*h_1"
+
+
 @pytest.mark.parametrize("name, h, spectrum_solves", [
-    ("oscillator", 0.5, 15), ("quartic_oscillator", 0.7, 63)])
+    ("oscillator", 0.5, 15), ("quartic_oscillator", 0.7, 63),
+    (QUARTIC_IN_W, 0.7, 63)])
 def test_actions_and_frequencies_share_their_branch_solves(
         monkeypatch, name, h, spectrum_solves):
     # Gauss-Legendre doubling from 16 nodes took 16 + 32 (+ 64) solves for
     # the action alone.  The trapezoid rule from 8 intervals reuses its
     # nodes, and the rates' midpoint sums read the same solves, so a whole
-    # action_spectrum takes 15 (oscillator) and 63 (quartic)
-    chart = get_system(name).chart
-    calls = _count_calls(monkeypatch, "_solve_signed")
+    # action_spectrum takes 15 (oscillator) and 63 (both quartics).  A
+    # chart of the form a*w^2 + R(lam, 0) solves each in closed form; the
+    # one quartic in w solves each by the grid walk and Newton iteration
+    chart = _chart(name)
+    solves = _count_calls(monkeypatch, "_branch_value")
+    searches = _count_calls(monkeypatch, "_solve_signed")
     action_spectrum(chart, [h])
-    assert 0 < calls[0] <= spectrum_solves
+    assert 0 < solves[0] <= spectrum_solves
+    in_class = chart.degrees[0]._quadratic is not None
+    assert searches[0] == (0 if in_class else solves[0])
 
 
 def _count_root_calls(monkeypatch) -> list[int]:
@@ -341,18 +370,21 @@ def _count_root_calls(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("name, h, cold_calls", [
-    ("oscillator", 0.5, 553), ("quartic_oscillator", 0.7, 2413)])
-def test_warm_searches_halve_the_root_function_calls(
-        monkeypatch, name, h, cold_calls):
-    # cold_calls: the spectrum's integrals, after the cycle search, with
-    # every branch solve scanning up from 1e-9 * scale
+@pytest.mark.parametrize("name, h", [
+    ("oscillator", [0.5]), ("uncoupled_oscillators", [0.6, 0.8]),
+    ("quartic_oscillator", [0.7])])
+def test_a_closed_form_node_reads_the_pair_once(monkeypatch, name, h):
+    # after the cycle search, every call of a compiled function is one
+    # branch solve's R(lam, 0) or one node's rates
     chart = get_system(name).chart
     calls = _count_root_calls(monkeypatch)
-    turning_points(chart, 1, [h])
+    for j in range(1, chart.n + 1):
+        turning_points(chart, j, h)
     search = calls[0]
-    action_spectrum(chart, [h])
-    assert 0 < calls[0] - search <= 0.48 * cold_calls
+    solves = _count_calls(monkeypatch, "_branch_value")
+    rates = _count_calls(monkeypatch, "_branch_rates")
+    action_spectrum(chart, h)
+    assert solves[0] > 0 and calls[0] - search == solves[0] + rates[0]
 
 
 def _op_bits(chart, h, order) -> bytes:
@@ -773,14 +805,6 @@ def test_action_of_a_long_chart_residual():
     assert action_spectrum(chart, [0.7]).gammas[0] == pytest.approx(0.7, abs=1e-12)
 
 
-def _cold_searches(monkeypatch):
-    """Start every branch solve at w = 0."""
-    solve = action_angle._solve_signed
-    monkeypatch.setattr(action_angle, "_solve_signed",
-                        lambda g, lam, sign, scale, k0=0:
-                        solve(g, lam, sign, scale))
-
-
 def _chart_factories():
     for name in ("oscillator", "uncoupled_oscillators", "quartic_oscillator"):
         yield pytest.param(lambda name=name: get_system(name).chart, id=name)
@@ -792,19 +816,118 @@ def _chart_factories():
 
 
 @pytest.mark.parametrize("fresh", list(_chart_factories()))
-def test_warm_searches_give_the_cold_bits(monkeypatch, fresh):
+def test_closed_form_branches_match_the_general_solve(fresh):
+    # at the theta-nodes of a 256-interval rule over each cycle, at levels
+    # just above a cycle's birth, on turning points that sit on a grid
+    # point of the bracket (-8, 8), and across the benchmark's range
     rng = np.random.default_rng(34)
-    h_dim = fresh().h_dim
-    # just above a cycle's birth; levels whose turning points sit on a
-    # grid point of the bracket (-8, 8); then levels across the
-    # benchmark's range and beyond
-    levels = [[v] * h_dim for v in (5e-7, 0.25, 0.5, 2.0)] + [
-        list(rng.uniform(0.01, 9.0, h_dim)) for _ in range(8)]
-    order = ("spectrum", "turning", "time")
-    warm = [_op_bits(fresh(), h, order) for h in levels]
-    with monkeypatch.context() as cold:
-        _cold_searches(cold)
-        assert [_op_bits(fresh(), h, order) for h in levels] == warm
+    chart = fresh()
+    levels = [[v] * chart.h_dim for v in (5e-7, 0.25, 0.5, 2.0)] + [
+        list(rng.uniform(0.01, 9.0, chart.h_dim)) for _ in range(8)]
+    theta = [0.5 * math.pi * (-1.0 + k / 128.0) for k in range(1, 256)]
+    for h in levels:
+        for j, deg in enumerate(chart.degrees, start=1):
+            assert deg._quadratic is not None
+            g, _ = action_angle._compile_degree(chart, j, h)
+            a, b = turning_points(chart, j, h)
+            scale = action_angle._root_scale(max(abs(a), abs(b)), h)
+            for t in theta:
+                lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(t)
+                for sign in (1, -1):
+                    got = action_angle._branch_value(deg, g, lam, sign, scale)
+                    want = action_angle._solve_signed(g, lam, sign, scale)
+                    assert abs(got - want) <= 1e-12 * abs(want), (h, j, lam)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.7, 2.0])
+def test_quartic_branch_values_match_a_50_digit_reference(quartic, h):
+    # w = sqrt(2 (h - lam^4 / 4)) at 50 digits, at the theta-nodes of a
+    # 256-interval rule over the cycle, from the closed form and from the
+    # general solve
+    mpmath = pytest.importorskip("mpmath")
+    deg = quartic.degrees[0]
+    g, _ = action_angle._compile_degree(quartic, 1, [h])
+    a, b = turning_points(quartic, 1, [h])
+    scale = action_angle._root_scale(max(abs(a), abs(b)), [h])
+    for k in range(1, 256):
+        lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(
+            0.5 * math.pi * (-1.0 + k / 128.0))
+        with mpmath.workdps(50):
+            want = mpmath.sqrt(2 * (mpmath.mpf(h) - mpmath.mpf(lam) ** 4 / 4))
+            for got in (action_angle._branch_value(deg, g, lam, 1, scale),
+                        action_angle._solve_signed(g, lam, 1, scale)):
+                assert abs(got - want) <= 1e-12 * want, (lam, got)
+
+
+# a of every chart degree the catalog and fixtures/ ship, by chart and j
+SHIPPED_A = {"oscillator_1": 1.0, "quartic_oscillator_1": 0.5,
+             "uncoupled_oscillators_1": 1.0, "uncoupled_oscillators_2": 1.0,
+             "oscillator.sys_1": 1.0}
+
+
+def _class_cases():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    charts = [(name, get_system(name).chart) for name in list_systems()] + [
+        (path.name, loads_system(path.read_text()).chart)
+        for path in sorted(fixtures.glob("*.sys"))]
+    shipped = [(f"{name}_{j}", deg) for name, chart in charts
+               if chart is not None
+               for j, deg in enumerate(chart.degrees, start=1)]
+    assert sorted(key for key, _ in shipped) == sorted(SHIPPED_A)
+    for key, deg in shipped:
+        yield pytest.param(deg.residual, SHIPPED_A[key], id=key)
+    for text, want in [
+            # a cycle between two grid points of its bracket, and a
+            # coupled residual that is quadratic in its own w
+            ("w^2+(lam-0.06)^2-2*h_1", 1.0),
+            ("w^2+lam^2-2*h_1*(1+0.5*w_2^2)", 1.0),
+            # a quartic term, a linear term, an a that reads lam or h,
+            # a < 0, and a pole
+            (QUARTIC_IN_W, None),
+            ("w^2+w+lam^2-2*h_1", None),
+            ("(1+lam^2)*w^2+lam^2-2*h_1", None),
+            ("h_1*w^2+lam^2-1", None),
+            ("-w^2-lam^2+2*h_1", None),
+            ("1/(w^2-2)+lam^2", None)]:
+        yield pytest.param(parse(text, 0), want, id=text)
+
+
+@pytest.mark.parametrize("residual, want", list(_class_cases()))
+def test_the_closed_form_class(residual, want):
+    # want is the a of R = a*w^2 + R(lam, 0), or None out of the class
+    assert ChartDegree(residual, (-8.0, 8.0))._quadratic == want
+
+
+def test_an_out_of_class_chart_keeps_its_bits():
+    # action_spectrum, turning_points and the half-cycle time_map at three
+    # levels, as recorded from the grid walk and Newton solve before the
+    # closed form existed
+    chart = _residual_chart(QUARTIC_IN_W)
+    bits = b"".join(_op_bits(chart, [h], ("spectrum", "turning", "time"))
+                    for h in (0.2, 0.7, 2.0))
+    assert hashlib.sha256(bits).hexdigest() == (
+        "6762c8e79058345f7a49ccfad6721ba55fdd4054249308d1108e3e09d7eb50d4")
+
+
+@pytest.mark.parametrize("text, lam, h, message", [
+    ("1/(w^2-2) + lam^2", 0.5, 0.1,
+     "branch solve stalled at |R|=2.69 (lam=0.5)"),
+    ("1/(w-1.1) + lam^2", 0.5, 0.1,
+     "branch solve met a pole at lam=0.5: float division by zero"),
+    ("-w^2-1", 0.0, 0.0, "branch unbounded at lam=0 (no sign change in w)"),
+    (UNDEFINED_AT_ZERO, 0.5, 0.1,
+     "residual undefined at lam=0.5, w=0: float division by zero"),
+    ("1 + sqrt(0.7 - w)", 0.5, 0.1,
+     "residual undefined at lam=0.5, w=0.733668: math domain error"),
+    (QUARTIC_IN_W, 2.0, 0.7, "no real root at lam=2 (min |R| = 2.6)"),
+    # in the class: the general solve's text for a level without a root
+    ("w^2+lam^2-2*h_1", 2.0, 0.7, "no real root at lam=2 (min |R| = 2.6)"),
+], ids=["stalled", "pole", "unbounded", "undefined_at_0", "tangency_search",
+        "no_root", "no_root_in_the_class"])
+def test_branch_solve_error_texts(text, lam, h, message):
+    with pytest.raises(NoRealRootError) as info:
+        solve_branch(_residual_chart(text), 1, lam, [h])
+    assert str(info.value) == message
 
 
 def test_chart_memo_stays_within_its_cap(monkeypatch):

@@ -31,7 +31,7 @@ from liouville.sysfile import load_system_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-OUTPUT_DIGEST = "d94212ecfeae5f081ad98bcc67611a38675b93cae9ff96d58051196fa9164eae"
+OUTPUT_DIGEST = "83839f43b736cea163ba5adcca578ee12b4adc3682894cdb3b042e1f215216b3"
 
 
 def _level_arg(path: str) -> str:

@@ -247,6 +247,15 @@ def test_chart_section_with_bracket_branch_and_params():
      "bad chart: degree 1: h_2 exceeds h_dim", None),
     ("h_dim = 1\nresidual_1 = lam^2-2*h_1\nbracket_1 = -8, 8\n",
      "degree 1: residual must involve the symbol w", 8),
+    # two spellings of one degree's key
+    ("h_dim = 1\nresidual_1 = w^2+lam^2-2*h_1\nresidual_01 = w^2-2*h_1\n"
+     "bracket_1 = -8, 8\n",
+     "duplicate key 'residual_01' in \\[chart\\]: 'residual_1' names "
+     "degree 1 too", 9),
+    ("h_dim = 1\nresidual_1 = w^2+lam^2-2*h_1\nbracket_+1 = -2, 2\n"
+     "bracket_1 = -8, 8\n",
+     "duplicate key 'bracket_1' in \\[chart\\]: 'bracket_\\+1' names "
+     "degree 1 too", 10),
 ])
 def test_chart_errors(chart_text, message, line):
     with pytest.raises(SystemFileError, match=message) as info:
@@ -555,6 +564,23 @@ def test_actions_with_a_residual_below_degree_1_exits_2(tmp_path, key):
         encoding="utf-8")
     _assert_one_error_line(*run_cli(["actions", str(path), "--h", "0.5"]),
                            f"line 15: bad degree index in '{key}'")
+
+
+def test_two_spellings_of_one_degree_key_are_refused(tmp_path):
+    # residual_01 and bracket_+1 name degree 1 too; the later line used to
+    # win, loading w^2+4*lam^2-2*h_1 on (-2, 2)
+    text = (MINIMAL + "[chart]\nh_dim = 1\n"
+            "residual_1 = w^2+lam^2-2*h_1\nresidual_01 = w^2+4*lam^2-2*h_1\n"
+            "bracket_1 = -8, 8\nbracket_+1 = -2, 2\n")
+    message = ("line 9: duplicate key 'residual_01' in [chart]: 'residual_1' "
+               "names degree 1 too")
+    with pytest.raises(SystemFileError) as info:
+        loads_system(text)
+    assert str(info.value) == message
+    path = tmp_path / "twice.sys"
+    path.write_text(text, encoding="utf-8")
+    _assert_one_error_line(*run_cli(["actions", str(path), "--h", "0.5"]),
+                           f"error: {message}")
 
 
 def test_simulate_writes_csv(tmp_path):
