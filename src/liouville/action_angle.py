@@ -1,11 +1,14 @@
 """Action variables, time maps, and frequencies for separable charts.
 
 A separable chart carries one residual expression per degree of freedom,
-R_j(lam, w) = 0, defining the branch function w_j(lam; h) implicitly.  The
-reserved symbols are ``lam`` and ``w`` for the degree's own pair and
-``h_1..h_k`` for the level parameters.  A residual may also mention another
-degree's state as ``lam_s`` / ``w_s``; that breaks separability, and
-:func:`picard_fuchs_residual` exists to detect exactly this.
+R_j(lam, w) = 0, defining the branch function w_j(lam; h).  The reserved
+symbols are ``lam`` and ``w`` for the degree's own pair and ``h_1..h_k``
+for the level parameters.  A residual has the form of a separated natural
+Hamiltonian, R = a*w^2 + F with a constant a > 0 and F free of w, so each
+branch value is w = sign * sqrt(-F / a).  F may read lam, the h_i, the
+chart's fixed parameters and another degree's state as ``lam_s`` /
+``w_s``; the last breaks separability, and :func:`picard_fuchs_residual`
+exists to detect exactly this.
 
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
@@ -30,12 +33,6 @@ chart memoises each cycle it resolves, per level, with the degree's pair
 actions, turning points, frequencies and time maps at one level share
 one compile, one search and one quadrature per cycle; an interval with a
 fixed end is integrated on each call.
-
-A degree whose residual has the form R = a*w^2 + R(lam, 0) with a constant
-a > 0 (a separated natural Hamiltonian, as every catalog chart) solves each
-branch value in closed form, w = sign * sqrt(-R(lam, 0) / a), from one call
-of its compiled pair; any other residual solves it by a grid walk in w and
-a safeguarded Newton iteration.
 """
 from __future__ import annotations
 
@@ -49,8 +46,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Const, DomainError, Expr, Param, UnboundSymbolError, _substitute,
-    _symbols, compile_functions, gradient, p, parameters_of, q, simplify,
+    BinOp, Call, Const, DomainError, Expr, Param, Pow, UnboundSymbolError,
+    _children, _postorder, _substitute, _symbols, compile_functions,
+    gradient, p, parameters_of, q, simplify,
 )
 
 __all__ = [
@@ -88,14 +86,58 @@ class QuadratureError(ChartError):
     pass
 
 
+_RULE = "residual must be a*w^2 + F with a constant a > 0 and F free of w"
+_W = Param("w")
+
+
+def _derive(residual: Expr, names: frozenset[str]) -> tuple[Expr, ...]:
+    """(R, dR/dw, dR/dh_i for each h_i of ``names``, by i) over the
+    compiled state (q1, p1) = (lam, w)."""
+    reads = sorted((name for name in names if _H_RE.match(name)),
+                   key=lambda name: int(name[2:]))
+    r = _substitute(residual, {Param("lam"): q(1), _W: p(1)})
+    return (r, *gradient(r, ("p1", *reads)))
+
+
+def _stackel_a(residual: Expr, r_w: Expr) -> float:
+    """a of R = a*w^2 + F, F free of w, from R's own tree and its R_w.
+
+    w may sit in R only where R stays a polynomial in w: in no function
+    call, no denominator and no power but 0, 1, 2, ..., so no term that
+    simplifies away can hide a hole in w.  Then R_w must read w alone, its
+    derivative in w simplify to the constant 2a with a > 0, and R_w vanish
+    at w = 0.  ValueError otherwise.
+    """
+    has_w: set[int] = set()
+    for node in _postorder((residual,)):
+        if node != _W and not any(id(c) in has_w for c in _children(node)):
+            continue
+        has_w.add(id(node))
+        cls = type(node)
+        if cls is Call or cls is BinOp and node.op == "/" and \
+                id(node.right) in has_w or cls is Pow and \
+                not (node.exponent >= 0.0 and node.exponent.is_integer()):
+            raise ValueError(f"{_RULE}; w may not sit in a function, a "
+                             "denominator or a fractional or negative power")
+    if _symbols((r_w,)) == ({"p1"}, set()):
+        slope = gradient(r_w, ("p1",))[0]
+        if type(slope) is Const and 0.0 < slope.value < math.inf and \
+                simplify(_substitute(r_w, {p(1): Const(0.0)})) == Const(0.0):
+            return 0.5 * slope.value
+    raise ValueError(_RULE)
+
+
 @dataclass(frozen=True)
 class ChartDegree:
     """One degree of freedom: residual R(lam, w) and the interval
     ``bracket`` in which its turning points are searched.
 
-    The branch selector picks the root sign; libration residuals are
-    symmetric in w, so a pointwise sign is a complete selector.
-    ``_names`` holds the residual's symbol names, walked once.
+    R must be a*w^2 + F with a constant a > 0 and F free of w (see
+    :func:`_stackel_a`); F may read lam, the level symbols, the chart's
+    fixed parameters and other degrees' lam_s / w_s.  The branch selector
+    picks the root sign, a complete selector since R is even in w.
+    ``_names`` holds the residual's symbol names, walked once, ``_trees``
+    its derived trees (:func:`_derive`) and ``_a`` its a.
     """
 
     residual: Expr
@@ -109,33 +151,13 @@ class ChartDegree:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("bracket must be a finite increasing pair")
         object.__setattr__(self, "bracket", (float(a), float(b)))
-        object.__setattr__(self, "_names",
-                           frozenset(parameters_of(self.residual)))
-        if "w" not in self._names:
+        names = frozenset(parameters_of(self.residual))
+        if "w" not in names:
             raise ValueError("residual must involve the symbol w")
-
-    @functools.cached_property
-    def _trees(self) -> tuple[Expr, ...]:
-        """(R, dR/dw, dR/dh_i for each h_i the residual reads, by i) over
-        the compiled state (q1, p1) = (lam, w)."""
-        reads = sorted((name for name in self._names if _H_RE.match(name)),
-                       key=lambda name: int(name[2:]))
-        r = _substitute(self.residual, {Param("lam"): q(1), Param("w"): p(1)})
-        return (r, *gradient(r, ("p1", *reads)))
-
-    @functools.cached_property
-    def _quadratic(self) -> float | None:
-        """a if R = a*w^2 + R(lam, 0) with a constant a > 0, else None: R_w
-        of :attr:`_trees` reads w alone, its derivative in w simplifies to
-        the constant 2a, and it vanishes at w = 0."""
-        r_w = self._trees[1]
-        if _symbols((r_w,)) != ({"p1"}, set()):
-            return None
-        slope = gradient(r_w, ("p1",))[0]
-        if type(slope) is Const and 0.0 < slope.value < math.inf and \
-                simplify(_substitute(r_w, {p(1): Const(0.0)})) == Const(0.0):
-            return 0.5 * slope.value
-        return None
+        trees = _derive(self.residual, names)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_trees", trees)
+        object.__setattr__(self, "_a", _stackel_a(self.residual, trees[1]))
 
 
 @dataclass(frozen=True)
@@ -264,48 +286,6 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
 # root solving on one branch
 
 
-def _solve_root(g, lam: float, lo: float, hi: float, glo: float) -> float:
-    """Newton iteration with a bisection safeguard on a sign bracket.
-
-    A bracket whose sign change is a pole rather than a root stalls or
-    meets the pole; either is NoRealRootError.
-    """
-    w = 0.5 * (lo + hi)
-    best_w = w
-    best_abs = math.inf
-    try:
-        for _ in range(120):
-            gv, dg = g((lam, w))
-            if abs(gv) < best_abs:
-                best_abs, best_w = abs(gv), w
-            if gv == 0.0:
-                return w
-            if (gv > 0.0) == (glo > 0.0):
-                lo, glo = w, gv
-            else:
-                hi = w
-            if dg != 0.0:
-                w_new = w - gv / dg
-                if not lo < w_new < hi:
-                    w_new = 0.5 * (lo + hi)
-            else:
-                w_new = 0.5 * (lo + hi)
-            if abs(w_new - w) <= 2e-16 * (1.0 + abs(w_new)):
-                w = w_new
-                break
-            w = w_new
-        gv, _ = g((lam, w))
-    except DomainError as exc:
-        raise NoRealRootError(
-            f"branch solve met a pole at lam={lam:.6g}: {exc}") from None
-    if abs(gv) < best_abs:
-        best_abs, best_w = abs(gv), w
-    if best_abs > ROOT_TOL:
-        raise NoRealRootError(
-            f"branch solve stalled at |R|={best_abs:.3g} (lam={lam:.6g})")
-    return best_w
-
-
 def _residual(g, lam: float, w: float) -> float:
     """R(lam, w) from the compiled pair ``g``; a DomainError is
     NoRealRootError."""
@@ -339,68 +319,15 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _solve_signed(g, lam: float, sign: int, scale: float) -> float:
-    """The root of R(lam, .) with the requested sign, smallest in magnitude.
-
-    The walk reads the grid points sign * 1e-9 * scale * 2^k, k = 0..63,
-    upward from w = 0 and hands the first cell whose ends differ in sign
-    to :func:`_solve_root`; a DomainError ends the walk.
-
-    Tangency tolerance: if no sign change exists but min |R| <= ROOT_TOL
-    the minimizer is accepted as the (double) root; this is what makes
-    turning points usable as integration endpoints in floating point.  A
-    DomainError at w = 0 or in the tangency search is NoRealRootError.
-    """
-    g0 = _residual(g, lam, 0.0)
-    if g0 == 0.0:
-        return 0.0
-    k, below = 0, (0.0, g0)
-    while k < 64:
-        w = sign * math.ldexp(1e-9 * scale, k)
-        try:
-            gv = g((lam, w))[0]
-        except DomainError:
-            break
-        if (gv > 0.0) != (g0 > 0.0):
-            lo, hi = (below, (w, gv)) if sign > 0 else ((w, gv), below)
-            return _solve_root(g, lam, lo[0], hi[0], lo[1])
-        below, k = (w, gv), k + 1
-    # no sign change: look for a tangency near the minimum of R
-    if g0 < 0.0:
-        # R negative at w=0 and never crossing: branch escapes to infinity
-        raise NoRealRootError(
-            f"branch unbounded at lam={lam:.6g} (no sign change in w)")
-    hi = sign * math.ldexp(1e-9 * scale, k)
-    a, b = (0.0, hi) if sign > 0 else (hi, 0.0)
-    w_min, g_min = _golden_min(lambda w: _residual(g, lam, w), a, b)
-    if g_min < 0.0:
-        lo2, hi2 = (a, w_min) if sign > 0 else (w_min, b)
-        glo2 = _residual(g, lam, lo2)
-        ghi2 = _residual(g, lam, hi2)
-        if (glo2 > 0.0) != (ghi2 > 0.0):
-            return _solve_root(g, lam, lo2, hi2, glo2)
-    if abs(g_min) <= ROOT_TOL:
-        return w_min
-    raise NoRealRootError(
-        f"no real root at lam={lam:.6g} (min |R| = {abs(g_min):.3g})")
-
-
-def _root_scale(lam: float, h: Sequence[float]) -> float:
-    return 1.0 + abs(lam) + max((abs(v) for v in h), default=0.0)
-
-
-def _branch_value(deg: ChartDegree, g, lam: float, sign: int,
-                  scale: float) -> float:
+def _branch_value(deg: ChartDegree, g, lam: float, sign: int) -> float:
     """w on the branch of ``sign`` at lam, with ``g`` the pair of ``deg``:
-    sign * sqrt(-R(lam, 0) / a) where R = a*w^2 + R(lam, 0), or the
-    tangency root 0 where -R(lam, 0) / a < 0 and |R(lam, 0)| <= ROOT_TOL;
-    :func:`_solve_signed` on the grid of ``scale`` for other residuals."""
-    a = deg._quadratic
-    if a is None:
-        return _solve_signed(g, lam, sign, scale)
+    sign * sqrt(-F / a), F = R(lam, 0), or the tangency root 0 where
+    -F / a < 0 but |F| <= ROOT_TOL, which makes turning points usable as
+    integration ends in floating point.  A DomainError in F is
+    NoRealRootError."""
     r0 = _residual(g, lam, 0.0)
     if r0 < 0.0:
-        return sign * math.sqrt(-r0 / a)
+        return sign * math.sqrt(-r0 / deg._a)
     if r0 <= ROOT_TOL:
         return 0.0
     raise NoRealRootError(
@@ -425,8 +352,8 @@ def solve_branch(chart: SeparableChart, j: int, lam: float,
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
     hv = _level(chart, h)
     g, _ = _compile_degree(chart, j, hv)
-    deg, lam = chart.degrees[j - 1], float(lam)
-    return _branch_value(deg, g, lam, deg.branch_sign, _root_scale(lam, hv))
+    deg = chart.degrees[j - 1]
+    return _branch_value(deg, g, float(lam), deg.branch_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +441,16 @@ def _gl(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(tuple(v.tolist()) for v in np.polynomial.legendre.leggauss(n))
 
 
-def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float,
-                  sign: int, h: Sequence[float]):
+def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float, sign: int):
     """The quadrature node of [a, b] at x in (-1, 1), under the
     substitution lam = mid + halfwidth*sin(theta), theta = x*pi/2, which
     turns the inverse-square-root behaviour of dlam near a turning point
     into an analytic integrand in x.
 
     node(x, weight, acc) solves w on ``deg``'s branch of ``sign`` with
-    :func:`_branch_value`, ``g`` and ``rates`` compiled at h, adds weight *
-    dw/dh_i * dlam/dx to acc[i] for each h_i of ``rates`` unless acc is
-    None, and returns weight * w * dlam/dx."""
-    scale = _root_scale(max(abs(a), abs(b)), h)
+    :func:`_branch_value`, ``g`` and ``rates`` compiled at one level, adds
+    weight * dw/dh_i * dlam/dx to acc[i] for each h_i of ``rates`` unless
+    acc is None, and returns weight * w * dlam/dx."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
 
@@ -533,7 +458,7 @@ def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float,
         theta = 0.5 * math.pi * x
         lam = mid + hw * math.sin(theta)
         try:
-            w = _branch_value(deg, g, lam, sign, scale)
+            w = _branch_value(deg, g, lam, sign)
         except NoRealRootError as exc:
             raise QuadratureError(
                 f"lost the real branch inside the interval: {exc}") from None
@@ -560,8 +485,7 @@ def _settled(new: Sequence[float], old: Sequence[float],
 
 
 def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
-                     b: float, h: Sequence[float]
-                     ) -> tuple[float, tuple | str]:
+                     b: float) -> tuple[float, tuple | str]:
     """(integral of |w| from a to b, the integrals of d|w|/dh_i over it for
     the m h_i of ``rates``, or why they do not exist) on the + branch of
     ``deg``, with both ends turning points.
@@ -577,7 +501,7 @@ def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
     stop by :func:`_settled`; doubling goes on for whichever has not
     stopped.
     """
-    node = _branch_nodes(deg, g, rates, a, b, 1, h)
+    node = _branch_nodes(deg, g, rates, a, b, 1)
     n, nodes = _TRAPEZOID_START, range(1, _TRAPEZOID_START)
     total = integral = rated = mids = step = None
     while n <= _N_MAX:
@@ -623,7 +547,7 @@ def _cycle_quadrature(chart: SeparableChart, j: int, hv: Sequence[float],
         a, b = found[2:4]
         found[4] = (0.0, "the level has a degenerate cycle") if a == b else \
             _integrate_cycle(chart.degrees[j - 1], *found[:2],
-                             len(chart.levels[j - 1]), a, b, hv)
+                             len(chart.levels[j - 1]), a, b)
     if not rates:
         return found[4][0]
     if isinstance(found[4][1], str):
@@ -638,7 +562,7 @@ def _interval_rates(chart: SeparableChart, s: int, hv: Sequence[float],
     _N_MAX nodes, stopped by :func:`_settled`."""
     g, rates = _cycle(chart, s, hv)[:2]
     deg = chart.degrees[s - 1]
-    node = _branch_nodes(deg, g, rates, a, b, deg.branch_sign, hv)
+    node = _branch_nodes(deg, g, rates, a, b, deg.branch_sign)
     n, sums, step = _GL_START, None, None
     while n <= _N_MAX:
         last, sums = sums, [0.0] * len(chart.levels[s - 1])
@@ -766,8 +690,7 @@ def _environments(chart: SeparableChart, hv: list[float],
         for env, f in zip(envs, fractions):
             lam_s = mid + f * hw
             env[f"lam_{s}"] = lam_s
-            env[f"w_{s}"] = _branch_value(deg, g, lam_s, deg.branch_sign,
-                                          _root_scale(lam_s, hv))
+            env[f"w_{s}"] = _branch_value(deg, g, lam_s, deg.branch_sign)
     return envs
 
 
@@ -796,10 +719,9 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
         branches = [_compile_degree(chart, i, hv, env) for env in envs]
         usable = 0
         for lam in probe_vals:
-            scale = _root_scale(lam, hv)
             try:
                 vals = [_branch_rates(rates, lam, _branch_value(
-                            deg, g, lam, deg.branch_sign, scale))
+                            deg, g, lam, deg.branch_sign))
                         for g, rates in branches]
             except ChartError:
                 continue

@@ -1,5 +1,4 @@
 """Branch solving, turning points, actions, time maps, and frequencies."""
-import hashlib
 import math
 from pathlib import Path
 
@@ -78,48 +77,19 @@ def test_solve_branch_negative_sign():
                                                                abs=1e-10)
 
 
-def _residual_chart(text: str, branch_sign: int = 1) -> SeparableChart:
-    return SeparableChart((ChartDegree(parse(text, 0), (-8.0, 8.0),
-                                       branch_sign),), h_dim=1)
+def _residual_chart(text: str) -> SeparableChart:
+    return SeparableChart((ChartDegree(parse(text, 0), (-8.0, 8.0)),),
+                          h_dim=1)
 
 
-@pytest.mark.parametrize("text, sign, want", [
-    # roots in the grid cells near 1e-9 * 2^30, 2^33 and 2^37
-    ("(w-1)*(w-10)*(w-100)", 1, 1.0),
-    ("(w+1)*(w+10)*(w+100)", -1, -1.0),
-    # both roots inside one cell: no grid point sees a sign change, and
-    # the golden-section minimum re-brackets the smaller one
-    ("(w-0.99)*(w-1.01)", 1, 0.99),
-    # R raises a DomainError above w = 3, past the root
-    ("(w-1)*sqrt(3-w)", 1, 1.0),
-    # four sign changes: the walk stops at the first, in the cell near
-    # 1e-9 * 2^29, below the others
-    ("(w-0.5)*(w-2)*(w-3)*(w-7)", 1, 0.5),
-], ids=["three_roots", "three_negative_roots", "two_roots_in_one_cell",
-        "domain_hole_above_the_root", "four_roots"])
-def test_solve_branch_returns_the_smallest_root_of_the_sign(text, sign, want):
-    w = solve_branch(_residual_chart(text, sign), 1, 0.0, [0.0])
-    assert w == pytest.approx(want, abs=1e-12)
-
-
-def test_solve_branch_unbounded_branch():
-    # R(lam, 0) < 0 and R never crosses zero: the branch escapes to infinity
-    with pytest.raises(NoRealRootError, match="branch unbounded"):
-        solve_branch(_residual_chart("-w^2-1"), 1, 0.0, [0.0])
-
-
-@pytest.mark.parametrize("text, match", [
-    # the sign change near w = 1.414 is a pole, beside which Newton stalls
-    ("1/(w^2-2) + lam^2", "stalled"),
-    # the bisection lands on the pole w = 1.1 itself
-    ("1/(w-1.1) + lam^2", "pole"),
-])
-def test_a_pole_in_the_sign_bracket_is_no_real_root(text, match):
-    with pytest.raises(NoRealRootError, match=match):
-        solve_branch(_residual_chart(text), 1, 0.5, [0.1])
-
-
-UNDEFINED_AT_ZERO = "1/w + lam^2 - h_1"
+# residuals outside the class a*w^2 + F, which no chart degree accepts: a
+# quartic in w, and a zero term that simplifies away but leaves R
+# undefined for w > 1
+QUARTIC_IN_W = "w^2+0.1*w^4+lam^2-2*h_1"
+SQRT_OF_W = "w^2+0*sqrt(1-w)+lam^2-2*h_1"
+# in the class, F = R(lam, 0) has a pole at lam = 0.5 and no real value
+# below lam = -7
+UNDEFINED_IN_LAM = "w^2 + lam^2 - h_1 + 1/(lam - 0.5) + sqrt(lam + 7)"
 
 
 def _branch(chart):
@@ -131,21 +101,19 @@ def _turns(chart):
 
 
 @pytest.mark.parametrize("text, call, lam", [
-    # R(lam, 0) itself is undefined: the branch solve's first read, then
-    # the cycle search's first grid point
-    (UNDEFINED_AT_ZERO, _branch, "0.5"),
-    (UNDEFINED_AT_ZERO, _turns, "-8"),
-    (UNDEFINED_AT_ZERO, lambda chart: action_spectrum(chart, [0.1]), "-8"),
-    # the tangency search in w runs past the hole above w = 0.7
-    ("1 + sqrt(0.7 - w)", _branch, "0.5"),
+    # F itself is undefined: the branch solve's one read, then the cycle
+    # search's first grid point
+    (UNDEFINED_IN_LAM, _branch, "0.5"),
+    (UNDEFINED_IN_LAM, _turns, "-8"),
+    (UNDEFINED_IN_LAM, lambda chart: action_spectrum(chart, [0.1]), "-8"),
     # the turning-point bisection lands on the pole between grid points
     ("w^2 + lam^2 - 1 + 1/(lam - 0.9375)", _turns, "0.9375"),
     # no grid point is negative, and the minimum search enters the hole
     # around lam = 0.0625
     ("w^2 + (lam-0.0625)^2 - 0.001 + sqrt((lam-0.0625)^2 - 1e-4)", _turns,
      "0.06"),
-], ids=["solve_branch", "turning_points", "action_spectrum",
-        "tangency_search", "bisection", "cycle_minimum_search"])
+], ids=["solve_branch", "turning_points", "action_spectrum", "bisection",
+        "cycle_minimum_search"])
 def test_a_residual_leaving_its_domain_is_no_real_root(text, call, lam):
     with pytest.raises(NoRealRootError,
                        match=f"residual undefined at lam={lam}"):
@@ -159,37 +127,6 @@ def test_a_cycle_reaching_the_bracket_ends_is_no_real_root():
     with pytest.raises(NoRealRootError, match="bracket endpoints must lie "
                        "outside the classically allowed region"):
         turning_points(chart, 1, [2.0])
-
-
-@pytest.mark.parametrize("text", [
-    "(w-1)*sqrt(3-w)",      # the walk meets the DomainError hole past 3
-    "(w-0.5)*(w-2)*(w-3)*(w-7)",    # four sign changes
-    "(w-0.99)*(w-1.01)",    # no grid point sees a sign change
-    "-w^2-1",               # an unbounded branch
-])
-def test_a_warm_walk_that_fails_starts_again_from_zero(text):
-    # no walk is warm: a quadrature node keeps no grid cell from the node
-    # before, so every node of these out-of-class residuals, visited in
-    # any order, gives the cold walk's root or its error text
-    chart = _residual_chart(text)
-    deg = chart.degrees[0]
-    assert deg._quadratic is None
-    g, rates = action_angle._compile_degree(chart, 1, [0.0])
-    node = action_angle._branch_nodes(deg, g, rates, -1.0, 1.0, 1, [0.0])
-    scale = action_angle._root_scale(1.0, [0.0])
-    for x in (0.5, -0.75, 0.875, 0.5, -0.25):
-        theta = 0.5 * math.pi * x
-        lam = math.sin(theta)
-        try:
-            want = action_angle._solve_signed(g, lam, 1, scale) * 0.5 * \
-                math.pi * math.cos(theta)
-        except NoRealRootError as exc:
-            want = f"lost the real branch inside the interval: {exc}"
-        try:
-            got = node(x, 1.0, None)
-        except QuadratureError as exc:
-            got = str(exc)
-        assert got == want, x
 
 
 def test_solve_branch_index_and_level_validation(osc):
@@ -219,7 +156,7 @@ def test_turning_points_degenerate_level(osc):
 
 def test_solve_branch_at_a_turning_point_lands_on_the_tangency_root(
         osc, quartic, uncoupled):
-    # R(lam+-, .) has no sign change there, so the root is the minimiser
+    # R(lam+-, 0) is at most ROOT_TOL above 0 there, so the root is w = 0
     for chart, h in ((osc, [0.7]), (quartic, [0.8]), (uncoupled, [0.6, 0.8])):
         for j in range(1, chart.n + 1):
             for lam in turning_points(chart, j, h):
@@ -322,35 +259,17 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def _chart(name: str) -> SeparableChart:
-    """The chart of the catalog system ``name``, or else the one-degree
-    chart of the residual text ``name``."""
-    if name in list_systems():
-        return get_system(name).chart
-    return _residual_chart(name)
-
-
-QUARTIC_IN_W = "w^2+0.1*w^4+lam^2-2*h_1"
-
-
 @pytest.mark.parametrize("name, h, spectrum_solves", [
-    ("oscillator", 0.5, 15), ("quartic_oscillator", 0.7, 63),
-    (QUARTIC_IN_W, 0.7, 63)])
+    ("oscillator", 0.5, 15), ("quartic_oscillator", 0.7, 63)])
 def test_actions_and_frequencies_share_their_branch_solves(
         monkeypatch, name, h, spectrum_solves):
     # Gauss-Legendre doubling from 16 nodes took 16 + 32 (+ 64) solves for
     # the action alone.  The trapezoid rule from 8 intervals reuses its
     # nodes, and the rates' midpoint sums read the same solves, so a whole
-    # action_spectrum takes 15 (oscillator) and 63 (both quartics).  A
-    # chart of the form a*w^2 + R(lam, 0) solves each in closed form; the
-    # one quartic in w solves each by the grid walk and Newton iteration
-    chart = _chart(name)
+    # action_spectrum takes 15 (oscillator) and 63 (quartic)
     solves = _count_calls(monkeypatch, "_branch_value")
-    searches = _count_calls(monkeypatch, "_solve_signed")
-    action_spectrum(chart, [h])
+    action_spectrum(get_system(name).chart, [h])
     assert 0 < solves[0] <= spectrum_solves
-    in_class = chart.degrees[0]._quadratic is not None
-    assert searches[0] == (0 if in_class else solves[0])
 
 
 def _count_root_calls(monkeypatch) -> list[int]:
@@ -424,7 +343,7 @@ def test_turning_points_and_time_map_reuse_the_spectrum(monkeypatch, name, h):
     # h = 5e-7 is just above the oscillator's cycle birth at h = 0
     chart = get_system(name).chart
     action_spectrum(chart, h)
-    calls = _count_calls(monkeypatch, "_solve_signed")
+    calls = _count_calls(monkeypatch, "_branch_value")
     root_calls = _count_root_calls(monkeypatch)
     _op_bits(chart, h, ("turning", "time"))
     assert calls[0] == root_calls[0] == 0
@@ -494,6 +413,10 @@ def test_root_layer_results_are_python_floats():
 
 def test_time_map_empty_interval(osc):
     assert time_map(osc, [0.5], [(0.3, 0.3)]) == (0.0,)
+    # both ends lie within 1e-7 of the turning point 1, so both are moved
+    # onto it and the interval is empty too
+    _, b = turning_points(osc, 1, [0.5])
+    assert time_map(osc, [0.5], [(b - 5e-8, b + 5e-10)]) == (0.0,)
 
 
 def test_time_map_untouched_degree_contributes_nothing(uncoupled):
@@ -641,9 +564,10 @@ def test_picard_fuchs_detects_coupling():
 
 
 def test_picard_fuchs_skips_a_probe_whose_branch_meets_a_pole():
-    # at lam = 0.5 degree 1 brackets its pole, not a root
+    # at lam = 0.5 degree 1's branch meets the pole of its F
     chart = SeparableChart((
-        ChartDegree(parse("1/(w^2-2) + lam^2 - h_1 + 0*w_2", 0), (-8.0, 8.0)),
+        ChartDegree(parse("w^2 + (lam-1)^2 - h_1 + 0*w_2 + 1e-3/(lam-0.5)", 0),
+                    (-8.0, 8.0)),
         ChartDegree(parse("w^2 + lam^2 - 2*h_2", 0), (-8.0, 8.0))), h_dim=2)
     assert picard_fuchs_residual(chart, (0.1, 0.5), [1.0]) == 0.0
     assert picard_fuchs_residual(chart, (0.1, 0.5), [0.5, 1.0]) == 0.0
@@ -659,11 +583,26 @@ def test_picard_fuchs_probe_validation():
         picard_fuchs_residual(chart, [0.5, 0.8], [7.9])
 
 
+@pytest.mark.parametrize("r2, h, match", [
+    # degree 2 reads w_1 in turn, so its states have no environment
+    ("w^2+4*lam^2-2*h_2*(1+0.5*w_1^2)", [0.5, 0.8],
+     "cannot build environments from coupled degree 2"),
+    # at h_2 = 0 degree 2's cycle is a point, whose state cannot be varied
+    ("w^2+4*lam^2-2*h_2", [0.5, 0.0],
+     "degenerate cycle in degree 2 cannot be varied"),
+], ids=["coupled", "degenerate"])
+def test_picard_fuchs_needs_an_uncoupled_cycle_to_vary(r2, h, match):
+    chart = SeparableChart((_coupled_chart().degrees[0],
+                            ChartDegree(parse(r2, 0), (-8.0, 8.0))), h_dim=2)
+    with pytest.raises(ChartError, match=match):
+        picard_fuchs_residual(chart, h, [0.1])
+
+
 @pytest.mark.parametrize("text, match", [
     # R(lam, 0) = 0, so the branch is w = 0 exactly, where R_w = 0
-    ("w^2*(1+lam_1^2)", "dR/dw vanishes on the branch"),
+    ("w^2+0*lam_1^2", "dR/dw vanishes on the branch"),
     # dR/dh_2 = 0.5 / sqrt(h_2 - 0.5) divides by zero at h_2 = 0.5
-    ("w - lam_1^2 - 1 + sqrt(h_2 - 0.5)", "no level derivative"),
+    ("w^2 - lam_1^2 - 1 + sqrt(h_2 - 0.5)", "no level derivative"),
 ])
 def test_picard_fuchs_skips_a_probe_without_a_rate(monkeypatch, text, match):
     chart = SeparableChart((
@@ -779,7 +718,7 @@ def test_error_hierarchy():
 
 def test_chart_pair_matches_substituting_the_derivative_in_w():
     # differentiating R(q1, p1) in p1 gives the tree that substituting both R
-    # and dR/dw gives
+    # and dR/dw gives, for residuals in the class a*w^2 + F and outside it
     def substituted(e):
         return substitute_param(substitute_param(e, "lam", q(1)), "w", p(1))
 
@@ -792,7 +731,7 @@ def test_chart_pair_matches_substituting_the_derivative_in_w():
     charts = [get_system(name).chart for name in list_systems()]
     for r in [deg.residual for chart in charts if chart is not None
               for deg in chart.degrees] + trees:
-        pair = ChartDegree(r, (-1.0, 1.0))._trees[:2]
+        pair = action_angle._derive(r, frozenset(parameters_of(r)))[:2]
         want = (substituted(r), substituted(differentiate(r, "w")))
         assert repr(pair) == repr(want), to_string(r)
 
@@ -815,11 +754,23 @@ def _chart_factories():
                 path.read_text()).chart, id=path.name)
 
 
+# (a, w^2 = -F / a as a function of the level value h_j and lam) of every
+# chart degree the catalog and fixtures/ ship, by chart and j
+SHIPPED = {
+    "oscillator_1": (1.0, lambda h, lam: 2 * h - lam ** 2),
+    "quartic_oscillator_1": (0.5, lambda h, lam: 2 * (h - lam ** 4 / 4)),
+    "uncoupled_oscillators_1": (1.0, lambda h, lam: 2 * h - lam ** 2),
+    "uncoupled_oscillators_2": (1.0, lambda h, lam: 2 * h - 4 * lam ** 2),
+    "oscillator.sys_1": (1.0, lambda h, lam: 2 * h - lam ** 2),
+}
+
+
 @pytest.mark.parametrize("fresh", list(_chart_factories()))
-def test_closed_form_branches_match_the_general_solve(fresh):
+def test_closed_form_branches_match_a_50_digit_reference(request, fresh):
     # at the theta-nodes of a 256-interval rule over each cycle, at levels
     # just above a cycle's birth, on turning points that sit on a grid
     # point of the bracket (-8, 8), and across the benchmark's range
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(34)
     chart = fresh()
     levels = [[v] * chart.h_dim for v in (5e-7, 0.25, 0.5, 2.0)] + [
@@ -827,42 +778,35 @@ def test_closed_form_branches_match_the_general_solve(fresh):
     theta = [0.5 * math.pi * (-1.0 + k / 128.0) for k in range(1, 256)]
     for h in levels:
         for j, deg in enumerate(chart.degrees, start=1):
-            assert deg._quadratic is not None
+            squared = SHIPPED[f"{request.node.callspec.id}_{j}"][1]
             g, _ = action_angle._compile_degree(chart, j, h)
             a, b = turning_points(chart, j, h)
-            scale = action_angle._root_scale(max(abs(a), abs(b)), h)
             for t in theta:
                 lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(t)
-                for sign in (1, -1):
-                    got = action_angle._branch_value(deg, g, lam, sign, scale)
-                    want = action_angle._solve_signed(g, lam, sign, scale)
-                    assert abs(got - want) <= 1e-12 * abs(want), (h, j, lam)
+                with mpmath.workdps(50):
+                    want = mpmath.sqrt(squared(mpmath.mpf(h[j - 1]),
+                                               mpmath.mpf(lam)))
+                    for sign in (1, -1):
+                        got = action_angle._branch_value(deg, g, lam, sign)
+                        assert abs(got - sign * want) <= 1e-12 * want, \
+                            (h, j, lam)
 
 
 @pytest.mark.parametrize("h", [0.2, 0.7, 2.0])
 def test_quartic_branch_values_match_a_50_digit_reference(quartic, h):
     # w = sqrt(2 (h - lam^4 / 4)) at 50 digits, at the theta-nodes of a
-    # 256-interval rule over the cycle, from the closed form and from the
-    # general solve
+    # 256-interval rule over the cycle
     mpmath = pytest.importorskip("mpmath")
     deg = quartic.degrees[0]
     g, _ = action_angle._compile_degree(quartic, 1, [h])
     a, b = turning_points(quartic, 1, [h])
-    scale = action_angle._root_scale(max(abs(a), abs(b)), [h])
     for k in range(1, 256):
         lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(
             0.5 * math.pi * (-1.0 + k / 128.0))
         with mpmath.workdps(50):
             want = mpmath.sqrt(2 * (mpmath.mpf(h) - mpmath.mpf(lam) ** 4 / 4))
-            for got in (action_angle._branch_value(deg, g, lam, 1, scale),
-                        action_angle._solve_signed(g, lam, 1, scale)):
-                assert abs(got - want) <= 1e-12 * want, (lam, got)
-
-
-# a of every chart degree the catalog and fixtures/ ship, by chart and j
-SHIPPED_A = {"oscillator_1": 1.0, "quartic_oscillator_1": 0.5,
-             "uncoupled_oscillators_1": 1.0, "uncoupled_oscillators_2": 1.0,
-             "oscillator.sys_1": 1.0}
+            got = action_angle._branch_value(deg, g, lam, 1)
+            assert abs(got - want) <= 1e-12 * want, (lam, got)
 
 
 def _class_cases():
@@ -873,14 +817,16 @@ def _class_cases():
     shipped = [(f"{name}_{j}", deg) for name, chart in charts
                if chart is not None
                for j, deg in enumerate(chart.degrees, start=1)]
-    assert sorted(key for key, _ in shipped) == sorted(SHIPPED_A)
+    assert sorted(key for key, _ in shipped) == sorted(SHIPPED)
     for key, deg in shipped:
-        yield pytest.param(deg.residual, SHIPPED_A[key], id=key)
+        yield pytest.param(deg.residual, SHIPPED[key][0], id=key)
     for text, want in [
-            # a cycle between two grid points of its bracket, and a
-            # coupled residual that is quadratic in its own w
+            # a cycle between two grid points of its bracket, a coupled
+            # residual that is quadratic in its own w, and a zero term
+            # that keeps R a polynomial in w
             ("w^2+(lam-0.06)^2-2*h_1", 1.0),
             ("w^2+lam^2-2*h_1*(1+0.5*w_2^2)", 1.0),
+            ("w^2+0*w^3+lam^2-2*h_1", 1.0),
             # a quartic term, a linear term, an a that reads lam or h,
             # a < 0, and a pole
             (QUARTIC_IN_W, None),
@@ -888,42 +834,29 @@ def _class_cases():
             ("(1+lam^2)*w^2+lam^2-2*h_1", None),
             ("h_1*w^2+lam^2-1", None),
             ("-w^2-lam^2+2*h_1", None),
-            ("1/(w^2-2)+lam^2", None)]:
+            ("1/(w^2-2)+lam^2", None),
+            # zero terms that simplify away but leave R undefined for
+            # w > 1 and at w = 0
+            (SQRT_OF_W, None),
+            ("w^2+0*(1/w)+lam^2-2*h_1", None)]:
         yield pytest.param(parse(text, 0), want, id=text)
 
 
 @pytest.mark.parametrize("residual, want", list(_class_cases()))
 def test_the_closed_form_class(residual, want):
-    # want is the a of R = a*w^2 + R(lam, 0), or None out of the class
-    assert ChartDegree(residual, (-8.0, 8.0))._quadratic == want
-
-
-def test_an_out_of_class_chart_keeps_its_bits():
-    # action_spectrum, turning_points and the half-cycle time_map at three
-    # levels, as recorded from the grid walk and Newton solve before the
-    # closed form existed
-    chart = _residual_chart(QUARTIC_IN_W)
-    bits = b"".join(_op_bits(chart, [h], ("spectrum", "turning", "time"))
-                    for h in (0.2, 0.7, 2.0))
-    assert hashlib.sha256(bits).hexdigest() == (
-        "6762c8e79058345f7a49ccfad6721ba55fdd4054249308d1108e3e09d7eb50d4")
+    # want is the a of R = a*w^2 + F, or None where the degree is refused
+    if want is None:
+        with pytest.raises(ValueError, match="residual must be a"):
+            ChartDegree(residual, (-8.0, 8.0))
+    else:
+        assert ChartDegree(residual, (-8.0, 8.0))._a == want
 
 
 @pytest.mark.parametrize("text, lam, h, message", [
-    ("1/(w^2-2) + lam^2", 0.5, 0.1,
-     "branch solve stalled at |R|=2.69 (lam=0.5)"),
-    ("1/(w-1.1) + lam^2", 0.5, 0.1,
-     "branch solve met a pole at lam=0.5: float division by zero"),
-    ("-w^2-1", 0.0, 0.0, "branch unbounded at lam=0 (no sign change in w)"),
-    (UNDEFINED_AT_ZERO, 0.5, 0.1,
+    (UNDEFINED_IN_LAM, 0.5, 0.1,
      "residual undefined at lam=0.5, w=0: float division by zero"),
-    ("1 + sqrt(0.7 - w)", 0.5, 0.1,
-     "residual undefined at lam=0.5, w=0.733668: math domain error"),
-    (QUARTIC_IN_W, 2.0, 0.7, "no real root at lam=2 (min |R| = 2.6)"),
-    # in the class: the general solve's text for a level without a root
     ("w^2+lam^2-2*h_1", 2.0, 0.7, "no real root at lam=2 (min |R| = 2.6)"),
-], ids=["stalled", "pole", "unbounded", "undefined_at_0", "tangency_search",
-        "no_root", "no_root_in_the_class"])
+], ids=["undefined_at_0", "no_root_in_the_class"])
 def test_branch_solve_error_texts(text, lam, h, message):
     with pytest.raises(NoRealRootError) as info:
         solve_branch(_residual_chart(text), 1, lam, [h])

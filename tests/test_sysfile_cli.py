@@ -26,7 +26,7 @@ from liouville.expr import EvalPoint, evaluate
 from liouville.sysfile import (
     SystemFileError, export_system_file, load_system_file, loads_system,
 )
-from test_action_angle import UNDEFINED_AT_ZERO, _quartic_period
+from test_action_angle import QUARTIC_IN_W, SQRT_OF_W, _quartic_period
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -545,14 +545,26 @@ def test_actions_on_a_coupled_chart_exits_2(tmp_path):
     assert "another degree's state" in err
 
 
-def test_actions_on_a_residual_undefined_at_w_0_exits_2(tmp_path):
-    path = tmp_path / "pole.sys"
+def _assert_residual_refused(tmp_path, residual):
+    """``actions`` on a chart of ``residual``, outside the class a*w^2 + F,
+    exits 2 naming the residual's line and the rule."""
+    path = tmp_path / "chart.sys"
     path.write_text(
         MINIMAL + "[chart]\nh_dim = 1\n"
-        f"residual_1 = {UNDEFINED_AT_ZERO}\nbracket_1 = -8, 8\n",
-        encoding="utf-8")
-    _assert_one_error_line(*run_cli(["actions", str(path), "--h", "0.1"]),
-                           "error: residual undefined at lam=")
+        f"residual_1 = {residual}\nbracket_1 = -8, 8\n", encoding="utf-8")
+    _assert_one_error_line(
+        *run_cli(["actions", str(path), "--h", "0.1"]),
+        "error: line 8: degree 1: residual must be a*w^2 + F with a "
+        "constant a > 0 and F free of w")
+
+
+def test_actions_on_a_residual_undefined_at_w_0_exits_2(tmp_path):
+    _assert_residual_refused(tmp_path, "1/w + lam^2 - h_1")
+
+
+@pytest.mark.parametrize("residual", [QUARTIC_IN_W, SQRT_OF_W])
+def test_actions_on_a_residual_outside_the_class_exits_2(tmp_path, residual):
+    _assert_residual_refused(tmp_path, residual)
 
 
 @pytest.mark.parametrize("key", ["residual_0", "residual_-1"])
