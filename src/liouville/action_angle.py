@@ -13,26 +13,25 @@ exists to detect exactly this.
 Cycles are restricted to two-branch libration topology (w symmetric up to
 sign between two turning points).
 
-Every level derivative is an integral of the branch's own rate
-dw/dh_i = -R_{h_i} / R_w (the implicit-function theorem); a turning-point
-end adds nothing, since w vanishes there.  Time maps sum these integrals
-over the given intervals, and the frequency matrix inverts
-d gamma_i / d h_j = (1/pi) * integral of d|w_i|/dh_j over degree i's
-cycle, so 2 pi / omega equals twice the half-cycle time.
+Every level derivative is an integral of the branch's own rate dw/dh_i =
+-R_{h_i} / R_w = -F_{h_i} / (2a*w) (the implicit-function theorem); a
+turning-point end adds nothing, since w vanishes there.  Time maps sum
+these integrals over the given intervals, and the frequency matrix
+inverts d gamma_i / d h_j = (1/pi) * integral of d|w_i|/dh_j over degree
+i's cycle, so 2 pi / omega equals twice the half-cycle time.
 
 Branch integrals run in theta, lam = mid + halfwidth*sin(theta).  Over a
-cycle (one turning point to the other) both w and -R_h/R_w, times
+cycle (one turning point to the other) both w and -F_h/(2a*w), times
 dlam/dtheta, continue to periodic analytic integrands, so one nested
 trapezoid rule integrates the action and reuses every node when it
 doubles; each doubling's fresh nodes are the midpoint rule of the last
 step, which integrates the rates on the action's own branch solves.  An
-interval with a fixed interior end uses Gauss-Legendre doubling.  Each
-degree derives R, R_w and its R_{h_i} once, in one gradient pass.  A
-chart memoises each cycle it resolves, per level, with the degree's pair
-(R, R_w) and rates compiled there and its integrals once computed, so
-actions, turning points, frequencies and time maps at one level share
-one compile, one search and one quadrature per cycle; an interval with a
-fixed end is integrated on each call.
+interval with a fixed interior end uses Gauss-Legendre doubling.  A
+chart memoises each cycle it resolves, per level, with the degree's F
+and F_{h_i} compiled there as functions of lam alone and its integrals
+once computed, so actions, turning points, frequencies and time maps at
+one level share one compile, one search and one quadrature per cycle;
+an interval with a fixed end is integrated on each call.
 """
 from __future__ import annotations
 
@@ -130,14 +129,14 @@ def _stackel_a(residual: Expr, r_w: Expr) -> float:
 @dataclass(frozen=True)
 class ChartDegree:
     """One degree of freedom: residual R(lam, w) and the interval
-    ``bracket`` in which its turning points are searched.
+    ``bracket``, holding one cycle, in which its turning points are found.
 
     R must be a*w^2 + F with a constant a > 0 and F free of w (see
     :func:`_stackel_a`); F may read lam, the level symbols, the chart's
     fixed parameters and other degrees' lam_s / w_s.  The branch selector
     picks the root sign, a complete selector since R is even in w.
-    ``_names`` holds the residual's symbol names, walked once, ``_trees``
-    its derived trees (:func:`_derive`) and ``_a`` its a.
+    ``_names`` holds the residual's symbol names, walked once, ``_a`` its
+    a, ``_trees`` F, F_{h_i}: R, R_{h_i} of :func:`_derive` at w = 0.
     """
 
     residual: Expr
@@ -154,10 +153,11 @@ class ChartDegree:
         names = frozenset(parameters_of(self.residual))
         if "w" not in names:
             raise ValueError("residual must involve the symbol w")
-        trees = _derive(self.residual, names)
+        r, r_w, *r_h = _derive(self.residual, names)
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_trees", trees)
-        object.__setattr__(self, "_a", _stackel_a(self.residual, trees[1]))
+        object.__setattr__(self, "_a", _stackel_a(self.residual, r_w))
+        object.__setattr__(self, "_trees", tuple(
+            _substitute(t, {p(1): Const(0.0)}) for t in (r, *r_h)))
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,9 @@ def _bits(values: Sequence[float]) -> bytes:
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
                     env: Mapping[str, float] | None = None
                     ) -> tuple[Callable, Callable]:
-    """Degree j's pair (R, dR/dw) and rates (dR/dw, dR/dh_i for each h_i
-    it reads), each compiled as a function of (lam, w) at the level hv
-    (already checked by :func:`_level`), with ``env`` binding other
-    degrees' states."""
+    """Degree j's (F,) and rates (dF/dh_i for each h_i it reads), each
+    compiled as a function of (lam,) at the level hv (already checked by
+    :func:`_level`), with ``env`` binding other degrees' states."""
     if not 1 <= j <= chart.n:
         raise ValueError(f"degree index {j} out of range 1..{chart.n}")
     trees = chart.degrees[j - 1]._trees
@@ -274,7 +273,7 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
     if env:
         params.update(env)
     try:
-        return (compile_functions(trees[:2], 1, params),
+        return (compile_functions(trees[:1], 1, params),
                 compile_functions(trees[1:], 1, params))
     except UnboundSymbolError as exc:
         raise ChartError(
@@ -286,14 +285,14 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
 # root solving on one branch
 
 
-def _residual(g, lam: float, w: float) -> float:
-    """R(lam, w) from the compiled pair ``g``; a DomainError is
+def _residual(g, lam: float) -> float:
+    """F(lam) = R(lam, 0) from a degree's compiled ``g``; a DomainError is
     NoRealRootError."""
     try:
-        return g((lam, w))[0]
+        return g((lam,))[0]
     except DomainError as exc:
         raise NoRealRootError(
-            f"residual undefined at lam={lam:.6g}, w={w:.6g}: {exc}") from None
+            f"residual undefined at lam={lam:.6g}, w=0: {exc}") from None
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float
@@ -320,12 +319,11 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float
 
 
 def _branch_value(deg: ChartDegree, g, lam: float, sign: int) -> float:
-    """w on the branch of ``sign`` at lam, with ``g`` the pair of ``deg``:
-    sign * sqrt(-F / a), F = R(lam, 0), or the tangency root 0 where
-    -F / a < 0 but |F| <= ROOT_TOL, which makes turning points usable as
-    integration ends in floating point.  A DomainError in F is
-    NoRealRootError."""
-    r0 = _residual(g, lam, 0.0)
+    """w on the branch of ``sign`` at lam, with ``g`` the F of ``deg``:
+    sign * sqrt(-F / a), or the tangency root 0 where -F / a < 0 but
+    |F| <= ROOT_TOL, which makes turning points usable as integration ends
+    in floating point.  A DomainError in F is NoRealRootError."""
+    r0 = _residual(g, lam)
     if r0 < 0.0:
         return sign * math.sqrt(-r0 / deg._a)
     if r0 <= ROOT_TOL:
@@ -334,17 +332,18 @@ def _branch_value(deg: ChartDegree, g, lam: float, sign: int) -> float:
         f"no real root at lam={lam:.6g} (min |R| = {r0:.3g})")
 
 
-def _branch_rates(rates, lam: float, w: float) -> list[float]:
-    """dw/dh_i = -R_{h_i} / R_w at the branch point (lam, w), for each h_i
-    of ``rates``, a degree's rates from :func:`_compile_degree`."""
+def _branch_rates(deg: ChartDegree, rates, lam: float,
+                  w: float) -> list[float]:
+    """dw/dh_i = -F_{h_i} / (2a*w) at the branch point (lam, w) of ``deg``,
+    for each h_i of ``rates``, its rates from :func:`_compile_degree`."""
     try:
-        r_w, *r_h = rates((lam, w))
+        f_h = rates((lam,))
     except DomainError as exc:
         raise QuadratureError(
             f"no level derivative at lam={lam:.6g}: {exc}") from None
-    if r_w == 0.0:
+    if (r_w := 2.0 * deg._a * w) == 0.0:
         raise QuadratureError(f"dR/dw vanishes on the branch at lam={lam:.6g}")
-    return [-v / r_w for v in r_h]
+    return [-v / r_w for v in f_h]
 
 
 def solve_branch(chart: SeparableChart, j: int, lam: float,
@@ -364,16 +363,17 @@ def turning_points(chart: SeparableChart, j: int,
                    h: Sequence[float]) -> tuple[float, float]:
     """Cycle endpoints (lam-, lam+) where the branch pair collapses, w -> 0.
 
-    Bisection on the sign of R(lam, 0): negative inside the classically
-    allowed region, positive outside.  Returned endpoints sit on the
-    outside of the sign change, where solve_branch lands on the tangency
-    root, so |w(lam+-)| is at the floating-point floor.
+    Bisection on the sign of F = R(lam, 0): negative inside the
+    classically allowed region, positive outside.  Returned endpoints sit
+    on the outside of the sign change, where solve_branch lands on the
+    tangency root, so |w(lam+-)| is at the floating-point floor.  A
+    bracket whose grid finds two allowed intervals is NoRealRootError.
     """
     return tuple(_cycle(chart, j, _level(chart, h))[2:4])
 
 
 def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
-    """[degree j's pair and rates compiled at hv, lam-, lam+, the cycle's
+    """[degree j's F and rates compiled at hv, lam-, lam+, the cycle's
     quadrature or None until computed]: the one search for turning
     points, behind :func:`turning_points`, run once per chart, degree and
     level."""
@@ -389,13 +389,15 @@ def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
 
 
 def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
-    """(lam-, lam+) of ``deg`` with ``g`` its compiled pair, from the first
-    and last of 129 bracket points where R(lam, 0) < 0 (for an even
-    libration residual, where the pair +-|w| exists), each bisected against
-    its outer neighbour.  A DomainError in R(lam, 0) is NoRealRootError."""
+    """(lam-, lam+) of ``deg`` with ``g`` its compiled F, from the first
+    and last of 129 bracket points where F < 0 (where the pair +-|w|
+    exists), each bisected against its outer neighbour.  Those points must
+    be contiguous: a bracket holding two allowed intervals (two wells) is
+    refused, unless the gap between them falls between two grid points.
+    A DomainError in F is NoRealRootError."""
     a, b = deg.bracket
     grid = np.linspace(a, b, 129).tolist()
-    vals = [_residual(g, x, 0.0) for x in grid]
+    vals = [_residual(g, x) for x in grid]
     neg = [i for i, v in enumerate(vals) if v < 0.0]
     if neg:
         first, last = neg[0], neg[-1]
@@ -403,13 +405,17 @@ def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
             raise NoRealRootError(
                 "bracket endpoints must lie outside the classically allowed "
                 "region")
+        if last - first + 1 != len(neg):
+            raise NoRealRootError(
+                "the bracket holds more than one allowed interval; narrow it "
+                "to one cycle")
         return (_bisect_sign(g, grid[first - 1], grid[first]),
                 _bisect_sign(g, grid[last + 1], grid[last]))
     # refine the grid minimum; a tangency means a degenerate cycle
     i = vals.index(min(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    lam_min, g_min = _golden_min(lambda x: _residual(g, x, 0.0), lo, hi)
+    lam_min, g_min = _golden_min(lambda x: _residual(g, x), lo, hi)
     if g_min < 0.0:
         return _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
     if abs(g_min) <= 1e-9 * (1.0 + max(map(abs, vals))):
@@ -418,14 +424,14 @@ def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
 
 
 def _bisect_sign(g, outside: float, inside: float) -> float:
-    """Shrink [outside, inside] across the sign change of R(lam, 0); the
-    caller has read R there as not < 0 and < 0.  Return the outside end;
-    a DomainError is NoRealRootError."""
+    """Shrink [outside, inside] across the sign change of F; the caller has
+    read F there as not < 0 and < 0.  Return the outside end; a
+    DomainError is NoRealRootError."""
     for _ in range(200):
         if abs(outside - inside) <= 2e-16 * (1.0 + abs(outside) + abs(inside)):
             break
         mid = 0.5 * (outside + inside)
-        if _residual(g, mid, 0.0) < 0.0:
+        if _residual(g, mid) < 0.0:
             inside = mid
         else:
             outside = mid
@@ -464,7 +470,7 @@ def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float, sign: int):
                 f"lost the real branch inside the interval: {exc}") from None
         if acc is not None:
             dlam = weight * hw * 0.5 * math.pi * math.cos(theta)
-            for i, v in enumerate(_branch_rates(rates, lam, w)):
+            for i, v in enumerate(_branch_rates(deg, rates, lam, w)):
                 acc[i] += v * dlam
         return weight * w * hw * 0.5 * math.pi * math.cos(theta)
 
@@ -477,7 +483,7 @@ def _settled(new: Sequence[float], old: Sequence[float],
     step from ``old`` in units of max(QUAD_ABS_TOL, QUAD_REL_TOL *
     (1 + |new|))), ``last`` the step before.  The rule stops under one
     unit, or at the roundoff floor, where the step stops shrinking:
-    roundoff in R divided by a small R_w near a turning point sets it."""
+    roundoff in F_h divided by a small 2a*w near a turning point sets it."""
     step = max((abs(x - y) / max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 + abs(x)))
                 for x, y in zip(new, old)), default=0.0)
     return step <= 1.0 or (last is not None
@@ -594,10 +600,12 @@ def time_map(chart: SeparableChart, h: Sequence[float],
 
     ``mu`` holds one (start, end) pair per degree; an equal pair
     contributes nothing, and t(mu0) = 0 when every interval is empty.
-    dw_s/dh_j = -R_{h_j}/R_w stays finite in theta at a turning point, so
-    an end within 1e-7 relative of one is taken to it.  An interval from
-    one turning point to the other reads the cycle's rate integrals, the
-    nodes of its action; any other is integrated on each call.
+    dw_s/dh_j = -F_{h_j}/(2a*w) stays finite in theta at a turning point,
+    so an end within 1e-7 relative of one is taken to it.  An interval
+    from one turning point to the other reads the cycle's rate integrals,
+    the nodes of its action; any other is integrated on each call.  Every
+    interval needs its degree's cycle, so a bracket that holds two allowed
+    intervals refuses even an interval inside one of them.
     """
     hv = _level(chart, h, "time_map")
     if len(mu) != chart.n:
@@ -696,8 +704,8 @@ def _environments(chart: SeparableChart, hv: list[float],
 
 def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
                           probes: Sequence[float]) -> float:
-    """Max spread of dw_i/dh_j = -R_{h_j}/R_w across environments sharing
-    (lam, h).
+    """Max spread of dw_i/dh_j = -F_{h_j}/(2a*w) across environments
+    sharing (lam, h).
 
     For a genuinely separable chart the branch derivative is a function of
     the degree's own data alone, so the spread vanishes identically.  A
@@ -720,7 +728,7 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
         usable = 0
         for lam in probe_vals:
             try:
-                vals = [_branch_rates(rates, lam, _branch_value(
+                vals = [_branch_rates(deg, rates, lam, _branch_value(
                             deg, g, lam, deg.branch_sign))
                         for g, rates in branches]
             except ChartError:

@@ -24,6 +24,7 @@ from liouville.catalog import get_system, list_systems
 from liouville.expr import (
     EvalPoint, Param, _binder_from_source, const, differentiate, p,
     parameters_of, parse, q, simplify, substitute_param, to_string,
+    variables_of,
 )
 from liouville.flows import IntegratorConfig, integrate
 from liouville.sysfile import loads_system
@@ -273,16 +274,17 @@ def test_actions_and_frequencies_share_their_branch_solves(
 
 
 def _count_root_calls(monkeypatch) -> list[int]:
-    """Count the calls of every (R, dR/dw) pair compiled from here on."""
+    """Count the calls of every chart function (a degree's F or its rates)
+    compiled from here on."""
     calls = [0]
-    compile_pair = action_angle.compile_functions
+    compile_functions = action_angle.compile_functions
 
     def counted_compile(*args):
-        pair = compile_pair(*args)
+        function = compile_functions(*args)
 
         def counted(y):
             calls[0] += 1
-            return pair(y)
+            return function(y)
         return counted
 
     monkeypatch.setattr(action_angle, "compile_functions", counted_compile)
@@ -292,9 +294,10 @@ def _count_root_calls(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("name, h", [
     ("oscillator", [0.5]), ("uncoupled_oscillators", [0.6, 0.8]),
     ("quartic_oscillator", [0.7])])
-def test_a_closed_form_node_reads_the_pair_once(monkeypatch, name, h):
+def test_a_closed_form_node_calls_each_chart_function_once(
+        monkeypatch, name, h):
     # after the cycle search, every call of a compiled function is one
-    # branch solve's R(lam, 0) or one node's rates
+    # branch solve's F(lam) or one node's rates
     chart = get_system(name).chart
     calls = _count_root_calls(monkeypatch)
     for j in range(1, chart.n + 1):
@@ -601,7 +604,8 @@ def test_picard_fuchs_needs_an_uncoupled_cycle_to_vary(r2, h, match):
 @pytest.mark.parametrize("text, match", [
     # R(lam, 0) = 0, so the branch is w = 0 exactly, where R_w = 0
     ("w^2+0*lam_1^2", "dR/dw vanishes on the branch"),
-    # dR/dh_2 = 0.5 / sqrt(h_2 - 0.5) divides by zero at h_2 = 0.5
+    # dF/dh_2 = 0.5 / sqrt(h_2 - 0.5) divides by zero at h_2 = 0.5, where
+    # F itself and so the branch values are defined
     ("w^2 - lam_1^2 - 1 + sqrt(h_2 - 0.5)", "no level derivative"),
 ])
 def test_picard_fuchs_skips_a_probe_without_a_rate(monkeypatch, text, match):
@@ -643,7 +647,7 @@ def test_action_period_duality_against_flow(quartic):
 
 
 def test_full_cycle_time_matches_frequency(osc, quartic):
-    # both read the same integral of -R_h / R_w over the cycle, so they
+    # both read the same integral of -F_h / (2a*w) over the cycle, so they
     # agree to rounding
     for chart, h in ((osc, 0.7), (quartic, 0.8)):
         a, b = turning_points(chart, 1, [h])
@@ -827,6 +831,8 @@ def _class_cases():
             ("w^2+(lam-0.06)^2-2*h_1", 1.0),
             ("w^2+lam^2-2*h_1*(1+0.5*w_2^2)", 1.0),
             ("w^2+0*w^3+lam^2-2*h_1", 1.0),
+            # an a that is no power of two
+            ("w^2/3+lam^2-2*h_1", 1 / 3),
             # a quartic term, a linear term, an a that reads lam or h,
             # a < 0, and a pole
             (QUARTIC_IN_W, None),
@@ -850,6 +856,73 @@ def test_the_closed_form_class(residual, want):
             ChartDegree(residual, (-8.0, 8.0))
     else:
         assert ChartDegree(residual, (-8.0, 8.0))._a == want
+
+
+@pytest.mark.parametrize("residual", [
+    pytest.param(case.values[0], id=case.id) for case in _class_cases()
+    if case.values[1] is not None])
+def test_chart_functions_read_lam_alone(residual):
+    # F and each F_{h_i} are compiled over q1 = lam; R_w = 2a*w is never
+    # compiled, so no chart function reads w (p1)
+    trees = ChartDegree(residual, (-8.0, 8.0))._trees
+    assert variables_of(*trees) <= {"q1"}
+
+
+@pytest.mark.parametrize("h", [0.2, 0.7, 2.0])
+def test_closed_forms_at_a_non_dyadic_a(h):
+    # R = w^2/3 + lam^2 - 2h: w = sqrt(3 (2h - lam^2)), so gamma = sqrt(3) h,
+    # Omega = 1 / sqrt(3) and the half cycle takes pi sqrt(3)
+    chart = _residual_chart("w^2/3+lam^2-2*h_1")
+    spectrum = action_spectrum(chart, [h])
+    half = time_map(chart, [h], [turning_points(chart, 1, [h])])[0]
+    for got, want in ((spectrum.gammas[0], math.sqrt(3.0) * h),
+                      (spectrum.omega[0, 0], 1.0 / math.sqrt(3.0)),
+                      (half, math.pi * math.sqrt(3.0))):
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+DOUBLE_WELL = "w^2+(lam^2-1)^2-2*h_1"
+
+
+def _double_well(bracket) -> SeparableChart:
+    # allowed where (lam^2 - 1)^2 < 2h: for 2h < 1 one well about each of
+    # lam = -1 and lam = 1, between sqrt(1 -+ sqrt(2h)) and their negatives
+    return SeparableChart((ChartDegree(parse(DOUBLE_WELL, 0), bracket),),
+                          h_dim=1)
+
+
+def test_a_bracket_holding_two_wells_is_refused():
+    # the outer ends of the two wells, -+1.332 at h = 0.3, bound no cycle:
+    # the branch has no real value at lam = 0 between them
+    chart = _double_well((-3.0, 3.0))
+    message = ("the bracket holds more than one allowed interval; narrow it "
+               "to one cycle")
+    for call in (lambda: turning_points(chart, 1, [0.3]),
+                 lambda: action_spectrum(chart, [0.3]),
+                 # an interval inside one well needs the degree's cycle too
+                 lambda: time_map(chart, [0.3], [(0.8, 1.0)])):
+        with pytest.raises(NoRealRootError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.45])
+def test_a_bracket_narrowed_to_one_well_matches_a_30_digit_reference(h):
+    mpmath = pytest.importorskip("mpmath")
+    chart = _double_well((0.0, 3.0))
+    a, b = turning_points(chart, 1, [h])
+    assert abs(a - math.sqrt(1.0 - math.sqrt(2.0 * h))) <= 1e-12
+    assert abs(b - math.sqrt(1.0 + math.sqrt(2.0 * h))) <= 1e-12
+    with mpmath.workdps(30):
+        # a node of the tanh-sinh rule may round onto a well's end, where
+        # 2h - (lam^2 - 1)^2 can come out a few ulps below 0
+        two_h = 2 * mpmath.mpf(h)
+        want = mpmath.quad(
+            lambda lam: mpmath.sqrt(max(0, two_h - (lam ** 2 - 1) ** 2)),
+            [mpmath.sqrt(1 + s * mpmath.sqrt(two_h)) for s in (-1, 1)]
+        ) / mpmath.pi
+    got = action_spectrum(chart, [h]).gammas[0]
+    assert abs(got - float(want)) <= 1e-12 * float(want), (got, want)
 
 
 @pytest.mark.parametrize("text, lam, h, message", [

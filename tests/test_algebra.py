@@ -312,6 +312,20 @@ def test_find_level_point_vortex_self_consistency():
     assert np.max(np.abs(inv.member_values(element.witness) - target)) <= 1e-10
 
 
+def test_find_level_point_from_a_guess_outside_the_domain():
+    # vortices 1 and 2 coincide, where the Hamiltonian's log of their
+    # distance is undefined
+    system = get_system("vortices3")
+    inv = system.invariants
+    u = probe_points(system, 1, seed=10)[0]
+    q, p = list(u.q), list(u.p)
+    q[1], p[1] = q[0], p[0]
+    with pytest.raises(ConvergenceError,
+                       match="^guess point is outside the domain: "):
+        find_level_point(inv, inv.member_values(u),
+                         EvalPoint(tuple(q), tuple(p)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_find_level_point_rejects_non_finite_levels(bad):
     # a NaN level fails every comparison, so the guess itself would come

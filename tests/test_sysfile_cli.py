@@ -545,6 +545,21 @@ def test_actions_on_a_coupled_chart_exits_2(tmp_path):
     assert "another degree's state" in err
 
 
+def test_actions_on_a_bracket_holding_two_wells_exits_2(tmp_path):
+    # (-3, 3) holds both wells of the double well at h = 0.3, so the
+    # error names the bracket, not a branch lost between the wells
+    path = tmp_path / "double_well.sys"
+    path.write_text(
+        "[system]\ndimension = 1\nhamiltonian = p1^2/2+(q1^2-1)^2/2\n"
+        "[invariants]\nH = p1^2/2+(q1^2-1)^2/2\n"
+        "[chart]\nh_dim = 1\n"
+        "residual_1 = w^2+(lam^2-1)^2-2*h_1\nbracket_1 = -3, 3\n",
+        encoding="utf-8")
+    assert run_cli(["actions", str(path), "--h", "0.3"]) == (
+        2, "", "error: the bracket holds more than one allowed interval; "
+        "narrow it to one cycle\n")
+
+
 def _assert_residual_refused(tmp_path, residual):
     """``actions`` on a chart of ``residual``, outside the class a*w^2 + F,
     exits 2 naming the residual's line and the rule."""
