@@ -10,8 +10,10 @@ chart's fixed parameters and another degree's state as ``lam_s`` /
 ``w_s``; the last breaks separability, and :func:`picard_fuchs_residual`
 exists to detect exactly this.
 
-Cycles are restricted to two-branch libration topology (w symmetric up to
-sign between two turning points).
+A cycle is one allowed interval, F < 0, between two turning points; one
+search finds it, and at its width a least F <= ROOT_TOL is a degenerate
+cycle.  A quadrature node with no real branch lies in a gap between two
+allowed intervals, which the search's grid missed, and is refused.
 
 Every level derivative is an integral of the branch's own rate dw/dh_i =
 -R_{h_i} / R_w = -F_{h_i} / (2a*w) (the implicit-function theorem); a
@@ -85,6 +87,8 @@ class QuadratureError(ChartError):
     pass
 
 
+_TWO_WELLS = ("the bracket holds more than one allowed interval; narrow it "
+              "to one cycle")
 _RULE = "residual must be a*w^2 + F with a constant a > 0 and F free of w"
 _W = Param("w")
 
@@ -277,8 +281,8 @@ def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
                 compile_functions(trees[1:], 1, params))
     except UnboundSymbolError as exc:
         raise ChartError(
-            f"degree {j} references another degree's state ({exc}); "
-            "supply environment values") from None
+            f"degree {j} references another degree's state ({exc}); only "
+            "picard_fuchs_residual evaluates such a degree") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,29 +297,6 @@ def _residual(g, lam: float) -> float:
     except DomainError as exc:
         raise NoRealRootError(
             f"residual undefined at lam={lam:.6g}, w=0: {exc}") from None
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float
-                ) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(160):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a <= 1e-15 * (1.0 + abs(a) + abs(b)):
-            break
-    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _branch_value(deg: ChartDegree, g, lam: float, sign: int) -> float:
@@ -363,11 +344,10 @@ def turning_points(chart: SeparableChart, j: int,
                    h: Sequence[float]) -> tuple[float, float]:
     """Cycle endpoints (lam-, lam+) where the branch pair collapses, w -> 0.
 
-    Bisection on the sign of F = R(lam, 0): negative inside the
-    classically allowed region, positive outside.  Returned endpoints sit
-    on the outside of the sign change, where solve_branch lands on the
-    tangency root, so |w(lam+-)| is at the floating-point floor.  A
-    bracket whose grid finds two allowed intervals is NoRealRootError.
+    From :func:`_find_cycle`: each sits on the outside of the sign change
+    of F = R(lam, 0), where solve_branch lands on the tangency root, so
+    |w(lam+-)| is at the floating-point floor.  A gap between two allowed
+    intervals that falls between two grid points shows only in quadrature.
     """
     return tuple(_cycle(chart, j, _level(chart, h))[2:4])
 
@@ -381,55 +361,56 @@ def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
     found = chart._cycles.get(key)
     if found is None:
         g, rates = _compile_degree(chart, j, hv)
-        found = [g, rates, *_find_cycle(chart.degrees[j - 1], g), None]
+        found = [g, rates, *_find_cycle(g, *chart.degrees[j - 1].bracket),
+                 None]
         if len(chart._cycles) >= _MEMO_CAP:
             chart._cycles.clear()
         chart._cycles[key] = found
     return found
 
 
-def _find_cycle(deg: ChartDegree, g) -> tuple[float, float]:
-    """(lam-, lam+) of ``deg`` with ``g`` its compiled F, from the first
-    and last of 129 bracket points where F < 0 (where the pair +-|w|
-    exists), each bisected against its outer neighbour.  Those points must
-    be contiguous: a bracket holding two allowed intervals (two wells) is
-    refused, unless the gap between them falls between two grid points.
-    A DomainError in F is NoRealRootError."""
-    a, b = deg.bracket
-    grid = np.linspace(a, b, 129).tolist()
-    vals = [_residual(g, x) for x in grid]
-    neg = [i for i, v in enumerate(vals) if v < 0.0]
-    if neg:
-        first, last = neg[0], neg[-1]
-        if first == 0 or last == len(grid) - 1:
-            raise NoRealRootError(
-                "bracket endpoints must lie outside the classically allowed "
-                "region")
-        if last - first + 1 != len(neg):
-            raise NoRealRootError(
-                "the bracket holds more than one allowed interval; narrow it "
-                "to one cycle")
-        return (_bisect_sign(g, grid[first - 1], grid[first]),
-                _bisect_sign(g, grid[last + 1], grid[last]))
-    # refine the grid minimum; a tangency means a degenerate cycle
-    i = vals.index(min(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    lam_min, g_min = _golden_min(lambda x: _residual(g, x), lo, hi)
-    if g_min < 0.0:
-        return _bisect_sign(g, lo, lam_min), _bisect_sign(g, hi, lam_min)
-    if abs(g_min) <= 1e-9 * (1.0 + max(map(abs, vals))):
-        return lam_min, lam_min
-    raise NoRealRootError("no sign change in bracket")
+def _find_cycle(g, a: float, b: float) -> tuple[float, float]:
+    """(lam-, lam+) in the bracket [a, b] of the F compiled as ``g``: the
+    first and last of 129 points of [a, b] where F < 0 (where the pair
+    +-|w| exists), each bisected against its outer neighbour.  Those points
+    must be contiguous: a bracket holding two allowed intervals (two wells)
+    is refused, unless the gap between them falls between two grid points.
+    With no such point, the cell between the neighbours of the least F is
+    scanned the same way, down to the width of :func:`_narrow`; a least F
+    there <= ROOT_TOL, the tangency rule of :func:`_branch_value`, is a
+    degenerate cycle.  A DomainError in F is NoRealRootError."""
+    while True:
+        grid = np.linspace(a, b, 129).tolist()
+        vals = [_residual(g, x) for x in grid]
+        neg = [i for i, v in enumerate(vals) if v < 0.0]
+        if neg:
+            first, last = neg[0], neg[-1]
+            if first == 0 or last == len(grid) - 1:
+                raise NoRealRootError("bracket endpoints must lie outside "
+                                      "the classically allowed region")
+            if last - first + 1 != len(neg):
+                raise NoRealRootError(_TWO_WELLS)
+            return (_bisect_sign(g, grid[first - 1], grid[first]),
+                    _bisect_sign(g, grid[last + 1], grid[last]))
+        i = vals.index(min(vals))
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        if _narrow(a, b):
+            if vals[i] <= ROOT_TOL:
+                return grid[i], grid[i]
+            raise NoRealRootError("no sign change in bracket")
+
+
+def _narrow(a: float, b: float) -> bool:
+    """Whether [a, b] is as narrow as the turning-point searches go; two
+    adjacent floats always are, so a search that shrinks [a, b] ends."""
+    return abs(a - b) <= 2e-16 * (1.0 + abs(a) + abs(b))
 
 
 def _bisect_sign(g, outside: float, inside: float) -> float:
     """Shrink [outside, inside] across the sign change of F; the caller has
     read F there as not < 0 and < 0.  Return the outside end; a
     DomainError is NoRealRootError."""
-    for _ in range(200):
-        if abs(outside - inside) <= 2e-16 * (1.0 + abs(outside) + abs(inside)):
-            break
+    while not _narrow(outside, inside):
         mid = 0.5 * (outside + inside)
         if _residual(g, mid) < 0.0:
             inside = mid
@@ -466,8 +447,7 @@ def _branch_nodes(deg: ChartDegree, g, rates, a: float, b: float, sign: int):
         try:
             w = _branch_value(deg, g, lam, sign)
         except NoRealRootError as exc:
-            raise QuadratureError(
-                f"lost the real branch inside the interval: {exc}") from None
+            raise NoRealRootError(f"{_TWO_WELLS} ({exc})") from None
         if acc is not None:
             dlam = weight * hw * 0.5 * math.pi * math.cos(theta)
             for i, v in enumerate(_branch_rates(deg, rates, lam, w)):
@@ -512,14 +492,9 @@ def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
     total = integral = rated = mids = step = None
     while n <= _N_MAX:
         fresh, acc = 0.0, [0.0] * m
-        try:
-            for k in nodes:
-                fresh += node(-1.0 + 2.0 * k / n, 2.0 / n,
-                              acc if rated is None and k % 2 else None)
-        except QuadratureError as exc:
-            if integral is None:
-                raise
-            return integral, str(exc)
+        for k in nodes:
+            fresh += node(-1.0 + 2.0 * k / n, 2.0 / n,
+                          acc if rated is None and k % 2 else None)
         if total is None:
             total = fresh
         else:

@@ -109,10 +109,10 @@ def _turns(chart):
     (UNDEFINED_IN_LAM, lambda chart: action_spectrum(chart, [0.1]), "-8"),
     # the turning-point bisection lands on the pole between grid points
     ("w^2 + lam^2 - 1 + 1/(lam - 0.9375)", _turns, "0.9375"),
-    # no grid point is negative, and the minimum search enters the hole
-    # around lam = 0.0625
+    # no grid point is negative, and the scan of the cell about the grid
+    # minimum enters the hole |lam - 0.0625| < 0.01 at its first point there
     ("w^2 + (lam-0.0625)^2 - 0.001 + sqrt((lam-0.0625)^2 - 1e-4)", _turns,
-     "0.06"),
+     "0.0527344"),
 ], ids=["solve_branch", "turning_points", "action_spectrum", "bisection",
         "cycle_minimum_search"])
 def test_a_residual_leaving_its_domain_is_no_real_root(text, call, lam):
@@ -149,10 +149,10 @@ def test_turning_points_quartic(quartic):
     assert b == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
-def test_turning_points_degenerate_level(osc):
-    a, b = turning_points(osc, 1, [0.0])
-    assert a == b
-    assert abs(a) <= 1e-8
+def test_turning_points_degenerate_level(osc, quartic):
+    # at h = 0 the least F is 0 at lam = 0, a point of every refined cell
+    for chart in (osc, quartic):
+        assert turning_points(chart, 1, [0.0]) == (0.0, 0.0)
 
 
 def test_solve_branch_at_a_turning_point_lands_on_the_tangency_root(
@@ -164,9 +164,13 @@ def test_solve_branch_at_a_turning_point_lands_on_the_tangency_root(
                 assert abs(solve_branch(chart, j, lam, h)) <= 1e-7, (j, lam)
 
 
-def test_turning_points_failures(osc):
-    with pytest.raises(NoRealRootError, match="no sign change"):
-        turning_points(osc, 1, [-0.5])
+def test_turning_points_failures(osc, quartic):
+    # below a well's bottom the least F, h_1 or 2 h_1 above 0, is more
+    # than the tangency tolerance 1e-10: no cycle, however close to 0
+    for chart, h in ((osc, -0.5), (osc, -1e-8), (osc, -1e-9),
+                     (quartic, -1e-7), (quartic, -1e-8)):
+        with pytest.raises(NoRealRootError, match="no sign change in bracket"):
+            turning_points(chart, 1, [h])
 
 
 def test_action_variable_oscillator(osc):
@@ -178,8 +182,9 @@ def test_action_variable_uncoupled_mode(uncoupled):
     assert abs(action_variable(uncoupled, 2, [0.3, 0.8]) - 0.4) <= 1e-8
 
 
-def test_action_variable_zero_level(osc):
-    assert action_variable(osc, 1, [0.0]) == 0.0
+def test_action_variable_zero_level(osc, quartic):
+    for chart in (osc, quartic):
+        assert action_variable(chart, 1, [0.0]) == 0.0
 
 
 # gamma = C h^(3/4) for H = p^2/2 + q^4/4, C = (2/pi) 4^(1/4) sqrt(2) B with
@@ -906,6 +911,49 @@ def test_a_bracket_holding_two_wells_is_refused():
         assert str(info.value) == message
 
 
+# at h = 0.4999 the gap between the wells, |lam| < 0.0100, falls between
+# the grid points -0.0223 and 0.0250 of (-3, 3.05): the grid shows one
+# allowed run, and only a quadrature node lands in the gap
+GAP_BRACKET, GAP_LEVEL = (-3.0, 3.05), 0.4999
+
+
+def test_a_gap_between_two_grid_points_is_refused_by_every_quadrature():
+    chart = _double_well(GAP_BRACKET)
+    for call in (lambda: action_spectrum(chart, [GAP_LEVEL]),
+                 lambda: action_variable(chart, 1, [GAP_LEVEL]),
+                 lambda: time_map(chart, [GAP_LEVEL], [(-0.5, 0.5)])):
+        with pytest.raises(NoRealRootError) as info:
+            call()
+        assert str(info.value).startswith(
+            "the bracket holds more than one allowed interval; narrow it to "
+            "one cycle (no real root at lam=")
+
+
+@pytest.mark.xfail(strict=True, reason="turning_points makes no quadrature, "
+                   "so it cannot see a gap between two grid points")
+def test_turning_points_alone_sees_a_gap_between_two_grid_points():
+    with pytest.raises(NoRealRootError, match="more than one allowed"):
+        turning_points(_double_well(GAP_BRACKET), 1, [GAP_LEVEL])
+
+
+@pytest.mark.parametrize("n_max, call, message", [
+    (16, lambda chart: action_variable(chart, 1, [0.7]),
+     "trapezoid doubling did not converge"),
+    (16, lambda chart: time_map(chart, [0.7], [(0.0, 0.5)]),
+     "Gauss-Legendre doubling did not converge"),
+    # the action settles within 32 intervals, its rates do not
+    (32, lambda chart: (action_variable(chart, 1, [0.7]),
+                        frequency_matrix(chart, [0.7])),
+     "trapezoid doubling of the rates did not converge"),
+], ids=["action", "interval_rates", "cycle_rates"])
+def test_quadrature_doubling_that_does_not_converge_is_refused(
+        monkeypatch, n_max, call, message):
+    monkeypatch.setattr(action_angle, "_N_MAX", n_max)
+    with pytest.raises(QuadratureError) as info:
+        call(get_system("quartic_oscillator").chart)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.45])
 def test_a_bracket_narrowed_to_one_well_matches_a_30_digit_reference(h):
     mpmath = pytest.importorskip("mpmath")
@@ -951,23 +999,31 @@ def test_chart_memo_stays_within_its_cap(monkeypatch):
 
 
 def test_a_cycle_between_two_grid_points_is_found_from_the_minimum():
-    # the allowed region (0.06 -+ sqrt(2 h)) = (0.028, 0.092) holds no
-    # point of the 129-point grid on (-8, 8), whose spacing is 0.125, so
-    # the search refines the grid minimum and bisects from there
-    chart = _residual_chart("w^2+(lam-0.06)^2-2*h_1")
-    h = 5e-4
-    a, b = turning_points(chart, 1, [h])
-    assert abs(a - (0.06 - math.sqrt(2.0 * h))) <= 1e-15
-    assert abs(b - (0.06 + math.sqrt(2.0 * h))) <= 1e-15
-    spectrum = action_spectrum(chart, [h])
-    assert abs(spectrum.gammas[0] - h) <= 1e-15
-    assert abs(spectrum.omega[0, 0] - 1.0) <= 1e-9
-    assert abs(2.0 * time_map(chart, [h], [(a, b)])[0] - 2.0 * math.pi) <= 1e-9
+    # each allowed region c -+ sqrt(2 h) holds no point of the 129-point
+    # grid on its bracket: (0.028, 0.092) on (-8, 8), spacing 0.125, and
+    # (-0.0014, 0.0014) and (-0.014, 0.014) on (-8, 9), whose nearest
+    # points are -0.031 and 0.102; so the search scans the cell about the
+    # grid minimum and bisects from there
+    for text, bracket, c, h in (
+            ("w^2+(lam-0.06)^2-2*h_1", (-8.0, 8.0), 0.06, 5e-4),
+            ("w^2+lam^2-2*h_1", (-8.0, 9.0), 0.0, 1e-6),
+            ("w^2+lam^2-2*h_1", (-8.0, 9.0), 0.0, 1e-4)):
+        chart = SeparableChart((ChartDegree(parse(text, 0), bracket),),
+                               h_dim=1)
+        a, b = turning_points(chart, 1, [h])
+        assert abs(a - (c - math.sqrt(2.0 * h))) <= 1e-15, (text, h)
+        assert abs(b - (c + math.sqrt(2.0 * h))) <= 1e-15, (text, h)
+        spectrum = action_spectrum(chart, [h])
+        assert abs(spectrum.gammas[0] - h) <= 1e-15, (text, h)
+        # the rate integrals stop at QUAD_REL_TOL = 2e-13
+        assert abs(spectrum.omega[0, 0] - 1.0) <= 1e-12, (text, h)
+        assert abs(2.0 * time_map(chart, [h], [(a, b)])[0]
+                   - 2.0 * math.pi) <= 1e-9, (text, h)
 
 
 def test_turning_point_bisection_reads_neither_end(monkeypatch):
-    # every caller has just read both ends: grid points or the
-    # golden-section minimum
+    # every caller has just read both ends: points of the bracket's grid
+    # or of a cell scanned about its minimum
     bisect = action_angle._bisect_sign
     calls = []
 

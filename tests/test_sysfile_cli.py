@@ -560,6 +560,22 @@ def test_actions_on_a_bracket_holding_two_wells_exits_2(tmp_path):
         "narrow it to one cycle\n")
 
 
+def test_actions_on_a_gap_between_two_grid_points_exits_2(tmp_path):
+    # on (-3, 3.05) at h = 0.4999 the gap between the wells falls between
+    # two grid points; a quadrature node in it gives the same refusal
+    path = tmp_path / "double_well.sys"
+    path.write_text(
+        "[system]\ndimension = 1\nhamiltonian = p1^2/2+(q1^2-1)^2/2\n"
+        "[invariants]\nH = p1^2/2+(q1^2-1)^2/2\n"
+        "[chart]\nh_dim = 1\n"
+        "residual_1 = w^2+(lam^2-1)^2-2*h_1\nbracket_1 = -3, 3.05\n",
+        encoding="utf-8")
+    _assert_one_error_line(
+        *run_cli(["actions", str(path), "--h", "0.4999"]),
+        "error: the bracket holds more than one allowed interval; narrow it "
+        "to one cycle (no real root at lam=")
+
+
 def _assert_residual_refused(tmp_path, residual):
     """``actions`` on a chart of ``residual``, outside the class a*w^2 + F,
     exits 2 naming the residual's line and the rule."""
