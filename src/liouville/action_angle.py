@@ -29,11 +29,11 @@ trapezoid rule integrates the action and reuses every node when it
 doubles; each doubling's fresh nodes are the midpoint rule of the last
 step, which integrates the rates on the action's own branch solves.  An
 interval with a fixed interior end uses Gauss-Legendre doubling.  A
-chart memoises each cycle it resolves, per level, with the degree's F
-and F_{h_i} compiled there as functions of lam alone and its integrals
-once computed, so actions, turning points, frequencies and time maps at
-one level share one compile, one search and one quadrature per cycle;
-an interval with a fixed end is integrated on each call.
+chart finds and integrates each cycle once per level, with the degree's
+F and F_{h_i} compiled there as functions of lam alone, so actions,
+turning points, frequencies and time maps at one level share one
+compile, one search and one quadrature per cycle, and refuse alike; an
+interval with a fixed end is integrated on each call.
 """
 from __future__ import annotations
 
@@ -151,8 +151,9 @@ class ChartDegree:
         if self.branch_sign not in (1, -1):
             raise ValueError("branch_sign must be +1 or -1")
         a, b = self.bracket
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError("bracket must be a finite increasing pair")
+        if not (a < b and math.isfinite(b - a)):
+            raise ValueError("bracket must be a finite increasing pair whose "
+                             "width b - a is finite")
         object.__setattr__(self, "bracket", (float(a), float(b)))
         names = frozenset(parameters_of(self.residual))
         if "w" not in names:
@@ -173,11 +174,10 @@ class SeparableChart:
     ascending.  A fixed parameter may not take a reserved name.
 
     A chart is frozen, so it keeps one memo of what depends only on the
-    chart and a level: each resolved cycle, keyed by (j, level bits), so
-    -0.0 and 0.0 are different levels.  A cycle keeps its action and rate
-    integrals once computed.  A failed cycle search is not kept; it runs
-    again on the next call.  The memo is emptied when it reaches
-    _MEMO_CAP entries.
+    chart and a level: each cycle, keyed by (j, level bits), so -0.0 and
+    0.0 are different levels.  It finds and integrates each cycle once; a
+    failure is not kept, but runs again on the next call.  The memo is
+    emptied when it reaches _MEMO_CAP entries.
     """
 
     degrees: tuple[ChartDegree, ...]
@@ -346,27 +346,11 @@ def turning_points(chart: SeparableChart, j: int,
 
     From :func:`_find_cycle`: each sits on the outside of the sign change
     of F = R(lam, 0), where solve_branch lands on the tangency root, so
-    |w(lam+-)| is at the floating-point floor.  A gap between two allowed
-    intervals that falls between two grid points shows only in quadrature.
+    |w(lam+-)| is at the floating-point floor.  The cycle is integrated
+    when it is found, so a level whose action is refused has none.
     """
-    return tuple(_cycle(chart, j, _level(chart, h))[2:4])
-
-
-def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> list:
-    """[degree j's F and rates compiled at hv, lam-, lam+, the cycle's
-    quadrature or None until computed]: the one search for turning
-    points, behind :func:`turning_points`, run once per chart, degree and
-    level."""
-    key = (j, _bits(hv))
-    found = chart._cycles.get(key)
-    if found is None:
-        g, rates = _compile_degree(chart, j, hv)
-        found = [g, rates, *_find_cycle(g, *chart.degrees[j - 1].bracket),
-                 None]
-        if len(chart._cycles) >= _MEMO_CAP:
-            chart._cycles.clear()
-        chart._cycles[key] = found
-    return found
+    _, _, lam_minus, lam_plus, *_ = _cycle(chart, j, _level(chart, h))
+    return lam_minus, lam_plus
 
 
 def _find_cycle(g, a: float, b: float) -> tuple[float, float]:
@@ -374,7 +358,7 @@ def _find_cycle(g, a: float, b: float) -> tuple[float, float]:
     first and last of 129 points of [a, b] where F < 0 (where the pair
     +-|w| exists), each bisected against its outer neighbour.  Those points
     must be contiguous: a bracket holding two allowed intervals (two wells)
-    is refused, unless the gap between them falls between two grid points.
+    is refused, here or, if the gap falls between grid points, in quadrature.
     With no such point, the cell between the neighbours of the least F is
     scanned the same way, down to the width of :func:`_narrow`; a least F
     there <= ROOT_TOL, the tangency rule of :func:`_branch_value`, is a
@@ -517,36 +501,44 @@ def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
     return integral, "trapezoid doubling of the rates did not converge"
 
 
-def _cycle_quadrature(chart: SeparableChart, j: int, hv: Sequence[float],
-                      rates: bool = False) -> float | tuple[float, ...]:
-    """integral of |w_j| over degree j's cycle at hv, or with ``rates`` the
-    integrals of d|w_j|/dh_i over it for each h_i the degree reads, from
-    :func:`_integrate_cycle`, run once per cycle and kept in its memo
-    entry."""
-    found = _cycle(chart, j, hv)
-    if found[4] is None:
-        a, b = found[2:4]
-        found[4] = (0.0, "the level has a degenerate cycle") if a == b else \
-            _integrate_cycle(chart.degrees[j - 1], *found[:2],
-                             len(chart.levels[j - 1]), a, b)
-    if not rates:
-        return found[4][0]
-    if isinstance(found[4][1], str):
-        raise QuadratureError(found[4][1])
-    return found[4][1]
+def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
+    """(g, rates, lam-, lam+, action, rated) of degree j at hv: its F and
+    rates compiled there, the turning points of :func:`_find_cycle` and
+    what :func:`_integrate_cycle` returns for them; found and integrated
+    once per chart, degree and level, and a failure is not kept."""
+    key = (j, _bits(hv))
+    found = chart._cycles.get(key)
+    if found is None:
+        deg = chart.degrees[j - 1]
+        g, rates = _compile_degree(chart, j, hv)
+        a, b = _find_cycle(g, *deg.bracket)
+        found = (g, rates, a, b, *(
+            (0.0, "the level has a degenerate cycle") if a == b else
+            _integrate_cycle(deg, g, rates, len(chart.levels[j - 1]), a, b)))
+        if len(chart._cycles) >= _MEMO_CAP:
+            chart._cycles.clear()
+        chart._cycles[key] = found
+    return found
 
 
-def _interval_rates(chart: SeparableChart, s: int, hv: Sequence[float],
-                    a: float, b: float) -> list[float]:
-    """integral from a to b of dw_s/dh_i on degree s's branch, for each h_i
-    the degree reads: Gauss-Legendre sums over n = _GL_START, 2n, ...
-    _N_MAX nodes, stopped by :func:`_settled`."""
-    g, rates = _cycle(chart, s, hv)[:2]
-    deg = chart.degrees[s - 1]
+def _cycle_rates(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
+    """The integrals of d|w_j|/dh_i over degree j's cycle at hv, for each
+    h_i the degree reads; QuadratureError where they do not exist."""
+    *_, rated = _cycle(chart, j, hv)
+    if isinstance(rated, str):
+        raise QuadratureError(rated)
+    return rated
+
+
+def _interval_rates(deg: ChartDegree, g, rates, m: int, a: float,
+                    b: float) -> list[float]:
+    """integral from a to b of dw/dh_i on ``deg``'s branch, for the m h_i
+    of ``rates``: Gauss-Legendre sums over n = _GL_START, 2n, ... _N_MAX
+    nodes, stopped by :func:`_settled`."""
     node = _branch_nodes(deg, g, rates, a, b, deg.branch_sign)
     n, sums, step = _GL_START, None, None
     while n <= _N_MAX:
-        last, sums = sums, [0.0] * len(chart.levels[s - 1])
+        last, sums = sums, [0.0] * m
         for x, gw in zip(*_gl(n)):
             node(x, gw, sums)
         if last is not None:
@@ -562,7 +554,8 @@ def action_variable(chart: SeparableChart, j: int, h: Sequence[float]) -> float:
     the level h, i.e. (1/pi) * integral of |w| between the turning points.
     """
     # the cycle is integrated on the + branch, where every root is >= +0.0
-    return _cycle_quadrature(chart, j, _level(chart, h)) / math.pi
+    *_, action, _ = _cycle(chart, j, _level(chart, h))
+    return action / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +572,8 @@ def time_map(chart: SeparableChart, h: Sequence[float],
     so an end within 1e-7 relative of one is taken to it.  An interval
     from one turning point to the other reads the cycle's rate integrals,
     the nodes of its action; any other is integrated on each call.  Every
-    interval needs its degree's cycle, so a bracket that holds two allowed
-    intervals refuses even an interval inside one of them.
+    interval needs its degree's cycle, found and integrated, so a level
+    whose action is refused refuses even an interval inside the cycle.
     """
     hv = _level(chart, h, "time_map")
     if len(mu) != chart.n:
@@ -592,7 +585,7 @@ def time_map(chart: SeparableChart, h: Sequence[float],
             raise ValueError(f"interval ends must be finite, got {(a, b)}")
         if a == b:
             continue
-        lam_minus, lam_plus = _cycle(chart, s, hv)[2:4]
+        g, rates, lam_minus, lam_plus, *_ = _cycle(chart, s, hv)
         if lam_minus == lam_plus:
             raise QuadratureError(
                 "degenerate cycle; choose an interior endpoint")
@@ -611,14 +604,15 @@ def time_map(chart: SeparableChart, h: Sequence[float],
             else:
                 ends.append(v)
         a, b = ends
-        if a == b or not chart.levels[s - 1]:
+        deg, reads = chart.degrees[s - 1], chart.levels[s - 1]
+        if a == b or not reads:
             continue
         if {a, b} == {lam_minus, lam_plus}:
-            sign = chart.degrees[s - 1].branch_sign * (1 if a < b else -1)
-            rates = [sign * v for v in _cycle_quadrature(chart, s, hv, True)]
+            sign = deg.branch_sign * (1 if a < b else -1)
+            dts = [sign * v for v in _cycle_rates(chart, s, hv)]
         else:
-            rates = _interval_rates(chart, s, hv, a, b)
-        for j, v in zip(chart.levels[s - 1], rates):
+            dts = _interval_rates(deg, g, rates, len(reads), a, b)
+        for j, v in zip(reads, dts):
             times[j - 1] += v
     return tuple(times)
 
@@ -633,7 +627,7 @@ def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
     a = np.zeros((chart.n, chart.h_dim))
     for i in range(chart.n):
         a[i, [j - 1 for j in chart.levels[i]]] = np.divide(
-            _cycle_quadrature(chart, i + 1, hv, True), math.pi)
+            _cycle_rates(chart, i + 1, hv), math.pi)
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > COND_LIMIT:
         raise ChartError(
@@ -664,7 +658,7 @@ def _environments(chart: SeparableChart, hv: list[float],
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
         deg = chart.degrees[s - 1]
-        g, _, lam_minus, lam_plus = _cycle(chart, s, hv)[:4]
+        g, _, lam_minus, lam_plus, *_ = _cycle(chart, s, hv)
         if lam_minus == lam_plus:
             raise ChartError(
                 f"degenerate cycle in degree {s} cannot be varied")

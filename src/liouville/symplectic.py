@@ -23,7 +23,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymplecticStructure:
-    """Phase space T*R^n with per-degree weights xi_j (finite, nonzero)."""
+    """Phase space T*R^n with weights xi_j (xi_j and 1/xi_j finite)."""
 
     n: int
     weights: tuple[float, ...]
@@ -38,6 +38,9 @@ class SymplecticStructure:
             raise ValueError("weights must be nonzero")
         if not all(math.isfinite(w) for w in self.weights):
             raise ValueError(f"weights must be finite, got {self.weights}")
+        if not all(math.isfinite(1.0 / w) for w in self.weights):
+            raise ValueError(f"weights must have finite reciprocals, got "
+                             f"{self.weights}")
 
     @classmethod
     def canonical(cls, n: int) -> "SymplecticStructure":

@@ -301,17 +301,47 @@ def _count_root_calls(monkeypatch) -> list[int]:
     ("quartic_oscillator", [0.7])])
 def test_a_closed_form_node_calls_each_chart_function_once(
         monkeypatch, name, h):
-    # after the cycle search, every call of a compiled function is one
-    # branch solve's F(lam) or one node's rates
+    # besides the cycle search's reads of F, every call of a compiled
+    # function is one branch solve's F(lam) or one node's rates
     chart = get_system(name).chart
     calls = _count_root_calls(monkeypatch)
-    for j in range(1, chart.n + 1):
-        turning_points(chart, j, h)
-    search = calls[0]
+    search = [0]
+    find_cycle = action_angle._find_cycle
+
+    def counted_search(*args):
+        before = calls[0]
+        try:
+            return find_cycle(*args)
+        finally:
+            search[0] += calls[0] - before
+
+    monkeypatch.setattr(action_angle, "_find_cycle", counted_search)
     solves = _count_calls(monkeypatch, "_branch_value")
     rates = _count_calls(monkeypatch, "_branch_rates")
     action_spectrum(chart, h)
-    assert solves[0] > 0 and calls[0] - search == solves[0] + rates[0]
+    assert search[0] > 0 and solves[0] > 0
+    assert calls[0] - search[0] == solves[0] + rates[0]
+
+
+@pytest.mark.parametrize("name, h", [
+    ("oscillator", [0.5]), ("uncoupled_oscillators", [0.6, 0.8]),
+    ("quartic_oscillator", [0.7])])
+def test_turning_points_first_add_no_compiled_call_to_the_spectrum(
+        monkeypatch, name, h):
+    # turning_points finds and integrates each cycle, keeping one immutable
+    # record, so it costs what the spectrum does and the spectrum after it
+    # reads only the memo
+    calls = _count_root_calls(monkeypatch)
+    action_spectrum(get_system(name).chart, h)
+    alone, calls[0] = calls[0], 0
+    chart = get_system(name).chart
+    for j in range(1, chart.n + 1):
+        turning_points(chart, j, h)
+    found = calls[0]
+    action_spectrum(chart, h)
+    assert alone > 0 and found == calls[0] == alone
+    assert all(type(entry) is tuple and None not in entry
+               for entry in chart._cycles.values())
 
 
 def _op_bits(chart, h, order) -> bytes:
@@ -675,6 +705,9 @@ def test_chart_degree_validation():
         ChartDegree(residual, bracket=(-1.0, 1.0), branch_sign=2)
     with pytest.raises(ValueError, match="increasing"):
         ChartDegree(residual, bracket=(1.0, 1.0))
+    # each end is finite, but the width overflows to inf
+    with pytest.raises(ValueError, match="width b - a is finite"):
+        ChartDegree(residual, bracket=(-1e308, 1e308))
     with pytest.raises(ValueError, match="symbol w"):
         ChartDegree(simplify(LAM ** 2 - H1), bracket=(-1.0, 1.0))
 
@@ -929,19 +962,25 @@ def test_a_gap_between_two_grid_points_is_refused_by_every_quadrature():
             "one cycle (no real root at lam=")
 
 
-@pytest.mark.xfail(strict=True, reason="turning_points makes no quadrature, "
-                   "so it cannot see a gap between two grid points")
 def test_turning_points_alone_sees_a_gap_between_two_grid_points():
-    with pytest.raises(NoRealRootError, match="more than one allowed"):
-        turning_points(_double_well(GAP_BRACKET), 1, [GAP_LEVEL])
+    # each cycle is integrated when it is found, so a call that makes no
+    # quadrature of its own refuses the level too
+    chart = _double_well(GAP_BRACKET)
+    for call in (lambda: turning_points(chart, 1, [GAP_LEVEL]),
+                 lambda: time_map(chart, [GAP_LEVEL], [(0.8, 1.0)])):
+        with pytest.raises(NoRealRootError) as info:
+            call()
+        assert str(info.value).startswith(
+            "the bracket holds more than one allowed interval")
 
 
 @pytest.mark.parametrize("n_max, call, message", [
     (16, lambda chart: action_variable(chart, 1, [0.7]),
      "trapezoid doubling did not converge"),
-    (16, lambda chart: time_map(chart, [0.7], [(0.0, 0.5)]),
+    # the action settles within 32 intervals, its rates do not, nor does
+    # Gauss-Legendre doubling to 32 nodes on an interior interval
+    (32, lambda chart: time_map(chart, [0.7], [(0.0, 1.0)]),
      "Gauss-Legendre doubling did not converge"),
-    # the action settles within 32 intervals, its rates do not
     (32, lambda chart: (action_variable(chart, 1, [0.7]),
                         frequency_matrix(chart, [0.7])),
      "trapezoid doubling of the rates did not converge"),

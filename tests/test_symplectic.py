@@ -184,6 +184,14 @@ def test_structure_rejects_non_finite_weights(bad):
         SymplecticStructure(2, (1.0, bad))
 
 
+@pytest.mark.parametrize("tiny", [1e-320, -5e-324])
+def test_structure_rejects_weights_whose_reciprocal_overflows(tiny):
+    # finite and nonzero, but every bracket reads 1/xi = inf
+    with pytest.raises(ValueError, match="weights must have finite "
+                       "reciprocals"):
+        SymplecticStructure(2, (1.0, tiny))
+
+
 def test_vector_field_component_count_checked():
     s = SymplecticStructure.canonical(2)
     with pytest.raises(ValueError):

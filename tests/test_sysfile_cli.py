@@ -946,6 +946,36 @@ def test_infinite_final_time_exits_2():
                            "--t must be positive and finite")
 
 
+def test_chart_bracket_of_overflowing_width_exits_2(tmp_path):
+    # each end is finite but b - a is not; unrefused, the cycle search's
+    # grid would hold NaN points and numpy would warn on stderr
+    path = tmp_path / "wide.sys"
+    path.write_text(Path(OSC).read_text(encoding="utf-8").replace(
+        "bracket_1 = -8, 8", "bracket_1 = -1e308, 1e308"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville.cli", "actions", str(path),
+         "--h", "0.5"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                           "degree 1: bracket must be a finite increasing "
+                           "pair whose width b - a is finite")
+
+
+def test_weight_whose_reciprocal_overflows_exits_2(tmp_path):
+    # 1/1e-320 = inf would overflow every bracket through that degree
+    path = tmp_path / "tiny.sys"
+    path.write_text(Path(V3).read_text(encoding="utf-8").replace(
+        "weights = 1, 1, -2", "weights = 1e-320, 1, 1"), encoding="utf-8")
+    fragment = "line 4: weights must have finite reciprocals"
+    for command in ("rank", "mf-check", "analyze"):
+        _assert_one_error_line(*run_cli([command, str(path)]), fragment)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville.cli", "rank", str(path)],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                           fragment)
+
+
 def test_overflowing_bracket_prints_one_error_line(tmp_path):
     # gradients near 1e263 overflow the bracket product; numpy's overflow
     # warning must not reach stderr beside the error line
