@@ -8,7 +8,8 @@ Hamiltonian, R = a*w^2 + F with a constant a > 0 and F free of w, so each
 branch value is w = sign * sqrt(-F / a).  F may read lam, the h_i, the
 chart's fixed parameters and another degree's state as ``lam_s`` /
 ``w_s``; the last breaks separability, and :func:`picard_fuchs_residual`
-exists to detect exactly this.
+exists to detect exactly this.  Each degree sorts the symbols it reads
+once, into its ``levels`` and ``couplings``, which every caller reads.
 
 A cycle is one allowed interval, F < 0, between two turning points; one
 search finds it, and at its width a least F <= ROOT_TOL is a degenerate
@@ -93,13 +94,11 @@ _RULE = "residual must be a*w^2 + F with a constant a > 0 and F free of w"
 _W = Param("w")
 
 
-def _derive(residual: Expr, names: frozenset[str]) -> tuple[Expr, ...]:
-    """(R, dR/dw, dR/dh_i for each h_i of ``names``, by i) over the
+def _derive(residual: Expr, levels: Sequence[int]) -> tuple[Expr, ...]:
+    """(R, dR/dw, dR/dh_i for each i of ``levels``, in order) over the
     compiled state (q1, p1) = (lam, w)."""
-    reads = sorted((name for name in names if _H_RE.match(name)),
-                   key=lambda name: int(name[2:]))
     r = _substitute(residual, {Param("lam"): q(1), _W: p(1)})
-    return (r, *gradient(r, ("p1", *reads)))
+    return (r, *gradient(r, ("p1", *(f"h_{i}" for i in levels))))
 
 
 def _stackel_a(residual: Expr, r_w: Expr) -> float:
@@ -139,13 +138,19 @@ class ChartDegree:
     :func:`_stackel_a`); F may read lam, the level symbols, the chart's
     fixed parameters and other degrees' lam_s / w_s.  The branch selector
     picks the root sign, a complete selector since R is even in w.
-    ``_names`` holds the residual's symbol names, walked once, ``_a`` its
-    a, ``_trees`` F, F_{h_i}: R, R_{h_i} of :func:`_derive` at w = 0.
+
+    One walk of R sorts its symbols: ``levels`` holds the i of each h_i,
+    which orders every rate of the degree, ``couplings`` each s of a
+    lam_s / w_s, both ascending, and ``_fixed`` the other names, which the
+    chart must bind.  ``_a`` is R's a, ``_trees`` F, F_{h_i}: R, R_{h_i}
+    of :func:`_derive` at w = 0.
     """
 
     residual: Expr
     bracket: tuple[float, float]
     branch_sign: int = 1
+    levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    couplings: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.branch_sign not in (1, -1):
@@ -155,11 +160,21 @@ class ChartDegree:
             raise ValueError("bracket must be a finite increasing pair whose "
                              "width b - a is finite")
         object.__setattr__(self, "bracket", (float(a), float(b)))
-        names = frozenset(parameters_of(self.residual))
+        names = parameters_of(self.residual)
         if "w" not in names:
             raise ValueError("residual must involve the symbol w")
-        r, r_w, *r_h = _derive(self.residual, names)
-        object.__setattr__(self, "_names", names)
+        levels, couplings, fixed = set(), set(), set()
+        for name in names:
+            if m := _H_RE.match(name):
+                levels.add(int(m.group(1)))
+            elif m := _FOREIGN_RE.match(name):
+                couplings.add(int(m.group(2)))
+            elif name not in ("lam", "w"):
+                fixed.add(name)
+        object.__setattr__(self, "levels", tuple(sorted(levels)))
+        object.__setattr__(self, "couplings", tuple(sorted(couplings)))
+        object.__setattr__(self, "_fixed", frozenset(fixed))
+        r, r_w, *r_h = _derive(self.residual, self.levels)
         object.__setattr__(self, "_a", _stackel_a(self.residual, r_w))
         object.__setattr__(self, "_trees", tuple(
             _substitute(t, {p(1): Const(0.0)}) for t in (r, *r_h)))
@@ -169,9 +184,9 @@ class ChartDegree:
 class SeparableChart:
     """Degrees j=1..n with level symbols h_1..h_dim and fixed parameters.
 
-    ``levels[j - 1]`` lists the i of every h_i degree j reads, and
-    ``couplings[j - 1]`` every degree s whose lam_s / w_s it reads, both
-    ascending.  A fixed parameter may not take a reserved name.
+    Each degree's levels must lie in 1..h_dim, its couplings name other
+    degrees of the chart, and the fixed parameters bind the rest of its
+    symbols.  A fixed parameter may not take a reserved name.
 
     A chart is frozen, so it keeps one memo of what depends only on the
     chart and a level: each cycle, keyed by (j, level bits), so -0.0 and
@@ -183,10 +198,6 @@ class SeparableChart:
     degrees: tuple[ChartDegree, ...]
     h_dim: int
     params: Mapping[str, float] | None = None
-    levels: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
-                                                 compare=False)
-    couplings: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
-                                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -201,35 +212,19 @@ class SeparableChart:
                 raise ValueError(
                     f"chart parameter {name!r} takes a reserved name")
         object.__setattr__(self, "params", fixed)
-        n = len(self.degrees)
-        levels, couplings = [], []
         for j, deg in enumerate(self.degrees, start=1):
-            reads, coupled = set(), set()
-            for name in sorted(deg._names):
-                if name in ("lam", "w") or name in fixed:
-                    continue
-                m = _H_RE.match(name)
-                if m:
-                    if int(m.group(1)) > self.h_dim:
-                        raise ValueError(f"degree {j}: {name} exceeds h_dim")
-                    reads.add(int(m.group(1)))
-                    continue
-                m = _FOREIGN_RE.match(name)
-                if m:
-                    s = int(m.group(2))
-                    if s == j:
-                        raise ValueError(
-                            f"degree {j} must use lam/w for its own state, "
-                            f"not {name}")
-                    if s > n:
-                        raise ValueError(f"degree {j}: {name} has no degree")
-                    coupled.add(s)
-                    continue
-                raise ValueError(f"degree {j}: unknown symbol {name!r}")
-            levels.append(tuple(sorted(reads)))
-            couplings.append(tuple(sorted(coupled)))
-        object.__setattr__(self, "levels", tuple(levels))
-        object.__setattr__(self, "couplings", tuple(couplings))
+            if deg.levels and deg.levels[-1] > self.h_dim:
+                raise ValueError(f"degree {j}: h_{deg.levels[-1]} exceeds h_dim")
+            for s in deg.couplings:
+                if s == j or s > self.n:
+                    name = min({f"lam_{s}", f"w_{s}"}
+                               & parameters_of(deg.residual))
+                    raise ValueError(
+                        f"degree {j} must use lam/w for its own state, "
+                        f"not {name}" if s == j else
+                        f"degree {j}: {name} has no degree")
+            if unknown := sorted(deg._fixed - fixed.keys()):
+                raise ValueError(f"degree {j}: unknown symbol {unknown[0]!r}")
         object.__setattr__(self, "_cycles", {})
 
     @property
@@ -265,20 +260,21 @@ def _bits(values: Sequence[float]) -> bytes:
 
 def _compile_degree(chart: SeparableChart, j: int, hv: Sequence[float],
                     env: Mapping[str, float] | None = None
-                    ) -> tuple[Callable, Callable]:
-    """Degree j's (F,) and rates (dF/dh_i for each h_i it reads), each
-    compiled as a function of (lam,) at the level hv (already checked by
-    :func:`_level`), with ``env`` binding other degrees' states."""
+                    ) -> tuple[ChartDegree, Callable, Callable]:
+    """Degree j, its index checked here for every caller, its (F,) and
+    rates (dF/dh_i for each i of its levels), each compiled as a function of
+    (lam,) at the level hv (already checked by :func:`_level`), with
+    ``env`` binding other degrees' states."""
     if not 1 <= j <= chart.n:
         raise ValueError(f"degree index {j} out of range 1..{chart.n}")
-    trees = chart.degrees[j - 1]._trees
+    deg = chart.degrees[j - 1]
     params = dict(chart.params)
     params.update((f"h_{i}", v) for i, v in enumerate(hv, start=1))
     if env:
         params.update(env)
     try:
-        return (compile_functions(trees[:1], 1, params),
-                compile_functions(trees[1:], 1, params))
+        return (deg, compile_functions(deg._trees[:1], 1, params),
+                compile_functions(deg._trees[1:], 1, params))
     except UnboundSymbolError as exc:
         raise ChartError(
             f"degree {j} references another degree's state ({exc}); only "
@@ -330,9 +326,7 @@ def _branch_rates(deg: ChartDegree, rates, lam: float,
 def solve_branch(chart: SeparableChart, j: int, lam: float,
                  h: Sequence[float]) -> float:
     """Branch value w_j(lam; h) with the degree's branch sign, |R| <= 1e-10."""
-    hv = _level(chart, h)
-    g, _ = _compile_degree(chart, j, hv)
-    deg = chart.degrees[j - 1]
+    deg, g, _ = _compile_degree(chart, j, _level(chart, h))
     return _branch_value(deg, g, float(lam), deg.branch_sign)
 
 
@@ -454,10 +448,10 @@ def _settled(new: Sequence[float], old: Sequence[float],
                            and last <= step <= QUAD_NOISE_STEPS), step
 
 
-def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
+def _integrate_cycle(deg: ChartDegree, g, rates, a: float,
                      b: float) -> tuple[float, tuple | str]:
     """(integral of |w| from a to b, the integrals of d|w|/dh_i over it for
-    the m h_i of ``rates``, or why they do not exist) on the + branch of
+    each i of ``deg.levels``, or why they do not exist) on the + branch of
     ``deg``, with both ends turning points.
 
     Trapezoid sums of w dlam over n = _TRAPEZOID_START, 2n, ... _N_MAX
@@ -475,7 +469,7 @@ def _integrate_cycle(deg: ChartDegree, g, rates, m: int, a: float,
     n, nodes = _TRAPEZOID_START, range(1, _TRAPEZOID_START)
     total = integral = rated = mids = step = None
     while n <= _N_MAX:
-        fresh, acc = 0.0, [0.0] * m
+        fresh, acc = 0.0, [0.0] * len(deg.levels)
         for k in nodes:
             fresh += node(-1.0 + 2.0 * k / n, 2.0 / n,
                           acc if rated is None and k % 2 else None)
@@ -509,12 +503,11 @@ def _cycle(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
     key = (j, _bits(hv))
     found = chart._cycles.get(key)
     if found is None:
-        deg = chart.degrees[j - 1]
-        g, rates = _compile_degree(chart, j, hv)
+        deg, g, rates = _compile_degree(chart, j, hv)
         a, b = _find_cycle(g, *deg.bracket)
         found = (g, rates, a, b, *(
             (0.0, "the level has a degenerate cycle") if a == b else
-            _integrate_cycle(deg, g, rates, len(chart.levels[j - 1]), a, b)))
+            _integrate_cycle(deg, g, rates, a, b)))
         if len(chart._cycles) >= _MEMO_CAP:
             chart._cycles.clear()
         chart._cycles[key] = found
@@ -530,15 +523,15 @@ def _cycle_rates(chart: SeparableChart, j: int, hv: Sequence[float]) -> tuple:
     return rated
 
 
-def _interval_rates(deg: ChartDegree, g, rates, m: int, a: float,
+def _interval_rates(deg: ChartDegree, g, rates, a: float,
                     b: float) -> list[float]:
-    """integral from a to b of dw/dh_i on ``deg``'s branch, for the m h_i
-    of ``rates``: Gauss-Legendre sums over n = _GL_START, 2n, ... _N_MAX
+    """integral from a to b of dw/dh_i on ``deg``'s branch, for each i of
+    ``deg.levels``: Gauss-Legendre sums over n = _GL_START, 2n, ... _N_MAX
     nodes, stopped by :func:`_settled`."""
     node = _branch_nodes(deg, g, rates, a, b, deg.branch_sign)
     n, sums, step = _GL_START, None, None
     while n <= _N_MAX:
-        last, sums = sums, [0.0] * m
+        last, sums = sums, [0.0] * len(deg.levels)
         for x, gw in zip(*_gl(n)):
             node(x, gw, sums)
         if last is not None:
@@ -604,15 +597,15 @@ def time_map(chart: SeparableChart, h: Sequence[float],
             else:
                 ends.append(v)
         a, b = ends
-        deg, reads = chart.degrees[s - 1], chart.levels[s - 1]
-        if a == b or not reads:
+        deg = chart.degrees[s - 1]
+        if a == b or not deg.levels:
             continue
         if {a, b} == {lam_minus, lam_plus}:
             sign = deg.branch_sign * (1 if a < b else -1)
             dts = [sign * v for v in _cycle_rates(chart, s, hv)]
         else:
-            dts = _interval_rates(deg, g, rates, len(reads), a, b)
-        for j, v in zip(reads, dts):
+            dts = _interval_rates(deg, g, rates, a, b)
+        for j, v in zip(deg.levels, dts):
             times[j - 1] += v
     return tuple(times)
 
@@ -625,8 +618,8 @@ def frequency_matrix(chart: SeparableChart, h: Sequence[float]) -> np.ndarray:
     """
     hv = _level(chart, h, "frequency_matrix")
     a = np.zeros((chart.n, chart.h_dim))
-    for i in range(chart.n):
-        a[i, [j - 1 for j in chart.levels[i]]] = np.divide(
+    for i, deg in enumerate(chart.degrees):
+        a[i, [j - 1 for j in deg.levels]] = np.divide(
             _cycle_rates(chart, i + 1, hv), math.pi)
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > COND_LIMIT:
@@ -654,10 +647,10 @@ def _environments(chart: SeparableChart, hv: list[float],
     fractions = (-0.45, 0.1, 0.55)
     envs: list[dict[str, float]] = [{} for _ in fractions]
     for s in needed:
-        if chart.couplings[s - 1]:
+        deg = chart.degrees[s - 1]
+        if deg.couplings:
             raise ChartError(
                 f"cannot build environments from coupled degree {s}")
-        deg = chart.degrees[s - 1]
         g, _, lam_minus, lam_plus, *_ = _cycle(chart, s, hv)
         if lam_minus == lam_plus:
             raise ChartError(
@@ -688,18 +681,17 @@ def picard_fuchs_residual(chart: SeparableChart, h: Sequence[float],
     if not probe_vals:
         raise ValueError("need at least one probe value")
     worst = 0.0
-    for i in range(1, chart.n + 1):
-        if not chart.couplings[i - 1]:
+    for i, deg in enumerate(chart.degrees, start=1):
+        if not deg.couplings:
             continue
-        envs = _environments(chart, hv, chart.couplings[i - 1])
-        deg = chart.degrees[i - 1]
+        envs = _environments(chart, hv, deg.couplings)
         branches = [_compile_degree(chart, i, hv, env) for env in envs]
         usable = 0
         for lam in probe_vals:
             try:
                 vals = [_branch_rates(deg, rates, lam, _branch_value(
                             deg, g, lam, deg.branch_sign))
-                        for g, rates in branches]
+                        for _, g, rates in branches]
             except ChartError:
                 continue
             for column in zip(*vals):

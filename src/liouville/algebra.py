@@ -125,10 +125,10 @@ class InvariantSet:
         of the function compiled on first use, whose outputs are the k
         members followed by their k * 2n gradient partials."""
         n = self.structure.n
-        if point.n < n:
+        if point.n != n:
             raise UnboundSymbolError(
-                f"a {point.n}-degree point cannot bind a {n}-degree phase space")
-        state = point.q[:n] + point.p[:n]
+                f"a {point.n}-degree point does not fit a {n}-degree phase space")
+        state = point.q + point.p
         outcome = self._outcomes.get(state)
         if isinstance(outcome, str):
             raise DomainError(outcome)
@@ -488,7 +488,8 @@ def find_level_point(inv: InvariantSet, values: Sequence[float],
         return values - target, jac
 
     try:
-        r, jac = residual_at(state)
+        values, jac = inv._evaluate(guess)
+        r = values - target
     except DomainError as exc:
         raise ConvergenceError(f"guess point is outside the domain: {exc}") from None
     best = float(np.linalg.norm(r))

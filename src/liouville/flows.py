@@ -92,7 +92,8 @@ class IntegratorConfig:
 
     ``scheme`` is "adaptive" (the Dormand-Prince 5(4) pair under scipy
     RK45's controller, with rtol = atol = ``tolerance``) or "symmetric4"
-    (fixed ``step``, separable H only).
+    (fixed ``step``, separable H only); ``tolerance`` must be positive
+    under both, and ``step`` is refused by the adaptive scheme.
     ``sample_dt`` switches an adaptive trajectory to a uniform output grid
     of at most ``MAX_STEPS`` rows; the fixed-step scheme has no
     interpolant and rejects it.  Every run stops after ``MAX_STEPS``
@@ -114,10 +115,12 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.scheme == "adaptive" and self.tolerance <= 0:
+        if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.scheme == "symmetric4" and (self.step is None or self.step <= 0):
             raise ValueError("symmetric4 needs a positive fixed step")
+        if self.step is not None and self.scheme != "symmetric4":
+            raise ValueError("step applies to the symmetric4 scheme only")
         if self.sample_dt is not None and self.sample_dt <= 0:
             raise ValueError("sample_dt must be positive")
         if self.sample_dt is not None and self.scheme != "adaptive":

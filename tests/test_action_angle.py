@@ -137,6 +137,18 @@ def test_solve_branch_index_and_level_validation(osc):
         solve_branch(osc, 1, 0.0, [0.5, 0.3])
 
 
+@pytest.mark.parametrize("call", [
+    lambda chart, j: solve_branch(chart, j, 0.1, [0.5]),
+    lambda chart, j: turning_points(chart, j, [0.5]),
+    lambda chart, j: action_variable(chart, j, [0.5]),
+], ids=["solve_branch", "turning_points", "action_variable"])
+@pytest.mark.parametrize("j", [0, 2, -1])
+def test_a_degree_index_out_of_range_is_refused(osc, call, j):
+    # j = 2 read past the one degree, j <= 0 read a degree from the end
+    with pytest.raises(ValueError, match=f"degree index {j} out of range 1..1"):
+        call(osc, j)
+
+
 def test_turning_points_oscillator(osc):
     a, b = turning_points(osc, 1, [0.5])
     assert a == pytest.approx(-1.0, abs=1e-8)
@@ -733,6 +745,43 @@ def test_separable_chart_validation():
                                     bracket=(-1.0, 1.0)),), h_dim=1)
 
 
+@pytest.mark.parametrize("text, levels, couplings", [
+    ("w^2+lam^2-2*h_1", (1,), ()),
+    ("w^2+lam^2-2*h_3+h_1", (1, 3), ()),
+    ("w^2+lam^2+w_2-2*h_1", (1,), (2,)),
+    # ordered by index, not by name: "h_10" sorts before "h_2" as text
+    ("w^2+lam_3*lam^2+w_2-2*h_10-h_2", (2, 10), (2, 3)),
+    ("w^2+omega*lam^2-1", (), ()),
+])
+def test_a_degree_reads_its_levels_and_couplings_off_its_residual(
+        text, levels, couplings):
+    deg = ChartDegree(parse(text, 0), bracket=(-8.0, 8.0))
+    assert (deg.levels, deg.couplings) == (levels, couplings)
+    # one rate tree per level, in the order of levels
+    assert len(deg._trees) == 1 + len(levels)
+
+
+def test_a_ten_degree_chart_orders_its_rates_by_level_index():
+    # degree 2 reads h_2 and h_10, so its energy is h_2 + 0.05*h_10: a
+    # level index of two digits must pair with its own rate
+    degrees = [ChartDegree(parse(f"w^2+lam^2-2*h_{j}"
+                                 + ("-0.1*h_10" if j == 2 else ""), 0),
+                           bracket=(-8.0, 8.0)) for j in range(1, 11)]
+    chart = SeparableChart(tuple(degrees), h_dim=10)
+    h = [0.3 + 0.05 * (j - 1) for j in range(1, 11)]
+    a = np.eye(10)
+    a[1, 9] = 0.05
+    assert np.max(np.abs(frequency_matrix(chart, h) - np.linalg.inv(a))) \
+        <= 1e-12
+    assert action_variable(chart, 2, h) == pytest.approx(
+        h[1] + 0.05 * h[9], abs=1e-12)
+    mu = [(0.0, 0.0)] * 10
+    mu[1] = turning_points(chart, 2, h)
+    want = [0.0] * 10
+    want[1], want[9] = math.pi, 0.05 * math.pi
+    assert np.max(np.abs(np.array(time_map(chart, h, mu)) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["lam", "w", "h_1", "w_2", "lam_1"])
 def test_chart_parameters_may_not_take_reserved_names(name):
     # a fixed h_1 would shadow the level it names, and the level
@@ -773,7 +822,7 @@ def test_chart_pair_matches_substituting_the_derivative_in_w():
     charts = [get_system(name).chart for name in list_systems()]
     for r in [deg.residual for chart in charts if chart is not None
               for deg in chart.degrees] + trees:
-        pair = action_angle._derive(r, frozenset(parameters_of(r)))[:2]
+        pair = action_angle._derive(r, ())[:2]
         want = (substituted(r), substituted(differentiate(r, "w")))
         assert repr(pair) == repr(want), to_string(r)
 
@@ -821,7 +870,7 @@ def test_closed_form_branches_match_a_50_digit_reference(request, fresh):
     for h in levels:
         for j, deg in enumerate(chart.degrees, start=1):
             squared = SHIPPED[f"{request.node.callspec.id}_{j}"][1]
-            g, _ = action_angle._compile_degree(chart, j, h)
+            _, g, _ = action_angle._compile_degree(chart, j, h)
             a, b = turning_points(chart, j, h)
             for t in theta:
                 lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(t)
@@ -840,7 +889,7 @@ def test_quartic_branch_values_match_a_50_digit_reference(quartic, h):
     # 256-interval rule over the cycle
     mpmath = pytest.importorskip("mpmath")
     deg = quartic.degrees[0]
-    g, _ = action_angle._compile_degree(quartic, 1, [h])
+    _, g, _ = action_angle._compile_degree(quartic, 1, [h])
     a, b = turning_points(quartic, 1, [h])
     for k in range(1, 256):
         lam = 0.5 * (a + b) + 0.5 * (b - a) * math.sin(

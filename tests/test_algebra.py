@@ -21,8 +21,8 @@ from liouville.algebra import (
 from liouville import algebra
 from liouville import expr as expr_module
 from liouville.expr import (
-    DomainError, _binder_from_source, compile_functions, gradient, p, parse,
-    q, sample_eval_points,
+    DomainError, UnboundSymbolError, _binder_from_source, compile_functions,
+    gradient, p, parse, q, sample_eval_points,
 )
 from liouville.sysfile import loads_system
 from oracles import reference_evaluate, reference_screened_samples
@@ -299,6 +299,23 @@ def test_find_level_point_infeasible():
     inv = get_system("oscillator").invariants
     with pytest.raises(ConvergenceError):
         find_level_point(inv, (-1.0,), EvalPoint((1.0,), (0.1,)))
+
+
+@pytest.mark.parametrize("point", [
+    EvalPoint((1.0,), (2.0,)),
+    EvalPoint((1.0, 5.0, 0.5), (2.0, 7.0, 0.5)),
+], ids=["smaller", "larger"])
+def test_point_of_another_dimension_is_refused(point):
+    # a larger point was cut to the set's n, and find_level_point split
+    # its guess at n into a q and a p of unequal length
+    inv = get_system("uncoupled_oscillators").invariants
+    calls = (inv.member_values, inv.jacobian_at,
+             lambda u: find_level_point(inv, (0.5, 0.5), u))
+    for call in calls:
+        with pytest.raises(UnboundSymbolError,
+                           match=f"a {point.n}-degree point does not fit a "
+                                 "2-degree phase space"):
+            call(point)
 
 
 def test_find_level_point_vortex_self_consistency():

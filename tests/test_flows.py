@@ -613,3 +613,8 @@ def test_config_validation():
         IntegratorConfig(sample_dt=math.nan)
     with pytest.raises(ValueError, match="collision_threshold must be finite"):
         IntegratorConfig(collision_threshold=math.inf)
+    # each knob was accepted and then ignored by the scheme that ran
+    with pytest.raises(ValueError, match="symmetric4 scheme only"):
+        IntegratorConfig(step=-3.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        IntegratorConfig(scheme="symmetric4", step=0.1, tolerance=-5.0)

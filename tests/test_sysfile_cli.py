@@ -757,15 +757,26 @@ def test_simulate_adaptive_truncates_where_the_step_probe_leaves_the_domain(tmp_
     assert json.loads(out)["results"]["error"] == "domain_error"
 
 
-@pytest.mark.parametrize("scheme", ["adaptive", "symmetric4"])
+@pytest.mark.parametrize("scheme", [["--scheme", "adaptive"],
+                                    ["--scheme", "symmetric4", "--step", "0.01"]],
+                         ids=["adaptive", "symmetric4"])
 def test_simulate_start_outside_h_domain_exits_2(tmp_path, scheme):
     # the field is defined at q1 = -1, H = p1^2/2 + ln(q1) is not
     path = tmp_path / "log.sys"
     path.write_text(LOG_SYSTEM, encoding="utf-8")
     _assert_one_error_line(*run_cli(
-        ["simulate", str(path), "--scheme", scheme, "--step", "0.01",
-         "--from", "-1 | 0.5", "--t", "1"]),
+        ["simulate", str(path), *scheme, "--from", "-1 | 0.5", "--t", "1"]),
         "initial point outside the domain: math domain error")
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--step", "-3"], "step applies to the symmetric4 scheme only"),
+    (["--scheme", "symmetric4", "--step", "0.1", "--tolerance", "-5"],
+     "tolerance must be positive"),
+], ids=["step-adaptive", "tolerance-symmetric4"])
+def test_simulate_knob_the_scheme_ignores_exits_2(flags, fragment):
+    _assert_one_error_line(*run_cli(["simulate", OSC, "--t", "1", *flags]),
+                           fragment)
 
 
 def test_seed_resolution_order(monkeypatch):
