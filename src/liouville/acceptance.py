@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Call, EvalPoint, Param, compile_functions, const, \
-    differentiate, p, q, simplify
+from .expr import Call, EvalPoint, Param, _chain, compile_functions, \
+    const, differentiate, p, q, simplify
 from .symplectic import poisson_bracket
 from .algebra import (
     InvariantSet, _numeric_rank, algebra_rank, bracket_matrix_at,
@@ -393,10 +393,7 @@ def _random_poly(rng: np.random.Generator):
             idx = int(rng.integers(1, 4))
             e = e * (q(idx) if rng.integers(0, 2) else p(idx))
         terms.append(e)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return simplify(total)
+    return simplify(_chain("+", terms))
 
 
 def criterion_10() -> _Checks:

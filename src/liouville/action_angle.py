@@ -471,8 +471,14 @@ def _integrate_cycle(deg: ChartDegree, g, rates, a: float,
     while n <= _N_MAX:
         fresh, acc = 0.0, [0.0] * len(deg.levels)
         for k in nodes:
-            fresh += node(-1.0 + 2.0 * k / n, 2.0 / n,
-                          acc if rated is None and k % 2 else None)
+            x = -1.0 + 2.0 * k / n
+            try:
+                fresh += node(x, 2.0 / n,
+                              acc if rated is None and k % 2 else None)
+            except QuadratureError as exc:
+                # a rate failing at a node is the rates' reason, not the action's
+                rated = str(exc)
+                fresh += node(x, 2.0 / n, None)
         if total is None:
             total = fresh
         else:
@@ -561,9 +567,12 @@ def time_map(chart: SeparableChart, h: Sequence[float],
 
     ``mu`` holds one (start, end) pair per degree; an equal pair
     contributes nothing, and t(mu0) = 0 when every interval is empty.
-    dw_s/dh_j = -F_{h_j}/(2a*w) stays finite in theta at a turning point,
-    so an end within 1e-7 relative of one is taken to it.  An interval
-    from one turning point to the other reads the cycle's rate integrals,
+    An end within 1e-7 * (1 + |lam+-|) of a turning point is taken to the
+    nearer one.  That is not harmless: the time between a simple turning
+    point and a point d inside it grows like sqrt(d), so the snap drops
+    that time (about sqrt(2d), 1.4e-4 at d = 1e-8, on the oscillator at
+    h = 0.5) and t jumps at the window's edge.  An interval from one
+    turning point to the other reads the cycle's rate integrals,
     the nodes of its action; any other is integrated on each call.  Every
     interval needs its degree's cycle, found and integrated, so a level
     whose action is refused refuses even an interval inside the cycle.
@@ -590,12 +599,9 @@ def time_map(chart: SeparableChart, h: Sequence[float],
                 "choose an interior endpoint")
         ends = []
         for v in (a, b):
-            if abs(v - lam_minus) <= 1e-7 * (1.0 + abs(lam_minus)):
-                ends.append(lam_minus)
-            elif abs(v - lam_plus) <= 1e-7 * (1.0 + abs(lam_plus)):
-                ends.append(lam_plus)
-            else:
-                ends.append(v)
+            near = min((lam_minus, lam_plus), key=lambda e: abs(v - e))
+            ends.append(near if abs(v - near) <= 1e-7 * (1.0 + abs(near))
+                        else v)
         a, b = ends
         deg = chart.degrees[s - 1]
         if a == b or not deg.levels:

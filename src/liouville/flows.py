@@ -52,7 +52,7 @@ __all__ = [
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 COMMUTE_TOL = 1e-6
-# the step budget of one run, and the row limit of a sample_dt grid
+# the step budget of an adaptive run, and the point limit of a fixed grid
 MAX_STEPS = 2_000_000
 
 # Dormand-Prince 5(4) tableau as scipy.integrate.RK45 holds it, without the
@@ -95,10 +95,12 @@ class IntegratorConfig:
     (fixed ``step``, separable H only); ``tolerance`` must be positive
     under both, and ``step`` is refused by the adaptive scheme.
     ``sample_dt`` switches an adaptive trajectory to a uniform output grid
-    of at most ``MAX_STEPS`` rows; the fixed-step scheme has no
-    interpolant and rejects it.  Every run stops after ``MAX_STEPS``
-    steps with error "max_steps".  ``collision_threshold`` aborts when the
-    minimum pairwise squared distance between the per-degree points
+    (the fixed-step scheme has no interpolant).  A fixed grid, of
+    ``sample_dt`` rows or ``step`` steps, of t_final / spacing >=
+    ``MAX_STEPS`` points or with no ``sample_dt`` row after 0 is refused
+    before the run; only an adaptive run stops after ``MAX_STEPS`` steps,
+    with error "max_steps".  A positive ``collision_threshold`` aborts when
+    the minimum pairwise squared distance between the per-degree points
     (q_j, p_j) drops below it.  Every number must be finite.
     """
 
@@ -125,6 +127,8 @@ class IntegratorConfig:
             raise ValueError("sample_dt must be positive")
         if self.sample_dt is not None and self.scheme != "adaptive":
             raise ValueError("sample_dt applies to the adaptive scheme only")
+        if self.collision_threshold is not None and self.collision_threshold <= 0:
+            raise ValueError("collision_threshold must be positive")
 
 
 @dataclass
@@ -176,17 +180,20 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     The symmetric scheme refuses a field whose dq mentions a q or whose dp
     mentions a p, and evaluates dq (drift) and dp (kick) separately.
     Domain errors (of the field, or for the symmetric scheme of H at the end
-    of a step), collisions, step underflow, and step-budget exhaustion
+    of a step), collisions, step underflow, and the adaptive step budget
     truncate the trajectory and set ``error`` instead of raising; a start
     where the field or H is undefined raises :class:`IntegrationError`.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
-    if config.sample_dt is not None and \
-            t_final / config.sample_dt >= MAX_STEPS:
-        raise ValueError("the sample_dt grid has more than max_steps rows")
+    if not t_final / (config.sample_dt or config.step or math.inf) < MAX_STEPS:
+        raise ValueError("the fixed grid has max_steps points or more")
+    if config.sample_dt is not None and config.sample_dt > t_final:
+        raise ValueError("the sample_dt grid has no row after t = 0")
     if u0.n != structure.n:
         raise ValueError("initial point dimension mismatch")
+    if config.collision_threshold is not None and structure.n < 2:
+        raise ValueError("collision_threshold needs two or more degrees")
     y0 = u0.state()
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial point must be finite")
@@ -389,10 +396,7 @@ def _compile_step(h: Expr, fld, n: int, params: dict[str, float], dt: float):
 def _integrate_symmetric4(h, fld, params, y0, t_final, n,
                           config) -> Trajectory:
     m = max(1, round(t_final / config.step))
-    truncated_budget = m > MAX_STEPS
     dt = t_final / m
-    if truncated_budget:
-        m = MAX_STEPS
     step = _compile_step(h, fld, n, params, dt)
     # a row is the state, then H there; the step reads only the state, so
     # the first row's H is a placeholder, and the column goes at the end
@@ -413,8 +417,6 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
             break
         ts.append((step_idx + 1) * dt)
         ys.append(y)
-    if error is None and truncated_budget:
-        error = "max_steps"
     return Trajectory(np.array(ts), np.ascontiguousarray(np.array(ys)[:, :-1]),
                       error=error, accepted_steps=len(ts) - 1)
 

@@ -240,9 +240,6 @@ def loads_system(text: str, name_hint: str = "system") -> SystemDefinition:
     if "weights" in table:
         e = table["weights"]
         weights = _float_list(e.value, "weights", e.line)
-        if len(weights) != n:
-            raise SystemFileError(
-                f"expected {n} weights, got {len(weights)}", e.line)
         try:
             structure = SymplecticStructure(n, tuple(weights))
         except ValueError as exc:

@@ -10,6 +10,7 @@ from liouville.action_angle import (
     ChartDegree,
     ChartError,
     NoRealRootError,
+    QUAD_ABS_TOL,
     QuadratureError,
     SeparableChart,
     action_spectrum,
@@ -490,6 +491,37 @@ def test_time_map_to_just_inside_a_turning_point(osc):
     want = math.asin(1.0 - 5e-7)
     t = time_map(osc, [0.5], [(0.0, 1.0 - 5e-7)])[0]
     assert abs(t - want) <= 1e-12 * want
+
+
+@pytest.mark.xfail(strict=True, reason="an end within 1e-7 of a turning "
+                   "point is moved onto it, which drops about sqrt(2d) of "
+                   "time for an end d inside it")
+def test_time_map_to_1e_8_inside_a_turning_point(osc):
+    want = math.asin(1.0 - 1e-8) + 0.5 * math.pi   # pi - 1.4142e-4
+    t = time_map(osc, [0.5], [(-1.0, 1.0 - 1e-8)])[0]
+    assert abs(t - want) <= 1e-9
+
+
+def test_a_tiny_level_keeps_its_action_and_refuses_its_rates(osc):
+    # at h = 1e-20 the nodes next to the turning points read F within
+    # ROOT_TOL of 0, so w = 0 there: the action needs no rate, the rates
+    # cannot be had
+    h = 1e-20
+    assert abs(action_variable(osc, 1, [h]) / h - 1.0) <= 1e-6
+    assert abs(action_variable(osc, 1, [1e-30]) - 1e-30) <= QUAD_ABS_TOL
+    with pytest.raises(QuadratureError, match="dR/dw vanishes"):
+        frequency_matrix(osc, [h])
+    with pytest.raises(QuadratureError, match="dR/dw vanishes"):
+        time_map(osc, [h], [turning_points(osc, 1, [h])])
+
+
+def test_a_cycle_narrower_than_the_snap_window_keeps_both_ends(osc):
+    # the turning points +-1.4e-8 both lie within 1e-7 of -1.4e-8; each
+    # end goes to the nearer one, so the half cycle is not read as empty
+    h = 1e-16
+    a, b = turning_points(osc, 1, [h])
+    with pytest.raises(QuadratureError, match="rates did not converge"):
+        time_map(osc, [h], [(a, b)])
 
 
 def test_time_map_shape_validation(osc, uncoupled):

@@ -510,11 +510,15 @@ def test_max_steps_truncates_with_flag(monkeypatch):
     assert traj.error == "max_steps"
     assert traj.accepted_steps == 5
     assert len(traj.times) == 6
+    # a fixed step grid is sized before the run: refused at MAX_STEPS
+    # points or more, and run in full below that
+    with pytest.raises(ValueError, match="max_steps"):
+        integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1.0,
+                  IntegratorConfig(scheme="symmetric4", step=0.2))
     fixed = integrate(osc.hamiltonian, S1, EvalPoint((1.0,), (0.0,)), 1.0,
-                      IntegratorConfig(scheme="symmetric4", step=0.01))
-    assert fixed.error == "max_steps"
-    assert fixed.accepted_steps == 5
-    assert len(fixed.times) == 6
+                      IntegratorConfig(scheme="symmetric4", step=0.25))
+    assert fixed.error is None
+    assert fixed.accepted_steps == 4
 
 
 def test_initial_point_outside_domain_raises():
@@ -534,6 +538,15 @@ def test_integrate_input_validation(monkeypatch):
                   IntegratorConfig(scheme="symmetric4", step=0.01))
     with pytest.raises(ValueError, match="finite"):
         integrate(osc.hamiltonian, S1, EvalPoint((math.nan,), (0.0,)), 1.0)
+    # t_final / step overflows to inf, which no grid fits
+    with pytest.raises(ValueError, match="max_steps"):
+        integrate(osc.hamiltonian, S1, u0, 1e300,
+                  IntegratorConfig(scheme="symmetric4", step=1e-300))
+    with pytest.raises(ValueError, match="no row after t = 0"):
+        integrate(osc.hamiltonian, S1, u0, 1.0, IntegratorConfig(sample_dt=5.0))
+    with pytest.raises(ValueError, match="two or more degrees"):
+        integrate(osc.hamiltonian, S1, u0, 1.0,
+                  IntegratorConfig(collision_threshold=10.0))
     monkeypatch.setattr(flows, "MAX_STEPS", 10)
     with pytest.raises(ValueError, match="max_steps"):
         integrate(osc.hamiltonian, S1, u0, 1.0,
@@ -613,6 +626,11 @@ def test_config_validation():
         IntegratorConfig(sample_dt=math.nan)
     with pytest.raises(ValueError, match="collision_threshold must be finite"):
         IntegratorConfig(collision_threshold=math.inf)
+    # a threshold no squared distance can fall below never fires
+    for threshold in (0.0, -5.0):
+        with pytest.raises(ValueError,
+                           match="collision_threshold must be positive"):
+            IntegratorConfig(collision_threshold=threshold)
     # each knob was accepted and then ignored by the scheme that ran
     with pytest.raises(ValueError, match="symmetric4 scheme only"):
         IntegratorConfig(step=-3.0)

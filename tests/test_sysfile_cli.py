@@ -779,6 +779,25 @@ def test_simulate_knob_the_scheme_ignores_exits_2(flags, fragment):
                            fragment)
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    ([OSC, "--t", "30000", "--scheme", "symmetric4", "--step", "0.01"],
+     "the fixed grid has max_steps points or more"),
+    ([OSC, "--t", "1e300", "--scheme", "symmetric4", "--step", "1e-300"],
+     "the fixed grid has max_steps points or more"),
+    ([OSC, "--t", "1", "--sample-dt", "5"],
+     "the sample_dt grid has no row after t = 0"),
+    ([V3, "--t", "1", "--collision", "-5"],
+     "collision_threshold must be positive"),
+    ([V3, "--t", "1", "--collision", "0"],
+     "collision_threshold must be positive"),
+    ([OSC, "--t", "1", "--collision", "10"],
+     "collision_threshold needs two or more degrees"),
+], ids=["steps-over-budget", "steps-overflow", "empty-sample-grid",
+        "negative-collision", "zero-collision", "collision-one-degree"])
+def test_simulate_run_sized_or_checked_before_it_starts_exits_2(argv, fragment):
+    _assert_one_error_line(*run_cli(["simulate", *argv]), fragment)
+
+
 def test_seed_resolution_order(monkeypatch):
     """Flag beats environment beats file seed."""
     assert report_of(["rank", V3])["seed"] == 42
