@@ -26,8 +26,8 @@ import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, Pow, UnboundSymbolError,
-    _chain, _index_bound, _simplify, _symbols, compile_functions, gradient,
-    sample_eval_points, simplify,
+    _chain, _finite_params, _index_bound, _simplify, _symbols,
+    compile_functions, gradient, sample_eval_points, simplify,
 )
 from .symplectic import SymplecticStructure
 
@@ -70,7 +70,7 @@ class SamplingError(AlgebraError):
 class InvariantSet:
     """Ordered named invariants sharing one symplectic structure.
 
-    ``params`` binds the named parameters of the member expressions; the
+    ``params`` binds the members' parameters to finite values; the
     set copies it at construction and owns it, and points carry coordinates
     only.  Member values and gradients come from one function compiled on
     first use (see :func:`compile_functions`), so each point costs one
@@ -91,7 +91,7 @@ class InvariantSet:
     def __post_init__(self):
         self.names = tuple(self.names)
         self.exprs = tuple(self.exprs)
-        self.params = dict(self.params)
+        self.params = _finite_params(self.params)
         if len(self.names) != len(self.exprs):
             raise ValueError("names and expressions must pair up")
         if len(self.names) != len(set(self.names)):

@@ -781,6 +781,14 @@ def parameters_of(*exprs: Expr) -> set[str]:
     return _symbols(exprs)[1]
 
 
+def _finite_params(params: Mapping[str, float]) -> dict[str, float]:
+    """A copy of a parameter binding, refusing a non-finite value by name."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name!r} must be finite, got {value}")
+    return dict(params)
+
+
 def substitute_param(e: Expr, name: str, replacement: Expr) -> Expr:
     """Replace every occurrence of parameter ``name`` by ``replacement``."""
     return _substitute(e, {Param(name): replacement})
@@ -881,10 +889,12 @@ def _template(e: Expr, n: int, param_index: Mapping[str, int],
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int]
-          ) -> tuple[list[str], list[str], tuple[float, ...]]:
-    """Straight-line statements, one result expression per input, and the
-    values of the numeric literals the code reads, numbered (see
+def _emit(exprs: Sequence[Expr], n: int, params: Mapping[str, float]
+          ) -> tuple[list[str], list[str], tuple[float, ...],
+                     tuple[float, ...]]:
+    """Straight-line statements, one result expression per input, the
+    values of the parameters the code reads, numbered in sorted name order,
+    and the values of its numeric literals, numbered (see
     :func:`_template`) in post-order of first use.
 
     A subtree gets its own temporary when it occurs more than once (common
@@ -894,6 +904,8 @@ def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int]
     same floating-point operations, in the same order, as the tree walk
     ``reference_evaluate`` in tests/oracles.py.
     """
+    names = sorted(params)
+    param_index = {name: i for i, name in enumerate(names)}
     # distinct subtrees in post-order: children always precede parents
     literals: dict[str, int] = {}
     slot_of_id: dict[int, int] = {}
@@ -934,7 +946,9 @@ def _emit(exprs: Sequence[Expr], n: int, param_index: Mapping[str, int]
             text, d = f"t{slot}", 0
         code.append(text)
         depth.append(d)
-    return lines, [code[r] for r in roots], tuple(map(float, literals))
+    return (lines, [code[r] for r in roots],
+            tuple(float(params[name]) for name in names),
+            tuple(map(float, literals)))
 
 
 _NAMESPACE = {
@@ -969,6 +983,26 @@ def _binder_from_source(source: str):
     return namespace["_bind"]
 
 
+def _unpack(values: tuple[float, ...], literals: tuple[float, ...]) -> str:
+    """The binder lines that unpack its tuples c (parameter values) and k
+    (literal values) into the names c0, c1, ... and k0, k1, ... the emitted
+    code reads."""
+    return "".join(f"    {''.join(f'{t}{i}, ' for i in range(count))}= {t}\n"
+                   for t, count in (("c", len(values)), ("k", len(literals)))
+                   if count)
+
+
+def _function(lines: list[str], outs: list[str], values: tuple[float, ...],
+              literals: tuple[float, ...]
+              ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """The function of the state compiled from one :func:`_emit`."""
+    body = "".join(f"            {line}\n" for line in lines)
+    result = ",".join(outs) + ("," if len(outs) == 1 else "")
+    bind = _binder_from_source(_SOURCE.format(
+        unpack=_unpack(values, literals), body=body, result=result))
+    return bind(values, literals)
+
+
 def compile_functions(exprs: Sequence[Expr], n: int,
                       params: Mapping[str, float] | None = None
                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
@@ -985,17 +1019,4 @@ def compile_functions(exprs: Sequence[Expr], n: int,
     inf), and raises :class:`DomainError` on a domain failure or a
     non-finite output.
     """
-    params = dict(params or {})
-    names = sorted(params)
-    param_index = {name: i for i, name in enumerate(names)}
-    lines, outs, literals = _emit(exprs, n, param_index)
-    # the binder unpacks its tuples c (parameter values) and k (literal
-    # values) into the names c0, c1, ... and k0, k1, ... the code reads
-    unpack = "".join(f"    {''.join(f'{t}{i}, ' for i in range(count))}= {t}\n"
-                     for t, count in (("c", len(names)), ("k", len(literals)))
-                     if count)
-    body = "".join(f"            {line}\n" for line in lines)
-    result = ",".join(outs) + ("," if len(outs) == 1 else "")
-    bind = _binder_from_source(_SOURCE.format(unpack=unpack, body=body,
-                                              result=result))
-    return bind(tuple(float(params[name]) for name in names), literals)
+    return _function(*_emit(exprs, n, params or {}))

@@ -14,9 +14,10 @@ first, the clamp at ``t_final`` and the quartic dense output that fills
 the ``sample_dt`` grid, whose row k sits at k * ``sample_dt``.  Only the
 order of a few floating-point sums differs, so step sizes agree with
 scipy's to about 1e-7 relative.  Each step is one generated straight-line
-function of the state, compiled once per state length and bound per run
-to the compiled field: the six stage sums, the new state and the error
-norm written out per component.
+function of the state, compiled once per field shape from the field's own
+emitted statements and bound per run to its literals and parameters: the
+six stage sums, the field written in at each stage, the new state and the
+error norm written out per component, with no call of the compiled field.
 
 The fixed-step scheme compiles each step with :func:`compile_functions`,
 from expression trees over the state: each of the three sub-steps
@@ -30,15 +31,16 @@ the run even where the drift and the kick are still defined.
 """
 from __future__ import annotations
 
-import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
     BinOp, Const, DomainError, EvalPoint, Expr, _binder_from_source,
-    _substitute, compile_functions, p, parameters_of, q, variables_of,
+    _emit, _finite_params, _function, _substitute, _unpack,
+    compile_functions, p, parameters_of, q, variables_of,
 )
 from .symplectic import SymplecticStructure, hamiltonian_vector_field
 from .algebra import InvariantSet
@@ -175,7 +177,7 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
               params: dict[str, float] | None = None) -> Trajectory:
     """Integrate the flow of ``h`` from the finite point ``u0`` for the
     finite time ``t_final`` (> 0); ``params`` binds the named parameters
-    of ``h``.
+    of ``h`` to finite values.
 
     The symmetric scheme refuses a field whose dq mentions a q or whose dp
     mentions a p, and evaluates dq (drift) and dp (kick) separately.
@@ -197,7 +199,7 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     y0 = u0.state()
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial point must be finite")
-    params = dict(params or {})
+    params = _finite_params(params or {})
     unbound = parameters_of(h) - set(params)
     if unbound:
         raise ValueError(f"Hamiltonian uses unbound parameters: {sorted(unbound)}")
@@ -207,7 +209,11 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
                       any(v[0] == "p" for v in variables_of(*fld.dp))):
         raise ValueError("the symmetric fixed-step scheme needs a separable "
                          "Hamiltonian H = T(p) + V(q)")
-    rhs = compile_functions(fld.dq + fld.dp, structure.n, params)
+    # one emission of the field builds both the compiled field, which the
+    # start check and the adaptive scheme's step-size probe call, and the
+    # adaptive step that writes it in
+    field = _emit(fld.dq + fld.dp, structure.n, params)
+    rhs = _function(*field)
     try:
         rhs(y0)
         compile_functions([h], structure.n, params)(y0)
@@ -216,14 +222,13 @@ def integrate(h: Expr, structure: SymplecticStructure, u0: EvalPoint,
     if symmetric:
         return _integrate_symmetric4(h, fld, params, y0, t_final,
                                      structure.n, config)
-    return _integrate_adaptive(rhs, y0, t_final, structure.n, config)
+    return _integrate_adaptive(rhs, _dopri(*field), y0, t_final,
+                               structure.n, config)
 
 
-def _integrate_adaptive(rhs, y0, t_final, n, config) -> Trajectory:
+def _integrate_adaptive(rhs, step, y0, t_final, n, config) -> Trajectory:
     tol = config.tolerance
     y = list(map(float, y0))
-    step = _binder_from_source(_dopri_source(len(y)))(
-        rhs, _A, _B, _E, len(y) ** 0.5)
     f = rhs(y)
     try:
         h_abs = _initial_step(rhs, y, f, t_final, tol)
@@ -309,29 +314,43 @@ def _initial_step(rhs, y0, f0, t_final, tol) -> float:
     return min(100 * h0, h1, t_final)
 
 
-# One Dormand-Prince step of size h from y, where k1 is the field at y,
+# One Dormand-Prince step of size h from y, where f is the field at y,
 # over a state of length m.  It returns the fifth-order state, the stages
-# k1, k3..k7 (k2 has weight 0 in the solution, the error and the
+# k1 = f, k3..k7 (k2 has weight 0 in the solution, the error and the
 # interpolant; k7 is the field at the new state) and the RMS error norm,
 # each written out per component with the floating-point operations, in
 # the same order, of the loop over components in tests/oracles.py
-# (``dopri_reference``).  The field, the tableau and the norm's divisor
-# sqrt(m) are bound per run, not written into the source, so one compiled
-# source per m serves every field.
+# (``dopri_reference``).  The field's own emitted statements are written
+# in at each of the stages k2..k7, its state reads y[i] renamed to that
+# stage's inputs, and each stage checks its outputs as the compiled field
+# does.  The step's own names (y<i>, x<i>, n<i>, k<j>_<i>, ...) never take
+# the emitted forms t<i>, k<i> and c<i>, so the two cannot clash.  Literals, parameters, the tableau and the norm's divisor sqrt(m)
+# are bound per run, not written into the source, so one compiled source
+# serves every field of one shape.
 _DOPRI_SOURCE = """\
-def _bind(rhs, A, B, E, norm):
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \\
+def _bind(c, k, A, B, E, norm):
+{unpack}    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \\
         (a61, a62, a63, a64, a65) = A
     b1, b3, b4, b5, b6 = B
     e1, e3, e4, e5, e6, e7 = E
-    def _step(y, k1, h, tol):
-{body}        return y_new, (k1, k3, k4, k5, k6, k7), _sqrt({total}) / norm
+    def _step(y, f, h, tol):
+        {y}= y
+        {k1}= f
+        try:
+{stages}        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _DomainError(str(exc)) from None
+{norm}        return [{n}], (f, {k}), _sqrt({total}) / norm
     return _step
 """
+_STATE_READ = re.compile(r"y\[(\d+)\]")
 
 
-@functools.lru_cache(maxsize=None)
-def _dopri_source(m: int) -> str:
+def _dopri(lines: list[str], outs: list[str], values: tuple[float, ...],
+           literals: tuple[float, ...]):
+    """The step of the field that :func:`expr._emit` emitted as
+    ``lines`` and ``outs``, bound to its parameter and literal values."""
+    m = len(outs)
+
     def names(prefix):
         return "".join(f"{prefix}{i}, " for i in range(m))
 
@@ -339,22 +358,37 @@ def _dopri_source(m: int) -> str:
         # the weighted stage sum of component i: a31 * k1_i + a32 * k2_i
         return " + ".join(f"{coefficient}{j} * k{j}_{i}" for j in stages)
 
-    lines = [f"{names('y')}= y", f"{names('k1_')}= k1"]
+    def field(j, inputs):
+        # stage j: the field at the state whose component i is the local
+        # inputs<i>, then the compiled field's finiteness check
+        read = inputs + r"\1"
+        finite = " and ".join(f"_isfinite(k{j}_{i})" for i in range(m))
+        return ([_STATE_READ.sub(read, line) for line in lines]
+                + [f"k{j}_{i} = {_STATE_READ.sub(read, code)}"
+                   for i, code in enumerate(outs)]
+                + [f"if not ({finite}):", "    raise _DomainError("
+                   "'non-finite value in compiled evaluation')"])
+
+    stages = []
     for j in range(2, 7):
-        inputs = ", ".join(f"y{i} + ({combination(f'a{j}', range(1, j), i)})"
-                           " * h" for i in range(m))
-        lines += [f"k{j} = rhs([{inputs}])", f"{names(f'k{j}_')}= k{j}"]
-    lines += [f"n{i} = y{i} + h * ({combination('b', (1, 3, 4, 5, 6), i)})"
-              for i in range(m)]
-    lines += [f"y_new = [{names('n')}]", "k7 = rhs(y_new)",
-              f"{names('k7_')}= k7"]
+        stages += [f"x{i} = y{i} + ({combination(f'a{j}', range(1, j), i)})"
+                   " * h" for i in range(m)]
+        stages += field(j, "x")
+    stages += [f"n{i} = y{i} + h * ({combination('b', (1, 3, 4, 5, 6), i)})"
+               for i in range(m)]
+    stages += field(7, "n")
+    norm = []
     for i in range(m):
-        lines += [f"v{i} = abs(y{i})", f"w{i} = abs(n{i})",
-                  f"r{i} = ({combination('e', (1, 3, 4, 5, 6, 7), i)}) * h"
-                  f" / (tol + (v{i} if v{i} >= w{i} else w{i}) * tol)"]
-    return _DOPRI_SOURCE.format(
-        body="".join(f"        {line}\n" for line in lines),
+        norm += [f"v{i} = abs(y{i})", f"w{i} = abs(n{i})",
+                 f"r{i} = ({combination('e', (1, 3, 4, 5, 6, 7), i)}) * h"
+                 f" / (tol + (v{i} if v{i} >= w{i} else w{i}) * tol)"]
+    source = _DOPRI_SOURCE.format(
+        unpack=_unpack(values, literals), y=names("y"), k1=names("k1_"),
+        stages="".join(f"            {line}\n" for line in stages),
+        norm="".join(f"        {line}\n" for line in norm), n=names("n"),
+        k=", ".join(f"({names(f'k{j}_')})" for j in range(3, 8)),
         total=" + ".join(f"r{i} * r{i}" for i in range(m)))
+    return _binder_from_source(source)(values, literals, _A, _B, _E, m ** 0.5)
 
 
 def _interpolate(y_old, stages, h, x):
@@ -422,8 +456,15 @@ def _integrate_symmetric4(h, fld, params, y0, t_final, n,
 
 
 def conservation_report(traj: Trajectory, inv: InvariantSet) -> dict[str, float]:
-    """Max relative drift |F(u(t)) - F(u(0))| / (1 + |F(u(0))|) per member."""
-    fn = compile_functions(inv.exprs, inv.structure.n, inv.params)
+    """Max relative drift |F(u(t)) - F(u(0))| / (1 + |F(u(0))|) per member,
+    over a trajectory of one row or more in the set's phase space."""
+    n = inv.structure.n
+    rows, columns = traj.states.shape
+    if rows == 0 or columns != 2 * n:
+        raise ValueError(
+            f"the {n}-degree invariant set reads a trajectory of one row or "
+            f"more of {2 * n} columns, got {rows} rows of {columns}")
+    fn = compile_functions(inv.exprs, n, inv.params)
     values = np.array([fn(row) for row in traj.states.tolist()])
     ref = values[0]
     drift = np.max(np.abs(values - ref), axis=0) / (1.0 + np.abs(ref))

@@ -1,5 +1,6 @@
 """Lie-algebra decisions: closure, solvability, rank, Cartan data, completions."""
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -876,6 +877,13 @@ def test_invariant_set_validation():
         InvariantSet(s, ("A",), (parse("g*q1", 1),))
     bound = InvariantSet(s, ("A",), (parse("g*q1", 1),), params={"g": 2.0})
     assert bound.member_values(EvalPoint((3.0,), (0.0,)))[0] == 6.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_parameter_is_refused_at_construction(value):
+    with pytest.raises(ValueError, match="parameter 'b' must be finite"):
+        InvariantSet(SymplecticStructure.canonical(1), ("H",),
+                     (parse("p1^2/2 + b*q1^2", 1),), {"b": value})
 
 
 def test_sampling_error_on_unreachable_domain():

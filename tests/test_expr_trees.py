@@ -503,7 +503,7 @@ def test_literal_names_keep_the_sign():
 
 
 def test_a_literal_used_twice_gets_one_name():
-    lines, (code,), literals = _emit([parse("2*q1 + 2*p1 + 0.5", 1)], 1, {})
+    lines, (code,), _, literals = _emit([parse("2*q1 + 2*p1 + 0.5", 1)], 1, {})
     assert literals == (2.0, 0.5)
     assert lines == [] and code.count("k0") == 2 and code.count("k1") == 1
     assert "2.0" not in code and "0.5" not in code

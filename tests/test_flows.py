@@ -9,7 +9,8 @@ from liouville import expr, flows
 from liouville.algebra import build_combination, cartan_basis_at, find_level_point
 from liouville.catalog import get_system, probe_points
 from liouville.expr import (
-    EvalPoint, _binder_from_source, compile_functions, const, parse,
+    DomainError, EvalPoint, _binder_from_source, compile_functions, const,
+    parse,
 )
 from liouville.flows import (
     IntegrationError,
@@ -71,6 +72,24 @@ def test_conservation_report_central_field():
     traj = integrate(system.hamiltonian, system.structure, u0, 50.0,
                      IntegratorConfig(tolerance=1e-9))
     assert max(conservation_report(traj, system.invariants).values()) <= 1e-6
+
+
+@pytest.mark.parametrize("states", [
+    # a vortices3 trajectory: the oscillator's H would read q1, q2 as q1, p1
+    "vortices3", "oscillator", "empty"])
+def test_conservation_report_refuses_another_phase_space(states):
+    osc, vortices = get_system("oscillator"), get_system("vortices3")
+    system, other = {"vortices3": (osc, vortices), "oscillator": (vortices, osc),
+                     "empty": (osc, osc)}[states]
+    traj = integrate(other.hamiltonian, other.structure,
+                     probe_points(other, 1)[0], 1.0)
+    if states == "empty":
+        traj = Trajectory(traj.times[:0], traj.states[:0])
+    rows, columns = traj.states.shape
+    n = system.structure.n
+    with pytest.raises(ValueError, match=rf"{n}-degree .* {2 * n} columns, "
+                                         rf"got {rows} rows of {columns}$"):
+        conservation_report(traj, system.invariants)
 
 
 def test_conservation_report_flags_deliberate_drift():
@@ -161,14 +180,23 @@ def _ring6():
 def _case(name):
     """(H, structure, start, t_final, config) of one adaptive run whose
     every output the component-loop reference must reproduce exactly."""
-    if name in ("step_underflow", "domain_error", "probe_domain_error"):
-        text, u0, t_final = {
-            "step_underflow": ("p1^2/2 + ln(q1)", (1.0, -1.0), 10.0),
-            "domain_error": ("p1^2/2 + sqrt(q1)", (0.1, -1.0), 10.0),
-            "probe_domain_error": ("p1^2/2 + sqrt(q1)", (1e-12, -1.0), 1.0),
+    if name in ("step_underflow", "domain_error", "probe_domain_error",
+                "stage_overflow"):
+        text, q, p, t_final = {
+            "step_underflow": ("p1^2/2 + ln(q1)", (1.0,), (-1.0,), 10.0),
+            "domain_error": ("p1^2/2 + sqrt(q1)", (0.1,), (-1.0,), 10.0),
+            "probe_domain_error": ("p1^2/2 + sqrt(q1)", (1e-12,), (-1.0,),
+                                   1.0),
+            # q1 = t, and dq2 = 2 * q3 * exp(...) is 0 but within 3e-5 of
+            # the centre, the q1 of stage k4 of the third step, where it is
+            # 2 * 1e308 = inf with nothing raised; no stage reads q2, so
+            # only k4's own finiteness check stops the run there
+            "stage_overflow": (
+                "p1 + 2*p2*q3*exp(-1e12*(q1 - 0.6868414831565411)^2)",
+                (0.0, 0.0, 1e308), (0.0, 0.0, 0.0), 10.0),
         }[name]
-        return (parse(text, 1), S1, EvalPoint((u0[0],), (u0[1],)), t_final,
-                IntegratorConfig())
+        return (parse(text, len(q)), SymplecticStructure.canonical(len(q)),
+                EvalPoint(q, p), t_final, IntegratorConfig())
     system, u0, t_final, config = {
         "vortices3": (*_vortex_probe(), 50.0, IntegratorConfig()),
         "central_field": (get_system("central_field"),
@@ -192,6 +220,7 @@ def _case(name):
     ("step_underflow", flows._UNDERFLOW, 218),
     ("domain_error", "domain_error", None),
     ("probe_domain_error", "domain_error", 0),
+    ("stage_overflow", "domain_error", 2),
 ])
 def test_adaptive_step_matches_component_loop_reference(name, error, steps):
     # the generated step performs the reference's operations in its order,
@@ -207,6 +236,29 @@ def test_adaptive_step_matches_component_loop_reference(name, error, steps):
     assert np.array_equal(traj.states, states)
 
 
+def test_the_stage_overflow_case_overflows_at_a_middle_stage(monkeypatch):
+    # the reference's last step calls the field for k2, k3 and k4, and k4
+    # comes back inf from arithmetic that raised nothing; were the stage to
+    # move, the case would no longer test k4's own check
+    failures = []
+
+    def traced(rhs, y, k1, h):
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return rhs(state)
+        try:
+            return _dopri_step(counted, y, k1, h)
+        except DomainError as exc:
+            failures.append((len(calls), str(exc)))
+            raise
+
+    monkeypatch.setattr("oracles._dopri_step", traced)
+    dopri_reference(*_case("stage_overflow"))
+    assert failures == [(3, "non-finite value in compiled evaluation")]
+
+
 @pytest.mark.parametrize("name", ["oscillator_grid", "central_field", "ring6"])
 def test_generated_step_equals_component_loop_step(name):
     # one step at a time, so a change that moves the error norm by an ulp
@@ -214,9 +266,8 @@ def test_generated_step_equals_component_loop_step(name):
     h, structure, u0, _, _ = _case(name)
     fld = hamiltonian_vector_field(h, structure)
     rhs = compile_functions(fld.dq + fld.dp, structure.n)
+    step = flows._dopri(*expr._emit(fld.dq + fld.dp, structure.n, {}))
     m = 2 * structure.n
-    step = flows._binder_from_source(flows._dopri_source(m))(
-        rhs, flows._A, flows._B, flows._E, m ** 0.5)
     rng = np.random.default_rng(5)
     for _ in range(200):
         y = (u0.state() + rng.normal(0.0, 0.05, m)).tolist()
@@ -229,23 +280,36 @@ def test_generated_step_equals_component_loop_step(name):
         assert err == _error_norm(y, ref_new, ref_stages, dt, tol)
 
 
+def _compiles(h, structure, u0, t_final=1.0):
+    """The number of new sources compiled by one adaptive run."""
+    before = _binder_from_source.cache_info()
+    integrate(h, structure, u0, t_final)
+    return _binder_from_source.cache_info().misses - before.misses
+
+
 def test_adaptive_step_source_is_shared_across_fields():
-    # the field is bound per run, not written into the step's source, so a
-    # second Hamiltonian of the same dimension compiles no new step
-    u0 = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
-    first = get_system("central_field")
-    integrate(first.hamiltonian, first.structure, u0, 1.0)
-    h = parse("(p1^2 + p2^2 + p3^2)/2 + (q1^2 + q2^2 + q3^2)^2/4", 3)
+    # the field is written into the step's source, its literals are not, so
+    # a vortex ring of other intensities compiles nothing new (in neither
+    # ring do two literals coincide, which would merge their names)
+    def ring(xi):
+        system = get_system("vortices", {"n": 3, "xi": xi})
+        return system.hamiltonian, system.structure
+    u0 = EvalPoint((1.0, -0.5, -0.5), (0.0, 0.87, -0.87))
+    _compiles(*ring((0.9, 1.1, 1.3)), u0)
+    assert _compiles(*ring((1.7, 0.6, 2.3)), u0) == 0
+
+
+def test_a_new_field_shape_compiles_its_step_once():
+    h = parse("(p1^2 + p2^2 + p3^2)/2 + (q1^2 + q2^2 + q3^2)^2/4 "
+              "+ q1*q2*q3/7", 3)
     structure = SymplecticStructure.canonical(3)
+    u0 = EvalPoint((1.0, 0.4, -0.7), (0.3, -0.5, 0.8))
     fld = hamiltonian_vector_field(h, structure)
-    # the new field and H compile their own sources before the run
+    # the field and H compile their own sources before the run
     compile_functions(fld.dq + fld.dp, 3)
     compile_functions([h], 3)
-    before = _binder_from_source.cache_info()
-    integrate(h, structure, u0, 1.0)
-    after = _binder_from_source.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+    assert _compiles(h, structure, u0) == 1
+    assert _compiles(h, structure, u0, 2.0) == 0
 
 
 @pytest.mark.parametrize("name,point,t_final,sample_dt", [
@@ -555,6 +619,10 @@ def test_integrate_input_validation(monkeypatch):
         integrate(osc.hamiltonian, SymplecticStructure.canonical(2), u0, 1.0)
     with pytest.raises(ValueError, match="unbound"):
         integrate(parse("a*q1", 1), S1, u0, 1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="parameter 'b' must be finite"):
+            integrate(parse("p1^2/2 + b*q1^2", 1), S1, u0, 1.0,
+                      params={"b": value})
 
 
 def test_commute_leg_failure_raises():
